@@ -4,9 +4,16 @@ The table c[i][j] is the coefficient vector of [e_i, e_j], so the scalar
 c[i][j][k] multiplies e_k.  Validation checks antisymmetry entrywise and
 the Jacobi identity on basis triples; in binary64 mode both tests accept
 residuals up to 1e-9 relative to the largest structure constant.
+
+Every kernel here (bracket, ad, both validation tests, the spans of the
+structure report and the unimodular trace) is one contraction over the
+algebra's cached ScaledArray view, the same code in both modes.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from . import linalg, scalars
 from .errors import (
@@ -26,20 +33,17 @@ class LieAlgebra:
     exact: bool
     labels: tuple = ()
 
+    @cached_property
+    def array(self):
+        """The table as a ScaledArray, converted once per algebra."""
+        return scalars.to_array(self.c, self.exact)
+
     def bracket(self, x, y):
         return bracket(self, x, y)
 
     def ad(self, x):
         """Matrix of ad_x acting on coordinate columns: rows k, columns j."""
-        n = self.dim
-        xs = scalars.coerce_vector(x, self.exact)
-        return tuple(
-            scalars.coerce_vector(
-                (sum(xs[i] * self.c[i][j][k] for i in range(n)) for j in range(n)),
-                self.exact,
-            )
-            for k in range(n)
-        )
+        return scalars.left_mult(self.array, scalars.vector(x, self.exact)).tuples()
 
     def basis_vector(self, i):
         one = scalars.coerce(1, self.exact)
@@ -97,50 +101,32 @@ def validate_algebra(c, labels=None):
     table = tuple(
         tuple(scalars.coerce_vector(row, exact) for row in plane) for plane in c
     )
-    cmax = scalars.max_abs(table)
-    tol = 0 if exact else 1e-9 * max(1.0, float(cmax))
-
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(n):
-                r = table[i][j][k] + table[j][i][k]
-                if abs(r) > tol:
-                    raise AntisymmetryViolation(i, j, k, r)
-
-    def brk(x, y):
-        return tuple(
-            sum(
-                x[a] * y[b] * table[a][b][k]
-                for a in range(n)
-                for b in range(n)
-                if table[a][b][k] != 0
-            )
-            for k in range(n)
-        )
-
-    basis = [
-        tuple(
-            scalars.coerce(1 if a == i else 0, exact) for a in range(n)
-        )
-        for i in range(n)
-    ]
-    jac_tol = 0 if exact else 1e-9 * max(1.0, float(cmax)) ** 2
-    for i in range(n):
-        for j in range(i + 1, n):
-            bij = table[i][j]
-            for k in range(j + 1, n):
-                t1 = brk(bij, basis[k])
-                t2 = brk(table[j][k], basis[i])
-                t3 = brk(table[k][i], basis[j])
-                for m in range(n):
-                    r = t1[m] + t2[m] + t3[m]
-                    if abs(r) > jac_tol:
-                        raise JacobiViolation(i, j, k, m, r)
-
     lbl = tuple(labels) if labels else tuple(f"e{i}" for i in range(n))
+    L = LieAlgebra(n, table, exact, lbl)
+    C = L.array
+    cmax = float(C.peak())
+
+    # the residual is symmetric in (i, j), so the first violation in
+    # index order has i <= j
+    sym = C + C.transpose(1, 0, 2)
+    bad = np.argwhere(sym.beyond(scalars.tolerance(exact, max(1.0, cmax))))
+    if len(bad):
+        i, j, k = bad[0].tolist()
+        raise AntisymmetryViolation(i, j, k, sym.scalar(sym.num[i, j, k]))
+
+    # jac[i, j, k, m]: component m of [[e_i, e_j], e_k] + cyclic
+    nested = scalars.contract("ija,akm->ijkm", C, C)
+    jac = nested + nested.transpose(2, 0, 1, 3) + nested.transpose(1, 2, 0, 3)
+    i, j, k, _ = np.ogrid[:n, :n, :n, :n]
+    jac_tol = scalars.tolerance(exact, max(1.0, cmax) ** 2)
+    bad = np.argwhere(jac.beyond(jac_tol) & (i < j) & (j < k))
+    if len(bad):
+        i, j, k, m = bad[0].tolist()
+        raise JacobiViolation(i, j, k, m, jac.scalar(jac.num[i, j, k, m]))
+
     if len(lbl) != n:
         raise DimensionMismatch(f"{len(lbl)} labels for dimension {n}")
-    return LieAlgebra(n, table, exact, lbl)
+    return L
 
 
 def bracket(L, x, y):
@@ -148,21 +134,8 @@ def bracket(L, x, y):
         raise DimensionMismatch(
             f"vectors of length {len(x)}, {len(y)} in dimension {L.dim}"
         )
-    xs = scalars.coerce_vector(x, L.exact)
-    ys = scalars.coerce_vector(y, L.exact)
-    n = L.dim
-    return scalars.coerce_vector(
-        (
-            sum(
-                xs[i] * ys[j] * L.c[i][j][k]
-                for i in range(n)
-                for j in range(n)
-                if L.c[i][j][k] != 0
-            )
-            for k in range(n)
-        ),
-        L.exact,
-    )
+    ad_x = scalars.left_mult(L.array, scalars.vector(x, L.exact))
+    return scalars.contract("kj,j->k", ad_x, scalars.vector(y, L.exact)).tuples()
 
 
 @dataclass(frozen=True)
@@ -178,11 +151,13 @@ class StructureReport:
 
 def _bracket_span(L, left_basis, right_basis):
     """Canonical basis of span{[v, w]} over the two vector families."""
-    vecs = []
-    for v in left_basis:
-        for w in right_basis:
-            vecs.append(bracket(L, v, w))
-    return linalg.span_basis(vecs, L.exact)
+    if not left_basis or not right_basis:
+        return ()
+    left = scalars.to_array(left_basis, L.exact)
+    right = scalars.to_array(right_basis, L.exact)
+    ad_left = scalars.contract("ai,ijk->ajk", left, L.array)
+    brackets = scalars.contract("ajk,bj->abk", ad_left, right).tuples()
+    return linalg.span_basis([v for row in brackets for v in row], L.exact)
 
 
 def structure_report(L):
@@ -222,19 +197,11 @@ def structure_report(L):
         dseries.append(nxt)
     solvable = not dseries[-1]
 
-    cmax = scalars.max_abs(L.c)
-    tr_tol = 0 if exact else 1e-9 * max(1.0, float(cmax))
-    unimodular = True
-    for i in range(n):
-        ad = L.ad(L.basis_vector(i))
-        tr = sum(ad[k][k] for k in range(n))
-        if abs(tr) > tr_tol:
-            unimodular = False
-            break
-
-    abelian = all(
-        v == 0 for v in scalars.flatten(L.c)
-    )
+    C = L.array
+    traces = scalars.contract("ikk->i", C)
+    tr_tol = scalars.tolerance(exact, max(1.0, float(C.peak())))
+    unimodular = not traces.beyond(tr_tol).any()
+    abelian = not np.count_nonzero(C.num)
     return StructureReport(
         center=center,
         derived=derived,

@@ -274,7 +274,7 @@ def _mode(exact):
 
 def _vtol(exact):
     # validators run with zero slack in exact mode, 1e-9 relative otherwise
-    return 0 if exact else 1e-9
+    return scalars.tolerance(exact, 1.0)
 
 
 def _status_dict(ts):
@@ -635,6 +635,8 @@ def _random_phi(rng, m):
 
 def _cmd_family_sweep(args):
     m = args.dimv
+    if m < 1:
+        raise ParseError(f"--dimv must be at least 1, got {m}")
     phis = []
     if args.input:
         try:

@@ -8,7 +8,10 @@ formula, which for left-invariant data collapses to
 
 All n^2 right-hand sides are solved against the single matrix 2 G, so one
 elimination (one inverse in exact mode, one factorization in binary64)
-serves the whole tensor.
+serves the whole tensor.  The right-hand sides, curvature and the
+torsion, skew and left-symmetry residuals are einsum contractions over
+the cached ScaledArray views of c, gamma and G, one expression per
+quantity for both arithmetic modes.
 
 Curvature uses the fixed sign convention
 
@@ -20,6 +23,7 @@ and flatness in binary64 accepts a maximal entry of R up to
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg, scalars
 from .algebra import LieAlgebra
@@ -51,34 +55,18 @@ class ProductTensor:
     def dim(self):
         return self.algebra.dim
 
+    @cached_property
+    def array(self):
+        """gamma as a ScaledArray, converted once per product."""
+        return scalars.to_array(self.gamma, self.exact)
+
     def mult(self, x, y):
-        n = self.dim
-        xs = scalars.coerce_vector(x, self.exact)
-        ys = scalars.coerce_vector(y, self.exact)
-        return scalars.coerce_vector(
-            (
-                sum(
-                    xs[i] * ys[j] * self.gamma[i][j][k]
-                    for i in range(n)
-                    for j in range(n)
-                    if self.gamma[i][j][k] != 0
-                )
-                for k in range(n)
-            ),
-            self.exact,
-        )
+        lx = scalars.left_mult(self.array, scalars.vector(x, self.exact))
+        return scalars.contract("kj,j->k", lx, scalars.vector(y, self.exact)).tuples()
 
     def left_mult(self, x):
         """Matrix of y -> x y on coordinate columns (rows k, columns j)."""
-        n = self.dim
-        xs = scalars.coerce_vector(x, self.exact)
-        return tuple(
-            scalars.coerce_vector(
-                (sum(xs[i] * self.gamma[i][j][k] for i in range(n)) for j in range(n)),
-                self.exact,
-            )
-            for k in range(n)
-        )
+        return scalars.left_mult(self.array, scalars.vector(x, self.exact)).tuples()
 
     def to_float(self):
         if not self.exact:
@@ -99,29 +87,18 @@ class CurvatureTensor:
     r: tuple  # r[i][j][k][l]: coefficient of e_l in R(e_i, e_j) e_k
     exact: bool
 
+    @cached_property
+    def array(self):
+        """r as a ScaledArray, converted once per tensor."""
+        return scalars.to_array(self.r, self.exact)
+
     def max_abs(self):
         return scalars.max_abs(self.r)
 
     def apply(self, x, y, z):
-        n = len(self.r)
-        xs = scalars.coerce_vector(x, self.exact)
-        ys = scalars.coerce_vector(y, self.exact)
-        zs = scalars.coerce_vector(z, self.exact)
-        out = []
-        for l in range(n):
-            acc = scalars.coerce(0, self.exact)
-            for i in range(n):
-                if xs[i] == 0:
-                    continue
-                for j in range(n):
-                    if ys[j] == 0:
-                        continue
-                    for k in range(n):
-                        if zs[k] == 0 or self.r[i][j][k][l] == 0:
-                            continue
-                        acc += xs[i] * ys[j] * zs[k] * self.r[i][j][k][l]
-            out.append(acc)
-        return tuple(out)
+        r = scalars.contract("i,ijkl->jkl", scalars.vector(x, self.exact), self.array)
+        r = scalars.contract("j,jkl->kl", scalars.vector(y, self.exact), r)
+        return scalars.contract("k,kl->l", scalars.vector(z, self.exact), r).tuples()
 
 
 @dataclass(frozen=True)
@@ -145,26 +122,15 @@ def levi_civita(L, g):
         L = L.to_float()
         form = form.to_float()
     n = L.dim
-    c = L.c
-    G = form.matrix
-    two_g = tuple(tuple(2 * v for v in row) for row in G)
-
-    rhs = []
-    for i in range(n):
-        for j in range(n):
-            row = []
-            for m in range(n):
-                acc = scalars.coerce(0, exact)
-                for k in range(n):
-                    if c[i][j][k] != 0:
-                        acc += c[i][j][k] * G[k][m]
-                    if c[j][m][k] != 0:
-                        acc -= c[j][m][k] * G[k][i]
-                    if c[m][i][k] != 0:
-                        acc += c[m][i][k] * G[k][j]
-                row.append(acc)
-            rhs.append(row)
-    sols = linalg.solve_many(two_g, rhs, exact)
+    C, G = L.array, form.array
+    two_g = tuple(tuple(2 * v for v in row) for row in form.matrix)
+    # rhs[i][j][m] = <[e_i, e_j], e_m> - <[e_j, e_m], e_i> + <[e_m, e_i], e_j>
+    rhs = (
+        scalars.contract("ijk,km->ijm", C, G)
+        - scalars.contract("jmk,ki->ijm", C, G)
+        + scalars.contract("mik,kj->ijm", C, G)
+    )
+    sols = linalg.solve_many(two_g, [row for plane in rhs.tuples() for row in plane], exact)
     gamma = tuple(
         tuple(sols[i * n + j] for j in range(n)) for i in range(n)
     )
@@ -208,34 +174,24 @@ def product_from_iso(L, k, u):
     return ProductTensor(L, tuple(gamma), metric, exact)
 
 
+def _compose(P):
+    """comp[i][j][k][l]: coefficient of e_l in e_i (e_j e_k)."""
+    G = P.array
+    return scalars.contract("jkm,iml->ijkl", G, G)
+
+
+def _curvature_array(P, comp):
+    """R as a ScaledArray, from comp = _compose(P)."""
+    return (
+        scalars.contract("ijm,mkl->ijkl", P.algebra.array, P.array)
+        - comp
+        + comp.transpose(1, 0, 2, 3)
+    )
+
+
 def curvature(P):
     """R[i][j][k][l] under R(x,y) = L_[x,y] - L_x L_y + L_y L_x."""
-    n = P.dim
-    c = P.algebra.c
-    gam = P.gamma
-    exact = P.exact
-    zero = scalars.coerce(0, exact)
-    r = []
-    for i in range(n):
-        plane_i = []
-        for j in range(n):
-            plane_j = []
-            for k in range(n):
-                row = []
-                for l in range(n):
-                    acc = zero
-                    for m in range(n):
-                        if c[i][j][m] != 0 and gam[m][k][l] != 0:
-                            acc += c[i][j][m] * gam[m][k][l]
-                        if gam[j][k][m] != 0 and gam[i][m][l] != 0:
-                            acc -= gam[j][k][m] * gam[i][m][l]
-                        if gam[i][k][m] != 0 and gam[j][m][l] != 0:
-                            acc += gam[i][k][m] * gam[j][m][l]
-                    row.append(acc)
-                plane_j.append(tuple(row))
-            plane_i.append(tuple(plane_j))
-        r.append(tuple(plane_i))
-    return CurvatureTensor(tuple(r), exact)
+    return CurvatureTensor(_curvature_array(P, _compose(P)).tuples(), P.exact)
 
 
 def product_report(P):
@@ -245,66 +201,28 @@ def product_report(P):
     metric entry point.  In exact mode every verdict is an equality test;
     in binary64 the thresholds scale with the tensor norms.
     """
-    n = P.dim
-    c = P.algebra.c
-    gam = P.gamma
-    exact = P.exact
-    cmax = float(scalars.max_abs(c))
-    gmax = float(scalars.max_abs(gam))
+    C, G, exact = P.algebra.array, P.array, P.exact
+    cmax, gmax = float(C.peak()), float(G.peak())
 
-    tol_t = 0 if exact else 1e-9 * max(1.0, cmax + 2 * gmax)
-    torsion_res = scalars.coerce(0, exact)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                res = abs(gam[i][j][k] - gam[j][i][k] - c[i][j][k])
-                if res > torsion_res:
-                    torsion_res = res
-    torsion_ok = torsion_res <= tol_t
+    torsion = G - G.transpose(1, 0, 2) - C
+    torsion_ok = torsion.peak() <= scalars.tolerance(exact, max(1.0, cmax + 2 * gmax))
 
     skew_ok = None
     if P.metric is not None:
-        G = P.metric.matrix
-        kmax = float(scalars.max_abs(G))
-        tol_s = 0 if exact else 1e-9 * max(1.0, 2 * gmax * kmax)
-        skew_res = scalars.coerce(0, exact)
-        for i in range(n):
-            for j in range(n):
-                for l in range(n):
-                    acc = scalars.coerce(0, exact)
-                    for m in range(n):
-                        if gam[i][j][m] != 0:
-                            acc += gam[i][j][m] * G[m][l]
-                        if gam[i][l][m] != 0:
-                            acc += G[j][m] * gam[i][l][m]
-                    if abs(acc) > skew_res:
-                        skew_res = abs(acc)
-        skew_ok = skew_res <= tol_s
+        K = P.metric.array
+        kmax = float(K.peak())
+        # <e_i e_j, e_l> + <e_j, e_i e_l>
+        skew = scalars.contract("ijm,ml->ijl", G, K) + scalars.contract("jm,ilm->ijl", K, G)
+        skew_ok = skew.peak() <= scalars.tolerance(exact, max(1.0, 2 * gmax * kmax))
 
-    tol_ls = 0 if exact else 1e-9 * max(1.0, 2 * gmax * gmax + cmax * gmax)
-    ls_res = scalars.coerce(0, exact)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                # associator symmetry in the first two slots
-                for l in range(n):
-                    acc = scalars.coerce(0, exact)
-                    for m in range(n):
-                        if gam[i][j][m] != 0 and gam[m][k][l] != 0:
-                            acc += gam[i][j][m] * gam[m][k][l]
-                        if gam[j][k][m] != 0 and gam[i][m][l] != 0:
-                            acc -= gam[j][k][m] * gam[i][m][l]
-                        if gam[j][i][m] != 0 and gam[m][k][l] != 0:
-                            acc -= gam[j][i][m] * gam[m][k][l]
-                        if gam[i][k][m] != 0 and gam[j][m][l] != 0:
-                            acc += gam[j][m][l] * gam[i][k][m]
-                    if abs(acc) > ls_res:
-                        ls_res = abs(acc)
-    left_symmetric = ls_res <= tol_ls
+    # associator (e_i e_j) e_k - e_i (e_j e_k), symmetric in i, j
+    comp = _compose(P)
+    assoc = scalars.contract("ijm,mkl->ijkl", G, G) - comp
+    ls_res = (assoc - assoc.transpose(1, 0, 2, 3)).peak()
+    left_symmetric = ls_res <= scalars.tolerance(exact, max(1.0, 2 * gmax * gmax + cmax * gmax))
 
-    R = curvature(P)
-    rmax = R.max_abs()
-    tol_f = 0 if exact else 1e-9 * (1.0 + gmax * gmax + cmax * gmax)
+    rmax = _curvature_array(P, comp).peak()
+    tol_f = scalars.tolerance(exact, 1.0 + gmax * gmax + cmax * gmax)
     flat = rmax <= tol_f
     return FlatnessReport(
         flat=flat,

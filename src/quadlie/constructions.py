@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy
-
 from . import linalg, scalars
 from .algebra import LieAlgebra, bracket, structure_report, validate_algebra
 from .connection import ProductTensor
@@ -100,7 +98,7 @@ def build_double_extension(w_dim, k0, theta):
     scale = max(
         1.0, float(scalars.max_abs(k0m)) * float(scalars.max_abs(th))
     )
-    tol = 0 if exact else 1e-9 * scale
+    tol = scalars.tolerance(exact, scale)
     for i in range(w_dim):
         for j in range(w_dim):
             if abs(k0th[i][j] + k0th[j][i]) > tol:
@@ -206,7 +204,7 @@ def build_two_step(spec):
     )
     if len(th) != m or any(len(p) != m or any(len(r) != m for r in p) for p in th):
         raise DimensionMismatch("theta must be dim_v^3")
-    tol = 0 if exact else 1e-9 * max(1.0, float(scalars.max_abs(th)))
+    tol = scalars.tolerance(exact, max(1.0, float(scalars.max_abs(th))))
     for i in range(m):
         for j in range(m):
             for k in range(m):
@@ -282,7 +280,11 @@ def two_step_metric(spec):
 def similarity_invariants(phi):
     """Conjugacy invariants of a rational matrix: characteristic
     polynomial plus the degrees of the nonunit invariant factors of the
-    characteristic matrix."""
+    characteristic matrix.  sympy is imported here, on first use, since
+    nothing else needs it."""
+    import sympy
+    from sympy.matrices.normalforms import smith_normal_form
+
     lam = sympy.Symbol("lam")
     m = len(phi)
     sm = sympy.Matrix(
@@ -290,8 +292,6 @@ def similarity_invariants(phi):
     )
     charpoly = sm.charpoly(lam).all_coeffs()
     cp = tuple(Fraction(int(c.p), int(c.q)) for c in charpoly)
-
-    from sympy.matrices.normalforms import smith_normal_form
 
     a = lam * sympy.eye(m) - sm
     snf = smith_normal_form(a, domain=sympy.QQ[lam])
@@ -479,7 +479,7 @@ def build_f_derivation(L, k=None, a0=Fraction(4, 9)):
     Fm = op_matrix(fa)
 
     # verify the derivation identity exactly on all basis pairs
-    tolv = 0 if exact else 1e-9
+    tolv = scalars.tolerance(exact, 1.0)
     for i in range(n):
         for j in range(n):
             br = bracket(L, L.basis_vector(i), L.basis_vector(j))

@@ -16,6 +16,7 @@ gives an integration-free oracle for the second-order route.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,7 +24,8 @@ import numpy as np
 from . import linalg, scalars
 from .algebra import bracket, structure_report
 from .connection import ProductTensor
-from .errors import DimensionMismatch, InvalidSpan, NotNilpotent, SeriesNotPreserved
+from .errors import DimensionMismatch, InvalidSpan, InvalidValue, NotNilpotent
+from .errors import SeriesNotPreserved, StepBudgetExhausted
 from .forms import SymmetricIso
 
 __all__ = [
@@ -52,6 +54,7 @@ __all__ = [
 
 ESCAPE_RADIUS = 1e8
 MIN_STEP = 1e-12
+STEP_BUDGET = 5_000_000
 
 # Dormand-Prince 5(4) tableau
 _A = (
@@ -127,14 +130,6 @@ def _as_product(P):
     return P if not P.exact else P.to_float()
 
 
-def _gamma_array(P):
-    return np.asarray(P.gamma, dtype=float)
-
-
-def _c_array(P):
-    return np.asarray(P.algebra.c, dtype=float)
-
-
 def _check_span(t_span):
     try:
         t0, t1 = float(t_span[0]), float(t_span[1])
@@ -169,11 +164,17 @@ def _solve(f, y0, t0, t1, tol, *, escape=ESCAPE_RADIUS, hmin=MIN_STEP, t_eval=()
     """March from t0 to t1.  Returns (times, states, status) in step order.
 
     t_eval points must lie strictly between t0 and t1 in the direction of
-    travel; each becomes an exact mesh point.
+    travel; each becomes an exact mesh point.  Raises InvalidValue for a
+    tolerance that is not positive and finite or a non-finite initial
+    state, and StepBudgetExhausted after STEP_BUDGET attempted steps.
     """
+    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0):
+        raise InvalidValue(f"tolerance must be positive and finite, got {tol}")
     direction = 1.0 if t1 > t0 else -1.0
     span = abs(t1 - t0)
     y = np.array(y0, dtype=float)
+    if not np.all(np.isfinite(y)):
+        raise InvalidValue("initial state must be finite")
     f0 = f(y)
     if not np.all(np.isfinite(f0)):
         return [t0], [y.copy()], TerminationStatus("blowup", t0)
@@ -190,8 +191,8 @@ def _solve(f, y0, t0, t1, tol, *, escape=ESCAPE_RADIUS, hmin=MIN_STEP, t_eval=()
     nsteps = 0
     while True:
         nsteps += 1
-        if nsteps > 5_000_000:
-            raise RuntimeError("step budget exhausted")
+        if nsteps > STEP_BUDGET:
+            raise StepBudgetExhausted(f"no end after {STEP_BUDGET} steps, at t={t}")
         hmin_eff = max(hmin, 10 * np.finfo(float).eps * max(1.0, abs(t)))
         if h < hmin_eff:
             return times, states, TerminationStatus("step-collapse", t)
@@ -264,10 +265,10 @@ def _solve(f, y0, t0, t1, tol, *, escape=ESCAPE_RADIUS, hmin=MIN_STEP, t_eval=()
 def _field_from(P_or_field):
     if isinstance(P_or_field, ProductTensor):
         P = _as_product(P_or_field)
-        gam = _gamma_array(P)
+        gam = P.array.num
 
         def fld(x):
-            lx = np.einsum("ijk,i->kj", gam, x)
+            lx = scalars.left_mult(gam, x)
             return -lx @ x
 
         return fld, P.dim
@@ -307,11 +308,11 @@ def quadratic_euler_field(L, u):
     Lf = L.to_float()
     umat = np.asarray(iso.matrix, dtype=float)
     uinv_f = np.asarray(uinv, dtype=float)
-    carr = np.asarray(Lf.c, dtype=float)
+    carr = Lf.array.num
 
     def field(x):
         ux = umat @ x
-        ad_ux = np.einsum("ijk,i->kj", carr, ux)
+        ad_ux = scalars.left_mult(carr, ux)
         return uinv_f @ (ad_ux @ x)
 
     return field, evaluate
@@ -364,18 +365,18 @@ class ProbeReport:
 def completeness_probe(P, seeds, t_max=1e3, tol=1e-10):
     """Integrate each seed both ways and report how each run ended.
 
-    t_max may be a number T (probe (-T, T)) or a pair (a, b) with
-    a < 0 < b for an asymmetric window.
+    t_max may be a finite number T (probe (-T, T)) or a finite pair
+    (a, b) with a < 0 < b for an asymmetric window.
     """
     if isinstance(t_max, (tuple, list)):
         back, fwd = float(t_max[0]), float(t_max[1])
-        if not (back < 0 < fwd):
-            raise InvalidSpan("probe window must straddle 0")
+        if not (-math.inf < back < 0 < fwd < math.inf):
+            raise InvalidSpan("probe window must be finite and straddle 0")
     else:
         fwd = float(t_max)
         back = -fwd
-        if fwd <= 0:
-            raise InvalidSpan("probe horizon must be positive")
+        if not 0 < fwd < math.inf:
+            raise InvalidSpan("probe horizon must be positive and finite")
     fld, dim = _field_from(P)
     results = []
     for seed in seeds:
@@ -398,11 +399,11 @@ def _jacobi_rhs(gam, carr):
         ncols = (len(z) - n) // (2 * n)
         Y = z[n : n + n * ncols].reshape(n, ncols)
         Yd = z[n + n * ncols :].reshape(n, ncols)
-        lx = np.einsum("ijk,i->kj", gam, x)
+        lx = scalars.left_mult(gam, x)
         rx = np.einsum("ijk,j->ki", gam, x)
-        adx = np.einsum("ijk,i->kj", carr, x)
+        adx = scalars.left_mult(carr, x)
         xx = lx @ x
-        adxx = np.einsum("ijk,i->kj", carr, xx)
+        adxx = scalars.left_mult(carr, xx)
         xdot = -xx
         ydot = Yd
         yddot = -2.0 * (lx @ Yd) - (rx + lx) @ (adx @ Y) + adxx @ Y
@@ -419,8 +420,8 @@ def integrate_jacobi(P, x0, y0, ydot0, t_span, tol=1e-10, t_eval=()):
     for v in (x0, y0, ydot0):
         if len(v) != n:
             raise DimensionMismatch(f"vector of length {len(v)} in dimension {n}")
-    gam = _gamma_array(P)
-    carr = _c_array(P)
+    gam = P.array.num
+    carr = P.algebra.array.num
     rhs = _jacobi_rhs(gam, carr)
     z0 = np.concatenate(
         [
@@ -453,9 +454,9 @@ def biinvariant_jacobi(L, x0, y0, ydot0, t_span, tol=1e-10):
     t0, t1 = _check_span(t_span)
     Lf = L.to_float()
     n = Lf.dim
-    carr = np.asarray(Lf.c, dtype=float)
+    carr = Lf.array.num
     x0a = np.asarray(x0, dtype=float)
-    adx0 = np.einsum("ijk,i->kj", carr, x0a)
+    adx0 = scalars.left_mult(carr, x0a)
 
     def rhs(z):
         y = z[:n]
@@ -487,14 +488,14 @@ def right_invariant_reflection(L, P, x0, y0, t_span, tol=1e-10):
     n = P.dim
     if len(x0) != n or len(y0) != n:
         raise DimensionMismatch("seed lengths do not match the algebra dimension")
-    gam = _gamma_array(P)
-    carr = np.asarray(L.to_float().c, dtype=float)
+    gam = P.array.num
+    carr = L.to_float().array.num
 
     def rhs(z):
         x = z[:n]
         y = z[n:]
-        lx = np.einsum("ijk,i->kj", gam, x)
-        adx = np.einsum("ijk,i->kj", carr, x)
+        lx = scalars.left_mult(gam, x)
+        adx = scalars.left_mult(carr, x)
         return np.concatenate([-(lx @ x), -(adx @ y)])
 
     z0 = np.concatenate([np.asarray(x0, dtype=float), np.asarray(y0, dtype=float)])
@@ -507,7 +508,7 @@ def right_invariant_reflection(L, P, x0, y0, t_span, tol=1e-10):
     for z in zs:
         x = z[:n]
         y = z[n:]
-        adx = np.einsum("ijk,i->kj", carr, x)
+        adx = scalars.left_mult(carr, x)
         ydots.append(tuple(float(v) for v in -(adx @ y)))
     return JacobiTrajectory(
         times=tuple(times),
@@ -529,21 +530,21 @@ def jacobi_route_gap(L, P, x0, y0, t_span, tol=1e-10, samples=101):
     grid = [t0 + (t1 - t0) * i / (samples - 1) for i in range(1, samples - 1)]
     P = _as_product(P)
     n = P.dim
-    gam = _gamma_array(P)
-    carr = np.asarray(L.to_float().c, dtype=float)
+    gam = P.array.num
+    carr = L.to_float().array.num
 
     def rhs_refl(z):
         x = z[:n]
         y = z[n:]
-        lx = np.einsum("ijk,i->kj", gam, x)
-        adx = np.einsum("ijk,i->kj", carr, x)
+        lx = scalars.left_mult(gam, x)
+        adx = scalars.left_mult(carr, x)
         return np.concatenate([-(lx @ x), -(adx @ y)])
 
     z0 = np.concatenate([np.asarray(x0, dtype=float), np.asarray(y0, dtype=float)])
     times_a, zs_a, status_a = _solve(rhs_refl, z0, t0, t1, tol, t_eval=grid)
 
     x0a = np.asarray(x0, dtype=float)
-    adx0 = np.einsum("ijk,i->kj", carr, x0a)
+    adx0 = scalars.left_mult(carr, x0a)
     ydot0 = -(adx0 @ np.asarray(y0, dtype=float))
     rhs_full = _jacobi_rhs(gam, carr)
     z0b = np.concatenate([x0a, np.asarray(y0, dtype=float), ydot0])
@@ -569,17 +570,17 @@ def reflection_equation_residual(L, P, traj):
     """
     P = _as_product(P)
     n = P.dim
-    gam = _gamma_array(P)
-    carr = np.asarray(L.to_float().c, dtype=float)
+    gam = P.array.num
+    carr = L.to_float().array.num
     worst = 0.0
     for x, y in zip(traj.base_states, traj.states):
         xa = np.asarray(x)
         ya = np.asarray(y)
-        lx = np.einsum("ijk,i->kj", gam, xa)
+        lx = scalars.left_mult(gam, xa)
         rx = np.einsum("ijk,j->ki", gam, xa)
-        adx = np.einsum("ijk,i->kj", carr, xa)
+        adx = scalars.left_mult(carr, xa)
         xx = lx @ xa
-        adxx = np.einsum("ijk,i->kj", carr, xx)
+        adxx = scalars.left_mult(carr, xx)
         yd = -(adx @ ya)
         # y'' = [xx, y] + [x, [x, y]] from differentiating y' = -[x, y]
         ydd = adxx @ ya + adx @ (adx @ ya)
@@ -625,13 +626,18 @@ def conjugate_scan(P, x0, t_window, grid=200, tol=1e-10):
         raise InvalidSpan(f"bad scan window ({a}, {b})")
     if a < 0:
         raise InvalidSpan("scan window must sit at nonnegative times")
+    if isinstance(grid, bool) or not isinstance(grid, numbers.Integral) or grid < 1:
+        raise InvalidSpan(f"scan grid must be an integer >= 1, got {grid}")
+    grid = int(grid)
     P = _as_product(P)
     n = P.dim
-    gam = _gamma_array(P)
-    carr = _c_array(P)
+    gam = P.array.num
+    carr = P.algebra.array.num
     rhs = _jacobi_rhs(gam, carr)
 
-    ts = [a + (b - a) * i / grid for i in range(grid + 1)]
+    # the last grid time is b itself, the end of the mesh, whatever the
+    # rounding of a + (b - a) * grid / grid
+    ts = [a + (b - a) * i / grid for i in range(grid)] + [b]
     ts = [t for t in ts if t > 0]
     z0 = np.concatenate(
         [np.asarray(x0, dtype=float), np.zeros(n * n), np.eye(n).reshape(-1)]

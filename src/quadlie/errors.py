@@ -67,6 +67,14 @@ class InvalidSpan(ValidationError):
     pass
 
 
+class InvalidValue(ValidationError):
+    """A numeric input that is not finite or lies outside its range."""
+
+
+class StepBudgetExhausted(EngineError):
+    """The integrator attempted its whole step budget without finishing."""
+
+
 class NotNilpotent(EngineError):
     pass
 

@@ -8,6 +8,7 @@ and the metric <-> operator translations.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import linalg, scalars
 from .errors import Degenerate, DimensionMismatch, NotKSymmetric, NotSymmetric, Singular
@@ -31,18 +32,14 @@ class SymBilinearForm:
     matrix: tuple
     exact: bool
 
+    @cached_property
+    def array(self):
+        """The matrix as a ScaledArray, converted once per form."""
+        return scalars.to_array(self.matrix, self.exact)
+
     def apply(self, x, y):
-        xs = scalars.coerce_vector(x, self.exact)
-        ys = scalars.coerce_vector(y, self.exact)
-        return scalars.coerce(
-            sum(
-                xs[i] * self.matrix[i][j] * ys[j]
-                for i in range(self.dim)
-                for j in range(self.dim)
-                if self.matrix[i][j] != 0
-            ),
-            self.exact,
-        )
+        my = scalars.contract("ij,j->i", self.array, scalars.vector(y, self.exact))
+        return scalars.contract("i,i->", scalars.vector(x, self.exact), my).tuples()
 
     def to_float(self):
         if not self.exact:
@@ -110,7 +107,7 @@ def validate_form(g):
     exact = scalars.decide_mode(scalars.flatten(g))
     m = scalars.coerce_matrix(g, exact)
     gmax = scalars.max_abs(m)
-    tol = 0 if exact else 1e-9 * max(1.0, float(gmax))
+    tol = scalars.tolerance(exact, max(1.0, float(gmax)))
     for i in range(n):
         for j in range(i + 1, n):
             if abs(m[i][j] - m[j][i]) > tol:
@@ -146,21 +143,14 @@ def check_ad_invariance(L, k):
     form = k if isinstance(k, SymBilinearForm) else validate_form(k)
     if form.dim != L.dim:
         raise DimensionMismatch("form and algebra dimensions differ")
-    n = L.dim
-    worst = scalars.coerce(0, form.exact and L.exact)
-    for i in range(n):
-        ad = L.ad(L.basis_vector(i))
-        kad = linalg.mat_mul(form.matrix, ad)
-        adt_k = linalg.mat_mul(linalg.transpose(ad), form.matrix)
-        for r in range(n):
-            for s in range(n):
-                res = abs(kad[r][s] + adt_k[r][s])
-                if res > worst:
-                    worst = res
     exact = form.exact and L.exact
-    cmax = scalars.max_abs(L.c)
-    kmax = scalars.max_abs(form.matrix)
-    tol = 0 if exact else 1e-9 * max(1.0, float(cmax) * float(kmax))
+    if not exact:
+        L, form = L.to_float(), form.to_float()
+    C, K = L.array, form.array
+    # res[i, r, s]: entry (r, s) of K ad_i + ad_i^T K, ad_i[t][s] = c[i][s][t]
+    res = scalars.contract("rt,ist->irs", K, C) + scalars.contract("irt,ts->irs", C, K)
+    worst = res.peak() or scalars.coerce(0, exact)
+    tol = scalars.tolerance(exact, max(1.0, float(C.peak()) * float(K.peak())))
     return AdInvarianceReport(invariant=worst <= tol, max_residual=worst)
 
 
@@ -183,13 +173,10 @@ def metric_from_iso(k, u):
         form = form.to_float()
         umat = tuple(tuple(float(v) for v in row) for row in umat)
 
-    ku = linalg.mat_mul(form.matrix, umat)
-    ut_k = linalg.mat_mul(linalg.transpose(umat), form.matrix)
-    scale = max(1.0, float(scalars.max_abs(form.matrix)) * float(scalars.max_abs(umat)))
-    tol = 0 if exact else 1e-9 * scale
-    worst = max(
-        abs(ku[i][j] - ut_k[i][j]) for i in range(form.dim) for j in range(form.dim)
-    )
+    K, U = form.array, scalars.to_array(umat, exact)
+    ku = scalars.contract("ij,jk->ik", K, U)
+    worst = (ku - scalars.contract("ji,jk->ik", U, K)).peak()
+    tol = scalars.tolerance(exact, max(1.0, float(K.peak()) * float(U.peak())))
     if worst > tol:
         raise NotKSymmetric(f"operator is not self-adjoint, residual {worst}")
     try:
@@ -197,7 +184,7 @@ def metric_from_iso(k, u):
     except Singular:
         raise Singular("operator is not invertible") from None
     iso = SymmetricIso(form.dim, umat, exact)
-    metric = validate_form(ku)
+    metric = validate_form(ku.tuples())
     return iso, metric
 
 

@@ -260,11 +260,6 @@ def exact_signature(s):
 # ---------------------------------------------------------------------------
 # float path
 
-def _svd(a):
-    arr = np.asarray(a, dtype=float)
-    return np.linalg.svd(arr, full_matrices=True)
-
-
 def _float_rank(a):
     arr = np.asarray(a, dtype=float)
     if arr.size == 0:
@@ -351,12 +346,10 @@ def det(a, exact):
     return float(np.linalg.det(np.asarray(a, dtype=float)))
 
 
-def rref(a, exact):
-    if exact:
-        rows, _ = _exact_rref(a)
-        return rows
-    # float rref only backs span computations; route through SVD instead
-    raise NotImplementedError("reduced echelon form is exact-only")
+def rref(a):
+    """Nonzero rows of the reduced row echelon form, over Fraction."""
+    rows, _ = _exact_rref(a)
+    return rows
 
 
 def span_basis(vectors, exact):
