@@ -27,7 +27,7 @@ from functools import cached_property
 
 from . import linalg, scalars
 from .algebra import LieAlgebra
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidValue
 from .forms import SymBilinearForm, SymmetricIso, validate_form
 
 __all__ = [
@@ -255,16 +255,18 @@ def dim4_obstruction(a, b, d):
 
     Inputs are the metric parameters on the two-dimensional slice fixed by
     the central direction; the family's metric matrix has block
-    [[a, b], [b, -d]] there.  Requires b^2 + a d != 0 and a d != 0; the
-    division raises ZeroDivisionError otherwise.  The first component is
-    the full obstruction; the last two are the remaining diagonal
-    components on the b = 0 slice.
+    [[a, b], [b, -d]] there.  Requires b^2 + a d != 0 and a d != 0, and
+    raises InvalidValue otherwise.  The first component is the full
+    obstruction; the last two are the remaining diagonal components on
+    the b = 0 slice.
     """
     exact = scalars.decide_mode([a, b, d])
     if exact:
         a, b, d = Fraction(a), Fraction(b), Fraction(d)
     else:
         a, b, d = float(a), float(b), float(d)
+    if b * b + a * d == 0 or a * d == 0:
+        raise InvalidValue(f"need b^2 + a d != 0 and a d != 0, got a={a}, b={b}, d={d}")
     p1 = b * (-1 + a + d) / (b * b + a * d)
     p2 = (a * a + 2 * a * (-1 + d) - (-1 + d) * (1 + 3 * d)) / (4 * a * d)
     p3 = (3 * a * a - 2 * a * (1 + d) - (-1 + d) * (-1 + d)) / (4 * a * d)

@@ -4,7 +4,10 @@ Everything here runs in binary64; exact tensors are converted on entry.
 The workhorse is a Dormand-Prince 5(4) pair with PI step control, an
 escape radius for blow-up detection and a minimal step for collapse
 detection.  Requested sample times are hit exactly by clamping steps, so
-trajectory rows at those times carry no interpolation error.
+trajectory rows at those times carry no interpolation error.  A conjugate
+scan instead integrates once and reads every time it needs off the free
+fourth-order continuous extension of the pair (Shampine 1986; Hairer,
+Norsett and Wanner, Solving ODEs I, II.6).
 
 The geodesic field is x' = -x x.  The variation field along a geodesic
 obeys
@@ -15,6 +18,7 @@ and right-invariant reflections y' = -[x, y] solve it identically, which
 gives an integration-free oracle for the second-order route.
 """
 
+import bisect
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -56,27 +60,38 @@ ESCAPE_RADIUS = 1e8
 MIN_STEP = 1e-12
 STEP_BUDGET = 5_000_000
 
-# Dormand-Prince 5(4) tableau
-_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+# Dormand-Prince 5(4) tableau.  Row s of _A combines the stages before s;
+# row 6 is the fifth-order solution, where the seventh stage is evaluated
+# (first same as last).
+_A = np.array(
+    [
+        [0, 0, 0, 0, 0, 0, 0],
+        [1 / 5, 0, 0, 0, 0, 0, 0],
+        [3 / 40, 9 / 40, 0, 0, 0, 0, 0],
+        [44 / 45, -56 / 15, 32 / 9, 0, 0, 0, 0],
+        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0, 0],
+        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0, 0],
+        [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0],
+    ]
 )
-_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_ERR = (
-    71 / 57600,
-    0.0,
-    -71 / 16695,
-    71 / 1920,
-    -17253 / 339200,
-    22 / 525,
-    -1 / 40,
+_ERR = np.array(
+    [71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
+)
+# the fourth-order continuous extension (Hairer, Norsett and Wanner,
+# Solving ODEs I, II.6; the coefficients of their DOPRI5 code)
+_DENSE = np.array(
+    [
+        -12715105075 / 11282082432,
+        0,
+        87487479700 / 32700410799,
+        -10690763975 / 1880347072,
+        701980252875 / 199316789632,
+        -1453857185 / 822651844,
+        69997945 / 29380423,
+    ]
 )
 _STAGES = 7
+_ROWS = tuple(_A[s, :s] for s in range(1, _STAGES))
 
 
 @dataclass(frozen=True)
@@ -160,13 +175,40 @@ def _initial_step(f, y0, f0, direction, tol, span):
     return min(100 * h0, h1, span)
 
 
-def _solve(f, y0, t0, t1, tol, *, escape=ESCAPE_RADIUS, hmin=MIN_STEP, t_eval=()):
+class _Dense:
+    """The continuous extension of one _solve run: _solve records each
+    accepted step, and calling the instance gives the state at any time
+    the run covered, to fourth order in the step."""
+
+    def __init__(self):
+        self.keys = []  # start of each accepted step, times the direction
+        self.steps = []  # (start, signed step, (5, m) coefficients)
+
+    def record(self, t, h, y, y_new, K):
+        dy = y_new - y
+        bspl = h * K[0] - dy
+        coeffs = np.array([y, dy, bspl, dy - h * K[6] - bspl, h * (_DENSE @ K)])
+        self.keys.append(t if h > 0 else -t)
+        self.steps.append((t, h, coeffs))
+
+    def __call__(self, t):
+        key = t if self.steps[0][1] > 0 else -t
+        t0, h, c = self.steps[max(bisect.bisect_right(self.keys, key) - 1, 0)]
+        s = (t - t0) / h
+        s1 = 1.0 - s
+        return c[0] + s * (c[1] + s1 * (c[2] + s * (c[3] + s1 * c[4])))
+
+
+def _solve(
+    f, y0, t0, t1, tol, *, escape=ESCAPE_RADIUS, hmin=MIN_STEP, t_eval=(), dense=None
+):
     """March from t0 to t1.  Returns (times, states, status) in step order.
 
     t_eval points must lie strictly between t0 and t1 in the direction of
-    travel; each becomes an exact mesh point.  Raises InvalidValue for a
-    tolerance that is not positive and finite or a non-finite initial
-    state, and StepBudgetExhausted after STEP_BUDGET attempted steps.
+    travel; each becomes an exact mesh point.  A _Dense passed as dense
+    records every accepted step.  Raises InvalidValue for a tolerance that
+    is not positive and finite or a non-finite initial state, and
+    StepBudgetExhausted after STEP_BUDGET attempted steps.
     """
     if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0):
         raise InvalidValue(f"tolerance must be positive and finite, got {tol}")
@@ -189,77 +231,76 @@ def _solve(f, y0, t0, t1, tol, *, escape=ESCAPE_RADIUS, hmin=MIN_STEP, t_eval=()
     facold = 1e-4
     rejected = False
     nsteps = 0
-    while True:
-        nsteps += 1
-        if nsteps > STEP_BUDGET:
-            raise StepBudgetExhausted(f"no end after {STEP_BUDGET} steps, at t={t}")
-        hmin_eff = max(hmin, 10 * np.finfo(float).eps * max(1.0, abs(t)))
-        if h < hmin_eff:
-            return times, states, TerminationStatus("step-collapse", t)
-        target = targets[0]
-        if abs(target - t) <= hmin_eff:
-            # close enough that a step would underflow; snap to the target
-            t = target
-            targets.pop(0)
-            times.append(t)
-            states.append(y.copy())
-            if not targets:
-                return times, states, TerminationStatus("completed", t1)
-            continue
-        clamped = (t + direction * h - target) * direction >= 0
-        h_use = (target - t) if clamped else direction * h
-
-        ks = [k1]
-        ok = True
-        for s in range(1, _STAGES):
-            acc = y + h_use * sum(a * k for a, k in zip(_A[s], ks) if a != 0.0)
-            ki = f(acc)
-            if not np.all(np.isfinite(ki)):
-                ok = False
-                break
-            ks.append(ki)
-        if ok:
-            y_new = y + h_use * sum(b * k for b, k in zip(_B5, ks) if b != 0.0)
-            err_vec = h_use * sum(e * k for e, k in zip(_ERR, ks) if e != 0.0)
-            sc = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
-            err = float(np.sqrt(np.mean((err_vec / sc) ** 2)))
-            if not math.isfinite(err):
-                ok = False
-        if not ok:
-            h = 0.1 * abs(h_use)
-            rejected = True
-            continue
-
-        if err <= 1.0:
-            t = target if clamped else t + h_use
-            if clamped:
+    # a stage past a blow-up may overflow; the one finiteness test per
+    # attempt rejects it
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            nsteps += 1
+            if nsteps > STEP_BUDGET:
+                raise StepBudgetExhausted(f"no end after {STEP_BUDGET} steps, at t={t}")
+            hmin_eff = max(hmin, 10 * np.finfo(float).eps * max(1.0, abs(t)))
+            if h < hmin_eff:
+                return times, states, TerminationStatus("step-collapse", t)
+            target = targets[0]
+            if abs(target - t) <= hmin_eff:
+                # close enough that a step would underflow; snap to the target
+                t = target
                 targets.pop(0)
-            y = y_new
-            k1 = ks[6]  # FSAL: last stage is f at the accepted state
-            times.append(t)
-            states.append(y.copy())
-            if not np.all(np.isfinite(y)):
-                return times[:-1], states[:-1], TerminationStatus("blowup", times[-2])
-            if float(np.max(np.abs(y))) > escape:
-                return times, states, TerminationStatus("blowup", t)
-            if clamped and not targets:
-                return times, states, TerminationStatus("completed", t1)
-            if err > 0:
-                fac = 0.9 * err ** (-0.7 / 5) * facold ** (0.4 / 5)
+                times.append(t)
+                states.append(y.copy())
+                if not targets:
+                    return times, states, TerminationStatus("completed", t1)
+                continue
+            clamped = (t + direction * h - target) * direction >= 0
+            h_use = (target - t) if clamped else direction * h
+
+            K = np.empty((_STAGES, y.size))
+            K[0] = k1
+            for s, row in enumerate(_ROWS, start=1):
+                y_new = y + h_use * (row @ K[:s])
+                K[s] = f(y_new)
+            err = math.nan
+            if np.isfinite(K).all():
+                err_vec = h_use * (_ERR @ K)
+                sc = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
+                err = float(np.sqrt(np.mean((err_vec / sc) ** 2)))
+            if not math.isfinite(err):
+                h = 0.1 * abs(h_use)
+                rejected = True
+                continue
+
+            if err <= 1.0:
+                if dense is not None:
+                    dense.record(t, h_use, y, y_new, K)
+                t = target if clamped else t + h_use
+                if clamped:
+                    targets.pop(0)
+                y = y_new
+                k1 = K[6]  # FSAL: last stage is f at the accepted state
+                times.append(t)
+                states.append(y.copy())
+                if not np.all(np.isfinite(y)):
+                    return times[:-1], states[:-1], TerminationStatus("blowup", times[-2])
+                if float(np.max(np.abs(y))) > escape:
+                    return times, states, TerminationStatus("blowup", t)
+                if clamped and not targets:
+                    return times, states, TerminationStatus("completed", t1)
+                if err > 0:
+                    fac = 0.9 * err ** (-0.7 / 5) * facold ** (0.4 / 5)
+                else:
+                    fac = 10.0
+                fac = min(1.0 if rejected else 10.0, max(0.2, fac))
+                facold = max(err, 1e-4)
+                if clamped:
+                    # keep the cruising step; the clamp was about the mesh,
+                    # not about accuracy
+                    h = max(h, abs(h_use) * fac)
+                else:
+                    h = abs(h_use) * fac
+                rejected = False
             else:
-                fac = 10.0
-            fac = min(1.0 if rejected else 10.0, max(0.2, fac))
-            facold = max(err, 1e-4)
-            if clamped:
-                # keep the cruising step; the clamp was about the mesh,
-                # not about accuracy
-                h = max(h, abs(h_use) * fac)
-            else:
-                h = abs(h_use) * fac
-            rejected = False
-        else:
-            h = abs(h_use) * max(0.2, 0.9 * err ** (-0.2))
-            rejected = True
+                h = abs(h_use) * max(0.2, 0.9 * err ** (-0.2))
+                rejected = True
 
 
 def _field_from(P_or_field):
@@ -323,6 +364,13 @@ def _inner_targets(t_eval, t0, t1):
     return [float(t) for t in t_eval if lo < float(t) < hi]
 
 
+def _time_ordered(times, states, t0, t1):
+    """A run's rows in increasing time, whichever way it went."""
+    if t1 < t0:
+        return times[::-1], states[::-1]
+    return times, states
+
+
 def integrate_geodesic(P, x0, t_span, tol=1e-10, t_eval=()):
     t0, t1 = _check_span(t_span)
     fld, dim = _field_from(P)
@@ -332,9 +380,7 @@ def integrate_geodesic(P, x0, t_span, tol=1e-10, t_eval=()):
         fld, [float(v) for v in x0], t0, t1, tol,
         t_eval=_inner_targets(t_eval, t0, t1),
     )
-    if t1 < t0:
-        times = times[::-1]
-        states = states[::-1]
+    times, states = _time_ordered(times, states, t0, t1)
     return Trajectory(
         times=tuple(times),
         states=tuple(tuple(float(v) for v in s) for s in states),
@@ -393,21 +439,42 @@ def completeness_probe(P, seeds, t_max=1e3, tol=1e-10):
 
 def _jacobi_rhs(gam, carr):
     n = gam.shape[0]
+    # row i holds L_{e_i}, R_{e_i} and ad_{e_i} as flattened matrices (rows
+    # k, columns j), so one product with x gives L_x, R_x and ad_x
+    stack = np.concatenate(
+        [
+            gam.transpose(0, 2, 1).reshape(n, n * n),
+            gam.transpose(1, 2, 0).reshape(n, n * n),
+            carr.transpose(0, 2, 1).reshape(n, n * n),
+        ],
+        axis=1,
+    )
+    ad_rows = stack[:, 2 * n * n :]
 
     def rhs(z):
         x = z[:n]
         ncols = (len(z) - n) // (2 * n)
         Y = z[n : n + n * ncols].reshape(n, ncols)
         Yd = z[n + n * ncols :].reshape(n, ncols)
-        lx = scalars.left_mult(gam, x)
-        rx = np.einsum("ijk,j->ki", gam, x)
-        adx = scalars.left_mult(carr, x)
+        lx, rx, adx = (x @ stack).reshape(3, n, n)
         xx = lx @ x
-        adxx = scalars.left_mult(carr, xx)
-        xdot = -xx
-        ydot = Yd
+        adxx = (xx @ ad_rows).reshape(n, n)
         yddot = -2.0 * (lx @ Yd) - (rx + lx) @ (adx @ Y) + adxx @ Y
-        return np.concatenate([xdot, ydot.reshape(-1), yddot.reshape(-1)])
+        return np.concatenate([-xx, Yd.reshape(-1), yddot.reshape(-1)])
+
+    return rhs
+
+
+def _reflection_rhs(gam, carr):
+    """The geodesic x' = -x x together with y' = -[x, y]."""
+    n = gam.shape[0]
+
+    def rhs(z):
+        x = z[:n]
+        y = z[n:]
+        lx = scalars.left_mult(gam, x)
+        adx = scalars.left_mult(carr, x)
+        return np.concatenate([-(lx @ x), -(adx @ y)])
 
     return rhs
 
@@ -433,9 +500,7 @@ def integrate_jacobi(P, x0, y0, ydot0, t_span, tol=1e-10, t_eval=()):
     times, zs, status = _solve(
         rhs, z0, t0, t1, tol, t_eval=_inner_targets(t_eval, t0, t1)
     )
-    if t1 < t0:
-        times = times[::-1]
-        zs = zs[::-1]
+    times, zs = _time_ordered(times, zs, t0, t1)
     return JacobiTrajectory(
         times=tuple(times),
         states=tuple(tuple(float(v) for v in z[n : 2 * n]) for z in zs),
@@ -465,9 +530,7 @@ def biinvariant_jacobi(L, x0, y0, ydot0, t_span, tol=1e-10):
 
     z0 = np.concatenate([np.asarray(y0, dtype=float), np.asarray(ydot0, dtype=float)])
     times, zs, status = _solve(rhs, z0, t0, t1, tol)
-    if t1 < t0:
-        times = times[::-1]
-        zs = zs[::-1]
+    times, zs = _time_ordered(times, zs, t0, t1)
     return JacobiTrajectory(
         times=tuple(times),
         states=tuple(tuple(float(v) for v in z[:n]) for z in zs),
@@ -488,21 +551,11 @@ def right_invariant_reflection(L, P, x0, y0, t_span, tol=1e-10):
     n = P.dim
     if len(x0) != n or len(y0) != n:
         raise DimensionMismatch("seed lengths do not match the algebra dimension")
-    gam = P.array.num
     carr = L.to_float().array.num
-
-    def rhs(z):
-        x = z[:n]
-        y = z[n:]
-        lx = scalars.left_mult(gam, x)
-        adx = scalars.left_mult(carr, x)
-        return np.concatenate([-(lx @ x), -(adx @ y)])
-
+    rhs = _reflection_rhs(P.array.num, carr)
     z0 = np.concatenate([np.asarray(x0, dtype=float), np.asarray(y0, dtype=float)])
     times, zs, status = _solve(rhs, z0, t0, t1, tol)
-    if t1 < t0:
-        times = times[::-1]
-        zs = zs[::-1]
+    times, zs = _time_ordered(times, zs, t0, t1)
 
     ydots = []
     for z in zs:
@@ -532,16 +585,8 @@ def jacobi_route_gap(L, P, x0, y0, t_span, tol=1e-10, samples=101):
     n = P.dim
     gam = P.array.num
     carr = L.to_float().array.num
-
-    def rhs_refl(z):
-        x = z[:n]
-        y = z[n:]
-        lx = scalars.left_mult(gam, x)
-        adx = scalars.left_mult(carr, x)
-        return np.concatenate([-(lx @ x), -(adx @ y)])
-
     z0 = np.concatenate([np.asarray(x0, dtype=float), np.asarray(y0, dtype=float)])
-    times_a, zs_a, status_a = _solve(rhs_refl, z0, t0, t1, tol, t_eval=grid)
+    times_a, zs_a, status_a = _solve(_reflection_rhs(gam, carr), z0, t0, t1, tol, t_eval=grid)
 
     x0a = np.asarray(x0, dtype=float)
     adx0 = scalars.left_mult(carr, x0a)
@@ -616,10 +661,13 @@ def conjugate_scan(P, x0, t_window, grid=200, tol=1e-10):
     """Hunt zeros of t -> det Y(t) / t^n for the fundamental variation
     columns started as Y(0) = 0, Y'(0) = I.
 
-    Grid sign changes are sharpened by bisection to width 1e-10; grid
-    minima of |det| that do not change sign are polished by golden
-    section and kept when the minimum sits at 1e-12 of the grid scale,
-    which is how even-multiplicity crossings are caught.
+    The variation system is integrated once, from 0 to the window's end,
+    and every value below is read off the continuous extension of that
+    run: the grid samples, the bisection of each grid sign change to
+    width 1e-10, and the golden-section polish of every grid minimum of
+    |det| that does not change sign, kept when the minimum sits at 1e-12
+    of the grid scale, which is how even-multiplicity crossings are
+    caught.
     """
     a, b = float(t_window[0]), float(t_window[1])
     if not (math.isfinite(a) and math.isfinite(b)) or not a < b:
@@ -631,47 +679,40 @@ def conjugate_scan(P, x0, t_window, grid=200, tol=1e-10):
     grid = int(grid)
     P = _as_product(P)
     n = P.dim
-    gam = P.array.num
-    carr = P.algebra.array.num
-    rhs = _jacobi_rhs(gam, carr)
+    rhs = _jacobi_rhs(P.array.num, P.algebra.array.num)
 
-    # the last grid time is b itself, the end of the mesh, whatever the
+    # the last grid time is b itself, the end of the run, whatever the
     # rounding of a + (b - a) * grid / grid
     ts = [a + (b - a) * i / grid for i in range(grid)] + [b]
     ts = [t for t in ts if t > 0]
     z0 = np.concatenate(
         [np.asarray(x0, dtype=float), np.zeros(n * n), np.eye(n).reshape(-1)]
     )
-    times, zs, status = _solve(rhs, z0, 0.0, b, tol, t_eval=[t for t in ts if t < b])
+    dense = _Dense()
+    _, _, status = _solve(rhs, z0, 0.0, b, tol, dense=dense)
     if not status.completed:
         raise InvalidSpan(f"variation system left the window: {status.kind} at t={status.t}")
-    cache = {t: z for t, z in zip(times, zs)}
+    if not dense.steps:
+        raise InvalidSpan(f"scan window end {b} is within the minimal step of 0")
 
-    def y_matrix(z):
-        return z[n : n + n * n].reshape(n, n)
+    def y_matrix(t):
+        return dense(t)[n : n + n * n].reshape(n, n)
 
-    def f_of(t, z):
-        return float(np.linalg.det(y_matrix(z))) / t**n
+    def f_of(t):
+        return float(np.linalg.det(y_matrix(t))) / t**n
 
-    fs = [f_of(t, cache[t]) for t in ts]
+    dets = np.linalg.det(np.array([y_matrix(t) for t in ts]))
+    fs = [float(d) / t**n for d, t in zip(dets, ts)]
     scale = max(abs(v) for v in fs) or 1.0
-    det_scale = max(abs(float(np.linalg.det(y_matrix(cache[t])))) for t in ts) or 1.0
-
-    def eval_from(tg, t):
-        if t == tg:
-            return cache[tg]
-        _, zz, st = _solve(rhs, cache[tg], tg, t, tol)
-        if not st.completed:
-            raise InvalidSpan(f"variation system diverged inside the window at t={st.t}")
-        return zz[-1]
+    det_scale = float(np.max(np.abs(dets))) or 1.0
 
     roots = []
 
-    def add_root(t_star, z_star, via):
+    def add_root(t_star, via):
         for r in roots:
             if abs(r.t - t_star) <= 1e-8 * max(1.0, b):
                 return
-        Y = y_matrix(z_star)
+        Y = y_matrix(t_star)
         u_, sing, vt = np.linalg.svd(Y)
         cut = 1e-8 * (sing[0] if sing.size else 0.0)
         kern = tuple(
@@ -691,55 +732,48 @@ def conjugate_scan(P, x0, t_window, grid=200, tol=1e-10):
     for i in range(len(ts) - 1):
         f0, f1 = fs[i], fs[i + 1]
         if f0 == 0.0:
-            add_root(ts[i], cache[ts[i]], "sign-change")
+            add_root(ts[i], "sign-change")
             continue
         if f0 * f1 < 0:
             lo, hi = ts[i], ts[i + 1]
             flo = f0
-            zlo = cache[ts[i]]
             while hi - lo > 1e-10:
                 mid = 0.5 * (lo + hi)
-                zmid = eval_from(ts[i], mid)
-                fmid = f_of(mid, zmid)
+                fmid = f_of(mid)
                 if fmid == 0.0:
                     lo = hi = mid
-                    zlo = zmid
                     break
                 if flo * fmid < 0:
                     hi = mid
                 else:
-                    lo, flo, zlo = mid, fmid, zmid
-            t_star = 0.5 * (lo + hi)
-            add_root(t_star, eval_from(ts[i], t_star), "sign-change")
+                    lo, flo = mid, fmid
+            add_root(0.5 * (lo + hi), "sign-change")
 
+    invphi = (math.sqrt(5.0) - 1) / 2
     for i in range(1, len(ts) - 1):
         if abs(fs[i]) >= abs(fs[i - 1]) or abs(fs[i]) > abs(fs[i + 1]):
             continue
         if fs[i - 1] * fs[i] < 0 or fs[i] * fs[i + 1] < 0:
             continue
-        if abs(fs[i]) > 1e-3 * scale:
-            continue
-        invphi = (math.sqrt(5.0) - 1) / 2
         lo, hi = ts[i - 1], ts[i + 1]
         c1 = hi - invphi * (hi - lo)
         c2 = lo + invphi * (hi - lo)
-        fc1 = abs(f_of(c1, eval_from(ts[i - 1], c1)))
-        fc2 = abs(f_of(c2, eval_from(ts[i - 1], c2)))
+        fc1 = abs(f_of(c1))
+        fc2 = abs(f_of(c2))
         for _ in range(60):
             if hi - lo <= 1e-10:
                 break
             if fc1 < fc2:
                 hi, c2, fc2 = c2, c1, fc1
                 c1 = hi - invphi * (hi - lo)
-                fc1 = abs(f_of(c1, eval_from(ts[i - 1], c1)))
+                fc1 = abs(f_of(c1))
             else:
                 lo, c1, fc1 = c1, c2, fc2
                 c2 = lo + invphi * (hi - lo)
-                fc2 = abs(f_of(c2, eval_from(ts[i - 1], c2)))
+                fc2 = abs(f_of(c2))
         t_star = 0.5 * (lo + hi)
-        z_star = eval_from(ts[i - 1], t_star)
-        if abs(f_of(t_star, z_star)) <= 1e-12 * scale:
-            add_root(t_star, z_star, "touch")
+        if abs(f_of(t_star)) <= 1e-12 * scale:
+            add_root(t_star, "touch")
 
     roots.sort(key=lambda r: r.t)
     return ConjugateReport(

@@ -341,6 +341,8 @@ def inverse(a, exact):
 
 
 def det(a, exact):
+    if len(a) == 0:
+        return Fraction(1) if exact else 1.0
     if exact:
         return _exact_det(a)
     return float(np.linalg.det(np.asarray(a, dtype=float)))

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import MixedModeError
+from .errors import InvalidValue, MixedModeError
 
 __all__ = [
     "decide_mode",
@@ -48,7 +48,8 @@ def decide_mode(values):
     """True when every entry is exact (int or Fraction).
 
     A single float forces binary64 mode; a float meeting a Fraction in the
-    same container is a hard error rather than a silent promotion.
+    same container is a hard error rather than a silent promotion, and a
+    NaN or infinite float is rejected with InvalidValue.
     """
     saw_float = False
     saw_frac = False
@@ -56,6 +57,8 @@ def decide_mode(values):
         if isinstance(v, Fraction):
             saw_frac = True
         elif isinstance(v, float):
+            if not math.isfinite(v):
+                raise InvalidValue(f"non-finite entry {v!r}")
             saw_float = True
         elif not _is_int(v):
             raise MixedModeError(f"unsupported scalar {v!r}")

@@ -16,6 +16,7 @@ from quadlie import (
     product_report,
     validate_form,
 )
+from quadlie.errors import InvalidValue
 
 F = Fraction
 
@@ -116,6 +117,14 @@ def test_dim4_obstruction_values():
         F(23, 35),
         F(31, 35),
     )
+
+
+@pytest.mark.parametrize(
+    "a, b, d", [(F(1), F(1), F(-1)), (F(0), F(1), F(1)), (F(1), F(0), F(0)), (2.0, 2.0, -2.0)]
+)
+def test_dim4_obstruction_off_its_domain_is_invalid(a, b, d):
+    with pytest.raises(InvalidValue):
+        dim4_obstruction(a, b, d)
 
 
 def test_dim4_engine_curvature_matches_obstruction():

@@ -9,6 +9,7 @@ from quadlie import (
     annotate_candidates,
     biinvariant_connection,
     biinvariant_jacobi,
+    build_oscillator,
     catalog,
     completeness_probe,
     conjugate_scan,
@@ -24,6 +25,7 @@ from quadlie import (
     reflection_equation_residual,
     right_invariant_reflection,
 )
+from quadlie import dynamics
 from quadlie.errors import InvalidSpan, SeriesNotPreserved
 
 F = Fraction
@@ -65,6 +67,22 @@ def test_state_at_interpolates_accepted_steps():
     state = traj.state_at(3.75)
     closed = entry.oracles["geodesic"](x0)
     assert max(abs(a - b) for a, b in zip(state, closed(3.75))) <= 1e-8
+
+
+@pytest.mark.parametrize("t1", [10.0, -10.0])
+def test_dense_output_matches_closed_form_off_the_mesh(t1):
+    entry, P = plane_motion_product()
+    x0 = (0.7, -0.3, 1.3)
+    closed = entry.oracles["geodesic"](x0)
+    field, _ = dynamics._field_from(P)
+    dense = dynamics._Dense()
+    times, _, status = dynamics._solve(field, x0, 0.0, t1, 1e-10, dense=dense)
+    assert status.completed
+    # midpoints and thirds of every step sit strictly between mesh points
+    probes = [a + f * (b - a) for a, b in zip(times, times[1:]) for f in (1 / 3, 0.5)]
+    assert not set(probes) & set(times)
+    worst = max(max(abs(p - q) for p, q in zip(dense(t), closed(t))) for t in probes)
+    assert worst <= 1e-8
 
 
 def test_energy_drift_small_on_curved_model():
@@ -148,6 +166,36 @@ def test_conjugate_scan_finds_double_touches():
     assert scan.times == tuple(r.t for r in scan.roots)
     assert scan.det_scale > 0
     assert len(scan.samples) >= 200
+
+
+def test_conjugate_scan_integrates_once(monkeypatch):
+    entry = catalog("oscillator(1)")
+    P = levi_civita(entry.algebra, entry.metric)
+    calls = []
+    solve = dynamics._solve
+
+    def counted(*args, **kwargs):
+        calls.append(args[2:4])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_solve", counted)
+    scan = conjugate_scan(P, (1.0, 0.5, 0.3, -0.4), (0.0, 13.0), grid=200, tol=1e-10)
+    assert len(scan.roots) == 2
+    assert calls == [(0.0, 13.0)]
+
+
+def test_conjugate_scan_polishes_every_touch_on_a_coarse_grid():
+    # about 15 grid points per root spacing; the grid minimum next to the
+    # first touch, at pi/0.99, sits at 1.1e-3 of the grid scale
+    L, k = build_oscillator((F(2),))
+    P = levi_civita(L, k)
+    x0 = (0.99, 0.3, -0.2, 0.1)
+    scan = conjugate_scan(P, x0, (0.0, 14.0), grid=64, tol=1e-10)
+    expected = [j * math.pi / 0.99 for j in range(1, 5)]
+    assert len(scan.roots) == len(expected)
+    for root, t_star in zip(scan.roots, expected):
+        assert abs(root.t - t_star) <= 1e-6
+        assert len(root.kernel) == 2
 
 
 def test_conjugate_scan_flat_model_has_no_roots():

@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 import quadlie
-from quadlie import catalog, dynamics, levi_civita
+from quadlie import catalog, dynamics, levi_civita, metric_from_iso, validate_algebra
+from quadlie import validate_form
 from quadlie.cli import main
 from quadlie.errors import EngineError, InvalidSpan, InvalidValue, StepBudgetExhausted
 
@@ -49,6 +50,12 @@ def test_conjugate_scan_last_grid_time_is_window_end(e2_product):
     assert rep.samples[-1][0] == b
     assert len(rep.samples) == 121
     assert rep.times == ()
+
+
+@pytest.mark.parametrize("b", [1e-13, 1e-12])
+def test_conjugate_scan_rejects_a_window_below_the_minimal_step(e2_product, b):
+    with pytest.raises(InvalidSpan):
+        dynamics.conjugate_scan(e2_product, SEED, (0.0, b), grid=4)
 
 
 @pytest.mark.parametrize("grid", [0, -3, 2.5, "8", True, None])
@@ -95,6 +102,17 @@ def test_non_finite_seeds_are_rejected(e2_product, bad):
 def test_probe_rejects_bad_horizon(e2_product, t_max):
     with pytest.raises(InvalidSpan):
         dynamics.completeness_probe(e2_product, [SEED], t_max=t_max)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_entries_are_rejected(bad):
+    table = [[[0.0, 0.0], [bad, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    with pytest.raises(InvalidValue):
+        validate_algebra(table)
+    with pytest.raises(InvalidValue):
+        validate_form([[bad, 0.0], [0.0, 1.0]])
+    with pytest.raises(InvalidValue):
+        metric_from_iso([[1, 0], [0, 1]], [[1.0, 0.0], [0.0, bad]])
 
 
 def test_step_budget_is_an_engine_error(e2_product, monkeypatch):

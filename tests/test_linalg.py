@@ -36,6 +36,13 @@ def test_exact_det_and_singular():
         linalg.inverse(sing, True)
 
 
+def test_det_of_empty_matrix_is_one():
+    assert linalg.det([], True) == 1
+    assert isinstance(linalg.det([], True), Fraction)
+    assert linalg.det([], False) == 1.0
+    assert isinstance(linalg.det([], False), float)
+
+
 def test_float_inverse_and_singular_guard():
     inv = linalg.inverse([[2.0, 0.0], [0.0, 4.0]], False)
     assert abs(inv[0][0] - 0.5) < 1e-15 and abs(inv[1][1] - 0.25) < 1e-15
