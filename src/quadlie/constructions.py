@@ -417,12 +417,11 @@ def build_f_derivation(L, k=None, a0=Fraction(4, 9)):
     fa = (a0c, a1, a2)
 
     # constraints: alpha_r = a_q alpha_p + a_p alpha_q for each graded
-    # bracket component; unknowns alpha0, alpha1
+    # bracket component, as rows [alpha0, alpha1 | rhs].  They take the exact
+    # constants in both modes: only which components occur depends on L.
+    fq = (Fraction(a0), Fraction(4, 9), Fraction(2, 3))
     rows = []
-    rhs = []
     graded_bases = (g0, g1, g2)
-    zero = scalars.coerce(0, exact)
-    one = scalars.coerce(1, exact)
     for p in range(3):
         for q in range(p, 3):
             for v in graded_bases[p]:
@@ -434,29 +433,23 @@ def build_f_derivation(L, k=None, a0=Fraction(4, 9)):
                     for r_ in range(3):
                         if all(x == 0 for x in parts[r_]):
                             continue
-                        # alpha_r = a_q alpha_p + a_p alpha_q, split into
-                        # unknown columns (alpha0, alpha1) and constants
-                        row = [zero, zero]
-                        const = zero
-                        for idx, coef in ((r_, one), (p, -fa[q]), (q, -fa[p])):
+                        row = [Fraction(0)] * 3
+                        for idx, coef in ((r_, 1), (p, -fq[q]), (q, -fq[p])):
                             if idx == 2:
-                                const += coef * alpha2
+                                row[2] -= coef * Fraction(1, 3)
                             else:
-                                row[idx] = row[idx] + coef
+                                row[idx] += coef
                         rows.append(row)
-                        rhs.append(-const)
 
-    unknowns = [None, None]
-    if rows:
-        aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-        red, _ = _rref_rows(aug, exact)
-        sol = _solve_two_unknowns(red, exact)
-        if sol is None:
+    # a slot the reduced rows leave open keeps the default 4/9
+    alphas = [Fraction(4, 9), Fraction(4, 9)]
+    for row in linalg.rref(rows):
+        lead = next(j for j in range(3) if row[j] != 0)
+        if lead == 2:
             raise NoSolution("graded constraints are inconsistent")
-        unknowns = list(sol)
-    default = scalars.coerce(Fraction(4, 9), exact)
-    alpha0 = unknowns[0] if unknowns[0] is not None else default
-    alpha1 = unknowns[1] if unknowns[1] is not None else default
+        if lead == 1 or row[1] == 0:
+            alphas[lead] = row[2]
+    alpha0, alpha1 = (scalars.coerce(v, exact) for v in alphas)
     if alpha0 == 0 or alpha1 == 0 or alpha2 == 0:
         raise NoSolution("derivation diagonal must be invertible")
     da = (alpha0, alpha1, alpha2)
@@ -544,62 +537,6 @@ def build_f_derivation(L, k=None, a0=Fraction(4, 9)):
         metric = validate_form(gm)
     product = ProductTensor(L, tuple(gamma), metric, exact)
     return spec, product, metric
-
-
-def _rref_rows(aug, exact):
-    if exact:
-        rows = [[scalars.as_exact(v) for v in r] for r in aug]
-        from .linalg import _exact_rref
-
-        return _exact_rref(rows)
-    import numpy as np
-
-    arr = np.asarray(aug, dtype=float)
-    # small fixed-size elimination with partial pivoting
-    rows = arr.tolist()
-    pivots = []
-    r = 0
-    ncols = len(rows[0])
-    for c_ in range(ncols):
-        p = max(range(r, len(rows)), key=lambda i: abs(rows[i][c_]), default=None)
-        if p is None or abs(rows[p][c_]) < 1e-12:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        fac = rows[r][c_]
-        rows[r] = [v / fac for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and abs(rows[i][c_]) > 0:
-                f = rows[i][c_]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c_)
-        r += 1
-        if r == len(rows):
-            break
-    keep = [row for row in rows if any(abs(v) > 1e-12 for v in row)]
-    return tuple(tuple(row) for row in keep), pivots
-
-
-def _solve_two_unknowns(red, exact):
-    """Read (alpha0, alpha1) off reduced rows of [c0 c1 | rhs]."""
-    vals = [None, None]
-    for row in red:
-        lead = next((j for j in range(2) if row[j] != 0), None)
-        if lead is None:
-            if row[2] != 0:
-                return None
-            continue
-        if lead == 1:
-            vals[1] = row[2] / row[1]
-    for row in red:
-        lead = next((j for j in range(2) if row[j] != 0), None)
-        if lead == 0:
-            rhs = row[2]
-            if row[1] != 0:
-                if vals[1] is None:
-                    continue
-                rhs = rhs - row[1] * vals[1]
-            vals[0] = rhs / row[0]
-    return tuple(vals)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ and the metric <-> operator translations.
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from . import linalg, scalars
 from .errors import Degenerate, DimensionMismatch, NotKSymmetric, NotSymmetric, Singular
 
@@ -93,10 +95,11 @@ class AdInvarianceReport:
 def validate_form(g):
     """Accept a square symmetric nondegenerate matrix as a form.
 
-    Exact mode demands literal symmetry and a nonzero determinant;
-    binary64 mode allows symmetry slack 1e-9 relative to the largest
-    entry and requires the smallest singular value to clear 1e-9 times
-    the largest.  Degeneracy reports carry a kernel basis.
+    Exact mode demands literal symmetry; binary64 mode allows symmetry
+    slack 1e-9 relative to the largest entry.  The form is degenerate when
+    its rank is below its size, with linalg's rank in either mode (in
+    binary64 the singular values cut at 1e-9 of the largest), and the
+    Degenerate report carries a kernel basis.
     """
     n = len(g)
     if n == 0:
@@ -106,23 +109,18 @@ def validate_form(g):
             raise DimensionMismatch(f"form row {i} has {len(row)} entries, expected {n}")
     exact = scalars.decide_mode(scalars.flatten(g))
     m = scalars.coerce_matrix(g, exact)
-    gmax = scalars.max_abs(m)
-    tol = scalars.tolerance(exact, max(1.0, float(gmax)))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(m[i][j] - m[j][i]) > tol:
-                raise NotSymmetric(f"entries ({i},{j}) and ({j},{i}) differ")
-    if exact:
-        if linalg.det(m, True) == 0:
-            raise Degenerate(linalg.nullspace(m, True))
-    else:
-        import numpy as np
-
-        arr = np.asarray(m, dtype=float)
-        sing = np.linalg.svd(arr, compute_uv=False)
-        if sing[0] == 0.0 or sing[-1] <= linalg.FLOAT_RTOL * sing[0]:
-            raise Degenerate(linalg.nullspace(m, False))
-    return SymBilinearForm(n, m, exact)
+    form = SymBilinearForm(n, m, exact)
+    M = form.array
+    tol = scalars.tolerance(exact, max(1.0, float(M.peak())))
+    # M - M^T is antisymmetric with a zero diagonal, so the first violation
+    # in index order has i < j
+    bad = np.argwhere((M - M.transpose()).beyond(tol))
+    if len(bad):
+        i, j = bad[0].tolist()
+        raise NotSymmetric(f"entries ({i},{j}) and ({j},{i}) differ")
+    if linalg.rank(m, exact) < n:
+        raise Degenerate(linalg.nullspace(m, exact))
+    return form
 
 
 def signature(g):

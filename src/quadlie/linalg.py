@@ -1,14 +1,19 @@
 """Small dense linear algebra over Fraction or binary64 entries.
 
-The exact path is hand-rolled: fraction-free (Bareiss) elimination for rank
-and nullspaces, Gauss-Jordan for solving and inverses, and a congruence
-sweep for signatures.  Sizes here are tiny (dimension <= 16 or so), so
-clarity wins over asymptotics.  The float path defers to numpy with the
+The exact path is hand-rolled.  One fraction-free (Bareiss) Gauss-Jordan
+elimination over integers serves rank, nullspaces, reduced row echelon
+forms, span bases, solving, inverses and determinants; a congruence sweep
+gives signatures.  Sizes here are tiny (dimension <= 16 or so), so clarity
+wins over asymptotics.  The float path defers to numpy with the
 rank/kernel threshold fixed at 1e-9 relative to the largest singular value.
+
+A square matrix is singular exactly when rank(a) < n: in exact mode a
+missing pivot, in binary64 a singular value at or below that threshold.
+solve, solve_many and inverse raise Singular on that one test.
 """
 
+import math
 from fractions import Fraction
-from math import gcd
 
 import numpy as np
 
@@ -66,146 +71,48 @@ def identity(n, exact=True):
 # ---------------------------------------------------------------------------
 # exact path
 
-def _as_int_rows(a):
-    """Clear denominators row by row; keeps row space and nullspace."""
-    out = []
-    for row in a:
-        den = 1
-        for v in row:
-            f = Fraction(v)
-            den = den * f.denominator // gcd(den, f.denominator)
-        out.append([int(Fraction(v) * den) for v in row])
-    return out
+def _eliminate(a):
+    """Fraction-free Gauss-Jordan elimination of a rational matrix.
 
-
-def _bareiss(a):
-    """Fraction-free echelon form.  Returns (rows, pivot_columns)."""
-    m = [row[:] for row in a]
-    if not m or not m[0]:
-        return [], []
-    nrows, ncols = len(m), len(m[0])
-    pivots = []
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        p = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if p is None:
-            continue
-        m[r], m[p] = m[p], m[r]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m[:r], pivots
-
-
-def _exact_rank(a):
-    ints = _as_int_rows(a)
-    _, pivots = _bareiss(ints)
-    return len(pivots)
-
-
-def _exact_nullspace(a):
-    ints = _as_int_rows(a)
-    ech, pivots = _bareiss(ints)
-    ncols = len(a[0]) if a else 0
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r in range(len(ech) - 1, -1, -1):
-            pc = pivots[r]
-            s = sum(
-                (Fraction(ech[r][j]) * v[j] for j in range(pc + 1, ncols)),
-                Fraction(0),
-            )
-            v[pc] = -s / Fraction(ech[r][pc])
-        basis.append(tuple(v))
-    return tuple(basis)
-
-
-def _exact_rref(a):
-    """Reduced row echelon over Fraction.  Returns (nonzero_rows, pivots)."""
-    m = [[Fraction(v) for v in row] for row in a]
-    if not m or not m[0]:
-        return (), []
-    nrows, ncols = len(m), len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        p = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if p is None:
-            continue
-        m[r], m[p] = m[p], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [m[i][j] - f * m[r][j] for j in range(ncols)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return tuple(tuple(row) for row in m[:r]), pivots
-
-
-def _exact_solve_many(a, rhs_cols):
-    """Solve a X = B for several columns at once.  Raises Singular."""
-    n = len(a)
-    aug = [[Fraction(a[i][j]) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for col in rhs_cols:
-            aug[i].append(Fraction(col[i]))
-    for c in range(n):
-        p = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if p is None:
-            raise Singular("matrix is singular")
-        aug[c], aug[p] = aug[p], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [v * inv for v in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [aug[i][j] - f * aug[c][j] for j in range(n + len(rhs_cols))]
-    return tuple(
-        tuple(aug[i][n + j] for i in range(n)) for j in range(len(rhs_cols))
-    )
-
-
-def _exact_det(a):
-    # clear denominators per row; det picks up the product of the scalings
-    scale = Fraction(1)
+    Each row is first cleared of denominators by their lcm.  Pivoting on
+    the first nonzero entry in column order, Bareiss's exact division step
+    (Bareiss 1968, Math. Comp. 22) then runs on every other row, above the
+    pivot as well as below it, so every entry stays an integer.  Returns
+    (rows, pivots, det): the nonzero integer rows, their pivot columns, and
+    the determinant of a square matrix (0 when it is singular or not
+    square).  Row r divided by rows[r][pivots[r]] is row r of the reduced
+    row echelon form.
+    """
     m = []
+    scale = 1
     for row in a:
-        den = 1
-        for v in row:
-            f = Fraction(v)
-            den = den * f.denominator // gcd(den, f.denominator)
+        fr = [Fraction(v) for v in row]
+        den = math.lcm(*(f.denominator for f in fr))
         scale *= den
-        m.append([int(Fraction(v) * den) for v in row])
-    n = len(m)
-    prev = 1
-    sign = 1
-    for c in range(n):
-        p = next((i for i in range(c, n) if m[i][c] != 0), None)
+        m.append([f.numerator * (den // f.denominator) for f in fr])
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    pivots = []
+    prev = sign = 1
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, nrows) if m[i][c] != 0), None)
         if p is None:
-            return Fraction(0)
-        if p != c:
-            m[c], m[p] = m[p], m[c]
+            continue
+        if p != r:
+            m[r], m[p] = m[p], m[r]
             sign = -sign
-        for i in range(c + 1, n):
-            for j in range(c + 1, n):
-                m[i][j] = (m[c][c] * m[i][j] - m[i][c] * m[c][j]) // prev
-            m[i][c] = 0
-        prev = m[c][c]
-    return Fraction(sign * m[n - 1][n - 1]) / scale
+        piv, prow = m[r][c], m[r]
+        for i in range(nrows):
+            if i != r:
+                f = m[i][c]
+                m[i] = [(piv * x - f * y) // prev for x, y in zip(m[i], prow)]
+        prev = piv
+        pivots.append(c)
+        if r + 1 == nrows:
+            break
+    r = len(pivots)
+    det = Fraction(sign * prev, scale) if r == nrows == ncols else Fraction(0)
+    return m[:r], pivots, det
 
 
 def exact_signature(s):
@@ -267,7 +174,7 @@ def _float_rank(a):
     sing = np.linalg.svd(arr, compute_uv=False)
     if sing.size == 0 or sing[0] == 0.0:
         return 0
-    return int(np.sum(sing > FLOAT_RTOL * sing[0]))
+    return int(np.count_nonzero(sing > FLOAT_RTOL * sing[0]))
 
 
 def _float_nullspace(a):
@@ -292,66 +199,74 @@ def float_signature(s):
 # dispatching wrappers
 
 def rank(a, exact):
-    if not a:
-        return 0
-    return _exact_rank(a) if exact else _float_rank(a)
+    return len(_eliminate(a)[1]) if exact else _float_rank(a)
 
 
 def nullspace(a, exact):
-    return _exact_nullspace(a) if exact else _float_nullspace(a)
+    if not exact:
+        return _float_nullspace(a)
+    rows, pivots, _ = _eliminate(a)
+    ncols = len(a[0]) if a else 0
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for row, pc in zip(rows, pivots):
+            v[pc] = Fraction(-row[fc], row[pc])
+        basis.append(tuple(v))
+    return tuple(basis)
 
 
 def solve(a, rhs, exact):
     """Solve a x = rhs for one right-hand side vector."""
-    if exact:
-        return _exact_solve_many(a, [list(rhs)])[0]
-    arr = np.asarray(a, dtype=float)
-    if abs(np.linalg.det(arr)) == 0.0:
-        raise Singular("matrix is singular")
-    return tuple(float(v) for v in np.linalg.solve(arr, np.asarray(rhs, dtype=float)))
+    return solve_many(a, [rhs], exact)[0]
 
 
 def solve_many(a, rhs_cols, exact):
-    """Solve against several right-hand columns with one elimination."""
-    if exact:
-        return _exact_solve_many(a, [list(c) for c in rhs_cols])
-    arr = np.asarray(a, dtype=float)
-    b = np.asarray(rhs_cols, dtype=float).T
-    sing = np.linalg.svd(arr, compute_uv=False)
-    if sing[0] == 0.0 or sing[-1] <= FLOAT_RTOL * sing[0]:
+    """Solve a X = B against several right-hand columns with one elimination.
+
+    Raises Singular when rank(a) < n, in either mode.
+    """
+    n = len(a)
+    if not exact:
+        arr = np.asarray(a, dtype=float)
+        if _float_rank(arr) < n:
+            raise Singular("matrix is singular")
+        x = np.linalg.solve(arr, np.asarray(rhs_cols, dtype=float).T)
+        return tuple(tuple(float(v) for v in x[:, j]) for j in range(x.shape[1]))
+    rows, pivots, _ = _eliminate(
+        [list(a[i]) + [col[i] for col in rhs_cols] for i in range(n)]
+    )
+    # the pivots of [a | B] in columns < n are those of a
+    if sum(pc < n for pc in pivots) < n:
         raise Singular("matrix is singular")
-    x = np.linalg.solve(arr, b)
-    return tuple(tuple(float(v) for v in x[:, j]) for j in range(x.shape[1]))
+    return tuple(
+        tuple(Fraction(rows[i][n + j], rows[i][i]) for i in range(n))
+        for j in range(len(rhs_cols))
+    )
 
 
 def inverse(a, exact):
-    n = len(a)
-    cols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    if exact:
-        inv_cols = _exact_solve_many(a, cols)
-        return tuple(
-            tuple(inv_cols[j][i] for j in range(n)) for i in range(n)
-        )
-    arr = np.asarray(a, dtype=float)
-    sing = np.linalg.svd(arr, compute_uv=False)
-    if sing[0] == 0.0 or sing[-1] <= FLOAT_RTOL * sing[0]:
-        raise Singular("matrix is singular")
-    inv = np.linalg.inv(arr)
-    return tuple(tuple(float(v) for v in row) for row in inv)
+    """Columns of the inverse solve a X = I; raises Singular as solve_many."""
+    return tuple(zip(*solve_many(a, identity(len(a), exact), exact)))
 
 
 def det(a, exact):
-    if len(a) == 0:
-        return Fraction(1) if exact else 1.0
     if exact:
-        return _exact_det(a)
+        return _eliminate(a)[2]
+    if len(a) == 0:
+        return 1.0
     return float(np.linalg.det(np.asarray(a, dtype=float)))
 
 
 def rref(a):
     """Nonzero rows of the reduced row echelon form, over Fraction."""
-    rows, _ = _exact_rref(a)
-    return rows
+    rows, pivots, _ = _eliminate(a)
+    return tuple(
+        tuple(Fraction(v, row[pc]) for v in row) for row, pc in zip(rows, pivots)
+    )
 
 
 def span_basis(vectors, exact):
@@ -360,8 +275,7 @@ def span_basis(vectors, exact):
     if not vecs:
         return ()
     if exact:
-        rows, _ = _exact_rref(vecs)
-        return rows
+        return rref(vecs)
     arr = np.asarray(vecs, dtype=float)
     u, sing, vt = np.linalg.svd(arr)
     keep = int(np.sum(sing > FLOAT_RTOL * sing[0])) if sing.size else 0
@@ -374,17 +288,12 @@ def in_span(basis, v, exact):
         return True
     if not basis:
         return False
-    stacked = list(basis) + [list(v)]
-    if exact:
-        return _exact_rank(stacked) == _exact_rank(list(basis))
-    return _float_rank(stacked) == _float_rank(list(basis))
+    return rank(list(basis) + [list(v)], exact) == rank(list(basis), exact)
 
 
 def same_span(basis_a, basis_b, exact):
     if exact:
-        ra, _ = _exact_rref(list(basis_a)) if basis_a else ((), [])
-        rb, _ = _exact_rref(list(basis_b)) if basis_b else ((), [])
-        return ra == rb
+        return rref(list(basis_a)) == rref(list(basis_b))
     return all(in_span(basis_b, v, False) for v in basis_a) and all(
         in_span(basis_a, v, False) for v in basis_b
     )

@@ -201,6 +201,17 @@ def test_f_derivation_flat_structure():
     assert (sig.positive, sig.negative, sig.zero) == (3, 2, 0)
 
 
+def test_f_derivation_in_binary64_gives_the_exact_diagonals():
+    L5, K5 = _three_step_with_invariant_form()
+    spec, P, M = build_f_derivation(L5.to_float(), K5.to_float())
+    assert not P.exact and not M.exact
+    assert spec.d_diagonal == (float(F(4, 9)), float(F(4, 9)), float(F(1, 3)))
+    assert spec.f_diagonal == (float(F(4, 9)), float(F(4, 9)), float(F(2, 3)))
+    assert all(type(v) is float for v in spec.d_diagonal + spec.f_diagonal)
+    rep = connection.product_report(P)
+    assert rep.flat and rep.left_symmetric and rep.torsion_ok and rep.skew_ok
+
+
 def test_f_derivation_rejects_abelian():
     z = F(0)
     c2 = [[[z] * 2 for _ in range(2)] for _ in range(2)]

@@ -30,6 +30,17 @@ def test_validate_form_rejects_asymmetry():
         validate_form([[F(1), F(2)], [F(3), F(1)]])
 
 
+def test_validate_form_reports_the_first_asymmetry_in_row_order():
+    g = [[F(0)] * 4 for _ in range(4)]
+    g[1][2], g[0][3] = F(1), F(-1)
+    with pytest.raises(NotSymmetric, match=r"entries \(0,3\) and \(3,0\) differ"):
+        validate_form(g)
+    gf = [[1.0, 2.0], [2.0 + 1e-12, 1.0]]
+    assert validate_form(gf).matrix == ((1.0, 2.0), (2.0 + 1e-12, 1.0))
+    with pytest.raises(NotSymmetric, match=r"entries \(0,1\) and \(1,0\) differ"):
+        validate_form([[1.0, 2.0], [2.0 + 1e-6, 1.0]])
+
+
 def test_validate_form_degenerate_reports_kernel():
     with pytest.raises(Degenerate) as exc:
         validate_form([[F(1), F(0)], [F(0), F(0)]])
