@@ -375,8 +375,10 @@ def build_f_derivation(L, k=None, a0=Fraction(4, 9)):
     turns into one linear constraint per graded bracket component, which
     the builder collects and solves.  The product x y = d^{-1}[f x, d y]
     is then left-symmetric with zero curvature, and when an ad-invariant
-    k is supplied the metric <x, y> = k(d x, d y) rides along.
+    k is supplied the metric <x, y> = k(d x, d y) rides along.  A NaN or
+    infinite a0 raises InvalidValue.
     """
+    scalars.decide_mode([a0])
     rep = structure_report(L)
     if rep.nilpotency_class is None:
         raise WrongClass("algebra is not nilpotent")

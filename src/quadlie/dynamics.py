@@ -1,13 +1,21 @@
 """Geodesic and Jacobi dynamics for left-invariant products.
 
 Everything here runs in binary64; exact tensors are converted on entry.
-The workhorse is a Dormand-Prince 5(4) pair with PI step control, an
-escape radius for blow-up detection and a minimal step for collapse
-detection.  Requested sample times are hit exactly by clamping steps, so
-trajectory rows at those times carry no interpolation error.  A conjugate
-scan instead integrates once and reads every time it needs off the free
-fourth-order continuous extension of the pair (Shampine 1986; Hairer,
-Norsett and Wanner, Solving ODEs I, II.6).
+The workhorse is DOP853, the eighth-order Dormand-Prince method as coded
+by Hairer, Norsett and Wanner (Solving ODEs I, II.10): twelve stages, the
+field at the new state reused as the first stage of the next step, the
+combined fifth/third-order error estimate and the plain step controller of
+that code, with an escape radius for blow-up detection and a minimal step
+for collapse detection.  Requested sample times are hit exactly by
+clamping steps, so trajectory rows at those times carry no interpolation
+error.  A conjugate scan instead integrates once and reads every time it
+needs off the seventh-order continuous extension of the method; its three
+extra stages are evaluated only for such runs.
+
+Each integrator field is one bilinear table, contracted once when the
+field is built: the geodesic field, its invariant-form route, the
+reflection system and, in (x, 1), the variation system.  An evaluation is
+two small matrix products, and one more for the variation columns.
 
 The geodesic field is x' = -x x.  The variation field along a geodesic
 obeys
@@ -60,38 +68,202 @@ ESCAPE_RADIUS = 1e8
 MIN_STEP = 1e-12
 STEP_BUDGET = 5_000_000
 
-# Dormand-Prince 5(4) tableau.  Row s of _A combines the stages before s;
-# row 6 is the fifth-order solution, where the seventh stage is evaluated
-# (first same as last).
-_A = np.array(
+# DOP853 (Hairer, Norsett and Wanner, Solving ODEs I, II.10; the
+# coefficients of their DOP853 code).  _A[s] combines the stages before s,
+# entry by entry {column: coefficient}.  Rows 1-11 give stages 1-11; row 12
+# is the eighth-order solution, where stage 12 is evaluated (first same as
+# last); rows 13-15 are the three extra stages of the continuous extension.
+_A_ENTRIES = (
+    {0: 5.26001519587677318785587544488e-2},
+    {0: 1.97250569845378994544595329183e-2, 1: 5.91751709536136983633785987549e-2},
+    {0: 2.95875854768068491816892993775e-2, 2: 8.87627564304205475450678981324e-2},
+    {
+        0: 2.41365134159266685502369798665e-1,
+        2: -8.84549479328286085344864962717e-1,
+        3: 9.24834003261792003115737966543e-1,
+    },
+    {
+        0: 3.7037037037037037037037037037e-2,
+        3: 1.70828608729473871279604482173e-1,
+        4: 1.25467687566822425016691814123e-1,
+    },
+    {
+        0: 3.7109375e-2,
+        3: 1.70252211019544039314978060272e-1,
+        4: 6.02165389804559606850219397283e-2,
+        5: -1.7578125e-2,
+    },
+    {
+        0: 3.70920001185047927108779319836e-2,
+        3: 1.70383925712239993810214054705e-1,
+        4: 1.07262030446373284651809199168e-1,
+        5: -1.53194377486244017527936158236e-2,
+        6: 8.27378916381402288758473766002e-3,
+    },
+    {
+        0: 6.24110958716075717114429577812e-1,
+        3: -3.36089262944694129406857109825,
+        4: -8.68219346841726006818189891453e-1,
+        5: 2.75920996994467083049415600797e1,
+        6: 2.01540675504778934086186788979e1,
+        7: -4.34898841810699588477366255144e1,
+    },
+    {
+        0: 4.77662536438264365890433908527e-1,
+        3: -2.48811461997166764192642586468,
+        4: -5.90290826836842996371446475743e-1,
+        5: 2.12300514481811942347288949897e1,
+        6: 1.52792336328824235832596922938e1,
+        7: -3.32882109689848629194453265587e1,
+        8: -2.03312017085086261358222928593e-2,
+    },
+    {
+        0: -9.3714243008598732571704021658e-1,
+        3: 5.18637242884406370830023853209,
+        4: 1.09143734899672957818500254654,
+        5: -8.14978701074692612513997267357,
+        6: -1.85200656599969598641566180701e1,
+        7: 2.27394870993505042818970056734e1,
+        8: 2.49360555267965238987089396762,
+        9: -3.0467644718982195003823669022,
+    },
+    {
+        0: 2.27331014751653820792359768449,
+        3: -1.05344954667372501984066689879e1,
+        4: -2.00087205822486249909675718444,
+        5: -1.79589318631187989172765950534e1,
+        6: 2.79488845294199600508499808837e1,
+        7: -2.85899827713502369474065508674,
+        8: -8.87285693353062954433549289258,
+        9: 1.23605671757943030647266201528e1,
+        10: 6.43392746015763530355970484046e-1,
+    },
+    {
+        0: 5.42937341165687622380535766363e-2,
+        5: 4.45031289275240888144113950566,
+        6: 1.89151789931450038304281599044,
+        7: -5.8012039600105847814672114227,
+        8: 3.1116436695781989440891606237e-1,
+        9: -1.52160949662516078556178806805e-1,
+        10: 2.01365400804030348374776537501e-1,
+        11: 4.47106157277725905176885569043e-2,
+    },
+    {
+        0: 5.61675022830479523392909219681e-2,
+        6: 2.53500210216624811088794765333e-1,
+        7: -2.46239037470802489917441475441e-1,
+        8: -1.24191423263816360469010140626e-1,
+        9: 1.5329179827876569731206322685e-1,
+        10: 8.20105229563468988491666602057e-3,
+        11: 7.56789766054569976138603589584e-3,
+        12: -8.298e-3,
+    },
+    {
+        0: 3.18346481635021405060768473261e-2,
+        5: 2.83009096723667755288322961402e-2,
+        6: 5.35419883074385676223797384372e-2,
+        7: -5.49237485713909884646569340306e-2,
+        10: -1.08347328697249322858509316994e-4,
+        11: 3.82571090835658412954920192323e-4,
+        12: -3.40465008687404560802977114492e-4,
+        13: 1.41312443674632500278074618366e-1,
+    },
+    {
+        0: -4.28896301583791923408573538692e-1,
+        5: -4.69762141536116384314449447206,
+        6: 7.68342119606259904184240953878,
+        7: 4.06898981839711007970213554331,
+        8: 3.56727187455281109270669543021e-1,
+        12: -1.39902416515901462129418009734e-3,
+        13: 2.9475147891527723389556272149,
+        14: -9.15095847217987001081870187138,
+    },
+)
+_STAGES = 13  # the twelve stages and the first-same-as-last stage 12
+_A = np.zeros((16, 16))
+for _s, _row in enumerate(_A_ENTRIES, start=1):
+    _A[_s, list(_row)] = list(_row.values())
+# _solve keeps the step's start state as row 16 under the stages, so each
+# stage state is one product h _AY[s] @ K once column 16 is set to 1
+_AY = np.zeros((16, 17))
+_AY[:, :16] = _A
+
+# the two embedded error estimates, of orders 5 and 3; the third-order one
+# is the eighth-order weights less Hairer's bhh
+_E5 = np.zeros(_STAGES)
+_E5[[0, 5, 6, 7, 8, 9, 10, 11]] = (
+    0.1312004499419488073250102996e-1,
+    -0.1225156446376204440720569753e1,
+    -0.4957589496572501915214079952,
+    0.1664377182454986536961530415e1,
+    -0.3503288487499736816886487290,
+    0.3341791187130174790297318841,
+    0.8192320648511571246570742613e-1,
+    -0.2235530786388629525884427845e-1,
+)
+_E3 = _A[12, :_STAGES].copy()
+_E3[[0, 8, 11]] -= (
+    0.244094488188976377952755905512,
+    0.733846688281611857341361741547,
+    0.220588235294117647058823529412e-1,
+)
+_ERR = np.array([_E5, _E3])
+
+# the seventh-order continuous extension: on a step from y0 with signed
+# step h, at x = (t - t0) / h,
+#   y(t) = y0 + x (F0 + (1-x) (F1 + x (F2 + (1-x) (F3
+#          + x (F4 + (1-x) (F5 + x F6))))))
+# with F0 = dy, F1 = h k0 - dy, F2 = 2 dy - h (k0 + k12) and F3..F6 the rows
+# of h _D K over all sixteen stages.  _POWER_BASIS takes (F0, ..., F6) to the
+# coefficients of x, x^2, ..., x^7 of the same polynomial.
+_D = np.zeros((4, 16))
+_D[:, [0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]] = (
+    (
+        -0.84289382761090128651353491142e1, 0.56671495351937776962531783590,
+        -0.30689499459498916912797304727e1, 0.23846676565120698287728149680e1,
+        0.21170345824450282767155149946e1, -0.87139158377797299206789907490,
+        0.22404374302607882758541771650e1, 0.63157877876946881815570249290,
+        -0.88990336451333310820698117400e-1, 0.18148505520854727256656404962e2,
+        -0.91946323924783554000451984436e1, -0.44360363875948939664310572000e1,
+    ),
+    (
+        0.10427508642579134603413151009e2, 0.24228349177525818288430175319e3,
+        0.16520045171727028198505394887e3, -0.37454675472269020279518312152e3,
+        -0.22113666853125306036270938578e2, 0.77334326684722638389603898808e1,
+        -0.30674084731089398182061213626e2, -0.93321305264302278729567221706e1,
+        0.15697238121770843886131091075e2, -0.31139403219565177677282850411e2,
+        -0.93529243588444783865713862664e1, 0.35816841486394083752465898540e2,
+    ),
+    (
+        0.19985053242002433820987653617e2, -0.38703730874935176555105901742e3,
+        -0.18917813819516756882830838328e3, 0.52780815920542364900561016686e3,
+        -0.11573902539959630126141871134e2, 0.68812326946963000169666922661e1,
+        -0.10006050966910838403183860980e1, 0.77771377980534432092869265740,
+        -0.27782057523535084065932004339e1, -0.60196695231264120758267380846e2,
+        0.84320405506677161018159903784e2, 0.11992291136182789328035130030e2,
+    ),
+    (
+        -0.25693933462703749003312586129e2, -0.15418974869023643374053993627e3,
+        -0.23152937917604549567536039109e3, 0.35763911791061412378285349910e3,
+        0.93405324183624310003907691704e2, -0.37458323136451633156875139351e2,
+        0.10409964950896230045147246184e3, 0.29840293426660503123344363579e2,
+        -0.43533456590011143754432175058e2, 0.96324553959188282948394950600e2,
+        -0.39177261675615439165231486172e2, -0.14972683625798562581422125276e3,
+    ),
+)
+_POWER_BASIS = np.array(
     [
-        [0, 0, 0, 0, 0, 0, 0],
-        [1 / 5, 0, 0, 0, 0, 0, 0],
-        [3 / 40, 9 / 40, 0, 0, 0, 0, 0],
-        [44 / 45, -56 / 15, 32 / 9, 0, 0, 0, 0],
-        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0, 0],
-        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0, 0],
-        [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0],
-    ]
+        [1, 1, 0, 0, 0, 0, 0],
+        [0, -1, 1, 1, 0, 0, 0],
+        [0, 0, -1, -2, 1, 1, 0],
+        [0, 0, 0, 1, -2, -3, 1],
+        [0, 0, 0, 0, 1, 3, -3],
+        [0, 0, 0, 0, 0, -1, 3],
+        [0, 0, 0, 0, 0, 0, -1],
+    ],
+    dtype=float,
 )
-_ERR = np.array(
-    [71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
-)
-# the fourth-order continuous extension (Hairer, Norsett and Wanner,
-# Solving ODEs I, II.6; the coefficients of their DOPRI5 code)
-_DENSE = np.array(
-    [
-        -12715105075 / 11282082432,
-        0,
-        87487479700 / 32700410799,
-        -10690763975 / 1880347072,
-        701980252875 / 199316789632,
-        -1453857185 / 822651844,
-        69997945 / 29380423,
-    ]
-)
-_STAGES = 7
-_ROWS = tuple(_A[s, :s] for s in range(1, _STAGES))
+_POWERS = np.arange(1, 8)
 
 
 @dataclass(frozen=True)
@@ -171,32 +343,34 @@ def _initial_step(f, y0, f0, direction, tol, span):
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
     return min(100 * h0, h1, span)
 
 
 class _Dense:
     """The continuous extension of one _solve run: _solve records each
     accepted step, and calling the instance gives the state at any time
-    the run covered, to fourth order in the step."""
+    the run covered, to seventh order in the step."""
 
     def __init__(self):
         self.keys = []  # start of each accepted step, times the direction
-        self.steps = []  # (start, signed step, (5, m) coefficients)
+        self.steps = []  # (start, signed step, start state, (7, m) coefficients)
 
     def record(self, t, h, y, y_new, K):
+        """K holds all sixteen stages of the step."""
         dy = y_new - y
-        bspl = h * K[0] - dy
-        coeffs = np.array([y, dy, bspl, dy - h * K[6] - bspl, h * (_DENSE @ K)])
+        F = np.empty((7, y.size))
+        F[0] = dy
+        F[1] = h * K[0] - dy
+        F[2] = 2 * dy - h * (K[0] + K[12])
+        F[3:] = h * (_D @ K)
         self.keys.append(t if h > 0 else -t)
-        self.steps.append((t, h, coeffs))
+        self.steps.append((t, h, y, _POWER_BASIS @ F))
 
     def __call__(self, t):
         key = t if self.steps[0][1] > 0 else -t
-        t0, h, c = self.steps[max(bisect.bisect_right(self.keys, key) - 1, 0)]
-        s = (t - t0) / h
-        s1 = 1.0 - s
-        return c[0] + s * (c[1] + s1 * (c[2] + s * (c[3] + s1 * c[4])))
+        t0, h, y0, C = self.steps[max(bisect.bisect_right(self.keys, key) - 1, 0)]
+        return y0 + ((t - t0) / h) ** _POWERS @ C
 
 
 def _solve(
@@ -206,9 +380,10 @@ def _solve(
 
     t_eval points must lie strictly between t0 and t1 in the direction of
     travel; each becomes an exact mesh point.  A _Dense passed as dense
-    records every accepted step.  Raises InvalidValue for a tolerance that
-    is not positive and finite or a non-finite initial state, and
-    StepBudgetExhausted after STEP_BUDGET attempted steps.
+    records every accepted step, and only then are the three extra stages
+    of the continuous extension evaluated.  Raises InvalidValue for a
+    tolerance that is not positive and finite or a non-finite initial
+    state, and StepBudgetExhausted after STEP_BUDGET attempted steps.
     """
     if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0):
         raise InvalidValue(f"tolerance must be positive and finite, got {tol}")
@@ -219,16 +394,15 @@ def _solve(
         raise InvalidValue("initial state must be finite")
     f0 = f(y)
     if not np.all(np.isfinite(f0)):
-        return [t0], [y.copy()], TerminationStatus("blowup", t0)
+        return [t0], [y], TerminationStatus("blowup", t0)
     h = _initial_step(f, y, f0, direction, tol, span)
 
     targets = sorted((float(t) for t in t_eval), reverse=(direction < 0))
     targets.append(t1)
     times = [t0]
-    states = [y.copy()]
+    states = [y]  # each state is a fresh array, never written in place
     t = t0
     k1 = f0
-    facold = 1e-4
     rejected = False
     nsteps = 0
     # a stage past a blow-up may overflow; the one finiteness test per
@@ -247,23 +421,31 @@ def _solve(
                 t = target
                 targets.pop(0)
                 times.append(t)
-                states.append(y.copy())
+                states.append(y)
                 if not targets:
                     return times, states, TerminationStatus("completed", t1)
                 continue
             clamped = (t + direction * h - target) * direction >= 0
             h_use = (target - t) if clamped else direction * h
 
-            K = np.empty((_STAGES, y.size))
+            # the stages, then the start state; rows not yet evaluated stay
+            # zero, so each stage state is one product with the whole of K
+            K = np.zeros((17, y.size))
             K[0] = k1
-            for s, row in enumerate(_ROWS, start=1):
-                y_new = y + h_use * (row @ K[:s])
+            K[16] = y
+            hA = h_use * _AY
+            hA[:, 16] = 1.0
+            for s in range(1, _STAGES):
+                y_new = hA[s] @ K
                 K[s] = f(y_new)
             err = math.nan
-            if np.isfinite(K).all():
-                err_vec = h_use * (_ERR @ K)
+            if np.isfinite(K[:_STAGES]).all():
+                # the combined estimate of DOP853: the fifth-order error,
+                # damped where the third-order one is large against it
                 sc = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
-                err = float(np.sqrt(np.mean((err_vec / sc) ** 2)))
+                e5, e3 = np.square((_ERR @ K[:_STAGES]) / sc).sum(axis=1).tolist()
+                denom = e5 + 0.01 * e3
+                err = abs(h_use) * e5 / math.sqrt(denom * y.size) if denom > 0 else 0.0
             if not math.isfinite(err):
                 h = 0.1 * abs(h_use)
                 rejected = True
@@ -271,26 +453,24 @@ def _solve(
 
             if err <= 1.0:
                 if dense is not None:
-                    dense.record(t, h_use, y, y_new, K)
+                    for s in range(_STAGES, 16):
+                        K[s] = f(hA[s] @ K)
+                    dense.record(t, h_use, y, y_new, K[:16])
                 t = target if clamped else t + h_use
                 if clamped:
                     targets.pop(0)
                 y = y_new
-                k1 = K[6]  # FSAL: last stage is f at the accepted state
+                k1 = K[12]  # FSAL: stage 12 is f at the accepted state
                 times.append(t)
-                states.append(y.copy())
+                states.append(y)
                 if not np.all(np.isfinite(y)):
                     return times[:-1], states[:-1], TerminationStatus("blowup", times[-2])
                 if float(np.max(np.abs(y))) > escape:
                     return times, states, TerminationStatus("blowup", t)
                 if clamped and not targets:
                     return times, states, TerminationStatus("completed", t1)
-                if err > 0:
-                    fac = 0.9 * err ** (-0.7 / 5) * facold ** (0.4 / 5)
-                else:
-                    fac = 10.0
+                fac = 0.9 * err ** (-1 / 8) if err > 0 else 10.0
                 fac = min(1.0 if rejected else 10.0, max(0.2, fac))
-                facold = max(err, 1e-4)
                 if clamped:
                     # keep the cruising step; the clamp was about the mesh,
                     # not about accuracy
@@ -299,20 +479,30 @@ def _solve(
                     h = abs(h_use) * fac
                 rejected = False
             else:
-                h = abs(h_use) * max(0.2, 0.9 * err ** (-0.2))
+                h = abs(h_use) * max(0.2, 0.9 * err ** (-1 / 8))
                 rejected = True
+
+
+def _quadratic(table):
+    """The map x -> sum_ij x_i x_j t[i][j] of a bilinear table t[i][j][k].
+
+    The table is flattened once to (n, n p), so each evaluation is two
+    small matrix products: x @ T gives the matrix of y -> sum_ij x_i y_j
+    t[i][j] with rows j, and x @ that gives the value.
+    """
+    n, _, p = table.shape
+    flat = np.ascontiguousarray(table.reshape(n, n * p))
+
+    def field(x):
+        return x @ (x @ flat).reshape(n, p)
+
+    return field
 
 
 def _field_from(P_or_field):
     if isinstance(P_or_field, ProductTensor):
         P = _as_product(P_or_field)
-        gam = P.array.num
-
-        def fld(x):
-            lx = scalars.left_mult(gam, x)
-            return -lx @ x
-
-        return fld, P.dim
+        return _quadratic(-P.array.num), P.dim
     if callable(P_or_field):
         return P_or_field, None
     raise DimensionMismatch("expected a product tensor or a field callable")
@@ -346,17 +536,12 @@ def quadratic_euler_field(L, u):
         br = bracket(L, ux, scalars.coerce_vector(x, exact))
         return linalg.mat_vec(uinv, br)
 
-    Lf = L.to_float()
+    # u^{-1} [u x, x] is bilinear in x: contract u, the bracket table and
+    # u^{-1} into one table t[p][j][l] = sum_ik u_ip c_ijk (u^{-1})_lk
     umat = np.asarray(iso.matrix, dtype=float)
     uinv_f = np.asarray(uinv, dtype=float)
-    carr = Lf.array.num
-
-    def field(x):
-        ux = umat @ x
-        ad_ux = scalars.left_mult(carr, ux)
-        return uinv_f @ (ad_ux @ x)
-
-    return field, evaluate
+    table = np.einsum("ip,ijk,lk->pjl", umat, L.to_float().array.num, uinv_f)
+    return _quadratic(table), evaluate
 
 
 def _inner_targets(t_eval, t0, t1):
@@ -438,45 +623,44 @@ def completeness_probe(P, seeds, t_max=1e3, tol=1e-10):
 
 
 def _jacobi_rhs(gam, carr):
+    """The geodesic x' = -x x with variation columns, z = (x, Y, Y') flat.
+
+    The columns obey Y'' = A Y + B Y' with A = ad_{x x} - (R_x + L_x) ad_x,
+    quadratic in x, and B = -2 L_x, linear in x.  With xa = (x, 1) both
+    are quadratic in xa, so -x x and the rows of [A | B] come out of one
+    bilinear table in xa.
+    """
     n = gam.shape[0]
-    # row i holds L_{e_i}, R_{e_i} and ad_{e_i} as flattened matrices (rows
-    # k, columns j), so one product with x gives L_x, R_x and ad_x
-    stack = np.concatenate(
-        [
-            gam.transpose(0, 2, 1).reshape(n, n * n),
-            gam.transpose(1, 2, 0).reshape(n, n * n),
-            carr.transpose(0, 2, 1).reshape(n, n * n),
-        ],
-        axis=1,
+    # in (k, m) layout, A[k][m] = sum_ij x_i x_j a[i][j][k][m]
+    a = np.einsum("ijp,pmk->ijkm", gam, carr) - np.einsum(
+        "qik,jmq->ijkm", gam + gam.transpose(1, 0, 2), carr
     )
-    ad_rows = stack[:, 2 * n * n :]
+    geodesic = np.zeros((n + 1, n + 1, n))
+    geodesic[:n, :n] = -gam
+    rows = np.zeros((n + 1, n + 1, n, 2 * n))
+    rows[:n, :n, :, :n] = a
+    rows[:n, n, :, n:] = -2.0 * gam.transpose(0, 2, 1)
+    table = np.concatenate([geodesic, rows.reshape(n + 1, n + 1, -1)], axis=2)
+    quad = _quadratic(table)
+    one = np.ones(1)
 
     def rhs(z):
-        x = z[:n]
-        ncols = (len(z) - n) // (2 * n)
-        Y = z[n : n + n * ncols].reshape(n, ncols)
-        Yd = z[n + n * ncols :].reshape(n, ncols)
-        lx, rx, adx = (x @ stack).reshape(3, n, n)
-        xx = lx @ x
-        adxx = (xx @ ad_rows).reshape(n, n)
-        yddot = -2.0 * (lx @ Yd) - (rx + lx) @ (adx @ Y) + adxx @ Y
-        return np.concatenate([-xx, Yd.reshape(-1), yddot.reshape(-1)])
+        q = quad(np.concatenate((z[:n], one)))
+        V = z[n:].reshape(2 * n, -1)  # Y over Y'
+        yddot = q[n:].reshape(n, 2 * n) @ V
+        return np.concatenate((q[:n], z[n + V.size // 2 :], yddot.reshape(-1)))
 
     return rhs
 
 
 def _reflection_rhs(gam, carr):
-    """The geodesic x' = -x x together with y' = -[x, y]."""
+    """The geodesic x' = -x x together with y' = -[x, y]: one bilinear
+    table in z = (x, y)."""
     n = gam.shape[0]
-
-    def rhs(z):
-        x = z[:n]
-        y = z[n:]
-        lx = scalars.left_mult(gam, x)
-        adx = scalars.left_mult(carr, x)
-        return np.concatenate([-(lx @ x), -(adx @ y)])
-
-    return rhs
+    table = np.zeros((2 * n, 2 * n, 2 * n))
+    table[:n, :n, :n] = -gam
+    table[:n, n:, n:] = -carr
+    return _quadratic(table)
 
 
 def integrate_jacobi(P, x0, y0, ydot0, t_span, tol=1e-10, t_eval=()):
@@ -551,24 +735,17 @@ def right_invariant_reflection(L, P, x0, y0, t_span, tol=1e-10):
     n = P.dim
     if len(x0) != n or len(y0) != n:
         raise DimensionMismatch("seed lengths do not match the algebra dimension")
-    carr = L.to_float().array.num
-    rhs = _reflection_rhs(P.array.num, carr)
+    rhs = _reflection_rhs(P.array.num, L.to_float().array.num)
     z0 = np.concatenate([np.asarray(x0, dtype=float), np.asarray(y0, dtype=float)])
     times, zs, status = _solve(rhs, z0, t0, t1, tol)
     times, zs = _time_ordered(times, zs, t0, t1)
-
-    ydots = []
-    for z in zs:
-        x = z[:n]
-        y = z[n:]
-        adx = scalars.left_mult(carr, x)
-        ydots.append(tuple(float(v) for v in -(adx @ y)))
     return JacobiTrajectory(
         times=tuple(times),
         states=tuple(tuple(float(v) for v in z[n:]) for z in zs),
         status=status,
         base_states=tuple(tuple(float(v) for v in z[:n]) for z in zs),
-        derivative_states=tuple(ydots),
+        # y' = -[x, y] is the second half of the field
+        derivative_states=tuple(tuple(float(v) for v in rhs(z)[n:]) for z in zs),
     )
 
 
@@ -586,14 +763,13 @@ def jacobi_route_gap(L, P, x0, y0, t_span, tol=1e-10, samples=101):
     gam = P.array.num
     carr = L.to_float().array.num
     z0 = np.concatenate([np.asarray(x0, dtype=float), np.asarray(y0, dtype=float)])
-    times_a, zs_a, status_a = _solve(_reflection_rhs(gam, carr), z0, t0, t1, tol, t_eval=grid)
+    rhs_a = _reflection_rhs(gam, carr)
+    times_a, zs_a, status_a = _solve(rhs_a, z0, t0, t1, tol, t_eval=grid)
 
-    x0a = np.asarray(x0, dtype=float)
-    adx0 = scalars.left_mult(carr, x0a)
-    ydot0 = -(adx0 @ np.asarray(y0, dtype=float))
-    rhs_full = _jacobi_rhs(gam, carr)
-    z0b = np.concatenate([x0a, np.asarray(y0, dtype=float), ydot0])
-    times_b, zs_b, status_b = _solve(rhs_full, z0b, t0, t1, tol, t_eval=grid)
+    # the matched start: y'(0) = -[x0, y0], the second half of the field
+    z0b = np.concatenate([z0, rhs_a(z0)[n:]])
+    rhs_b = _jacobi_rhs(gam, carr)
+    times_b, zs_b, status_b = _solve(rhs_b, z0b, t0, t1, tol, t_eval=grid)
 
     if not (status_a.completed and status_b.completed):
         return math.inf

@@ -226,7 +226,7 @@ def left_mult(table, x):
     of e_k in e_i e_j), acting on coordinate columns: rows k, columns j.
 
     Serves ad_x (the bracket table) and L_x (a product tensor) alike, on
-    ScaledArrays or on bare float64 arrays in the integrator's inner loop.
+    ScaledArrays or on bare float64 arrays.
     """
     if isinstance(table, ScaledArray):
         return ScaledArray(left_mult(table.num, x.num), table.den * x.den)

@@ -7,6 +7,7 @@ import pytest
 
 from quadlie import connection, dynamics, linalg
 from quadlie.algebra import structure_report, validate_algebra
+from quadlie.catalog import catalog
 from quadlie.constructions import (
     TwoStepSpec,
     build_cotangent_double,
@@ -22,6 +23,7 @@ from quadlie.constructions import (
 from quadlie.errors import (
     DimensionMismatch,
     InvalidLambda,
+    InvalidValue,
     NotAntisymmetric,
     RankDeficientTheta,
     WrongClass,
@@ -210,6 +212,15 @@ def test_f_derivation_in_binary64_gives_the_exact_diagonals():
     assert all(type(v) is float for v in spec.d_diagonal + spec.f_diagonal)
     rep = connection.product_report(P)
     assert rep.flat and rep.left_symmetric and rep.torsion_ok and rep.skew_ok
+
+
+@pytest.mark.parametrize("a0", [math.nan, math.inf, -math.inf])
+def test_f_derivation_rejects_a_non_finite_a0(a0):
+    L5, K5 = _three_step_with_invariant_form()
+    with pytest.raises(InvalidValue):
+        build_f_derivation(L5.to_float(), K5.to_float(), a0=a0)
+    with pytest.raises(InvalidValue):
+        build_f_derivation(catalog("dim5-nilpotent").algebra.to_float(), a0=a0)
 
 
 def test_f_derivation_rejects_abelian():

@@ -1,15 +1,20 @@
 """Geodesic integration, variation fields, conjugate detection, probes."""
 
 import math
+import pathlib
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from quadlie import (
+    TwoStepSpec,
     annotate_candidates,
     biinvariant_connection,
     biinvariant_jacobi,
     build_oscillator,
+    build_two_step,
     catalog,
     completeness_probe,
     conjugate_scan,
@@ -24,6 +29,8 @@ from quadlie import (
     quadratic_euler_field,
     reflection_equation_residual,
     right_invariant_reflection,
+    two_step_metric,
+    volume_theta,
 )
 from quadlie import dynamics
 from quadlie.errors import InvalidSpan, SeriesNotPreserved
@@ -101,6 +108,20 @@ def test_backward_blowup_near_pole():
     assert traj.status.kind in ("blowup", "step-collapse")
     assert not traj.status.completed
     assert abs(traj.status.t - (-1.0)) <= 1e-3
+
+
+def test_times_and_stops_are_python_floats():
+    # the step size comes out of numpy arithmetic; mesh times and stop
+    # times must still be plain floats, as the reports print them
+    entry = catalog("dim5-nilpotent")
+    field, _evaluate = quadratic_euler_field(entry.algebra, entry.iso)
+    seed = tuple(float(v) for v in entry.seeds["default"])
+    traj = integrate_geodesic(field, seed, (0.0, -5.0), tol=1e-10)
+    assert type(traj.status.t) is float
+    assert all(type(t) is float for t in traj.times)
+    report = completeness_probe(field, [seed], t_max=(-1.5, 5.0), tol=1e-10)
+    res = report.results[0]
+    assert type(res.forward.t) is float and type(res.backward.t) is float
 
 
 def test_euler_field_routes_agree():
@@ -303,3 +324,77 @@ def test_biinvariant_jacobi_runs():
         L, (0.5, 0.0, 0.3, -0.2), (0.0, 0.0, 0.1, 0.0), (0.0, 0.0, 0.0, 0.2), (0.0, 3.0)
     )
     assert traj.status.completed
+
+
+def test_tableau_matches_the_published_dop853_coefficients():
+    coef = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+    stages = coef.N_STAGES
+    for s in range(1, coef.N_STAGES_EXTENDED):
+        assert np.array_equal(dynamics._A[s, :s], coef.A[s, :s]), s
+        assert not dynamics._A[s, s:].any(), s
+    assert np.array_equal(dynamics._A[stages, :stages], coef.B)
+    assert np.array_equal(dynamics._ERR, np.array([coef.E5, coef.E3]))
+    assert np.array_equal(dynamics._D, coef.D)
+    assert coef.INTERPOLATOR_POWER == len(dynamics._POWERS) == 7
+
+
+def test_power_basis_reproduces_the_nested_interpolant():
+    rng = np.random.default_rng(7)
+    for x in (0.0, 0.137, 0.5, 0.871, 1.0):
+        F_rows = rng.uniform(-1.0, 1.0, size=(7, 5))
+        # Hairer's form: y0 + x (F0 + (1-x) (F1 + x (F2 + ...)))
+        nested = np.zeros(5)
+        for i, row in enumerate(F_rows[::-1]):
+            nested = (nested + row) * (x if i % 2 == 0 else 1.0 - x)
+        power = x ** dynamics._POWERS @ (dynamics._POWER_BASIS @ F_rows)
+        assert np.max(np.abs(power - nested)) <= 1e-15
+
+
+def test_sources_never_import_scipy_or_numpy_polynomial():
+    src = pathlib.Path(dynamics.__file__).parent
+    pattern = re.compile(r"^\s*(import|from)\s+(scipy|numpy\.polynomial)\b", re.M)
+    for path in src.glob("*.py"):
+        text = path.read_text()
+        assert not pattern.search(text), path.name
+        assert "np.polynomial" not in text, path.name
+
+
+def _counted(field):
+    calls = []
+
+    def wrapped(x):
+        calls.append(1)
+        return field(x)
+
+    return wrapped, calls
+
+
+def test_step_count_gate_on_the_e2_geodesic():
+    # the fifth-order DOPRI5 pair took 796 accepted steps and 4,778
+    # evaluations on this run
+    _entry, P = plane_motion_product()
+    field, calls = _counted(dynamics._field_from(P)[0])
+    times, _, status = dynamics._solve(field, (0.3, -0.5, 1.0), 0.0, 30.0, 1e-10)
+    assert status.completed
+    assert len(times) - 1 <= 150
+    # two evaluations for the initial step, then twelve per attempted step
+    assert len(calls) <= 2 + 12 * 150
+
+
+def test_step_count_gate_on_a_flat_phi_geodesic():
+    # the geodesics of a flat phi metric on V + V* are lines, so the step
+    # should grow to the window in a handful of steps
+    phi = ((F(1), F(2), F(0)), (F(0), F(1), F(0)), (F(3), F(0), F(1)))
+    L, _k = build_two_step(TwoStepSpec(3, volume_theta(3)))
+    _iso, metric, _ = two_step_metric(TwoStepSpec(3, volume_theta(3), phi))
+    P = levi_civita(L, metric)
+    field, calls = _counted(dynamics._field_from(P)[0])
+    x0 = (0.3, -0.5, 1.0, 0.2, 0.7, -0.4)
+    times, states, status = dynamics._solve(field, x0, 0.0, 50.0, 1e-10)
+    assert status.completed
+    assert len(times) - 1 <= 8
+    assert len(calls) <= 2 + 12 * 8
+    # and the line x0 + t x'(x0) is followed
+    v = euler_field(P.to_float(), x0)
+    for t, x in zip(times, states):
+        assert max(abs(a + t * b - c) for a, b, c in zip(x0, v, x)) <= 1e-8

@@ -4,13 +4,21 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from quadlie import fileio
 from quadlie.catalog import catalog
 from quadlie.connection import flatness_report, levi_civita
-from quadlie.constructions import build_oscillator
+from quadlie.constructions import (
+    TwoStepSpec,
+    build_double_extension,
+    build_oscillator,
+    build_two_step,
+    two_step_metric,
+)
 from quadlie.dynamics import integrate_geodesic
-from quadlie.errors import JacobiViolation, ParseError
+from quadlie.errors import JacobiViolation, ParseError, RankDeficientTheta, Singular
 from quadlie.forms import metric_from_iso
 
 E2_DOC = {
@@ -165,3 +173,72 @@ def test_write_json_scalar_encoding(tmp_path):
         "seq": ["1", 0.25],
     }
     assert fileio.sha256_file(p) == fileio.sha256_file(p)
+
+
+settings.register_profile(
+    "quadlie-fileio",
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+small = st.integers(-3, 3)
+
+
+@st.composite
+def double_extension_docs(draw):
+    w = draw(st.integers(2, 4))
+    k0 = [[Fraction(draw(st.sampled_from((1, -1))) if i == j else 0) for j in range(w)]
+          for i in range(w)]
+    skew = [[Fraction(0)] * w for _ in range(w)]
+    for i in range(w):
+        for j in range(i + 1, w):
+            v = Fraction(draw(small), draw(st.integers(1, 3)))
+            skew[i][j], skew[j][i] = v, -v
+    # k0 is its own inverse, so theta = k0 skew is k0-skew
+    theta = [[sum(k0[i][m] * skew[m][j] for m in range(w)) for j in range(w)]
+             for i in range(w)]
+    L, k = build_double_extension(w, k0, theta)
+    return L, k, None
+
+
+@st.composite
+def two_step_docs(draw):
+    m = draw(st.sampled_from((3, 5)))
+    theta = [[[Fraction(0)] * m for _ in range(m)] for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            for k in range(j + 1, m):
+                v = Fraction(draw(small), draw(st.integers(1, 2)))
+                for (a, b, c), s in (
+                    ((i, j, k), 1), ((j, k, i), 1), ((k, i, j), 1),
+                    ((j, i, k), -1), ((i, k, j), -1), ((k, j, i), -1),
+                ):
+                    theta[a][b][c] = s * v
+    try:
+        L, k = build_two_step(TwoStepSpec(m, theta))
+    except RankDeficientTheta:
+        assume(False)
+    if not draw(st.booleans()):
+        return L, k, None
+    phi = [[Fraction(draw(small), draw(st.integers(1, 2))) for _ in range(m)]
+           for _ in range(m)]
+    try:
+        iso, metric, _ = two_step_metric(TwoStepSpec(m, theta, phi))
+    except Singular:
+        assume(False)
+    return L, metric, iso
+
+
+@settings(settings.get_profile("quadlie-fileio"), max_examples=40)
+@given(st.one_of(double_extension_docs(), two_step_docs()), st.booleans())
+def test_serialize_parse_serialize_is_byte_identical(built, binary64):
+    L, form, iso = built
+    if binary64:
+        L, form = L.to_float(), form.to_float()
+        iso = iso.to_float() if iso is not None else None
+    text = json.dumps(fileio.serialize_algebra(L, form=form, iso=iso), indent=2)
+    L2, form2, iso2 = fileio.parse_algebra_doc(json.loads(text))
+    again = json.dumps(fileio.serialize_algebra(L2, form=form2, iso=iso2), indent=2)
+    assert again == text
+    assert L2.exact == (not binary64)
