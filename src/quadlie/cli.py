@@ -10,7 +10,8 @@ Files follow the format in fileio: when a document carries both a form
 and an iso, the form is the invariant pairing and the studied metric is
 their composition; a lone form is the metric itself.  Reports are
 deterministic for fixed inputs and flags: stable field order, exact
-scalars as "p/q" strings, floats in shortest round-trip form.
+scalars as "p/q" strings, floats in shortest round-trip form and a float
+that is not finite as null.
 """
 
 import argparse
@@ -197,6 +198,8 @@ def _parse_scalar(text):
         return float(Fraction(text))
     except (ValueError, ZeroDivisionError):
         pass
+    except OverflowError:
+        raise ParseError(f"number {text!r} is beyond binary64") from None
     try:
         return float(text)
     except ValueError:
@@ -637,6 +640,9 @@ def _cmd_family_sweep(args):
     m = args.dimv
     if m < 1:
         raise ParseError(f"--dimv must be at least 1, got {m}")
+    # the algebra first: it rejects a dimension with no volume form before
+    # any m x m sample is drawn
+    L, _ = build_two_step(TwoStepSpec(m, "volume"))
     phis = []
     if args.input:
         try:
@@ -664,7 +670,6 @@ def _cmd_family_sweep(args):
         phis = [_random_phi(rng, m) for _ in range(args.trials)]
         source = {"generated": {"trials": args.trials, "rng_seed": args.rng_seed}}
 
-    L, _ = build_two_step(TwoStepSpec(m, "volume"))
     rows = []
     all_flat = True
     worst_mode = "exact"

@@ -6,11 +6,12 @@ by Hairer, Norsett and Wanner (Solving ODEs I, II.10): twelve stages, the
 field at the new state reused as the first stage of the next step, the
 combined fifth/third-order error estimate and the plain step controller of
 that code, with an escape radius for blow-up detection and a minimal step
-for collapse detection.  Requested sample times are hit exactly by
-clamping steps, so trajectory rows at those times carry no interpolation
-error.  A conjugate scan instead integrates once and reads every time it
-needs off the seventh-order continuous extension of the method; its three
-extra stages are evaluated only for such runs.
+for collapse detection.  A run marches from t0 to t1 on its own mesh and
+clamps only its last step, onto t1.  Every state off that mesh (requested
+trajectory rows, the grids of the route gap and of the divided
+differences, the times of a conjugate scan) is read off the seventh-order
+continuous extension of the method, whose three extra stages are
+evaluated only for the steps that are read.
 
 Each integrator field is one bilinear table, contracted once when the
 field is built: the geodesic field, its invariant-form route, the
@@ -29,6 +30,7 @@ gives an integration-free oracle for the second-order route.
 import bisect
 import math
 import numbers
+import random
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -183,8 +185,8 @@ _STAGES = 13  # the twelve stages and the first-same-as-last stage 12
 _A = np.zeros((16, 16))
 for _s, _row in enumerate(_A_ENTRIES, start=1):
     _A[_s, list(_row)] = list(_row.values())
-# _solve keeps the step's start state as row 16 under the stages, so each
-# stage state is one product h _AY[s] @ K once column 16 is set to 1
+# a step's stage array K keeps its start state as row 16 under the stages,
+# so each stage state is one product h _AY[s] @ K once column 16 is set to 1
 _AY = np.zeros((16, 17))
 _AY[:, :16] = _A
 
@@ -288,13 +290,7 @@ class Trajectory:
 
     def state_at(self, t):
         times = self.times
-        lo, hi = 0, len(times)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if times[mid] < t:
-                lo = mid + 1
-            else:
-                hi = mid
+        lo = bisect.bisect_left(times, t)
         tol = 1e-9 * max(1.0, abs(t))
         for idx in (lo - 1, lo, lo + 1):
             if 0 <= idx < len(times) and abs(times[idx] - t) <= tol:
@@ -337,6 +333,8 @@ def _initial_step(f, y0, f0, direction, tol, span):
         h0 = 1e-6
     else:
         h0 = 0.01 * d0 / d1
+    if h0 == 0.0:  # d1 overflowed; _solve reports the step collapse
+        return 0.0
     y1 = y0 + h0 * direction * f0
     f1 = f(y1)
     d2 = float(np.sqrt(np.mean(((f1 - f0) / scale) ** 2))) / h0
@@ -348,42 +346,53 @@ def _initial_step(f, y0, f0, direction, tol, span):
 
 
 class _Dense:
-    """The continuous extension of one _solve run: _solve records each
-    accepted step, and calling the instance gives the state at any time
-    the run covered, to seventh order in the step."""
+    """The continuous extension of one _solve run, to seventh order in the
+    step.  _solve hands over its field and records each accepted step with
+    its stages; the first call that lands in a step evaluates that step's
+    three extra stages and coefficients, so unread steps cost nothing."""
 
     def __init__(self):
+        self.field = None  # handed over by _solve
         self.keys = []  # start of each accepted step, times the direction
-        self.steps = []  # (start, signed step, start state, (7, m) coefficients)
+        # [start, signed step, start state, end state, stage array, (7, m)
+        # coefficients or None until the step is read] per step
+        self.steps = []
 
     def record(self, t, h, y, y_new, K):
-        """K holds all sixteen stages of the step."""
-        dy = y_new - y
-        F = np.empty((7, y.size))
-        F[0] = dy
-        F[1] = h * K[0] - dy
-        F[2] = 2 * dy - h * (K[0] + K[12])
-        F[3:] = h * (_D @ K)
+        """K is the step's stage array: stages 0-12, zero rows for the three
+        extra stages and the start state as row 16."""
         self.keys.append(t if h > 0 else -t)
-        self.steps.append((t, h, y, _POWER_BASIS @ F))
+        self.steps.append([t, h, y, y_new, K, None])
 
     def __call__(self, t):
         key = t if self.steps[0][1] > 0 else -t
-        t0, h, y0, C = self.steps[max(bisect.bisect_right(self.keys, key) - 1, 0)]
-        return y0 + ((t - t0) / h) ** _POWERS @ C
+        step = self.steps[max(bisect.bisect_right(self.keys, key) - 1, 0)]
+        t0, h, y, y_new, K, C = step
+        if C is None:
+            hA = h * _AY
+            hA[:, 16] = 1.0
+            for s in range(_STAGES, 16):
+                K[s] = self.field(hA[s] @ K)
+            dy = y_new - y
+            F = np.empty((7, y.size))
+            F[0] = dy
+            F[1] = h * K[0] - dy
+            F[2] = 2 * dy - h * (K[0] + K[12])
+            F[3:] = h * (_D @ K[:16])
+            C = step[5] = _POWER_BASIS @ F
+        return y + ((t - t0) / h) ** _POWERS @ C
 
 
-def _solve(
-    f, y0, t0, t1, tol, *, escape=ESCAPE_RADIUS, hmin=MIN_STEP, t_eval=(), dense=None
-):
+def _solve(f, y0, t0, t1, tol, *, escape=ESCAPE_RADIUS, hmin=MIN_STEP, dense=None):
     """March from t0 to t1.  Returns (times, states, status) in step order.
 
-    t_eval points must lie strictly between t0 and t1 in the direction of
-    travel; each becomes an exact mesh point.  A _Dense passed as dense
-    records every accepted step, and only then are the three extra stages
-    of the continuous extension evaluated.  Raises InvalidValue for a
-    tolerance that is not positive and finite or a non-finite initial
-    state, and StepBudgetExhausted after STEP_BUDGET attempted steps.
+    The controller sizes every step, and only the last is clamped, onto
+    t1; a run that blows up or whose step collapses stops early.  A _Dense
+    passed as dense is handed the field and records every accepted step,
+    so that states between mesh points can be read off it afterwards.
+    Raises InvalidValue for a tolerance that is not positive and finite or
+    a non-finite initial state, and StepBudgetExhausted after STEP_BUDGET
+    attempted steps.
     """
     if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0):
         raise InvalidValue(f"tolerance must be positive and finite, got {tol}")
@@ -396,9 +405,9 @@ def _solve(
     if not np.all(np.isfinite(f0)):
         return [t0], [y], TerminationStatus("blowup", t0)
     h = _initial_step(f, y, f0, direction, tol, span)
+    if dense is not None:
+        dense.field = f
 
-    targets = sorted((float(t) for t in t_eval), reverse=(direction < 0))
-    targets.append(t1)
     times = [t0]
     states = [y]  # each state is a fresh array, never written in place
     t = t0
@@ -415,18 +424,13 @@ def _solve(
             hmin_eff = max(hmin, 10 * np.finfo(float).eps * max(1.0, abs(t)))
             if h < hmin_eff:
                 return times, states, TerminationStatus("step-collapse", t)
-            target = targets[0]
-            if abs(target - t) <= hmin_eff:
-                # close enough that a step would underflow; snap to the target
-                t = target
-                targets.pop(0)
-                times.append(t)
+            if abs(t1 - t) <= hmin_eff:
+                # close enough that a step would underflow; snap to t1
+                times.append(t1)
                 states.append(y)
-                if not targets:
-                    return times, states, TerminationStatus("completed", t1)
-                continue
-            clamped = (t + direction * h - target) * direction >= 0
-            h_use = (target - t) if clamped else direction * h
+                return times, states, TerminationStatus("completed", t1)
+            last = (t + direction * h - t1) * direction >= 0
+            h_use = (t1 - t) if last else direction * h
 
             # the stages, then the start state; rows not yet evaluated stay
             # zero, so each stage state is one product with the whole of K
@@ -453,12 +457,8 @@ def _solve(
 
             if err <= 1.0:
                 if dense is not None:
-                    for s in range(_STAGES, 16):
-                        K[s] = f(hA[s] @ K)
-                    dense.record(t, h_use, y, y_new, K[:16])
-                t = target if clamped else t + h_use
-                if clamped:
-                    targets.pop(0)
+                    dense.record(t, h_use, y, y_new, K)
+                t = t1 if last else t + h_use
                 y = y_new
                 k1 = K[12]  # FSAL: stage 12 is f at the accepted state
                 times.append(t)
@@ -467,16 +467,10 @@ def _solve(
                     return times[:-1], states[:-1], TerminationStatus("blowup", times[-2])
                 if float(np.max(np.abs(y))) > escape:
                     return times, states, TerminationStatus("blowup", t)
-                if clamped and not targets:
+                if last:
                     return times, states, TerminationStatus("completed", t1)
                 fac = 0.9 * err ** (-1 / 8) if err > 0 else 10.0
-                fac = min(1.0 if rejected else 10.0, max(0.2, fac))
-                if clamped:
-                    # keep the cruising step; the clamp was about the mesh,
-                    # not about accuracy
-                    h = max(h, abs(h_use) * fac)
-                else:
-                    h = abs(h_use) * fac
+                h = abs(h_use) * min(1.0 if rejected else 10.0, max(0.2, fac))
                 rejected = False
             else:
                 h = abs(h_use) * max(0.2, 0.9 * err ** (-1 / 8))
@@ -544,28 +538,43 @@ def quadratic_euler_field(L, u):
     return _quadratic(table), evaluate
 
 
-def _inner_targets(t_eval, t0, t1):
-    lo, hi = (t0, t1) if t1 > t0 else (t1, t0)
-    return [float(t) for t in t_eval if lo < float(t) < hi]
-
-
-def _time_ordered(times, states, t0, t1):
-    """A run's rows in increasing time, whichever way it went."""
-    if t1 < t0:
-        return times[::-1], states[::-1]
-    return times, states
+def _sampled(f, y0, t0, t1, tol, t_eval=()):
+    """One _solve run as rows in increasing time: its mesh, plus each time
+    of t_eval that the run covered and that is not a mesh time, read off
+    the continuous extension."""
+    wanted = set()
+    for t in t_eval:
+        try:
+            ok = isinstance(t, numbers.Real) and not isinstance(t, bool) and math.isfinite(t)
+        except OverflowError:  # an int or a Fraction beyond binary64
+            ok = False
+        if not ok:
+            raise InvalidSpan(f"sample times must be finite reals, got {t!r}")
+        wanted.add(float(t))
+    dense = _Dense() if wanted else None
+    times, states, status = _solve(f, y0, t0, t1, tol, dense=dense)
+    # a run that snapped onto t1 at once has no step to read
+    lo, hi = sorted((t0, times[-1])) if dense and dense.steps else (t0, t0)
+    extra = [t for t in wanted.difference(times) if lo <= t <= hi]
+    rows = sorted(zip(times + extra, states + [dense(t) for t in extra]), key=lambda r: r[0])
+    return [t for t, _ in rows], [z for _, z in rows], status
 
 
 def integrate_geodesic(P, x0, t_span, tol=1e-10, t_eval=()):
+    """Integrate the geodesic x' = -x x from x0 over t_span.
+
+    Rows, in increasing time: the solver's mesh up to where the run
+    stopped, plus each distinct time of t_eval the run covered, read off
+    the continuous extension; a requested mesh time keeps the mesh row,
+    and times outside the span or past a blow-up are ignored.  Raises
+    InvalidSpan for a bad span or an entry of t_eval that is not a finite
+    real.
+    """
     t0, t1 = _check_span(t_span)
     fld, dim = _field_from(P)
     if dim is not None and len(x0) != dim:
         raise DimensionMismatch(f"seed of length {len(x0)} in dimension {dim}")
-    times, states, status = _solve(
-        fld, [float(v) for v in x0], t0, t1, tol,
-        t_eval=_inner_targets(t_eval, t0, t1),
-    )
-    times, states = _time_ordered(times, states, t0, t1)
+    times, states, status = _sampled(fld, [float(v) for v in x0], t0, t1, tol, t_eval)
     return Trajectory(
         times=tuple(times),
         states=tuple(tuple(float(v) for v in s) for s in states),
@@ -664,7 +673,12 @@ def _reflection_rhs(gam, carr):
 
 
 def integrate_jacobi(P, x0, y0, ydot0, t_span, tol=1e-10, t_eval=()):
-    """Second-order variation equation along the geodesic from x0."""
+    """Second-order variation equation along the geodesic from x0.
+
+    The rows are those of integrate_geodesic over the same span and
+    t_eval: states hold the variation y, base_states the geodesic x and
+    derivative_states y'.
+    """
     t0, t1 = _check_span(t_span)
     P = _as_product(P)
     n = P.dim
@@ -674,17 +688,8 @@ def integrate_jacobi(P, x0, y0, ydot0, t_span, tol=1e-10, t_eval=()):
     gam = P.array.num
     carr = P.algebra.array.num
     rhs = _jacobi_rhs(gam, carr)
-    z0 = np.concatenate(
-        [
-            np.asarray(x0, dtype=float),
-            np.asarray(y0, dtype=float),
-            np.asarray(ydot0, dtype=float),
-        ]
-    )
-    times, zs, status = _solve(
-        rhs, z0, t0, t1, tol, t_eval=_inner_targets(t_eval, t0, t1)
-    )
-    times, zs = _time_ordered(times, zs, t0, t1)
+    z0 = np.array([*x0, *y0, *ydot0], dtype=float)
+    times, zs, status = _sampled(rhs, z0, t0, t1, tol, t_eval)
     return JacobiTrajectory(
         times=tuple(times),
         states=tuple(tuple(float(v) for v in z[n : 2 * n]) for z in zs),
@@ -713,8 +718,7 @@ def biinvariant_jacobi(L, x0, y0, ydot0, t_span, tol=1e-10):
         return np.concatenate([yd, -adx0 @ yd])
 
     z0 = np.concatenate([np.asarray(y0, dtype=float), np.asarray(ydot0, dtype=float)])
-    times, zs, status = _solve(rhs, z0, t0, t1, tol)
-    times, zs = _time_ordered(times, zs, t0, t1)
+    times, zs, status = _sampled(rhs, z0, t0, t1, tol)
     return JacobiTrajectory(
         times=tuple(times),
         states=tuple(tuple(float(v) for v in z[:n]) for z in zs),
@@ -737,8 +741,7 @@ def right_invariant_reflection(L, P, x0, y0, t_span, tol=1e-10):
         raise DimensionMismatch("seed lengths do not match the algebra dimension")
     rhs = _reflection_rhs(P.array.num, L.to_float().array.num)
     z0 = np.concatenate([np.asarray(x0, dtype=float), np.asarray(y0, dtype=float)])
-    times, zs, status = _solve(rhs, z0, t0, t1, tol)
-    times, zs = _time_ordered(times, zs, t0, t1)
+    times, zs, status = _sampled(rhs, z0, t0, t1, tol)
     return JacobiTrajectory(
         times=tuple(times),
         states=tuple(tuple(float(v) for v in z[n:]) for z in zs),
@@ -753,34 +756,36 @@ def jacobi_route_gap(L, P, x0, y0, t_span, tol=1e-10, samples=101):
     """Sup-norm gap between the two routes to the same variation field.
 
     Runs the first-order reflection and the second-order system from the
-    matched initial data on a shared sample grid and returns the largest
-    componentwise difference.  Small gaps certify both integrations.
+    matched initial data and returns the largest componentwise difference
+    of their continuous extensions at samples evenly spaced times from t0
+    to t1, an integer of at least 2.  Small gaps certify both
+    integrations.
     """
     t0, t1 = _check_span(t_span)
-    grid = [t0 + (t1 - t0) * i / (samples - 1) for i in range(1, samples - 1)]
+    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 2:
+        raise InvalidSpan(f"route-gap samples must be an integer >= 2, got {samples!r}")
+    # t0 is left out, where the routes agree by construction; the last
+    # time is t1 itself
+    grid = [t0 + (t1 - t0) * i / (samples - 1) for i in range(1, samples - 1)] + [t1]
     P = _as_product(P)
     n = P.dim
     gam = P.array.num
     carr = L.to_float().array.num
     z0 = np.concatenate([np.asarray(x0, dtype=float), np.asarray(y0, dtype=float)])
     rhs_a = _reflection_rhs(gam, carr)
-    times_a, zs_a, status_a = _solve(rhs_a, z0, t0, t1, tol, t_eval=grid)
+    dense_a = _Dense()
+    _, _, status_a = _solve(rhs_a, z0, t0, t1, tol, dense=dense_a)
 
     # the matched start: y'(0) = -[x0, y0], the second half of the field
     z0b = np.concatenate([z0, rhs_a(z0)[n:]])
-    rhs_b = _jacobi_rhs(gam, carr)
-    times_b, zs_b, status_b = _solve(rhs_b, z0b, t0, t1, tol, t_eval=grid)
+    dense_b = _Dense()
+    _, _, status_b = _solve(_jacobi_rhs(gam, carr), z0b, t0, t1, tol, dense=dense_b)
 
     if not (status_a.completed and status_b.completed):
         return math.inf
-    lookup_a = {t: z for t, z in zip(times_a, zs_a)}
-    lookup_b = {t: z for t, z in zip(times_b, zs_b)}
-    gap = 0.0
-    for t in list(grid) + [t1]:
-        ya = lookup_a[t][n:]
-        yb = lookup_b[t][n : 2 * n]
-        gap = max(gap, float(np.max(np.abs(ya - yb))))
-    return gap
+    if not dense_a.steps:
+        raise InvalidSpan(f"span end {t1} is within the minimal step of {t0}")
+    return max(float(np.max(np.abs(dense_a(t)[n:] - dense_b(t)[n : 2 * n]))) for t in grid)
 
 
 def reflection_equation_residual(L, P, traj):
@@ -1029,11 +1034,8 @@ def polynomial_geodesic_check(L, u, trials=3, seed=0, tol=1e-7):
         p = len(spans)
         vecs = []
         for i in range(p):
-            j = p - 1 - i
-            if i >= len(spans) or j >= len(spans):
-                continue
             for vv in spans[i]:
-                for ww in spans[j]:
+                for ww in spans[p - 1 - i]:
                     vecs.append(bracket(L, vv, linalg.mat_vec(uinv, ww)))
         nxt = linalg.span_basis(vecs, exact)
         term = series[p] if p < len(series) else ()
@@ -1050,22 +1052,17 @@ def polynomial_geodesic_check(L, u, trials=3, seed=0, tol=1e-7):
     npts = order + 1
     span_t = 2.0
     h = span_t / (npts - 1)
-    grid = [i * h for i in range(1, npts - 1)]
-    import random
-
+    grid = [i * h for i in range(1, npts - 1)] + [span_t]
     rng = random.Random(seed)
     worst = 0.0
     for _ in range(trials):
         x0 = [rng.uniform(-1, 1) for _ in range(n)]
-        times, zs, status = _solve(
-            field, x0, 0.0, span_t, 1e-12, t_eval=grid
-        )
+        dense = _Dense()
+        _, _, status = _solve(field, x0, 0.0, span_t, 1e-12, dense=dense)
         if not status.completed:
             worst = math.inf
             continue
-        lookup = {t: z for t, z in zip(times, zs)}
-        samples = [np.asarray(x0, dtype=float)] + [lookup[t] for t in grid] + [lookup[span_t]]
-        diff = [np.asarray(s) for s in samples]
+        diff = [np.asarray(x0, dtype=float)] + [dense(t) for t in grid]
         for _k in range(order):
             diff = [diff[i + 1] - diff[i] for i in range(len(diff) - 1)]
         dd = max(float(np.max(np.abs(d))) for d in diff) / (

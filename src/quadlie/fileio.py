@@ -19,6 +19,7 @@ certificate-grade file survives a round trip.
 
 import hashlib
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -379,10 +380,12 @@ def write_trajectory_csv(path, traj):
 
 
 def to_jsonable(value):
-    """Recursive JSON payload: Fractions become "p/q" strings, numbers
-    pass through, sequences become lists."""
+    """Recursive JSON payload: Fractions become "p/q" strings, non-finite
+    floats null, other numbers pass through, sequences become lists."""
     if isinstance(value, Fraction):
         return scalars.fmt(value)
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     if isinstance(value, dict):

@@ -398,3 +398,48 @@ def test_step_count_gate_on_a_flat_phi_geodesic():
     v = euler_field(P.to_float(), x0)
     for t, x in zip(times, states):
         assert max(abs(a + t * b - c) for a, b, c in zip(x0, v, x)) <= 1e-8
+
+
+E2_SAMPLES = [0.1 * k for k in range(1, 150)]
+
+
+def test_sample_times_leave_the_mesh_alone():
+    # the rows at the mesh times of the bare run are bit for bit the same,
+    # and every requested time adds one row
+    _entry, P = plane_motion_product()
+    x0 = (0.7, -0.3, 1.3)
+    bare = integrate_geodesic(P, x0, (0.0, 15.0), tol=1e-10)
+    sampled = integrate_geodesic(P, x0, (0.0, 15.0), tol=1e-10, t_eval=E2_SAMPLES)
+    rows = dict(zip(sampled.times, sampled.states))
+    assert all(rows[t] == s for t, s in zip(bare.times, bare.states))
+    assert set(sampled.times) == set(bare.times) | set(E2_SAMPLES)
+    assert list(sampled.times) == sorted(sampled.times)
+
+
+def test_sample_rows_cost_at_most_three_evaluations_per_step():
+    entry, P = plane_motion_product()
+    x0 = (0.7, -0.3, 1.3)
+    field, calls = _counted(dynamics._field_from(P)[0])
+    bare = integrate_geodesic(field, x0, (0.0, 15.0), tol=1e-10)
+    bare_calls = len(calls)
+    sampled = integrate_geodesic(field, x0, (0.0, 15.0), tol=1e-10, t_eval=E2_SAMPLES)
+    assert len(calls) - bare_calls <= bare_calls + 3 * (len(bare.times) - 1)
+    closed = entry.oracles["geodesic"](x0)
+    rows = dict(zip(sampled.times, sampled.states))
+    worst = max(max(abs(a - b) for a, b in zip(rows[t], closed(t))) for t in E2_SAMPLES)
+    assert worst <= 1e-8
+
+
+def test_sampled_blowup_costs_one_read_step_per_sample():
+    # four samples fall in at most four steps, three extra stages each
+    entry = catalog("dim5-nilpotent")
+    field, calls = _counted(quadratic_euler_field(entry.algebra, entry.iso)[0])
+    seed = tuple(float(v) for v in entry.seeds["default"])
+    integrate_geodesic(field, seed, (0.0, -5.0), tol=1e-10)
+    bare_calls = len(calls)
+    samples = (-0.2, -0.4, -0.6, -0.8)
+    traj = integrate_geodesic(field, seed, (0.0, -5.0), tol=1e-10, t_eval=samples)
+    assert len(calls) - bare_calls <= bare_calls + 12
+    assert traj.status.kind in ("blowup", "step-collapse")
+    assert abs(traj.status.t - (-1.0)) <= 1e-3
+    assert set(samples) <= set(traj.times)
