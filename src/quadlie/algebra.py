@@ -72,9 +72,7 @@ class LieAlgebra:
     def to_float(self):
         if not self.exact:
             return self
-        c = tuple(
-            tuple(tuple(float(v) for v in row) for row in plane) for plane in self.c
-        )
+        c = tuple(scalars.coerce_matrix(plane, False) for plane in self.c)
         return LieAlgebra(self.dim, c, False, self.labels)
 
 
@@ -104,7 +102,7 @@ def validate_algebra(c, labels=None):
     lbl = tuple(labels) if labels else tuple(f"e{i}" for i in range(n))
     L = LieAlgebra(n, table, exact, lbl)
     C = L.array
-    cmax = float(C.peak())
+    cmax = C.scale()
 
     # the residual is symmetric in (i, j), so the first violation in
     # index order has i <= j
@@ -156,8 +154,10 @@ def _bracket_span(L, left_basis, right_basis):
     left = scalars.to_array(left_basis, L.exact)
     right = scalars.to_array(right_basis, L.exact)
     ad_left = scalars.contract("ai,ijk->ajk", left, L.array)
-    brackets = scalars.contract("ajk,bj->abk", ad_left, right).tuples()
-    return linalg.span_basis([v for row in brackets for v in row], L.exact)
+    brackets = scalars.contract("ajk,bj->abk", ad_left, right)
+    # every row shares one positive denominator, so the numerator rows span
+    # the same space; + 0 reads a binary64 -0.0 as 0.0, as tuples() does
+    return linalg.span_basis((brackets.num + 0).reshape(-1, L.dim).tolist(), L.exact)
 
 
 def structure_report(L):
@@ -199,7 +199,7 @@ def structure_report(L):
 
     C = L.array
     traces = scalars.contract("ikk->i", C)
-    tr_tol = scalars.tolerance(exact, max(1.0, float(C.peak())))
+    tr_tol = scalars.tolerance(exact, max(1.0, C.scale()))
     unimodular = not traces.beyond(tr_tol).any()
     abelian = not np.count_nonzero(C.num)
     return StructureReport(

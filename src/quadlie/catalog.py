@@ -202,9 +202,8 @@ def _build_e2():
 
 
 def _osc_group_product(lams):
-    lam = tuple(float(v) for v in lams)
-
     def product(g, h):
+        lam = scalars.coerce_vector(lams, False)
         s, t = float(g[0]), float(g[-1])
         sp, tp = float(h[0]), float(h[-1])
         zs = [complex(v) for v in g[1:-1]]

@@ -6,12 +6,12 @@ formula, which for left-invariant data collapses to
 
     2 <x y, z> = <[x, y], z> - <[y, z], x> + <[z, x], y>.
 
-All n^2 right-hand sides are solved against the single matrix 2 G, so one
-elimination (one inverse in exact mode, one factorization in binary64)
-serves the whole tensor.  The right-hand sides, curvature and the
-torsion, skew and left-symmetry residuals are einsum contractions over
-the cached ScaledArray views of c, gamma and G, one expression per
-quantity for both arithmetic modes.
+All n^2 right-hand sides are solved against the single matrix 2 G: one
+inverse of 2 G, in both modes, and one contraction of it against the
+right-hand sides give the whole tensor.  The right-hand sides, gamma,
+curvature and the torsion, skew and left-symmetry residuals are einsum
+contractions over the cached ScaledArray views of c, gamma and G, one
+expression per quantity for both arithmetic modes.
 
 Curvature uses the fixed sign convention
 
@@ -71,12 +71,9 @@ class ProductTensor:
     def to_float(self):
         if not self.exact:
             return self
-        g = tuple(
-            tuple(tuple(float(v) for v in row) for row in plane) for plane in self.gamma
-        )
         return ProductTensor(
             self.algebra.to_float(),
-            g,
+            tuple(scalars.coerce_matrix(plane, False) for plane in self.gamma),
             self.metric.to_float() if self.metric is not None else None,
             False,
         )
@@ -121,7 +118,6 @@ def levi_civita(L, g):
     if not exact:
         L = L.to_float()
         form = form.to_float()
-    n = L.dim
     C, G = L.array, form.array
     two_g = tuple(tuple(2 * v for v in row) for row in form.matrix)
     # rhs[i][j][m] = <[e_i, e_j], e_m> - <[e_j, e_m], e_i> + <[e_m, e_i], e_j>
@@ -130,10 +126,8 @@ def levi_civita(L, g):
         - scalars.contract("jmk,ki->ijm", C, G)
         + scalars.contract("mik,kj->ijm", C, G)
     )
-    sols = linalg.solve_many(two_g, [row for plane in rhs.tuples() for row in plane], exact)
-    gamma = tuple(
-        tuple(sols[i * n + j] for j in range(n)) for i in range(n)
-    )
+    inv = scalars.to_array(linalg.inverse(two_g, exact), exact)
+    gamma = scalars.contract("mk,ijk->ijm", inv, rhs).tuples()
     return ProductTensor(L, gamma, form, exact)
 
 
@@ -202,7 +196,7 @@ def product_report(P):
     in binary64 the thresholds scale with the tensor norms.
     """
     C, G, exact = P.algebra.array, P.array, P.exact
-    cmax, gmax = float(C.peak()), float(G.peak())
+    cmax, gmax = C.scale(), G.scale()
 
     torsion = G - G.transpose(1, 0, 2) - C
     torsion_ok = torsion.peak() <= scalars.tolerance(exact, max(1.0, cmax + 2 * gmax))
@@ -210,7 +204,7 @@ def product_report(P):
     skew_ok = None
     if P.metric is not None:
         K = P.metric.array
-        kmax = float(K.peak())
+        kmax = K.scale()
         # <e_i e_j, e_l> + <e_j, e_i e_l>
         skew = scalars.contract("ijm,ml->ijl", G, K) + scalars.contract("jm,ilm->ijl", K, G)
         skew_ok = skew.peak() <= scalars.tolerance(exact, max(1.0, 2 * gmax * kmax))

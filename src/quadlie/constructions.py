@@ -95,9 +95,7 @@ def build_double_extension(w_dim, k0, theta):
     k0m = k0f.matrix if exact else k0f.to_float().matrix
 
     k0th = linalg.mat_mul(k0m, th)
-    scale = max(
-        1.0, float(scalars.max_abs(k0m)) * float(scalars.max_abs(th))
-    )
+    scale = max(1.0, scalars.float_scale(exact, k0m) * scalars.float_scale(exact, th))
     tol = scalars.tolerance(exact, scale)
     for i in range(w_dim):
         for j in range(w_dim):
@@ -204,7 +202,7 @@ def build_two_step(spec):
     )
     if len(th) != m or any(len(p) != m or any(len(r) != m for r in p) for p in th):
         raise DimensionMismatch("theta must be dim_v^3")
-    tol = scalars.tolerance(exact, max(1.0, float(scalars.max_abs(th))))
+    tol = scalars.tolerance(exact, max(1.0, scalars.float_scale(exact, th)))
     for i in range(m):
         for j in range(m):
             for k in range(m):

@@ -132,7 +132,7 @@ def _construct(doc):
             raise ParseError("oscillator construct needs a nonempty lambda list")
         toks = [_classify(v, f"lambda[{i}]") for i, v in enumerate(raw)]
         exact = all(e for e, _ in toks)
-        lams = tuple(v if exact else float(v) for _, v in toks)
+        lams = tuple(scalars.coerce(v, exact) for _, v in toks)
         L, k = build_oscillator(lams)
         return L, k, None
 
@@ -163,7 +163,7 @@ def _construct(doc):
             exact = all(e for plane in toks for row in plane for e, _ in row)
             theta = tuple(
                 tuple(
-                    tuple(v if exact else float(v) for _, v in row) for row in plane
+                    tuple(scalars.coerce(v, exact) for _, v in row) for row in plane
                 )
                 for plane in toks
             )
@@ -174,7 +174,7 @@ def _construct(doc):
         toks = _parse_matrix_tokens(phi_rows, m, "phi")
         exact = all(e for row in toks for e, _ in row)
         phi = tuple(
-            tuple(v if exact else float(v) for _, v in row) for row in toks
+            tuple(scalars.coerce(v, exact) for _, v in row) for row in toks
         )
         # form slot carries the duality pairing, iso slot the operator;
         # consumers recover the phi-metric as k.u like for any other file
@@ -270,7 +270,7 @@ def parse_algebra_doc(doc):
     exact = all(flags)
 
     def conv(v):
-        return v if exact else float(v)
+        return scalars.coerce(v, exact)
 
     zero = Fraction(0) if exact else 0.0
     c = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
@@ -312,7 +312,7 @@ def _parse_form(rows, n):
     gm = [[zero] * n for _ in range(n)]
     for r, row in enumerate(toks):
         for s, (_, value) in enumerate(row):
-            gm[r][s] = value if exact else float(value)
+            gm[r][s] = scalars.coerce(value, exact)
             gm[s][r] = gm[r][s]
     return validate_form(gm)
 
@@ -320,7 +320,7 @@ def _parse_form(rows, n):
 def _parse_iso(rows, n):
     toks = _parse_matrix_tokens(rows, n, "iso")
     exact = all(e for row in toks for e, _ in row)
-    mat = tuple(tuple(v if exact else float(v) for _, v in row) for row in toks)
+    mat = tuple(tuple(scalars.coerce(v, exact) for _, v in row) for row in toks)
     return SymmetricIso(n, mat, exact)
 
 

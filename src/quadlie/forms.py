@@ -46,8 +46,7 @@ class SymBilinearForm:
     def to_float(self):
         if not self.exact:
             return self
-        m = tuple(tuple(float(v) for v in row) for row in self.matrix)
-        return SymBilinearForm(self.dim, m, False)
+        return SymBilinearForm(self.dim, scalars.coerce_matrix(self.matrix, False), False)
 
 
 @dataclass(frozen=True)
@@ -71,8 +70,7 @@ class SymmetricIso:
     def to_float(self):
         if not self.exact:
             return self
-        m = tuple(tuple(float(v) for v in row) for row in self.matrix)
-        return SymmetricIso(self.dim, m, False)
+        return SymmetricIso(self.dim, scalars.coerce_matrix(self.matrix, False), False)
 
 
 @dataclass(frozen=True)
@@ -111,7 +109,7 @@ def validate_form(g):
     m = scalars.coerce_matrix(g, exact)
     form = SymBilinearForm(n, m, exact)
     M = form.array
-    tol = scalars.tolerance(exact, max(1.0, float(M.peak())))
+    tol = scalars.tolerance(exact, max(1.0, M.scale()))
     # M - M^T is antisymmetric with a zero diagonal, so the first violation
     # in index order has i < j
     bad = np.argwhere((M - M.transpose()).beyond(tol))
@@ -148,7 +146,7 @@ def check_ad_invariance(L, k):
     # res[i, r, s]: entry (r, s) of K ad_i + ad_i^T K, ad_i[t][s] = c[i][s][t]
     res = scalars.contract("rt,ist->irs", K, C) + scalars.contract("irt,ts->irs", C, K)
     worst = res.peak() or scalars.coerce(0, exact)
-    tol = scalars.tolerance(exact, max(1.0, float(C.peak()) * float(K.peak())))
+    tol = scalars.tolerance(exact, max(1.0, C.scale() * K.scale()))
     return AdInvarianceReport(invariant=worst <= tol, max_residual=worst)
 
 
@@ -169,12 +167,12 @@ def metric_from_iso(k, u):
         raise DimensionMismatch("operator and form dimensions differ")
     if not exact:
         form = form.to_float()
-        umat = tuple(tuple(float(v) for v in row) for row in umat)
+        umat = scalars.coerce_matrix(umat, False)
 
     K, U = form.array, scalars.to_array(umat, exact)
     ku = scalars.contract("ij,jk->ik", K, U)
     worst = (ku - scalars.contract("ji,jk->ik", U, K)).peak()
-    tol = scalars.tolerance(exact, max(1.0, float(K.peak()) * float(U.peak())))
+    tol = scalars.tolerance(exact, max(1.0, K.scale() * U.scale()))
     if worst > tol:
         raise NotKSymmetric(f"operator is not self-adjoint, residual {worst}")
     try:

@@ -3,7 +3,10 @@
 The exact path is hand-rolled.  One fraction-free (Bareiss) Gauss-Jordan
 elimination over integers serves rank, nullspaces, reduced row echelon
 forms, span bases, solving, inverses and determinants; a congruence sweep
-gives signatures.  Sizes here are tiny (dimension <= 16 or so), so clarity
+gives signatures.  The elimination takes rows of ints or Fractions and
+clears each row's denominators straight from their .numerator and
+.denominator, so integer rows (the numerators of a ScaledArray) go in
+as they are.  Sizes here are tiny (dimension <= 16 or so), so clarity
 wins over asymptotics.  The float path defers to numpy with the
 rank/kernel threshold fixed at 1e-9 relative to the largest singular value.
 
@@ -74,7 +77,9 @@ def identity(n, exact=True):
 def _eliminate(a):
     """Fraction-free Gauss-Jordan elimination of a rational matrix.
 
-    Each row is first cleared of denominators by their lcm.  Pivoting on
+    Entries are ints or Fractions, read through .numerator and
+    .denominator with no Fraction built per entry, and each row is first
+    cleared of denominators by their lcm.  Pivoting on
     the first nonzero entry in column order, Bareiss's exact division step
     (Bareiss 1968, Math. Comp. 22) then runs on every other row, above the
     pivot as well as below it, so every entry stays an integer.  Returns
@@ -86,10 +91,9 @@ def _eliminate(a):
     m = []
     scale = 1
     for row in a:
-        fr = [Fraction(v) for v in row]
-        den = math.lcm(*(f.denominator for f in fr))
+        den = math.lcm(*(v.denominator for v in row))
         scale *= den
-        m.append([f.numerator * (den // f.denominator) for f in fr])
+        m.append([v.numerator * (den // v.denominator) for v in row])
     nrows, ncols = len(m), len(m[0]) if m else 0
     pivots = []
     prev = sign = 1

@@ -11,6 +11,20 @@ one common denominator (the lcm of the entries' denominators), in binary64
 a float64 array over 1.  Every tensor kernel is one np.einsum contraction
 over these arrays, the same expression in both modes, and tuples() is the
 one way back to nested tuples of Fraction or float.
+
+An exact contraction runs its einsum on int64 copies of the numerators
+when the result provably fits: (number of summed terms) times the product
+of each operand's largest |numerator| is at most 2**63 - 1, so no partial
+sum can overflow.  The result comes back as Python ints.  The casts cost
+about as much per entry as an object multiply-add, so the int64 path runs
+only when the multiply-adds reach INT64_WORK_FLOOR plus
+INT64_WORK_PER_ENTRY per entry converted (operands and result); smaller
+contractions, a matrix times a vector for one, and any whose bound fails
+stay on the object-dtype einsum, one Python-int operation per
+multiply-add, which takes numerators of any size.  Exact verdicts take no
+slack, so they never need a binary64 scale of their entries (see
+float_scale and ScaledArray.scale); converting an exact entry beyond
+binary64 raises InvalidValue.
 """
 
 import math
@@ -32,6 +46,7 @@ __all__ = [
     "max_abs",
     "flatten",
     "tolerance",
+    "float_scale",
     "ScaledArray",
     "to_array",
     "vector",
@@ -75,8 +90,16 @@ def as_exact(v):
     raise MixedModeError(f"binary64 value {v!r} used in an exact context")
 
 
+def as_float(v):
+    """v in binary64; InvalidValue when an exact v lies beyond its range."""
+    try:
+        return float(v)
+    except OverflowError:
+        raise InvalidValue("exact entry beyond the binary64 range") from None
+
+
 def coerce(v, exact):
-    return as_exact(v) if exact else float(v)
+    return as_exact(v) if exact else as_float(v)
 
 
 def coerce_vector(xs, exact):
@@ -138,6 +161,13 @@ def tolerance(exact, scale):
     return 0 if exact else 1e-9 * scale
 
 
+def float_scale(exact, nested):
+    """Largest |entry| of a nested container as the binary64 scale of a
+    tolerance; 0.0 in exact mode, whose verdicts take no slack and whose
+    entries may lie beyond binary64 (ScaledArray.scale for arrays)."""
+    return 0.0 if exact else float(max_abs(nested))
+
+
 def _tupled(x):
     return tuple(map(_tupled, x)) if isinstance(x, list) else x
 
@@ -191,6 +221,12 @@ class ScaledArray:
         top = np.max(np.abs(self.num)) if self.num.size else 0
         return self.scalar(top) if top else 0
 
+    def scale(self):
+        """Largest |entry| as the binary64 scale of a tolerance; 0.0 in
+        exact mode, whose verdicts take no slack and whose entries may lie
+        beyond binary64."""
+        return 0.0 if self.exact else float(self.peak())
+
     def beyond(self, tol):
         """Boolean mask of the entries with |entry| > tol."""
         return np.abs(self.num) > tol * self.den
@@ -214,10 +250,42 @@ def vector(x, exact):
     return to_array(coerce_vector(x, exact), exact)
 
 
+# int64 pays once the multiply-adds reach INT64_WORK_FLOOR plus
+# INT64_WORK_PER_ENTRY per entry it converts (the operands to int64, the
+# result back), since a cast costs about an object multiply-add; fitted to
+# per-spec, per-size timings from tools/contract_crossover.py
+INT64_WORK_FLOOR = 256
+INT64_WORK_PER_ENTRY = 1.5
+_INT64_MAX = 2**63 - 1
+
+
+def _fits_int64(spec, nums):
+    """Whether the einsum of an explicit "in,in->out" spec over the exact
+    numerators nums is worth running on int64 and provably fits it."""
+    inputs, output = spec.split("->")
+    sizes = {}
+    for labels, num in zip(inputs.split(","), nums):
+        sizes.update(zip(labels, num.shape))
+    work = math.prod(sizes.values())
+    out = math.prod(sizes[c] for c in output)
+    entries = sum(num.size for num in nums) + out
+    if work < INT64_WORK_FLOOR + INT64_WORK_PER_ENTRY * entries:
+        return False
+    bound = work // out  # the number of summed terms
+    for num in nums:
+        # at least 1, so the bound also covers each operand's own entries
+        bound *= max(num.max(), -num.min(), 1)
+    return bound <= _INT64_MAX
+
+
 def contract(spec, *arrays):
-    """np.einsum over the numerators; the denominators multiply."""
+    """np.einsum over the numerators, on int64 copies when an exact result
+    provably fits and the work repays the casts; the denominators multiply."""
     nums = [a.num for a in arrays]
-    num = np.asarray(np.einsum(spec, *nums), dtype=nums[0].dtype)
+    dtype = nums[0].dtype
+    if dtype == object and _fits_int64(spec, nums):
+        nums = [n.astype(np.int64) for n in nums]
+    num = np.asarray(np.einsum(spec, *nums)).astype(dtype, copy=False)
     return ScaledArray(num, math.prod(a.den for a in arrays))
 
 
@@ -229,5 +297,5 @@ def left_mult(table, x):
     ScaledArrays or on bare float64 arrays.
     """
     if isinstance(table, ScaledArray):
-        return ScaledArray(left_mult(table.num, x.num), table.den * x.den)
+        return contract("ijk,i->kj", table, x)
     return np.einsum("ijk,i->kj", table, x)

@@ -333,3 +333,106 @@ def test_cli_argv_fuzz(argv):
     assert code in (0, 1, 2)
     if out.getvalue():
         _strict_json(out.getvalue())
+
+
+# --- exact entries beyond binary64 -------------------------------------------
+
+BIG = 10**400  # 401 digits: exact arithmetic takes it, binary64 cannot
+
+
+def _big_e2():
+    """e2-motion with its brackets scaled by BIG, and its flat metric."""
+    L = catalog("e2-motion").algebra
+    c = [[[BIG * v for v in row] for row in plane] for plane in L.c]
+    return c, ((1, 0, 0), (0, 1, 0), (0, 0, -1))
+
+
+@pytest.fixture
+def big_doc(tmp_path):
+    c, g = _big_e2()
+    brackets = [
+        {"i": i, "j": j, "terms": [{"k": k, "coef": str(v)} for k, v in enumerate(c[i][j]) if v]}
+        for i in range(3) for j in range(i + 1, 3) if any(c[i][j])
+    ]
+    doc = {"dim": 3, "brackets": brackets, "form": [list(map(str, g[r][: r + 1])) for r in range(3)]}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_exact_verdicts_take_entries_beyond_binary64():
+    c, g = _big_e2()
+    L = validate_algebra(c)
+    rep = quadlie.structure_report(L)
+    assert rep.unimodular and not rep.abelian and len(rep.center) == 0
+    P = levi_civita(L, g)
+    small = levi_civita(catalog("e2-motion").algebra, g)
+    assert P.gamma == tuple(tuple(tuple(BIG * v for v in row) for row in p) for p in small.gamma)
+    flat = quadlie.product_report(P)
+    assert flat.flat and flat.torsion_ok and flat.skew_ok and flat.tolerance == 0
+    big_form = validate_form([[BIG * v for v in row] for row in g])
+    assert quadlie.check_ad_invariance(L, big_form).invariant is False
+    iso, metric = metric_from_iso(g, [[BIG if i == j else 0 for j in range(3)] for i in range(3)])
+    assert metric.matrix == big_form.matrix
+
+
+def test_builders_take_entries_beyond_binary64():
+    L, k = quadlie.build_double_extension(2, [[1, 0], [0, 1]], [[0, BIG], [-BIG, 0]])
+    assert L.exact and max(abs(v) for p in L.c for r in p for v in r) == BIG
+    theta = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    for (i, j, k_), s in (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+                          ((1, 0, 2), -1), ((0, 2, 1), -1), ((2, 1, 0), -1)):
+        theta[i][j][k_] = s * BIG
+    L, k = quadlie.build_two_step(quadlie.TwoStepSpec(3, theta))
+    assert L.exact and L.dim == 6
+
+
+def test_converting_entries_beyond_binary64_raises_invalid_value():
+    c, g = _big_e2()
+    L = validate_algebra(c)
+    form = validate_form([[BIG * v for v in row] for row in g])
+    iso = quadlie.SymmetricIso(3, tuple(tuple(BIG * v for v in row) for row in g), True)
+    P = levi_civita(L, g)
+    for obj in (L, form, iso, P):
+        with pytest.raises(InvalidValue):
+            obj.to_float()
+
+
+@pytest.mark.parametrize("cmd", ["validate", "analyze", "connection", "curvature", "flat"])
+def test_cli_certifies_a_document_beyond_binary64(big_doc, cmd):
+    code, rep = run(cmd, "--input", str(big_doc))
+    assert code == 0
+    assert "error" not in rep
+    if cmd == "flat":
+        assert rep["verdicts"]["flat"] == {"value": True, "mode": "exact", "tolerance": 0}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["geodesic", "--x", "e0:1", "--span", "0:1"],
+        ["probe", "--x", "e0:1", "--span=-1:1"],
+        ["conjugate", "--x", "e0:1", "--window", "0:2", "--grid", "4"],
+    ],
+)
+def test_cli_binary64_commands_reject_a_document_beyond_binary64(big_doc, argv):
+    code, rep = run(*argv, "--input", str(big_doc))
+    assert code == 1
+    assert rep["error"]["type"] == "InvalidValue"
+
+
+def test_a_binary64_document_with_an_entry_beyond_its_range_is_invalid(big_doc):
+    doc = json.loads(big_doc.read_text())
+    doc["form"][0][0] = 1.5
+    big_doc.write_text(json.dumps(doc))
+    code, rep = run("validate", "--input", str(big_doc))
+    assert code == 1
+    assert rep["error"]["type"] == "InvalidValue"
+
+
+def test_a_catalog_frequency_beyond_binary64_certifies_and_only_its_float_oracle_fails():
+    entry = catalog(f"oscillator({BIG})")
+    with pytest.raises(InvalidValue):
+        entry.oracles["group_product"]((0, 0, 0), (0, 0, 0))
+    code, rep = run("analyze", "--catalog", f"oscillator({BIG})")
+    assert code == 0 and rep["mode"] == "exact"

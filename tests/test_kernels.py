@@ -11,6 +11,7 @@ Fractions, independent of the contractions they check.
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from quadlie import (
     build_double_extension,
     build_two_step,
     catalog,
+    check_ad_invariance,
     curvature,
     flatness_report,
     levi_civita,
@@ -211,6 +213,65 @@ def test_exact_and_binary64_flat_verdicts_agree(family, examples):
         assert type(approx.max_residual) in (int, float)
 
     check()
+
+
+# metric and structure constants scaled beyond int64: the object path
+LAMBDA = F(2**70, 3**5)
+MU = F(3**45, 7)
+
+
+def scaled(table, s):
+    return tuple(scaled(t, s) for t in table) if isinstance(table, tuple) else s * table
+
+
+@pytest.mark.parametrize("family, examples", FAMILIES)
+def test_scaling_past_int64_scales_the_product_and_keeps_the_verdicts(family, examples):
+    @settings(PROFILE, max_examples=min(examples, 8))
+    @given(metric_pairs(family))
+    def check(pair):
+        L, g = pair
+        P = levi_civita(L, g)
+        rep = product_report(P)
+        # the product of a metric is that of every constant multiple of it
+        assert levi_civita(L, validate_form(scaled(g.matrix, LAMBDA))).gamma == P.gamma
+        big = validate_algebra(scaled(L.c, MU))
+        dtypes = []
+        einsum = np.einsum
+
+        def spy(spec, *ops):
+            dtypes.extend(op.dtype for op in ops)
+            return einsum(spec, *ops)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np, "einsum", spy)
+            Q = levi_civita(big, g)
+            big_rep = product_report(Q)
+        # a nonzero entry of mu c lies beyond int64, so its kernels run on objects
+        assert np.dtype(object) in dtypes or not any(big.array.num.flat)
+        assert Q.gamma == scaled(P.gamma, MU)
+        assert big_rep.max_residual == MU**2 * rep.max_residual
+        verdicts = ("flat", "torsion_ok", "skew_ok", "left_symmetric", "mode", "tolerance")
+        assert [getattr(big_rep, v) for v in verdicts] == [getattr(rep, v) for v in verdicts]
+
+    check()
+
+
+def test_a_zero_operand_beside_entries_beyond_int64_stays_exact():
+    # a zero operand must not let the other operands' numerators onto int64
+    n = 6
+    zero = validate_algebra([[[0] * n for _ in range(n)] for _ in range(n)])
+    g = validate_form([[(10**20 if i == n - 1 else 1) if i == j else 0 for j in range(n)]
+                       for i in range(n)])
+    P = levi_civita(zero, g)
+    assert all(v == 0 for plane in P.gamma for row in plane for v in row)
+    assert product_report(P).flat
+    assert check_ad_invariance(zero, g).invariant
+    osc = catalog("oscillator(1,2)")
+    big = validate_algebra(scaled(osc.algebra.c, MU))
+    R = curvature(levi_civita(big, osc.quad_form))
+    assert R.max_abs() > 2**63
+    e = [1] + [0] * (n - 1)
+    assert R.apply([0] * n, e, e) == (F(0),) * n
 
 
 def test_two_step_phi_metrics_are_flat():

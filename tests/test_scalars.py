@@ -1,8 +1,16 @@
 """Dual arithmetic tower: mode decision, coercion, formatting."""
 
+import itertools
+import math
+import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from quadlie import scalars
 from quadlie.errors import MixedModeError
@@ -70,3 +78,165 @@ def test_coerce_matrix_mode():
     assert all(isinstance(v, Fraction) for row in m for v in row)
     mf = scalars.coerce_matrix([[1, 2], [3, 4]], False)
     assert all(isinstance(v, float) for row in mf for v in row)
+
+
+# ---------------------------------------------------------------------------
+# both paths of scalars.contract: int64 when the bound fits, objects otherwise
+
+_SPECS = sorted(
+    {
+        spec
+        for path in Path(scalars.__file__).parent.glob("*.py")
+        for spec in re.findall(r'contract\(\s*"([^"]+)"', path.read_text())
+    }
+)
+# 2**63 - 1 = 7 * 7 * 73 * 127 * 337 * 92737 * 649657
+_PRIMES = (7, 7, 73, 127, 337, 92737, 649657)
+
+
+def _rest(*used):
+    rest = list(_PRIMES)
+    for p in used:
+        rest.remove(p)
+    return rest
+
+
+# (summed terms, factors of the operands' largest |numerators|): the bound,
+# terms times the product of those maxima, lands exactly on 2**63 - 1 ...
+_AT_BOUND = [(math.prod(u), _rest(*u)) for u in ((7,), (73,), (127,), (7, 337))]
+# ... or one above it, on 2**63
+_ABOVE = [(2**k, [2] * (63 - k)) for k in (3, 6, 11)]
+
+
+def _reference(spec, nums):
+    """The contraction by plain loops over every index assignment."""
+    inputs, output = spec.split("->")
+    labels = inputs.split(",")
+    sizes = {c: n for lab, num in zip(labels, nums) for c, n in zip(lab, num.shape)}
+    order = sorted(sizes)
+    out = {}
+    for values in itertools.product(*(range(sizes[c]) for c in order)):
+        at = dict(zip(order, values))
+        term = 1
+        for lab, num in zip(labels, nums):
+            term *= num[tuple(at[c] for c in lab)]
+        key = tuple(at[c] for c in output)
+        out[key] = out.get(key, 0) + term
+    shape = tuple(sizes[c] for c in output)
+    return [out.get(idx, 0) for idx in itertools.product(*(range(n) for n in shape))]
+
+
+def _worth_int64(spec, shapes):
+    """The work rule of scalars.contract, restated: the multiply-adds reach
+    INT64_WORK_FLOOR plus INT64_WORK_PER_ENTRY per operand and result entry."""
+    inputs, output = spec.split("->")
+    sizes = {c: n for lab, shape in zip(inputs.split(","), shapes) for c, n in zip(lab, shape)}
+    work = math.prod(sizes.values())
+    entries = sum(map(math.prod, shapes)) + math.prod(sizes[c] for c in output)
+    return work >= scalars.INT64_WORK_FLOOR + scalars.INT64_WORK_PER_ENTRY * entries
+
+
+def _reaches_int64(spec):
+    """Whether growing the result makes int64 worth it: every operand misses
+    an output label, so its entries are each used many times.  A matrix
+    times a vector, a trace and a dot product never do."""
+    inputs, output = spec.split("->")
+    return all(set(output) - set(lab) for lab in inputs.split(","))
+
+
+@st.composite
+def _operands(draw, spec, case):
+    """Operands of spec whose numerator bound is at 2**63 - 1 ("at-bound"),
+    on 2**63 ("above"), or at 2**63 - 1 with too little work for int64
+    ("small"); at-bound and above grow the result until int64 is worth it,
+    where the spec can reach that."""
+    inputs, output = spec.split("->")
+    labels = inputs.split(",")
+    summed = sorted(set(inputs) - set(output) - {","})
+    choices = _ABOVE if case == "above" else _AT_BOUND
+    if case == "small" or any(len(set(lab)) < len(lab) for lab in labels):
+        choices = choices[:1]  # a trace stays small as well
+    elif output:
+        choices = [(t, f) for t, f in choices if t < 1000]  # keeps the loops short
+    terms, factors = draw(st.sampled_from(choices))
+    sizes = dict.fromkeys(summed, 1) | {summed[0]: terms}
+    sizes |= dict.fromkeys(output, 1 if case == "small" else 2)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    while case != "small" and _reaches_int64(spec) and not _worth_int64(
+        spec, [tuple(sizes[c] for c in lab) for lab in labels]
+    ):
+        sizes[rng.choice(output)] += 1
+    # split the bound's factors among the operands' largest |numerator|
+    owners = [rng.randrange(len(labels)) for _ in factors]
+    peaks = [math.prod(p for p, o in zip(factors, owners) if o == a) for a in range(len(labels))]
+    saturate = draw(st.booleans())
+    arrays = []
+    for lab, peak in zip(labels, peaks):
+        shape = tuple(sizes[c] for c in lab)
+        count = math.prod(shape)
+        if saturate:  # every term at the bound: one value per operand
+            entries = [rng.choice((peak, -peak))] * count
+        else:
+            entries = [rng.randint(-peak, peak) for _ in range(count)]
+            entries[rng.randrange(count)] = rng.choice((peak, -peak))
+        num = np.array(entries, dtype=object).reshape(shape)
+        arrays.append(scalars.ScaledArray(num, rng.randint(1, 3)))
+    return arrays
+
+
+@pytest.mark.parametrize("case", ["at-bound", "above", "small"])
+@pytest.mark.parametrize("spec", _SPECS)
+def test_contract_matches_plain_loops_on_both_paths(spec, case):
+    @settings(derandomize=True, database=None, deadline=None, max_examples=6,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_operands(spec, case))
+    def check(arrays):
+        dtypes = []
+        einsum = np.einsum
+
+        def spy(s, *ops):
+            dtypes.append({op.dtype for op in ops})
+            return einsum(s, *ops)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np, "einsum", spy)
+            out = scalars.contract(spec, *arrays)
+        worth = _worth_int64(spec, [a.num.shape for a in arrays])
+        assert worth == (case != "small" and _reaches_int64(spec))
+        on_int64 = case == "at-bound" and worth
+        assert dtypes == [{np.dtype(np.int64 if on_int64 else object)}]
+        assert out.exact and out.den == math.prod(a.den for a in arrays)
+        flat = list(out.num.flat)
+        assert all(type(v) is int for v in flat)
+        assert flat == _reference(spec, [a.num for a in arrays])
+
+    check()
+
+
+@pytest.mark.parametrize("spec", _SPECS)
+def test_contract_keeps_objects_when_a_zero_operand_meets_entries_beyond_int64(spec):
+    # the zero operand's peak is 0; the bound must still see 2**63 in the others
+    labels = spec.split("->")[0].split(",")
+    size = 2
+    while _reaches_int64(spec) and not _worth_int64(spec, [(size,) * len(lab) for lab in labels]):
+        size += 1
+    rng = random.Random(spec)
+    arrays = []
+    for a, lab in enumerate(labels):
+        shape = (size,) * len(lab)
+        if a == 0 and len(labels) > 1:
+            entries = [0] * math.prod(shape)
+        else:
+            entries = [rng.choice((2**63, -(2**63), rng.randint(-9, 9))) for _ in range(math.prod(shape))]
+        arrays.append(scalars.ScaledArray(np.array(entries, dtype=object).reshape(shape), 1))
+    out = scalars.contract(spec, *arrays)
+    flat = list(out.num.flat)
+    assert all(type(v) is int for v in flat)
+    assert flat == _reference(spec, [a.num for a in arrays])
+
+
+def test_contract_covers_the_specs_of_every_kernel():
+    # left_mult and the connection, curvature and structure kernels
+    assert {"ijk,i->kj", "mk,ijk->ijm", "jkm,iml->ijkl", "ikk->i", "i,i->"} <= set(_SPECS)
+    assert all(spec.count("->") == 1 for spec in _SPECS)
+    assert math.prod(_PRIMES) == 2**63 - 1
