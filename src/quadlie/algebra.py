@@ -169,13 +169,12 @@ def structure_report(L):
     """
     n = L.dim
     exact = L.exact
+    C = L.array
     full = tuple(L.basis_vector(i) for i in range(n))
 
-    rows = []
-    for j in range(n):
-        for k in range(n):
-            rows.append([L.c[i][j][k] for i in range(n)])
-    center = linalg.nullspace(rows, exact)
+    # row (j, k) holds c[i][j][k] over i; the rows share one positive
+    # denominator, so their numerators have the same kernel
+    center = linalg.nullspace(C.num.transpose(1, 2, 0).reshape(n * n, n).tolist(), exact)
 
     derived = _bracket_span(L, full, full)
 
@@ -197,7 +196,6 @@ def structure_report(L):
         dseries.append(nxt)
     solvable = not dseries[-1]
 
-    C = L.array
     traces = scalars.contract("ikk->i", C)
     tr_tol = scalars.tolerance(exact, max(1.0, C.scale()))
     unimodular = not traces.beyond(tr_tol).any()

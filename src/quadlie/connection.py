@@ -81,16 +81,21 @@ class ProductTensor:
 
 @dataclass(frozen=True)
 class CurvatureTensor:
-    r: tuple  # r[i][j][k][l]: coefficient of e_l in R(e_i, e_j) e_k
-    exact: bool
+    """R as the ScaledArray it is computed as; the nested tuples r are
+    built only when read, once per tensor."""
+
+    array: scalars.ScaledArray  # R[i, j, k, l]: coefficient of e_l in R(e_i, e_j) e_k
+
+    @property
+    def exact(self):
+        return self.array.exact
 
     @cached_property
-    def array(self):
-        """r as a ScaledArray, converted once per tensor."""
-        return scalars.to_array(self.r, self.exact)
+    def r(self):
+        return self.array.tuples()
 
     def max_abs(self):
-        return scalars.max_abs(self.r)
+        return self.array.peak()
 
     def apply(self, x, y, z):
         r = scalars.contract("i,ijkl->jkl", scalars.vector(x, self.exact), self.array)
@@ -136,7 +141,10 @@ def product_from_iso(L, k, u):
 
     2 x y = [x, y] + u^{-1}([x, u(y)] + [y, u(x)]).
 
-    Kept separate from levi_civita so the two can cross-check each other.
+    The brackets [e_i, u e_j] are one contraction of the table against u,
+    [e_j, u e_i] their transpose, and u^{-1} is applied by one more; the
+    metric Gram matrix G is never inverted.  Kept separate from
+    levi_civita so the two can cross-check each other.
     """
     form = k if isinstance(k, SymBilinearForm) else validate_form(k)
     iso = u if isinstance(u, SymmetricIso) else SymmetricIso(
@@ -147,25 +155,17 @@ def product_from_iso(L, k, u):
         L = L.to_float()
         form = form.to_float()
         iso = iso.to_float()
-    n = L.dim
-    uinv = iso.inverse_matrix()
-    half = Fraction(1, 2) if exact else 0.5
-    gamma = []
-    for i in range(n):
-        ei = L.basis_vector(i)
-        uei = iso.apply(ei)
-        plane = []
-        for j in range(n):
-            ej = L.basis_vector(j)
-            br = L.bracket(ei, ej)
-            t1 = L.bracket(ei, iso.apply(ej))
-            t2 = L.bracket(ej, uei)
-            corr = linalg.mat_vec(uinv, tuple(a + b for a, b in zip(t1, t2)))
-            plane.append(tuple(half * (a + b) for a, b in zip(br, corr)))
-        gamma.append(tuple(plane))
-    ku = linalg.mat_mul(form.matrix, iso.matrix)
-    metric = validate_form(ku)
-    return ProductTensor(L, tuple(gamma), metric, exact)
+    C, U = L.array, scalars.to_array(iso.matrix, exact)
+    uinv = scalars.to_array(iso.inverse_matrix(), exact)
+    # t[i][j][k]: component k of [e_i, u e_j]
+    t = scalars.contract("ajk,bj->abk", C, U.transpose())
+    twice = C + scalars.contract("mk,ijk->ijm", uinv, t + t.transpose(1, 0, 2))
+    if exact:
+        gamma = scalars.ScaledArray(twice.num, 2 * twice.den)
+    else:
+        gamma = scalars.ScaledArray(twice.num / 2)
+    metric = validate_form(scalars.contract("ij,jk->ik", form.array, U).tuples())
+    return ProductTensor(L, gamma.tuples(), metric, exact)
 
 
 def _compose(P):
@@ -185,7 +185,7 @@ def _curvature_array(P, comp):
 
 def curvature(P):
     """R[i][j][k][l] under R(x,y) = L_[x,y] - L_x L_y + L_y L_x."""
-    return CurvatureTensor(_curvature_array(P, _compose(P)).tuples(), P.exact)
+    return CurvatureTensor(_curvature_array(P, _compose(P)))
 
 
 def product_report(P):

@@ -12,14 +12,24 @@ On top of these sit the operator families that make the geometric side
 tick: metrics from an invertible map on V for the two-step family with
 their conjugacy invariants, and the graded derivation pairs that force
 flat products on three-step nilpotent algebras.
+
+Tables and form matrices are assembled by slicing object arrays that hold
+the mode's zero, so the entries come out as Fraction or float, the same
+code in both modes.  Each identity is checked by one contraction over the
+ScaledArray views and one np.argwhere, whose first hit in row-major order
+is the first violation in index order; every product of the derivation
+pairs (brackets, B diag B^{-1}, the product d^{-1}[f x, d y]) is one
+scalars.contract.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import linalg, scalars
-from .algebra import LieAlgebra, bracket, structure_report, validate_algebra
+from .algebra import LieAlgebra, structure_report, validate_algebra
 from .connection import ProductTensor
 from .errors import (
     DimensionMismatch,
@@ -78,6 +88,12 @@ class SimilarityInvariants:
     invariant_factor_degrees: tuple
 
 
+def _negated(block):
+    """-block entrywise for a table's other half; zeros stay as they are,
+    so no binary64 -0.0 appears."""
+    return np.where(block != 0, -block, block)
+
+
 def build_double_extension(w_dim, k0, theta):
     """Extend an abelian metric space (W, k0) by a k0-skew map theta.
 
@@ -92,44 +108,30 @@ def build_double_extension(w_dim, k0, theta):
     th = scalars.coerce_matrix(theta, exact)
     if len(th) != w_dim or any(len(r) != w_dim for r in th):
         raise DimensionMismatch("theta size does not match W dimension")
-    k0m = k0f.matrix if exact else k0f.to_float().matrix
+    k0f = k0f if exact else k0f.to_float()
+    K0, TH = k0f.array, scalars.to_array(th, exact)
 
-    k0th = linalg.mat_mul(k0m, th)
-    scale = max(1.0, scalars.float_scale(exact, k0m) * scalars.float_scale(exact, th))
-    tol = scalars.tolerance(exact, scale)
-    for i in range(w_dim):
-        for j in range(w_dim):
-            if abs(k0th[i][j] + k0th[j][i]) > tol:
-                raise NotAntisymmetric(
-                    f"theta is not k0-skew at entries ({i}, {j})"
-                )
+    k0th = scalars.contract("ij,jk->ik", K0, TH)
+    tol = scalars.tolerance(exact, max(1.0, K0.scale() * TH.scale()))
+    bad = np.argwhere((k0th + k0th.transpose()).beyond(tol))
+    if len(bad):
+        i, j = bad[0].tolist()
+        raise NotAntisymmetric(f"theta is not k0-skew at entries ({i}, {j})")
 
     n = w_dim + 2
-    zero = scalars.coerce(0, exact)
-    c = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    zero, one = scalars.coerce(0, exact), scalars.coerce(1, exact)
+    c = np.full((n, n, n), zero, dtype=object)
+    c[0, 2:, 2:] = np.array(th, dtype=object).T  # [e-1, w_j] = theta w_j
+    # [w_i, w_j] = omega[i][j] e0 for i < j, omega = theta^T k0
+    omega = np.array(scalars.contract("ji,jk->ik", TH, K0).tuples(), dtype=object)
+    i, j = np.triu_indices(w_dim, 1)
+    c[2 + i, 2 + j, 1] = omega[i, j]
+    c[2:, 0] = _negated(c[0, 2:])
+    c[2 + j, 2 + i] = _negated(c[2 + i, 2 + j])
 
-    def setb(i, j, vec):
-        c[i][j] = list(vec)
-        c[j][i] = [-v for v in vec]
-
-    for j in range(w_dim):
-        col = [th[i][j] for i in range(w_dim)]
-        vec = [zero, zero] + col
-        setb(0, 2 + j, vec)
-    omega = linalg.mat_mul(linalg.transpose(th), k0m)
-    for i in range(w_dim):
-        for j in range(i + 1, w_dim):
-            vec = [zero] * n
-            vec[1] = omega[i][j]
-            setb(2 + i, 2 + j, vec)
-
-    kmat = [[zero] * n for _ in range(n)]
-    one = scalars.coerce(1, exact)
-    kmat[0][1] = one
-    kmat[1][0] = one
-    for i in range(w_dim):
-        for j in range(w_dim):
-            kmat[2 + i][2 + j] = k0m[i][j]
+    kmat = np.full((n, n), zero, dtype=object)
+    kmat[0, 1] = kmat[1, 0] = one
+    kmat[2:, 2:] = k0f.matrix
 
     half = w_dim // 2
     labels = ["e-1", "e0"]
@@ -137,8 +139,8 @@ def build_double_extension(w_dim, k0, theta):
         labels += [f"e{j+1}" for j in range(half)] + [f"f{j+1}" for j in range(half)]
     else:
         labels += [f"w{j}" for j in range(w_dim)]
-    L = validate_algebra(c, labels=tuple(labels))
-    return L, validate_form(kmat)
+    L = validate_algebra(c.tolist(), labels=tuple(labels))
+    return L, validate_form(kmat.tolist())
 
 
 def build_oscillator(spec):
@@ -155,15 +157,14 @@ def build_oscillator(spec):
     if any(l <= 0 for l in lams):
         raise InvalidLambda("frequencies must be positive")
     m = len(lams)
-    w = 2 * m
-    zero = scalars.coerce(0, exact)
-    one = scalars.coerce(1, exact)
-    k0 = [[one if i == j else zero for j in range(w)] for i in range(w)]
-    th = [[zero] * w for _ in range(w)]
-    for j, lam in enumerate(lams):
-        th[m + j][j] = lam  # theta e_j = lam f_j
-        th[j][m + j] = -lam  # theta f_j = -lam e_j
-    return build_double_extension(w, k0, th)
+    zero, one = scalars.coerce(0, exact), scalars.coerce(1, exact)
+    k0 = np.full((2 * m, 2 * m), zero, dtype=object)
+    np.fill_diagonal(k0, one)
+    th = np.full((2 * m, 2 * m), zero, dtype=object)
+    j = np.arange(m)
+    th[m + j, j] = lams  # theta e_j = lam f_j
+    th[j, m + j] = [-lam for lam in lams]  # theta f_j = -lam e_j
+    return build_double_extension(2 * m, k0.tolist(), th.tolist())
 
 
 def volume_theta(m=3):
@@ -183,6 +184,44 @@ def volume_theta(m=3):
     return tuple(tuple(tuple(row) for row in plane) for plane in th)
 
 
+def _alternating_theta(m, theta):
+    """theta coerced to one mode, after the checks of build_two_step:
+    shape, alternation (the first violation in index order) and the two
+    corank-zero rank tests.  Returns (theta, exact)."""
+    if theta == "volume":
+        theta = volume_theta(m)
+    exact = scalars.decide_mode(scalars.flatten(theta))
+    th = tuple(
+        tuple(scalars.coerce_vector(row, exact) for row in plane) for plane in theta
+    )
+    if len(th) != m or any(len(p) != m or any(len(r) != m for r in p) for p in th):
+        raise DimensionMismatch("theta must be dim_v^3")
+    if m == 0:  # the table validate_algebra would be handed
+        raise DimensionMismatch("empty structure table")
+    T = scalars.to_array(th, exact)
+    tol = scalars.tolerance(exact, max(1.0, T.scale()))
+    bad = np.argwhere(
+        (T + T.transpose(1, 0, 2)).beyond(tol) | (T + T.transpose(0, 2, 1)).beyond(tol)
+    )
+    if len(bad):
+        i, j, k = bad[0].tolist()
+        raise NotAntisymmetric(f"theta is not alternating at ({i}, {j}, {k})")
+    # numerators over one positive denominator: the rows keep their ranks
+    if linalg.rank(T.num.transpose(1, 2, 0).reshape(m * m, m).tolist(), exact) < m:
+        raise RankDeficientTheta("theta has a kernel direction in V")
+    if linalg.rank(T.num.reshape(m * m, m).tolist(), exact) < m:
+        raise RankDeficientTheta("bracket image does not fill V*")
+    return th, exact
+
+
+def _pairing(m, exact):
+    """Duality pairing of V and V*, dim V = m, as a 2m x 2m object array."""
+    kmat = np.full((2 * m, 2 * m), scalars.coerce(0, exact), dtype=object)
+    i = np.arange(m)
+    kmat[i, m + i] = kmat[m + i, i] = scalars.coerce(1, exact)
+    return kmat
+
+
 def build_two_step(spec):
     """Two-step algebra V + V* with [x, y] = theta(x, y, .) in V*.
 
@@ -193,52 +232,12 @@ def build_two_step(spec):
     if not isinstance(spec, TwoStepSpec):
         spec = TwoStepSpec(dim_v=len(spec), theta=spec)
     m = spec.dim_v
-    th = spec.theta
-    if th == "volume":
-        th = volume_theta(m)
-    exact = scalars.decide_mode(scalars.flatten(th))
-    th = tuple(
-        tuple(scalars.coerce_vector(row, exact) for row in plane) for plane in th
-    )
-    if len(th) != m or any(len(p) != m or any(len(r) != m for r in p) for p in th):
-        raise DimensionMismatch("theta must be dim_v^3")
-    tol = scalars.tolerance(exact, max(1.0, scalars.float_scale(exact, th)))
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                if abs(th[i][j][k] + th[j][i][k]) > tol or abs(
-                    th[i][j][k] + th[i][k][j]
-                ) > tol:
-                    raise NotAntisymmetric(
-                        f"theta is not alternating at ({i}, {j}, {k})"
-                    )
-
-    rows_kernel = [
-        [th[i][j][k] for i in range(m)] for j in range(m) for k in range(m)
-    ]
-    if linalg.rank(rows_kernel, exact) < m:
-        raise RankDeficientTheta("theta has a kernel direction in V")
-    image_rows = [
-        [th[i][j][k] for k in range(m)] for i in range(m) for j in range(m)
-    ]
-    if linalg.rank(image_rows, exact) < m:
-        raise RankDeficientTheta("bracket image does not fill V*")
-
-    n = 2 * m
-    zero = scalars.coerce(0, exact)
-    c = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                c[i][j][m + k] = th[i][j][k]
-    one = scalars.coerce(1, exact)
-    kmat = [[zero] * n for _ in range(n)]
-    for i in range(m):
-        kmat[i][m + i] = one
-        kmat[m + i][i] = one
+    th, exact = _alternating_theta(m, spec.theta)
+    c = np.full((2 * m,) * 3, scalars.coerce(0, exact), dtype=object)
+    c[:m, :m, m:] = np.array(th, dtype=object)
     labels = tuple([f"v{i+1}" for i in range(m)] + [f"d{i+1}" for i in range(m)])
-    L = validate_algebra(c, labels=labels)
-    return L, validate_form(kmat)
+    L = validate_algebra(c.tolist(), labels=labels)
+    return L, validate_form(_pairing(m, exact).tolist())
 
 
 def two_step_metric(spec):
@@ -246,7 +245,9 @@ def two_step_metric(spec):
 
     u = phi on V and the transpose action on V*; the metric pairs the two
     halves through phi.  Isometry classes go by conjugacy of phi, so the
-    conjugacy invariants ride along.
+    conjugacy invariants ride along.  theta passes the checks of
+    build_two_step; the algebra itself is not rebuilt, since an
+    alternating theta always gives a Lie algebra.
     """
     if spec.phi is None:
         raise DimensionMismatch("spec carries no phi")
@@ -259,19 +260,19 @@ def two_step_metric(spec):
         linalg.inverse(phi, exact)
     except Singular:
         raise Singular("phi is not invertible") from None
+    _, theta_exact = _alternating_theta(m, spec.theta)
     n = 2 * m
-    zero = scalars.coerce(0, exact)
-    umat = [[zero] * n for _ in range(n)]
-    for i in range(m):
-        for j in range(m):
-            umat[i][j] = phi[i][j]
-            umat[m + i][m + j] = phi[j][i]
-    _, kform = build_two_step(TwoStepSpec(spec.dim_v, spec.theta))
-    if kform.exact != exact:
-        kform = kform.to_float()
-    gmat = linalg.mat_mul(kform.matrix, umat)
-    iso = SymmetricIso(n, tuple(tuple(r) for r in umat), exact)
-    metric = validate_form(gmat)
+    umat = np.full((n, n), scalars.coerce(0, exact), dtype=object)
+    umat[:m, :m] = np.array(phi, dtype=object)
+    umat[m:, m:] = umat[:m, :m].T
+    # G = K u for the pairing K: phi^T above the diagonal, phi below it, in
+    # binary64 when either phi or theta is
+    g_exact = exact and theta_exact
+    gmat = np.full((n, n), scalars.coerce(0, g_exact), dtype=object)
+    gmat[m:, :m] = np.array(scalars.coerce_matrix(phi, g_exact), dtype=object)
+    gmat[:m, m:] = gmat[m:, :m].T
+    iso = SymmetricIso(n, tuple(map(tuple, umat.tolist())), exact)
+    metric = validate_form(gmat.tolist())
     return iso, metric, similarity_invariants(phi)
 
 
@@ -309,32 +310,16 @@ def build_cotangent_double(L):
     """
     n = L.dim
     exact = L.exact
-    zero = scalars.coerce(0, exact)
-    nn = 2 * n
-    c = [[[zero] * nn for _ in range(nn)] for _ in range(nn)]
-    # A part occupies indices n..2n-1, duals 0..n-1
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if L.c[i][j][k] != 0:
-                    c[n + i][n + j][n + k] = L.c[i][j][k]
-    # [x, delta^m] = - sum_j c[x][j][m] delta^j
-    for i in range(n):
-        for m_ in range(n):
-            vec = [zero] * nn
-            for j in range(n):
-                if L.c[i][j][m_] != 0:
-                    vec[j] = -L.c[i][j][m_]
-            c[n + i][m_] = vec
-            c[m_][n + i] = [-v for v in vec]
-    one = scalars.coerce(1, exact)
-    kmat = [[zero] * nn for _ in range(nn)]
-    for i in range(n):
-        kmat[i][n + i] = one
-        kmat[n + i][i] = one
+    c = np.full((2 * n,) * 3, scalars.coerce(0, exact), dtype=object)
+    lc = np.array(L.c, dtype=object)
+    # A occupies indices n..2n-1, the duals 0..n-1
+    c[n:, n:, n:] = lc
+    # [x, delta^m] = - sum_j c[x][j][m] delta^j, and [delta^m, x] its negative
+    c[n:, :n, :n] = _negated(lc.transpose(0, 2, 1))
+    c[:n, n:] = _negated(c[n:, :n].transpose(1, 0, 2))
     labels = tuple([f"d{l}" for l in L.labels] + list(L.labels))
-    Ld = validate_algebra(c, labels=labels)
-    kf = validate_form(kmat)
+    Ld = validate_algebra(c.tolist(), labels=labels)
+    kf = validate_form(_pairing(n, exact).tolist())
     rep = check_ad_invariance(Ld, kf)
     if not rep.invariant:
         raise NoSolution("duality pairing failed ad-invariance")
@@ -346,18 +331,19 @@ def build_cotangent_double(L):
 
 
 def _extend_basis(exact, inner, vectors):
-    """Grow a basis of span(inner) by vectors, returning the added ones."""
-    base = list(inner)
-    added = []
-    r = linalg.rank(base, exact) if base else 0
+    """Grow the independent rows inner by those of vectors that raise the
+    rank, in order, returning the added ones."""
+    base, added = list(inner), []
     for v in vectors:
-        cand = base + [list(v)]
-        rr = linalg.rank(cand, exact)
-        if rr > r:
-            base = cand
+        if linalg.rank(base + [list(v)], exact) > len(base):
+            base.append(list(v))
             added.append(tuple(v))
-            r = rr
     return added
+
+
+def _brackets(C, X, Y):
+    """[x_a, y_b][k] for the rows x_a of X and y_b of Y, over the table C."""
+    return scalars.contract("ajk,bj->abk", scalars.contract("ai,ijk->ajk", X, C), Y)
 
 
 def build_f_derivation(L, k=None, a0=Fraction(4, 9)):
@@ -370,8 +356,9 @@ def build_f_derivation(L, k=None, a0=Fraction(4, 9)):
 
         d[x, y] = [d x, f y] + [f x, d y]
 
-    turns into one linear constraint per graded bracket component, which
-    the builder collects and solves.  The product x y = d^{-1}[f x, d y]
+    turns into one linear constraint alpha_r = a_q alpha_p + a_p alpha_q
+    per grade triple (p, q, r) in which a graded bracket component occurs,
+    which the builder collects and solves.  The product x y = d^{-1}[f x, d y]
     is then left-symmetric with zero curvature, and when an ad-invariant
     k is supplied the metric <x, y> = k(d x, d y) rides along.  A NaN or
     infinite a0 raises InvalidValue.
@@ -386,6 +373,7 @@ def build_f_derivation(L, k=None, a0=Fraction(4, 9)):
         )
     exact = L.exact
     n = L.dim
+    C = L.array
     series = rep.lower_central  # C^1, C^2, C^3, C^4 = 0
     c2, c3 = series[1], series[2]
 
@@ -395,51 +383,30 @@ def build_f_derivation(L, k=None, a0=Fraction(4, 9)):
         exact, g0 + g1, [L.basis_vector(i) for i in range(n)]
     )
     grading = (tuple(g0), tuple(g1), tuple(g2))
-
-    cols = [list(v) for v in g0 + g1 + g2]
-    B = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))  # columns are basis
-    Binv = linalg.inverse(B, exact)
     sizes = (len(g0), len(g1), len(g2))
+    grade = np.repeat([0, 1, 2], sizes)
 
-    def grade_parts(vec):
-        coords = linalg.mat_vec(Binv, vec)
-        parts = []
-        pos = 0
-        for s in sizes:
-            parts.append(tuple(coords[pos : pos + s]))
-            pos += s
-        return parts
+    cols = tuple(zip(*(g0 + g1 + g2)))  # columns are the graded basis
+    B = scalars.to_array(cols, exact)
+    Binv = scalars.to_array(linalg.inverse(cols, exact), exact)
+    fa = tuple(scalars.coerce(v, exact) for v in (a0, Fraction(4, 9), Fraction(2, 3)))
+    # coords[a, b, r]: coordinate r of [x_a, x_b] in the graded basis x
+    coords = scalars.contract("mk,ijk->ijm", Binv, _brackets(C, B.transpose(), B.transpose()))
 
-    a2 = scalars.coerce(Fraction(2, 3), exact)
-    a1 = scalars.coerce(Fraction(4, 9), exact)
-    a0c = scalars.coerce(a0, exact)
-    alpha2 = scalars.coerce(Fraction(1, 3), exact)
-    fa = (a0c, a1, a2)
-
-    # constraints: alpha_r = a_q alpha_p + a_p alpha_q for each graded
-    # bracket component, as rows [alpha0, alpha1 | rhs].  They take the exact
-    # constants in both modes: only which components occur depends on L.
+    # constraints alpha_r = a_q alpha_p + a_p alpha_q, one per grade triple
+    # (p <= q, r) with a nonzero bracket component, as rows
+    # [alpha0, alpha1 | rhs].  They take the exact constants in both modes:
+    # only which triples occur depends on L.  A row depends on the triple
+    # alone, and the reduced form ignores order and repeats.
     fq = (Fraction(a0), Fraction(4, 9), Fraction(2, 3))
+    a, b, r = np.nonzero((coords.num != 0) & (grade[:, None, None] <= grade[None, :, None]))
     rows = []
-    graded_bases = (g0, g1, g2)
-    for p in range(3):
-        for q in range(p, 3):
-            for v in graded_bases[p]:
-                for w in graded_bases[q]:
-                    br = bracket(L, v, w)
-                    if all(x == 0 for x in br):
-                        continue
-                    parts = grade_parts(br)
-                    for r_ in range(3):
-                        if all(x == 0 for x in parts[r_]):
-                            continue
-                        row = [Fraction(0)] * 3
-                        for idx, coef in ((r_, 1), (p, -fq[q]), (q, -fq[p])):
-                            if idx == 2:
-                                row[2] -= coef * Fraction(1, 3)
-                            else:
-                                row[idx] += coef
-                        rows.append(row)
+    for p, q, r_ in set(zip(grade[a].tolist(), grade[b].tolist(), grade[r].tolist())):
+        coef = [Fraction(0)] * 3  # of alpha0, alpha1, alpha2 = 1/3
+        coef[r_] += 1
+        coef[p] -= fq[q]
+        coef[q] -= fq[p]
+        rows.append([coef[0], coef[1], -coef[2] / 3])
 
     # a slot the reduced rows leave open keeps the default 4/9
     alphas = [Fraction(4, 9), Fraction(4, 9)]
@@ -449,79 +416,42 @@ def build_f_derivation(L, k=None, a0=Fraction(4, 9)):
             raise NoSolution("graded constraints are inconsistent")
         if lead == 1 or row[1] == 0:
             alphas[lead] = row[2]
-    alpha0, alpha1 = (scalars.coerce(v, exact) for v in alphas)
-    if alpha0 == 0 or alpha1 == 0 or alpha2 == 0:
+    da = tuple(scalars.coerce(v, exact) for v in (*alphas, Fraction(1, 3)))
+    if 0 in da:
         raise NoSolution("derivation diagonal must be invertible")
-    da = (alpha0, alpha1, alpha2)
 
     def op_matrix(diag):
-        # acts as diag[g] on the grading summand g; D = B diag B^{-1}
-        blocks = []
-        for gi, s in enumerate(sizes):
-            blocks.extend([diag[gi]] * s)
-        d_mid = tuple(
-            tuple(
-                blocks[i] if i == j else scalars.coerce(0, exact)
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-        return linalg.mat_mul(linalg.mat_mul(B, d_mid), Binv)
+        # acts as diag[g] on the grading summand g: B diag B^{-1}
+        mid = scalars.to_array(np.diag(np.repeat(np.array(diag, dtype=object), sizes)), exact)
+        return scalars.contract("ij,jk->ik", scalars.contract("ij,jk->ik", B, mid), Binv)
 
     D = op_matrix(da)
     Fm = op_matrix(fa)
-
-    # verify the derivation identity exactly on all basis pairs
+    # rows D e_i and F e_i
+    DT, FT = D.transpose(), Fm.transpose()
     tolv = scalars.tolerance(exact, 1.0)
-    for i in range(n):
-        for j in range(n):
-            br = bracket(L, L.basis_vector(i), L.basis_vector(j))
-            lhs = linalg.mat_vec(D, br)
-            r1 = bracket(
-                L,
-                linalg.mat_vec(D, L.basis_vector(i)),
-                linalg.mat_vec(Fm, L.basis_vector(j)),
-            )
-            r2 = bracket(
-                L,
-                linalg.mat_vec(Fm, L.basis_vector(i)),
-                linalg.mat_vec(D, L.basis_vector(j)),
-            )
-            if any(abs(a - b - c_) > tolv for a, b, c_ in zip(lhs, r1, r2)):
-                raise NoSolution("derivation identity fails after solving")
 
-    # f must be a homomorphism up to the center
-    center = rep.center
-    for i in range(n):
-        for j in range(i + 1, n):
-            defect = tuple(
-                a - b
-                for a, b in zip(
-                    linalg.mat_vec(Fm, bracket(L, L.basis_vector(i), L.basis_vector(j))),
-                    bracket(
-                        L,
-                        linalg.mat_vec(Fm, L.basis_vector(i)),
-                        linalg.mat_vec(Fm, L.basis_vector(j)),
-                    ),
-                )
-            )
-            if not linalg.in_span(center, defect, exact):
-                raise NoSolution("f fails the homomorphism-mod-center property")
+    # the derivation identity on all basis pairs
+    fd = _brackets(C, FT, DT)
+    defect = scalars.contract("mk,ijk->ijm", D, C) - _brackets(C, DT, FT) - fd
+    if defect.beyond(tolv).any():
+        raise NoSolution("derivation identity fails after solving")
 
-    Dinv = linalg.inverse(D, exact)
-    gamma = []
-    for i in range(n):
-        fei = linalg.mat_vec(Fm, L.basis_vector(i))
-        plane = []
-        for j in range(n):
-            dej = linalg.mat_vec(D, L.basis_vector(j))
-            plane.append(tuple(linalg.mat_vec(Dinv, bracket(L, fei, dej))))
-        gamma.append(tuple(plane))
+    # f must be a homomorphism up to the center: every F[e_i, e_j] -
+    # [F e_i, F e_j] lies in it (the center rows are a basis)
+    hom = scalars.contract("mk,ijk->ijm", Fm, C) - _brackets(C, FT, FT)
+    center = list(rep.center)
+    if linalg.rank(center + hom.num.reshape(n * n, n).tolist(), exact) > len(center):
+        raise NoSolution("f fails the homomorphism-mod-center property")
+
+    d_matrix = D.tuples()
+    Dinv = scalars.to_array(linalg.inverse(d_matrix, exact), exact)
+    gamma = scalars.contract("mk,ijk->ijm", Dinv, fd).tuples()
 
     spec = FDerivationSpec(
         grading=grading,
-        d_matrix=tuple(tuple(r) for r in D),
-        f_matrix=tuple(tuple(r) for r in Fm),
+        d_matrix=d_matrix,
+        f_matrix=Fm.tuples(),
         d_diagonal=da,
         f_diagonal=fa,
     )
@@ -531,11 +461,12 @@ def build_f_derivation(L, k=None, a0=Fraction(4, 9)):
         inv_rep = check_ad_invariance(L, kf)
         if not inv_rep.invariant:
             raise NoSolution("supplied form is not ad-invariant")
-        gm = linalg.mat_mul(
-            linalg.mat_mul(linalg.transpose(D), kf.matrix), D
-        )
-        metric = validate_form(gm)
-    product = ProductTensor(L, tuple(gamma), metric, exact)
+        if not (exact and kf.exact):  # binary64 when either L or k is
+            kf = kf.to_float()
+            D = scalars.to_array(scalars.coerce_matrix(d_matrix, False), False)
+        gm = scalars.contract("ij,jk->ik", scalars.contract("ji,jk->ik", D, kf.array), D)
+        metric = validate_form(gm.tuples())
+    product = ProductTensor(L, gamma, metric, exact)
     return spec, product, metric
 
 

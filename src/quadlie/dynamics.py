@@ -69,6 +69,9 @@ __all__ = [
 ESCAPE_RADIUS = 1e8
 MIN_STEP = 1e-12
 STEP_BUDGET = 5_000_000
+# the longest run, in time units: ten times the CLI's default probe
+# horizon; e2-motion takes about 27k DOP853 steps for it at tol 1e-10
+MAX_SPAN = 1e4
 
 # DOP853 (Hairer, Norsett and Wanner, Solving ODEs I, II.10; the
 # coefficients of their DOP853 code).  _A[s] combines the stages before s,
@@ -314,6 +317,9 @@ def _as_product(P):
 
 
 def _check_span(t_span):
+    """(t0, t1) as floats: finite, nonempty and at most MAX_SPAN apart.
+    Every span, scan window and probe horizon a caller hands in passes
+    here, so InvalidSpan ends a longer run before its first step."""
     try:
         t0, t1 = float(t_span[0]), float(t_span[1])
     except (TypeError, ValueError, IndexError):
@@ -322,6 +328,8 @@ def _check_span(t_span):
         raise InvalidSpan("time span must be finite")
     if t0 == t1:
         raise InvalidSpan("time span is empty")
+    if abs(t1 - t0) > MAX_SPAN:
+        raise InvalidSpan(f"time span ({t0:g}, {t1:g}) is longer than {MAX_SPAN:g}")
     return t0, t1
 
 
@@ -617,6 +625,8 @@ def completeness_probe(P, seeds, t_max=1e3, tol=1e-10):
         back = -fwd
         if not 0 < fwd < math.inf:
             raise InvalidSpan("probe horizon must be positive and finite")
+    _check_span((back, 0.0))
+    _check_span((0.0, fwd))
     fld, dim = _field_from(P)
     results = []
     for seed in seeds:
@@ -857,6 +867,7 @@ def conjugate_scan(P, x0, t_window, grid=200, tol=1e-10):
         raise InvalidSpan("scan window must sit at nonnegative times")
     if isinstance(grid, bool) or not isinstance(grid, numbers.Integral) or grid < 1:
         raise InvalidSpan(f"scan grid must be an integer >= 1, got {grid}")
+    _check_span((0.0, b))
     grid = int(grid)
     P = _as_product(P)
     n = P.dim

@@ -23,8 +23,8 @@ contractions, a matrix times a vector for one, and any whose bound fails
 stay on the object-dtype einsum, one Python-int operation per
 multiply-add, which takes numerators of any size.  Exact verdicts take no
 slack, so they never need a binary64 scale of their entries (see
-float_scale and ScaledArray.scale); converting an exact entry beyond
-binary64 raises InvalidValue.
+ScaledArray.scale); converting an exact entry beyond binary64 raises
+InvalidValue.
 """
 
 import math
@@ -46,7 +46,6 @@ __all__ = [
     "max_abs",
     "flatten",
     "tolerance",
-    "float_scale",
     "ScaledArray",
     "to_array",
     "vector",
@@ -161,18 +160,12 @@ def tolerance(exact, scale):
     return 0 if exact else 1e-9 * scale
 
 
-def float_scale(exact, nested):
-    """Largest |entry| of a nested container as the binary64 scale of a
-    tolerance; 0.0 in exact mode, whose verdicts take no slack and whose
-    entries may lie beyond binary64 (ScaledArray.scale for arrays)."""
-    return 0.0 if exact else float(max_abs(nested))
-
-
 def _tupled(x):
     return tuple(map(_tupled, x)) if isinstance(x, list) else x
 
 
 _fractions = np.frompyfunc(Fraction, 2, 1)
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,9 +204,15 @@ class ScaledArray:
         return Fraction(v, self.den) if self.exact else float(v) + 0.0
 
     def tuples(self):
-        """Nested tuples of Fraction or float; a bare value when 0-d."""
-        vals = _fractions(self.num, self.den) if self.exact else self.num + 0.0
-        return _tupled(np.asarray(vals).tolist())
+        """Nested tuples of Fraction or float; a bare value when 0-d.  The
+        exact zero entries share one Fraction, so a sparse tensor does not
+        cost a Fraction per entry."""
+        if not self.exact:
+            return _tupled((self.num + 0.0).tolist())
+        vals = np.full(self.num.shape, _ZERO, dtype=object)
+        nonzero = self.num != 0
+        vals[nonzero] = _fractions(self.num[nonzero], self.den)
+        return _tupled(vals.tolist())
 
     def peak(self):
         """Largest |entry| in the entries' own type, integer 0 when every

@@ -124,6 +124,27 @@ def test_two_step_theta_validation():
         build_two_step(TwoStepSpec(4, "volume"))
 
 
+def test_theta_violations_name_the_first_entry_in_index_order():
+    # k0 theta + (k0 theta)^T for k0 = diag(1, -1, 1) is nonzero at (1, 2),
+    # (2, 1) and (2, 2); the pair (0, 1) is k0-skew without being skew
+    k0 = [[1, 0, 0], [0, -1, 0], [0, 0, 1]]
+    theta = [[0, 1, 0], [1, 0, 1], [0, -1, 1]]
+    with pytest.raises(NotAntisymmetric, match=r"^theta is not k0-skew at entries \(1, 2\)$"):
+        build_double_extension(3, k0, theta)
+
+    # the volume form with theta[2][0][0] = 1 and theta[1][1][2] = 5: the
+    # first failing triple is (0, 2, 0), whose swap partner is (2, 0, 0)
+    th = [[list(row) for row in plane] for plane in volume_theta()]
+    th[2][0][0] = F(1)
+    th[1][1][2] = F(5)
+    message = r"^theta is not alternating at \(0, 2, 0\)$"
+    with pytest.raises(NotAntisymmetric, match=message):
+        build_two_step(TwoStepSpec(3, th))
+    phi = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    with pytest.raises(NotAntisymmetric, match=message):
+        two_step_metric(TwoStepSpec(3, th, phi))
+
+
 def test_two_step_metric_family():
     L6, _K6 = build_two_step(TwoStepSpec(3, "volume"))
     phi = ((F(1), F(1), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(2)))

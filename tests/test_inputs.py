@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -200,6 +201,36 @@ def test_cli_numbers_beyond_binary64_give_json_errors(argv):
     code, rep = run(*argv)
     assert code == 1
     assert rep["error"]["type"] == "ParseError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["probe", "--catalog", "e2-motion", "--span=-1e300:1e300"],
+        ["conjugate", "--catalog", "e2-motion", "--window", "0:1e300", "--grid", "4"],
+    ],
+)
+def test_cli_spans_beyond_max_span_end_at_once(argv):
+    start = time.perf_counter()
+    code, rep = run(*argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert rep["error"]["type"] == "InvalidSpan"
+
+
+def test_runs_longer_than_max_span_are_invalid(e2_product):
+    P, long = e2_product, 2 * dynamics.MAX_SPAN
+    calls = [
+        lambda: dynamics.integrate_geodesic(P, SEED, (0.0, long)),
+        lambda: dynamics.integrate_jacobi(P, SEED, SEED, SEED, (-long, 0.0)),
+        lambda: dynamics.right_invariant_reflection(P.algebra, P, SEED, SEED, (1.0, long)),
+        lambda: dynamics.completeness_probe(P, [SEED], t_max=long),
+        lambda: dynamics.completeness_probe(P, [SEED], t_max=(-long, 1.0)),
+        lambda: dynamics.conjugate_scan(P, SEED, (long - 1.0, long)),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidSpan, match="longer than"):
+            call()
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -27,6 +27,7 @@ from quadlie import (
     flatness_report,
     levi_civita,
     linalg,
+    product_from_iso,
     product_report,
     two_step_metric,
     validate_algebra,
@@ -280,6 +281,56 @@ def test_two_step_phi_metrics_are_flat():
     def check(pair):
         L, metric = pair
         assert flatness_report(L, metric).flat
+
+    check()
+
+
+@st.composite
+def two_step_isos(draw):
+    """A two-step algebra, its pairing k, and the iso u and metric k(u., .)
+    of an invertible phi; theta is read back off the table."""
+    L, k = draw(two_step_algebras())
+    m = L.dim // 2
+    theta = [[row[m:] for row in plane[:m]] for plane in L.c[:m]]
+    phi = [[F(draw(small)) for _ in range(m)] for _ in range(m)]
+    assume(linalg.det(phi, True) != 0)
+    iso, metric, _ = two_step_metric(TwoStepSpec(m, theta, phi))
+    return L, k, iso, metric
+
+
+def test_operator_route_matches_levi_civita_on_the_two_step_family():
+    @settings(PROFILE, max_examples=10)
+    @given(two_step_isos())
+    def check(case):
+        L, k, iso, metric = case
+        P = product_from_iso(L, k, iso)
+        assert P.exact and P.gamma == levi_civita(L, metric).gamma
+        assert all(type(v) is F for plane in P.gamma for row in plane for v in row)
+        assert P.metric.matrix == metric.matrix
+
+    check()
+
+
+def test_binary64_builders_give_the_exact_tables_and_forms():
+    def as_float(rows):
+        return [[float(v) for v in row] for row in rows]
+
+    @settings(PROFILE, max_examples=10)
+    @given(double_extensions(), st.integers(1, 3))
+    def check(ext, d):
+        L, k = ext
+        w = L.dim - 2
+        # [e-1, w_j] = theta w_j, and k restricts to k0 on W
+        theta = [[L.c[0][2 + j][2 + i] for j in range(w)] for i in range(w)]
+        k0 = [row[2:] for row in k.matrix[2:]]
+        Lf, kf = build_double_extension(w, as_float(k0), as_float(theta))
+        assert not Lf.exact and Lf.c == L.to_float().c
+        assert kf.matrix == k.to_float().matrix
+        for base in (L, catalog(f"a-d({d})").algebra):
+            double, pairing = build_cotangent_double(base)
+            double_f, pairing_f = build_cotangent_double(base.to_float())
+            assert not double_f.exact and double_f.c == double.to_float().c
+            assert pairing_f.matrix == pairing.to_float().matrix
 
     check()
 
