@@ -7,7 +7,7 @@ residuals up to 1e-9 relative to the largest structure constant.
 
 Every kernel here (bracket, ad, both validation tests, the spans of the
 structure report and the unimodular trace) is one contraction over the
-algebra's cached ScaledArray view, the same code in both modes.
+algebra's ScaledArray, the same code in both modes.
 """
 
 from dataclasses import dataclass
@@ -28,15 +28,22 @@ __all__ = ["LieAlgebra", "StructureReport", "validate_algebra", "bracket", "stru
 
 @dataclass(frozen=True)
 class LieAlgebra:
-    dim: int
-    c: tuple  # c[i][j][k]
-    exact: bool
+    """A structure table stored as its ScaledArray; c is a read-only view."""
+
+    array: scalars.ScaledArray  # c[i, j, k]: coefficient of e_k in [e_i, e_j]
     labels: tuple = ()
 
+    @property
+    def dim(self):
+        return self.array.num.shape[0]
+
+    @property
+    def exact(self):
+        return self.array.exact
+
     @cached_property
-    def array(self):
-        """The table as a ScaledArray, converted once per algebra."""
-        return scalars.to_array(self.c, self.exact)
+    def c(self):
+        return self.array.tuples()
 
     def bracket(self, x, y):
         return bracket(self, x, y)
@@ -46,9 +53,7 @@ class LieAlgebra:
         return scalars.left_mult(self.array, scalars.vector(x, self.exact)).tuples()
 
     def basis_vector(self, i):
-        one = scalars.coerce(1, self.exact)
-        zero = scalars.coerce(0, self.exact)
-        return tuple(one if j == i else zero for j in range(self.dim))
+        return linalg.identity(self.dim, self.exact)[i]
 
     def label_index(self, name):
         """Resolve a coordinate label; falls back to integer and e<k> forms."""
@@ -70,38 +75,35 @@ class LieAlgebra:
         raise ValidationError(f"coordinate index {k} out of range for dimension {self.dim}")
 
     def to_float(self):
-        if not self.exact:
-            return self
-        c = tuple(scalars.coerce_matrix(plane, False) for plane in self.c)
-        return LieAlgebra(self.dim, c, False, self.labels)
+        return self if not self.exact else LieAlgebra(self.array.to_float(), self.labels)
 
 
 def validate_algebra(c, labels=None):
     """Build a LieAlgebra after checking shape, antisymmetry and Jacobi.
 
-    Accepts any nested sequence c[i][j][k] of ints, Fractions or floats.
-    The arithmetic mode of the result is decided here once: all-exact
+    Accepts any nested sequence c[i][j][k] of ints, Fractions or floats,
+    or an n x n x n ScaledArray that library code has assembled.  The
+    arithmetic mode of nested input is decided here once: all-exact
     entries give an exact algebra, any float switches the whole table to
     binary64, and a mix of Fraction and float is rejected.
     """
-    n = len(c)
-    if n == 0:
-        raise DimensionMismatch("empty structure table")
-    for i, plane in enumerate(c):
-        if len(plane) != n:
-            raise DimensionMismatch(f"row {i} has {len(plane)} entries, expected {n}")
-        for j, row in enumerate(plane):
-            if len(row) != n:
-                raise DimensionMismatch(
-                    f"entry ({i}, {j}) has {len(row)} coefficients, expected {n}"
-                )
-    exact = scalars.decide_mode(scalars.flatten(c))
-    table = tuple(
-        tuple(scalars.coerce_vector(row, exact) for row in plane) for plane in c
-    )
+    if isinstance(c, scalars.ScaledArray):
+        C = c
+    else:
+        n = len(c)
+        if n == 0:
+            raise DimensionMismatch("empty structure table")
+        for i, plane in enumerate(c):
+            if len(plane) != n:
+                raise DimensionMismatch(f"row {i} has {len(plane)} entries, expected {n}")
+            for j, row in enumerate(plane):
+                if len(row) != n:
+                    raise DimensionMismatch(
+                        f"entry ({i}, {j}) has {len(row)} coefficients, expected {n}"
+                    )
+        C = scalars.to_array(c, scalars.decide_mode(scalars.flatten(c)))
+    n, exact = C.num.shape[0], C.exact
     lbl = tuple(labels) if labels else tuple(f"e{i}" for i in range(n))
-    L = LieAlgebra(n, table, exact, lbl)
-    C = L.array
     cmax = C.scale()
 
     # the residual is symmetric in (i, j), so the first violation in
@@ -124,7 +126,7 @@ def validate_algebra(c, labels=None):
 
     if len(lbl) != n:
         raise DimensionMismatch(f"{len(lbl)} labels for dimension {n}")
-    return L
+    return LieAlgebra(C, lbl)
 
 
 def bracket(L, x, y):
@@ -170,7 +172,7 @@ def structure_report(L):
     n = L.dim
     exact = L.exact
     C = L.array
-    full = tuple(L.basis_vector(i) for i in range(n))
+    full = linalg.identity(n, exact)
 
     # row (j, k) holds c[i][j][k] over i; the rows share one positive
     # denominator, so their numerators have the same kernel

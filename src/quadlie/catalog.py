@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from . import connection, scalars
 from .algebra import LieAlgebra, validate_algebra
 from .connection import ProductTensor
@@ -76,6 +78,16 @@ def _entry(name, algebra, quad_form=None, metric=None, iso=None, seeds=None,
 
 def _with_alias(seed):
     return {"default": seed, "builtin": seed}
+
+
+def _table(n, brackets, labels):
+    """The exact algebra with [e_i, e_j] = vec, the integer coefficient
+    vector of brackets[(i, j)], and zero brackets elsewhere."""
+    c = np.zeros((n, n, n), dtype=object)
+    for (i, j), vec in brackets.items():
+        c[i, j] = vec
+        c[j, i] = -c[i, j]
+    return validate_algebra(scalars.ScaledArray(c), labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -158,17 +170,12 @@ def _e2_exp_map_mirror(v):
 
 
 def _build_e2():
-    z = Fraction(0)
-    one = Fraction(1)
-    c = [[[z] * 3 for _ in range(3)] for _ in range(3)]
-    c[2][0] = [z, one, z]  # [e3, e1] = e2
-    c[0][2] = [z, -one, z]
-    c[2][1] = [-one, z, z]  # [e3, e2] = -e1
-    c[1][2] = [one, z, z]
-    L = validate_algebra(c, labels=("e1", "e2", "e3"))
-    g = validate_form(
-        [[one, z, z], [z, one, z], [z, z, -one]]
+    L = _table(
+        3,
+        {(2, 0): (0, 1, 0), (2, 1): (-1, 0, 0)},  # [e3, e1] = e2, [e3, e2] = -e1
+        ("e1", "e2", "e3"),
     )
+    g = validate_form([[1, 0, 0], [0, 1, 0], [0, 0, -1]])
     return _entry(
         "e2-motion",
         L,
@@ -278,39 +285,25 @@ def _dim4_metric_family(L, k):
 
 def _dim4_printed_product(L):
     """Left-symmetric product compatible with the bracket, metric-free."""
-    z = Fraction(0)
-    h = Fraction(1, 2)
-    one = Fraction(1)
-    gamma = [[[z] * 4 for _ in range(4)] for _ in range(4)]
-    gamma[0][2] = [z, z, z, one]  # e-1 e1 = e2
-    gamma[0][3] = [z, z, one, z]  # e-1 e2 = e1
-    gamma[2][3] = [z, -h, z, z]  # e1 e2 = -e0/2
-    gamma[3][2] = [z, h, z, z]  # e2 e1 = e0/2
-    gam = tuple(tuple(tuple(r) for r in plane) for plane in gamma)
-    return ProductTensor(L, gam, None, True)
+    gamma = np.zeros((4, 4, 4), dtype=object)  # over the denominator 2
+    gamma[0, 2, 3] = 2  # e-1 e1 = e2
+    gamma[0, 3, 2] = 2  # e-1 e2 = e1
+    gamma[2, 3, 1] = -1  # e1 e2 = -e0/2
+    gamma[3, 2, 1] = 1  # e2 e1 = e0/2
+    return ProductTensor(L, scalars.ScaledArray(gamma, 2), None)
 
 
 def _build_dim4_b():
-    z = Fraction(0)
-    one = Fraction(1)
-    c = [[[z] * 4 for _ in range(4)] for _ in range(4)]
-
-    def setb(i, j, vec):
-        c[i][j] = list(vec)
-        c[j][i] = [-v for v in vec]
-
-    setb(0, 2, (z, z, z, one))  # [e-1, e1] = e2
-    setb(0, 3, (z, z, one, z))  # [e-1, e2] = e1
-    setb(2, 3, (z, -one, z, z))  # [e1, e2] = -e0
-    L = validate_algebra(c, labels=("e-1", "e0", "e1", "e2"))
-    k = validate_form(
-        [
-            [z, one, z, z],
-            [one, z, z, z],
-            [z, z, one, z],
-            [z, z, z, -one],
-        ]
+    L = _table(
+        4,
+        {
+            (0, 2): (0, 0, 0, 1),  # [e-1, e1] = e2
+            (0, 3): (0, 0, 1, 0),  # [e-1, e2] = e1
+            (2, 3): (0, -1, 0, 0),  # [e1, e2] = -e0
+        },
+        ("e-1", "e0", "e1", "e2"),
     )
+    k = validate_form([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]])
     return _entry(
         "dim4-b",
         L,
@@ -375,21 +368,18 @@ def _dim5_solution_curve(c):
 def _build_dim5():
     z = Fraction(0)
     one = Fraction(1)
-    c = [[[z] * 5 for _ in range(5)] for _ in range(5)]
-
-    def setb(i, j, vec):
-        c[i][j] = list(vec)
-        c[j][i] = [-v for v in vec]
-
-    setb(4, 1, (z, z, one, z, z))  # [e4, e1] = e2
-    setb(4, 2, (z, z, z, one, z))  # [e4, e2] = e3
-    setb(1, 2, (one, z, z, z, z))  # [e1, e2] = e0
-    L = validate_algebra(c, labels=("e0", "e1", "e2", "e3", "e4"))
-    kmat = [[z] * 5 for _ in range(5)]
-    kmat[0][4] = kmat[4][0] = one
-    kmat[1][3] = kmat[3][1] = -one
-    kmat[2][2] = one
-    k = validate_form(kmat)
+    L = _table(
+        5,
+        {
+            (4, 1): (0, 0, 1, 0, 0),  # [e4, e1] = e2
+            (4, 2): (0, 0, 0, 1, 0),  # [e4, e2] = e3
+            (1, 2): (1, 0, 0, 0, 0),  # [e1, e2] = e0
+        },
+        ("e0", "e1", "e2", "e3", "e4"),
+    )
+    k = validate_form(
+        [[0, 0, 0, 0, 1], [0, 0, 0, -1, 0], [0, 0, 1, 0, 0], [0, -1, 0, 0, 0], [1, 0, 0, 0, 0]]
+    )
     umat = (
         (z, one, z, z, z),
         (one, z, z, z, z),
@@ -461,22 +451,16 @@ def _build_two_step_volume():
 
 def _build_a_d(d):
     di = int(d)
-    z = Fraction(0)
-    one = Fraction(1)
-    dq = Fraction(di)
-    c = [[[z] * 6 for _ in range(6)] for _ in range(6)]
-
-    def setb(i, j, vec):
-        c[i][j] = list(vec)
-        c[j][i] = [-v for v in vec]
-
     # order e1, e2, e3, e4, f1, f2
-    setb(0, 1, (z, z, z, z, z, one))  # [e1, e2] = f2
-    setb(2, 3, (z, z, z, z, z, one))  # [e3, e4] = f2
-    setb(0, 2, (z, z, z, z, one, z))  # [e1, e3] = f1
-    setb(1, 3, (z, z, z, z, z, dq))  # [e2, e4] = d f2
-    L = validate_algebra(
-        c, labels=("e1", "e2", "e3", "e4", "f1", "f2")
+    L = _table(
+        6,
+        {
+            (0, 1): (0, 0, 0, 0, 0, 1),  # [e1, e2] = f2
+            (2, 3): (0, 0, 0, 0, 0, 1),  # [e3, e4] = f2
+            (0, 2): (0, 0, 0, 0, 1, 0),  # [e1, e3] = f1
+            (1, 3): (0, 0, 0, 0, 0, di),  # [e2, e4] = d f2
+        },
+        ("e1", "e2", "e3", "e4", "f1", "f2"),
     )
     return _entry(
         f"a-d({di})",

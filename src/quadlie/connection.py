@@ -10,7 +10,7 @@ All n^2 right-hand sides are solved against the single matrix 2 G: one
 inverse of 2 G, in both modes, and one contraction of it against the
 right-hand sides give the whole tensor.  The right-hand sides, gamma,
 curvature and the torsion, skew and left-symmetry residuals are einsum
-contractions over the cached ScaledArray views of c, gamma and G, one
+contractions over the ScaledArrays that store c, gamma and G, one
 expression per quantity for both arithmetic modes.
 
 Curvature uses the fixed sign convention
@@ -46,19 +46,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ProductTensor:
+    """A product stored as its ScaledArray; gamma is a read-only view."""
+
     algebra: LieAlgebra
-    gamma: tuple  # gamma[i][j][k]
+    array: scalars.ScaledArray  # gamma[i, j, k]: coefficient of e_k in e_i e_j
     metric: SymBilinearForm | None
-    exact: bool
 
     @property
     def dim(self):
         return self.algebra.dim
 
+    @property
+    def exact(self):
+        return self.array.exact
+
     @cached_property
-    def array(self):
-        """gamma as a ScaledArray, converted once per product."""
-        return scalars.to_array(self.gamma, self.exact)
+    def gamma(self):
+        return self.array.tuples()
 
     def mult(self, x, y):
         lx = scalars.left_mult(self.array, scalars.vector(x, self.exact))
@@ -71,12 +75,8 @@ class ProductTensor:
     def to_float(self):
         if not self.exact:
             return self
-        return ProductTensor(
-            self.algebra.to_float(),
-            tuple(scalars.coerce_matrix(plane, False) for plane in self.gamma),
-            self.metric.to_float() if self.metric is not None else None,
-            False,
-        )
+        metric = self.metric.to_float() if self.metric is not None else None
+        return ProductTensor(self.algebra.to_float(), self.array.to_float(), metric)
 
 
 @dataclass(frozen=True)
@@ -123,17 +123,17 @@ def levi_civita(L, g):
     if not exact:
         L = L.to_float()
         form = form.to_float()
-    C, G = L.array, form.array
-    two_g = tuple(tuple(2 * v for v in row) for row in form.matrix)
+    # the product is unchanged when G is scaled by a constant, so G's
+    # numerators stand in for G
+    C, G = L.array, scalars.ScaledArray(form.array.num)
     # rhs[i][j][m] = <[e_i, e_j], e_m> - <[e_j, e_m], e_i> + <[e_m, e_i], e_j>
     rhs = (
         scalars.contract("ijk,km->ijm", C, G)
         - scalars.contract("jmk,ki->ijm", C, G)
         + scalars.contract("mik,kj->ijm", C, G)
     )
-    inv = scalars.to_array(linalg.inverse(two_g, exact), exact)
-    gamma = scalars.contract("mk,ijk->ijm", inv, rhs).tuples()
-    return ProductTensor(L, gamma, form, exact)
+    inv = scalars.to_array(linalg.inverse(2 * G.num, exact), exact)
+    return ProductTensor(L, scalars.contract("mk,ijk->ijm", inv, rhs), form)
 
 
 def product_from_iso(L, k, u):
@@ -160,12 +160,8 @@ def product_from_iso(L, k, u):
     # t[i][j][k]: component k of [e_i, u e_j]
     t = scalars.contract("ajk,bj->abk", C, U.transpose())
     twice = C + scalars.contract("mk,ijk->ijm", uinv, t + t.transpose(1, 0, 2))
-    if exact:
-        gamma = scalars.ScaledArray(twice.num, 2 * twice.den)
-    else:
-        gamma = scalars.ScaledArray(twice.num / 2)
-    metric = validate_form(scalars.contract("ij,jk->ik", form.array, U).tuples())
-    return ProductTensor(L, gamma.tuples(), metric, exact)
+    metric = validate_form(scalars.contract("ij,jk->ik", form.array, U))
+    return ProductTensor(L, twice.half(), metric)
 
 
 def _compose(P):
@@ -236,11 +232,7 @@ def flatness_report(L, g):
 def biinvariant_connection(L):
     """Half-bracket product; it is the metric product of any ad-invariant
     metric and needs no form to write down."""
-    half = Fraction(1, 2) if L.exact else 0.5
-    gamma = tuple(
-        tuple(tuple(half * v for v in row) for row in plane) for plane in L.c
-    )
-    return ProductTensor(L, gamma, None, L.exact)
+    return ProductTensor(L, L.array.half(), None)
 
 
 def dim4_obstruction(a, b, d):

@@ -13,13 +13,13 @@ tick: metrics from an invertible map on V for the two-step family with
 their conjugacy invariants, and the graded derivation pairs that force
 flat products on three-step nilpotent algebras.
 
-Tables and form matrices are assembled by slicing object arrays that hold
-the mode's zero, so the entries come out as Fraction or float, the same
-code in both modes.  Each identity is checked by one contraction over the
-ScaledArray views and one np.argwhere, whose first hit in row-major order
-is the first violation in index order; every product of the derivation
-pairs (brackets, B diag B^{-1}, the product d^{-1}[f x, d y]) is one
-scalars.contract.
+Tables and form matrices are assembled as numerator arrays over one
+denominator (Python ints in exact mode, float64 in binary64) and handed to
+the validators as ScaledArrays, the same code in both modes.  Each
+identity is checked by one contraction over the ScaledArrays and one
+np.argwhere, whose first hit in row-major order is the first violation in
+index order; every product of the derivation pairs (brackets,
+B diag B^{-1}, the product d^{-1}[f x, d y]) is one scalars.contract.
 """
 
 import math
@@ -88,12 +88,6 @@ class SimilarityInvariants:
     invariant_factor_degrees: tuple
 
 
-def _negated(block):
-    """-block entrywise for a table's other half; zeros stay as they are,
-    so no binary64 -0.0 appears."""
-    return np.where(block != 0, -block, block)
-
-
 def build_double_extension(w_dim, k0, theta):
     """Extend an abelian metric space (W, k0) by a k0-skew map theta.
 
@@ -119,19 +113,20 @@ def build_double_extension(w_dim, k0, theta):
         raise NotAntisymmetric(f"theta is not k0-skew at entries ({i}, {j})")
 
     n = w_dim + 2
-    zero, one = scalars.coerce(0, exact), scalars.coerce(1, exact)
-    c = np.full((n, n, n), zero, dtype=object)
-    c[0, 2:, 2:] = np.array(th, dtype=object).T  # [e-1, w_j] = theta w_j
-    # [w_i, w_j] = omega[i][j] e0 for i < j, omega = theta^T k0
-    omega = np.array(scalars.contract("ji,jk->ik", TH, K0).tuples(), dtype=object)
+    # [w_i, w_j] = omega[i][j] e0 for i < j, omega = theta^T k0; its
+    # denominator is a multiple of theta's
+    omega = scalars.contract("ji,jk->ik", TH, K0)
+    c = np.zeros((n, n, n), dtype=TH.num.dtype)
+    c[0, 2:, 2:] = TH.num.T * (omega.den // TH.den)  # [e-1, w_j] = theta w_j
     i, j = np.triu_indices(w_dim, 1)
-    c[2 + i, 2 + j, 1] = omega[i, j]
-    c[2:, 0] = _negated(c[0, 2:])
-    c[2 + j, 2 + i] = _negated(c[2 + i, 2 + j])
+    c[2 + i, 2 + j, 1] = omega.num[i, j]
+    # 0 - x keeps a binary64 zero at +0.0
+    c[2:, 0] = 0 - c[0, 2:]
+    c[2 + j, 2 + i] = 0 - c[2 + i, 2 + j]
 
-    kmat = np.full((n, n), zero, dtype=object)
-    kmat[0, 1] = kmat[1, 0] = one
-    kmat[2:, 2:] = k0f.matrix
+    kmat = np.zeros((n, n), dtype=K0.num.dtype)
+    kmat[0, 1] = kmat[1, 0] = K0.den  # 1 over the denominator of k0
+    kmat[2:, 2:] = K0.num
 
     half = w_dim // 2
     labels = ["e-1", "e0"]
@@ -139,8 +134,8 @@ def build_double_extension(w_dim, k0, theta):
         labels += [f"e{j+1}" for j in range(half)] + [f"f{j+1}" for j in range(half)]
     else:
         labels += [f"w{j}" for j in range(w_dim)]
-    L = validate_algebra(c.tolist(), labels=tuple(labels))
-    return L, validate_form(kmat.tolist())
+    L = validate_algebra(scalars.ScaledArray(c, omega.den), labels=tuple(labels))
+    return L, validate_form(scalars.ScaledArray(kmat, K0.den))
 
 
 def build_oscillator(spec):
@@ -171,23 +166,17 @@ def volume_theta(m=3):
     """Alternating sign tensor; only the three-dimensional one is total."""
     if m != 3:
         raise DimensionMismatch("volume form tensor is provided for dim 3")
-    th = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
-    for (i, j, k), s in (
-        ((0, 1, 2), 1),
-        ((1, 2, 0), 1),
-        ((2, 0, 1), 1),
-        ((0, 2, 1), -1),
-        ((2, 1, 0), -1),
-        ((1, 0, 2), -1),
-    ):
-        th[i][j][k] = Fraction(s)
-    return tuple(tuple(tuple(row) for row in plane) for plane in th)
+    # the sign of the permutation (i, j, k) of (0, 1, 2), 0 on repeats
+    return tuple(
+        tuple(tuple(Fraction((i - j) * (j - k) * (k - i), 2) for k in range(3)) for j in range(3))
+        for i in range(3)
+    )
 
 
 def _alternating_theta(m, theta):
-    """theta coerced to one mode, after the checks of build_two_step:
-    shape, alternation (the first violation in index order) and the two
-    corank-zero rank tests.  Returns (theta, exact)."""
+    """theta as a ScaledArray, after the checks of build_two_step: shape,
+    alternation (the first violation in index order) and the two
+    corank-zero rank tests."""
     if theta == "volume":
         theta = volume_theta(m)
     exact = scalars.decide_mode(scalars.flatten(theta))
@@ -211,15 +200,15 @@ def _alternating_theta(m, theta):
         raise RankDeficientTheta("theta has a kernel direction in V")
     if linalg.rank(T.num.reshape(m * m, m).tolist(), exact) < m:
         raise RankDeficientTheta("bracket image does not fill V*")
-    return th, exact
+    return T
 
 
 def _pairing(m, exact):
-    """Duality pairing of V and V*, dim V = m, as a 2m x 2m object array."""
-    kmat = np.full((2 * m, 2 * m), scalars.coerce(0, exact), dtype=object)
+    """Duality pairing of V and V*, dim V = m, as a 2m x 2m ScaledArray."""
+    kmat = np.zeros((2 * m, 2 * m), dtype=object if exact else float)
     i = np.arange(m)
-    kmat[i, m + i] = kmat[m + i, i] = scalars.coerce(1, exact)
-    return kmat
+    kmat[i, m + i] = kmat[m + i, i] = 1
+    return scalars.ScaledArray(kmat)
 
 
 def build_two_step(spec):
@@ -232,12 +221,12 @@ def build_two_step(spec):
     if not isinstance(spec, TwoStepSpec):
         spec = TwoStepSpec(dim_v=len(spec), theta=spec)
     m = spec.dim_v
-    th, exact = _alternating_theta(m, spec.theta)
-    c = np.full((2 * m,) * 3, scalars.coerce(0, exact), dtype=object)
-    c[:m, :m, m:] = np.array(th, dtype=object)
+    T = _alternating_theta(m, spec.theta)
+    c = np.zeros((2 * m,) * 3, dtype=T.num.dtype)
+    c[:m, :m, m:] = T.num
     labels = tuple([f"v{i+1}" for i in range(m)] + [f"d{i+1}" for i in range(m)])
-    L = validate_algebra(c.tolist(), labels=labels)
-    return L, validate_form(_pairing(m, exact).tolist())
+    L = validate_algebra(scalars.ScaledArray(c, T.den), labels=labels)
+    return L, validate_form(_pairing(m, T.exact))
 
 
 def two_step_metric(spec):
@@ -260,20 +249,18 @@ def two_step_metric(spec):
         linalg.inverse(phi, exact)
     except Singular:
         raise Singular("phi is not invertible") from None
-    _, theta_exact = _alternating_theta(m, spec.theta)
-    n = 2 * m
-    umat = np.full((n, n), scalars.coerce(0, exact), dtype=object)
-    umat[:m, :m] = np.array(phi, dtype=object)
-    umat[m:, m:] = umat[:m, :m].T
+    theta_exact = _alternating_theta(m, spec.theta).exact
+    # u = phi on V and phi^T on V*
+    zero = (scalars.coerce(0, exact),) * m
+    umat = tuple(row + zero for row in phi) + tuple(zero + col for col in zip(*phi))
     # G = K u for the pairing K: phi^T above the diagonal, phi below it, in
     # binary64 when either phi or theta is
-    g_exact = exact and theta_exact
-    gmat = np.full((n, n), scalars.coerce(0, g_exact), dtype=object)
-    gmat[m:, :m] = np.array(scalars.coerce_matrix(phi, g_exact), dtype=object)
-    gmat[:m, m:] = gmat[m:, :m].T
-    iso = SymmetricIso(n, tuple(map(tuple, umat.tolist())), exact)
-    metric = validate_form(gmat.tolist())
-    return iso, metric, similarity_invariants(phi)
+    PHI = scalars.to_array(phi, exact and theta_exact)
+    gmat = np.zeros((2 * m, 2 * m), dtype=PHI.num.dtype)
+    gmat[m:, :m] = PHI.num
+    gmat[:m, m:] = PHI.num.T
+    metric = validate_form(scalars.ScaledArray(gmat, PHI.den))
+    return SymmetricIso(2 * m, umat, exact), metric, similarity_invariants(phi)
 
 
 def similarity_invariants(phi):
@@ -309,17 +296,17 @@ def build_cotangent_double(L):
     two-step quadratic class at doubled dimension.
     """
     n = L.dim
-    exact = L.exact
-    c = np.full((2 * n,) * 3, scalars.coerce(0, exact), dtype=object)
-    lc = np.array(L.c, dtype=object)
+    C = L.array
+    c = np.zeros((2 * n,) * 3, dtype=C.num.dtype)
     # A occupies indices n..2n-1, the duals 0..n-1
-    c[n:, n:, n:] = lc
-    # [x, delta^m] = - sum_j c[x][j][m] delta^j, and [delta^m, x] its negative
-    c[n:, :n, :n] = _negated(lc.transpose(0, 2, 1))
-    c[:n, n:] = _negated(c[n:, :n].transpose(1, 0, 2))
+    c[n:, n:, n:] = C.num
+    # [x, delta^m] = - sum_j c[x][j][m] delta^j, and [delta^m, x] its
+    # negative; 0 - x keeps a binary64 zero at +0.0
+    c[n:, :n, :n] = 0 - C.num.transpose(0, 2, 1)
+    c[:n, n:] = 0 - c[n:, :n].transpose(1, 0, 2)
     labels = tuple([f"d{l}" for l in L.labels] + list(L.labels))
-    Ld = validate_algebra(c.tolist(), labels=labels)
-    kf = validate_form(_pairing(n, exact).tolist())
+    Ld = validate_algebra(scalars.ScaledArray(c, C.den), labels=labels)
+    kf = validate_form(_pairing(n, L.exact))
     rep = check_ad_invariance(Ld, kf)
     if not rep.invariant:
         raise NoSolution("duality pairing failed ad-invariance")
@@ -379,9 +366,7 @@ def build_f_derivation(L, k=None, a0=Fraction(4, 9)):
 
     g0 = [tuple(v) for v in c3]
     g1 = _extend_basis(exact, g0, c2)
-    g2 = _extend_basis(
-        exact, g0 + g1, [L.basis_vector(i) for i in range(n)]
-    )
+    g2 = _extend_basis(exact, g0 + g1, linalg.identity(n, exact))
     grading = (tuple(g0), tuple(g1), tuple(g2))
     sizes = (len(g0), len(g1), len(g2))
     grade = np.repeat([0, 1, 2], sizes)
@@ -446,7 +431,7 @@ def build_f_derivation(L, k=None, a0=Fraction(4, 9)):
 
     d_matrix = D.tuples()
     Dinv = scalars.to_array(linalg.inverse(d_matrix, exact), exact)
-    gamma = scalars.contract("mk,ijk->ijm", Dinv, fd).tuples()
+    gamma = scalars.contract("mk,ijk->ijm", Dinv, fd)
 
     spec = FDerivationSpec(
         grading=grading,
@@ -462,11 +447,10 @@ def build_f_derivation(L, k=None, a0=Fraction(4, 9)):
         if not inv_rep.invariant:
             raise NoSolution("supplied form is not ad-invariant")
         if not (exact and kf.exact):  # binary64 when either L or k is
-            kf = kf.to_float()
-            D = scalars.to_array(scalars.coerce_matrix(d_matrix, False), False)
+            kf, D = kf.to_float(), D.to_float()
         gm = scalars.contract("ij,jk->ik", scalars.contract("ji,jk->ik", D, kf.array), D)
-        metric = validate_form(gm.tuples())
-    product = ProductTensor(L, gamma, metric, exact)
+        metric = validate_form(gm)
+    product = ProductTensor(L, gamma, metric)
     return spec, product, metric
 
 

@@ -72,6 +72,9 @@ STEP_BUDGET = 5_000_000
 # the longest run, in time units: ten times the CLI's default probe
 # horizon; e2-motion takes about 27k DOP853 steps for it at tol 1e-10
 MAX_SPAN = 1e4
+# the most sample times of a scan grid or a route-gap comparison, each one
+# read of the continuous extension
+MAX_GRID = 10**5
 
 # DOP853 (Hairer, Norsett and Wanner, Solving ODEs I, II.10; the
 # coefficients of their DOP853 code).  _A[s] combines the stages before s,
@@ -774,6 +777,8 @@ def jacobi_route_gap(L, P, x0, y0, t_span, tol=1e-10, samples=101):
     t0, t1 = _check_span(t_span)
     if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 2:
         raise InvalidSpan(f"route-gap samples must be an integer >= 2, got {samples!r}")
+    if samples > MAX_GRID:
+        raise InvalidSpan(f"route-gap samples {samples} exceed {MAX_GRID}")
     # t0 is left out, where the routes agree by construction; the last
     # time is t1 itself
     grid = [t0 + (t1 - t0) * i / (samples - 1) for i in range(1, samples - 1)] + [t1]
@@ -867,6 +872,8 @@ def conjugate_scan(P, x0, t_window, grid=200, tol=1e-10):
         raise InvalidSpan("scan window must sit at nonnegative times")
     if isinstance(grid, bool) or not isinstance(grid, numbers.Integral) or grid < 1:
         raise InvalidSpan(f"scan grid must be an integer >= 1, got {grid}")
+    if grid > MAX_GRID:
+        raise InvalidSpan(f"scan grid {grid} exceeds {MAX_GRID}")
     _check_span((0.0, b))
     grid = int(grid)
     P = _as_product(P)
@@ -1039,7 +1046,7 @@ def polynomial_geodesic_check(L, u, trials=3, seed=0, tol=1e-7):
 
     uinv = linalg.inverse(iso.matrix, exact)
     n = L.dim
-    spans = [linalg.span_basis([L.basis_vector(i) for i in range(n)], exact)]
+    spans = [linalg.span_basis(linalg.identity(n, exact), exact)]
     in_series = True
     while spans[-1]:
         p = len(spans)
@@ -1095,7 +1102,7 @@ def energy_drift(P, traj):
     """Relative wander of <x, x> along a trajectory; needs a metric."""
     if P.metric is None:
         raise DimensionMismatch("product has no metric to conserve")
-    G = np.asarray(P.metric.matrix if not P.metric.exact else P.metric.to_float().matrix)
+    G = P.metric.to_float().array.num
     xs = np.asarray(traj.states, dtype=float)
     energies = np.einsum("ti,ij,tj->t", xs, G, xs)
     e0 = energies[0]

@@ -279,14 +279,7 @@ def parse_algebra_doc(doc):
         c[j][i][k] = -conv(value)
     L = validate_algebra(c, labels=labels)
 
-    form = None
-    if form_entries is not None:
-        gm = [[zero] * dim for _ in range(dim)]
-        for r, row in enumerate(form_entries):
-            for s, (_, value) in enumerate(row):
-                gm[r][s] = conv(value)
-                gm[s][r] = conv(value)
-        form = validate_form(gm)
+    form = _form(form_entries, exact) if form_entries is not None else None
     iso = None
     if iso_entries is not None:
         mat = tuple(tuple(conv(v) for _, v in row) for row in iso_entries)
@@ -305,16 +298,17 @@ def _parse_form_tokens(rows, n):
     return out
 
 
+def _form(toks, exact):
+    """The form whose lower triangle holds the values of the tokens toks."""
+    n = len(toks)
+    return validate_form(
+        [[scalars.coerce(toks[max(r, s)][min(r, s)][1], exact) for s in range(n)] for r in range(n)]
+    )
+
+
 def _parse_form(rows, n):
     toks = _parse_form_tokens(rows, n)
-    exact = all(e for row in toks for e, _ in row)
-    zero = Fraction(0) if exact else 0.0
-    gm = [[zero] * n for _ in range(n)]
-    for r, row in enumerate(toks):
-        for s, (_, value) in enumerate(row):
-            gm[r][s] = scalars.coerce(value, exact)
-            gm[s][r] = gm[r][s]
-    return validate_form(gm)
+    return _form(toks, all(e for row in toks for e, _ in row))
 
 
 def _parse_iso(rows, n):

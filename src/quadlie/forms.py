@@ -30,23 +30,28 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SymBilinearForm:
-    dim: int
-    matrix: tuple
-    exact: bool
+    """A form stored as its matrix's ScaledArray; matrix is a read-only view."""
+
+    array: scalars.ScaledArray
+
+    @property
+    def dim(self):
+        return self.array.num.shape[0]
+
+    @property
+    def exact(self):
+        return self.array.exact
 
     @cached_property
-    def array(self):
-        """The matrix as a ScaledArray, converted once per form."""
-        return scalars.to_array(self.matrix, self.exact)
+    def matrix(self):
+        return self.array.tuples()
 
     def apply(self, x, y):
         my = scalars.contract("ij,j->i", self.array, scalars.vector(y, self.exact))
         return scalars.contract("i,i->", scalars.vector(x, self.exact), my).tuples()
 
     def to_float(self):
-        if not self.exact:
-            return self
-        return SymBilinearForm(self.dim, scalars.coerce_matrix(self.matrix, False), False)
+        return self if not self.exact else SymBilinearForm(self.array.to_float())
 
 
 @dataclass(frozen=True)
@@ -93,22 +98,24 @@ class AdInvarianceReport:
 def validate_form(g):
     """Accept a square symmetric nondegenerate matrix as a form.
 
-    Exact mode demands literal symmetry; binary64 mode allows symmetry
-    slack 1e-9 relative to the largest entry.  The form is degenerate when
-    its rank is below its size, with linalg's rank in either mode (in
-    binary64 the singular values cut at 1e-9 of the largest), and the
-    Degenerate report carries a kernel basis.
+    Takes a nested square matrix of one mode's scalars, or a ScaledArray
+    that library code has assembled.  Exact mode demands literal symmetry;
+    binary64 mode allows symmetry slack 1e-9 relative to the largest
+    entry.  The form is degenerate when its rank is below its size, with
+    linalg's rank in either mode (in binary64 the singular values cut at
+    1e-9 of the largest), and the Degenerate report carries a kernel basis.
     """
-    n = len(g)
-    if n == 0:
-        raise DimensionMismatch("empty form matrix")
-    for i, row in enumerate(g):
-        if len(row) != n:
-            raise DimensionMismatch(f"form row {i} has {len(row)} entries, expected {n}")
-    exact = scalars.decide_mode(scalars.flatten(g))
-    m = scalars.coerce_matrix(g, exact)
-    form = SymBilinearForm(n, m, exact)
-    M = form.array
+    if isinstance(g, scalars.ScaledArray):
+        M = g
+    else:
+        n = len(g)
+        if n == 0:
+            raise DimensionMismatch("empty form matrix")
+        for i, row in enumerate(g):
+            if len(row) != n:
+                raise DimensionMismatch(f"form row {i} has {len(row)} entries, expected {n}")
+        M = scalars.to_array(g, scalars.decide_mode(scalars.flatten(g)))
+    n, exact = M.num.shape[0], M.exact
     tol = scalars.tolerance(exact, max(1.0, M.scale()))
     # M - M^T is antisymmetric with a zero diagonal, so the first violation
     # in index order has i < j
@@ -116,17 +123,20 @@ def validate_form(g):
     if len(bad):
         i, j = bad[0].tolist()
         raise NotSymmetric(f"entries ({i},{j}) and ({j},{i}) differ")
-    if linalg.rank(m, exact) < n:
-        raise Degenerate(linalg.nullspace(m, exact))
-    return form
+    # the numerators share one positive denominator: same rank and kernel
+    if linalg.rank(M.num.tolist(), exact) < n:
+        raise Degenerate(linalg.nullspace(M.num.tolist(), exact))
+    return SymBilinearForm(M)
 
 
 def signature(g):
     form = g if isinstance(g, SymBilinearForm) else validate_form(g)
+    # the positive common denominator leaves the inertia as it is
+    rows = form.array.num.tolist()
     if form.exact:
-        p, q, z = linalg.exact_signature(form.matrix)
+        p, q, z = linalg.exact_signature(rows)
     else:
-        p, q, z = linalg.float_signature(form.matrix)
+        p, q, z = linalg.float_signature(rows)
     return Signature(p, q, z)
 
 
@@ -179,9 +189,7 @@ def metric_from_iso(k, u):
         linalg.inverse(umat, exact)
     except Singular:
         raise Singular("operator is not invertible") from None
-    iso = SymmetricIso(form.dim, umat, exact)
-    metric = validate_form(ku.tuples())
-    return iso, metric
+    return SymmetricIso(form.dim, umat, exact), validate_form(ku)
 
 
 def iso_from_metric(k, g):
@@ -191,7 +199,7 @@ def iso_from_metric(k, g):
     if form.dim != metric.dim:
         raise DimensionMismatch("form and metric dimensions differ")
     exact = form.exact and metric.exact
-    fm = form.matrix if exact else form.to_float().matrix
-    gm = metric.matrix if exact else metric.to_float().matrix
-    kinv = linalg.inverse(fm, exact)
-    return SymmetricIso(form.dim, linalg.mat_mul(kinv, gm), exact)
+    if not exact:
+        form, metric = form.to_float(), metric.to_float()
+    kinv = linalg.inverse(form.matrix, exact)
+    return SymmetricIso(form.dim, linalg.mat_mul(kinv, metric.matrix), exact)

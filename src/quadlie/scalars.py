@@ -1,16 +1,16 @@
 """Scalar plumbing for the two arithmetic modes.
 
-Exact containers hold fractions.Fraction entries, approximate ones hold
-binary64 floats.  A container never mixes modes: construction inspects the
-entries once, and to_float() on the owning object is the only crossing.
-Ints are welcome in either mode and promote to the container's type.
+Exact tensors hold fractions.Fraction values, approximate ones binary64
+floats.  A tensor never mixes modes: construction inspects the entries
+once, and ScaledArray.to_float is the one crossing from exact to binary64.
+Ints are welcome in either mode and promote to the tensor's type.
 
-For arithmetic a tensor is held as a ScaledArray, and this module owns
-that choice: in exact mode an object-dtype numpy array of Python ints over
-one common denominator (the lcm of the entries' denominators), in binary64
-a float64 array over 1.  Every tensor kernel is one np.einsum contraction
-over these arrays, the same expression in both modes, and tuples() is the
-one way back to nested tuples of Fraction or float.
+A tensor is stored as a ScaledArray, and this module owns that choice: in
+exact mode an object-dtype numpy array of Python ints over one common
+denominator, in binary64 a float64 array over 1.  Every tensor kernel is
+one np.einsum contraction over these arrays, the same expression in both
+modes, and tuples() builds the read-only nested tuples of Fraction or
+float that the tensor classes show as their c, matrix, gamma and r.
 
 An exact contraction runs its einsum on int64 copies of the numerators
 when the result provably fits: (number of summed terms) times the product
@@ -94,7 +94,7 @@ def as_float(v):
     try:
         return float(v)
     except OverflowError:
-        raise InvalidValue("exact entry beyond the binary64 range") from None
+        raise InvalidValue(_BEYOND) from None
 
 
 def coerce(v, exact):
@@ -166,15 +166,18 @@ def _tupled(x):
 
 _fractions = np.frompyfunc(Fraction, 2, 1)
 _ZERO = Fraction(0)
+_BEYOND = "exact entry beyond the binary64 range"
 
 
 @dataclass(frozen=True, eq=False)
 class ScaledArray:
-    """A tensor held for arithmetic: entry = num / den.
+    """A tensor as it is stored: entry = num / den.
 
     Exact: num is an object array of Python ints and den a positive int.
     Binary64: num is a float64 array and den is 1.  Instances are never
-    modified; arithmetic returns new ones.
+    modified; arithmetic returns new ones.  Equality is by value and mode:
+    the same tensor over two denominators is equal, and an exact tensor
+    never equals a binary64 one.
     """
 
     num: np.ndarray
@@ -183,6 +186,27 @@ class ScaledArray:
     @property
     def exact(self):
         return self.num.dtype == object
+
+    def __eq__(self, other):
+        return isinstance(other, ScaledArray) and self.exact == other.exact and (
+            self.num.shape == other.num.shape
+            and bool(np.all(self.num * other.den == other.num * self.den))
+        )
+
+    def __hash__(self):
+        return hash((self.exact, self.tuples()))
+
+    def to_float(self):
+        """Each entry num / den correctly rounded, the float of its
+        Fraction; InvalidValue when one lies beyond binary64."""
+        try:
+            return ScaledArray((self.num / self.den).astype(float)) if self.exact else self
+        except OverflowError:
+            raise InvalidValue(_BEYOND) from None
+
+    def half(self):
+        """The tensor over 2, exactly in both modes."""
+        return ScaledArray(self.num, 2 * self.den) if self.exact else ScaledArray(self.num / 2)
 
     def _over(self, den):
         factor = den // self.den
@@ -239,7 +263,10 @@ def to_array(nested, exact):
         ints = [v.numerator * (den // v.denominator) for v in entries.flat]
         num = np.array(ints, dtype=object).reshape(entries.shape)
     else:
-        num, den = np.array(nested, dtype=float), 1
+        try:
+            num, den = np.array(nested, dtype=float), 1
+        except OverflowError:  # an int beyond binary64
+            raise InvalidValue(_BEYOND) from None
     num.flags.writeable = False
     return ScaledArray(num, den)
 
@@ -279,13 +306,14 @@ def _fits_int64(spec, nums):
 
 def contract(spec, *arrays):
     """np.einsum over the numerators, on int64 copies when an exact result
-    provably fits and the work repays the casts; the denominators multiply."""
+    provably fits and the work repays the casts; the denominators multiply.
+    A binary64 result reads -0.0 as 0.0, as the sums of plain loops give."""
     nums = [a.num for a in arrays]
     dtype = nums[0].dtype
     if dtype == object and _fits_int64(spec, nums):
         nums = [n.astype(np.int64) for n in nums]
     num = np.asarray(np.einsum(spec, *nums)).astype(dtype, copy=False)
-    return ScaledArray(num, math.prod(a.den for a in arrays))
+    return ScaledArray(num if dtype == object else num + 0.0, math.prod(a.den for a in arrays))
 
 
 def left_mult(table, x):

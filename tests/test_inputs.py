@@ -467,3 +467,28 @@ def test_a_catalog_frequency_beyond_binary64_certifies_and_only_its_float_oracle
         entry.oracles["group_product"]((0, 0, 0), (0, 0, 0))
     code, rep = run("analyze", "--catalog", f"oscillator({BIG})")
     assert code == 0 and rep["mode"] == "exact"
+
+
+def test_a_binary64_table_or_form_with_an_int_beyond_its_range_is_invalid():
+    c = [[[int(v) for v in row] for row in plane] for plane in _big_e2()[0]]
+    c[0][0][0] = 0.0  # one float makes the table binary64
+    with pytest.raises(InvalidValue):
+        validate_algebra(c)
+    with pytest.raises(InvalidValue):
+        validate_form([[BIG, 0, 0], [0, 1.0, 0], [0, 0, -1]])
+
+
+def test_grids_beyond_max_grid_are_invalid(e2_product):
+    P, big = e2_product, dynamics.MAX_GRID + 1
+    with pytest.raises(InvalidSpan):
+        dynamics.conjugate_scan(P, SEED, (0.0, 1.0), grid=big)
+    with pytest.raises(InvalidSpan):
+        dynamics.jacobi_route_gap(P.algebra, P, SEED, SEED, (0.0, 1.0), samples=big)
+
+
+def test_cli_scan_grid_beyond_max_grid_ends_at_once():
+    start = time.perf_counter()
+    code, rep = run("conjugate", "--catalog", "e2-motion", "--window", "0:8", "--grid", "100000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert rep["error"]["type"] == "InvalidSpan"

@@ -18,8 +18,10 @@ from hypothesis import strategies as st
 
 from quadlie import (
     TwoStepSpec,
+    biinvariant_connection,
     build_cotangent_double,
     build_double_extension,
+    build_f_derivation,
     build_two_step,
     catalog,
     check_ad_invariance,
@@ -27,8 +29,10 @@ from quadlie import (
     flatness_report,
     levi_civita,
     linalg,
+    metric_from_iso,
     product_from_iso,
     product_report,
+    scalars,
     two_step_metric,
     validate_algebra,
     validate_form,
@@ -429,3 +433,71 @@ def test_pinned_violations():
     e = info.value
     assert (e.i, e.j, e.k, e.component, e.residual) == (0, 1, 2, 2, -1.0)
     assert type(e.residual) is float
+
+
+# --- one stored form per tensor -----------------------------------------------
+
+
+def _float_each(nested):
+    """float(Fraction) entry by entry: the binary64 view a conversion owes."""
+    return tuple(map(_float_each, nested)) if isinstance(nested, tuple) else float(nested)
+
+
+def _negative_zeros(nested):
+    return [v for v in scalars.flatten(nested) if v == 0 and math.copysign(1.0, v) < 0]
+
+
+@pytest.mark.parametrize("family, examples", FAMILIES)
+def test_binary64_views_are_the_float_of_each_fraction_and_hold_no_negative_zero(family, examples):
+    @settings(PROFILE, max_examples=examples)
+    @given(metric_pairs(family))
+    def check(pair):
+        L, metric = pair
+        P = levi_civita(L, metric)
+        Lf, metric_f, Pf = L.to_float(), metric.to_float(), P.to_float()
+        # repr tells -0.0 from 0.0, so equal reprs are equal bits
+        for exact_view, float_view in ((L.c, Lf.c), (metric.matrix, metric_f.matrix),
+                                       (P.gamma, Pf.gamma)):
+            assert repr(float_view) == repr(_float_each(exact_view))
+        double, pairing = build_cotangent_double(Lf)
+        solved = levi_civita(Lf, metric_f)
+        for view in (Lf.c, metric_f.matrix, Pf.gamma, solved.gamma, double.c, pairing.matrix,
+                     biinvariant_connection(Lf).gamma):
+            assert not _negative_zeros(view)
+
+    check()
+
+
+def test_binary64_double_extensions_hold_no_negative_zero():
+    @settings(PROFILE, max_examples=10)
+    @given(double_extensions())
+    def check(ext):
+        L, k = ext
+        w = L.dim - 2
+        theta = [[float(L.c[0][2 + j][2 + i]) for j in range(w)] for i in range(w)]
+        k0 = [[float(v) for v in row[2:]] for row in k.matrix[2:]]
+        Lf, kf = build_double_extension(w, k0, theta)
+        assert not _negative_zeros(Lf.c) and not _negative_zeros(kf.matrix)
+
+    check()
+
+
+def test_equal_tensors_over_different_denominators_are_equal_and_hash_equal():
+    half = F(1, 2)
+    # omega = theta^T k0 comes out over the denominator 2 with even numerators
+    L, k = build_double_extension(2, [[half, 0], [0, half]], [[0, 2], [-2, 0]])
+    again = validate_algebra(L.c, L.labels)
+    assert L == again and hash(L) == hash(again) and len({L, again}) == 1
+    # K u = I, reached over the denominator 2
+    metric = metric_from_iso([[half, 0], [0, half]], [[2, 0], [0, 2]])[1]
+    ident = validate_form([[1, 0], [0, 1]])
+    assert metric == ident and hash(metric) == hash(ident)
+    # the graded derivation product is the Levi-Civita product of its metric
+    dim5 = catalog("dim5-nilpotent")
+    _, P, flat = build_f_derivation(dim5.algebra, dim5.quad_form)
+    Q = levi_civita(dim5.algebra, flat)
+    assert P == Q and hash(P) == hash(Q)
+    # an exact tensor never equals its binary64 copy, integer entries too
+    L2, k2 = build_two_step(TwoStepSpec(3, "volume"))
+    for obj in (L, k, L2, k2, P):
+        assert obj != obj.to_float()

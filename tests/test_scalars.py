@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from quadlie import scalars
-from quadlie.errors import MixedModeError
+from quadlie.errors import InvalidValue, MixedModeError
 
 
 def test_decide_mode_exact_for_integers_and_fractions():
@@ -240,3 +240,15 @@ def test_contract_covers_the_specs_of_every_kernel():
     assert {"ijk,i->kj", "mk,ijk->ijm", "jkm,iml->ijkl", "ikk->i", "i,i->"} <= set(_SPECS)
     assert all(spec.count("->") == 1 for spec in _SPECS)
     assert math.prod(_PRIMES) == 2**63 - 1
+
+
+def test_scaled_arrays_compare_by_value_and_mode():
+    num = np.array([[1, -2], [0, 3]], dtype=object)
+    a, b = scalars.ScaledArray(num, 2), scalars.ScaledArray(3 * num, 6)
+    assert a == b and hash(a) == hash(b)
+    assert a != scalars.ScaledArray(num, 3)
+    assert a.to_float() == scalars.ScaledArray(np.array([[0.5, -1.0], [0.0, 1.5]]))
+    assert a != a.to_float() and a.half() == scalars.ScaledArray(num, 4)
+    assert a.to_float().half() == a.half().to_float()
+    with pytest.raises(InvalidValue):
+        scalars.ScaledArray(np.array([10**400], dtype=object)).to_float()
