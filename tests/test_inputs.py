@@ -21,6 +21,7 @@ from quadlie import catalog, dynamics, fileio, levi_civita, metric_from_iso, val
 from quadlie import validate_form
 from quadlie.cli import main
 from quadlie.errors import EngineError, InvalidSpan, InvalidValue, StepBudgetExhausted
+from quadlie.errors import DimensionMismatch
 
 
 def _strict_json(text):
@@ -492,3 +493,42 @@ def test_cli_scan_grid_beyond_max_grid_ends_at_once():
     assert time.perf_counter() - start < 1.0
     assert code == 1
     assert rep["error"]["type"] == "InvalidSpan"
+
+
+@pytest.mark.parametrize("t_max", ["abc", "5", (1.0,), (-1.0, 2.0, 3.0), (), True, (-1.0, True),
+                                   10**400, (-(10**400), 1.0), None])
+def test_probe_rejects_malformed_windows(e2_product, t_max):
+    with pytest.raises(InvalidSpan):
+        dynamics.completeness_probe(e2_product, [SEED], t_max=t_max)
+
+
+@pytest.mark.parametrize("bad, error", [
+    ((0.7, "a", 1.3), InvalidValue),
+    ((0.7, 10**400, 1.3), InvalidValue),
+    ((0.7, None, 1.3), InvalidValue),
+    ((0.7, -0.3), DimensionMismatch),
+    ((0.7, -0.3, 1.3, 0.0), DimensionMismatch),
+    (5, DimensionMismatch),
+])
+def test_seeds_that_are_not_finite_real_vectors_are_typed(e2_product, bad, error):
+    with pytest.raises(error):
+        dynamics.integrate_geodesic(e2_product, bad, (0.0, 1.0))
+    with pytest.raises(error):
+        dynamics.completeness_probe(e2_product, [SEED, bad], t_max=1.0)
+
+
+def test_probe_checks_every_seed_before_any_run(e2_product, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(dynamics, "_solve", never)
+    for bad in ((0.7, "a", 1.3), (math.nan, 0.0, 1.0), (0.7, -0.3)):
+        with pytest.raises((InvalidValue, DimensionMismatch)):
+            dynamics.completeness_probe(e2_product, [SEED, SEED, bad], t_max=1.0)
+
+
+def test_probe_seeds_of_a_bare_field_share_one_length(e2_product):
+    field = dynamics._field_from(e2_product)[0]
+    with pytest.raises(DimensionMismatch):
+        dynamics.completeness_probe(field, [SEED, (0.7, -0.3)], t_max=1.0)
+
