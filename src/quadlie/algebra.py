@@ -7,7 +7,9 @@ residuals up to 1e-9 relative to the largest structure constant.
 
 Every kernel here (bracket, ad, both validation tests, the spans of the
 structure report and the unimodular trace) is one contraction over the
-algebra's ScaledArray, the same code in both modes.
+algebra's ScaledArray, the same code in both modes; the structure report
+hands the contractions to linalg's kernels as ScaledArrays and builds its
+nested bases only at the end.
 """
 
 from dataclasses import dataclass
@@ -53,7 +55,7 @@ class LieAlgebra:
         return scalars.left_mult(self.array, scalars.vector(x, self.exact)).tuples()
 
     def basis_vector(self, i):
-        return linalg.identity(self.dim, self.exact)[i]
+        return scalars.eye(self.dim, self.exact)[i].tuples()
 
     def label_index(self, name):
         """Resolve a coordinate label; falls back to integer and e<k> forms."""
@@ -149,17 +151,15 @@ class StructureReport:
     abelian: bool
 
 
-def _bracket_span(L, left_basis, right_basis):
-    """Canonical basis of span{[v, w]} over the two vector families."""
-    if not left_basis or not right_basis:
-        return ()
-    left = scalars.to_array(left_basis, L.exact)
-    right = scalars.to_array(right_basis, L.exact)
-    ad_left = scalars.contract("ai,ijk->ajk", left, L.array)
-    brackets = scalars.contract("ajk,bj->abk", ad_left, right)
-    # every row shares one positive denominator, so the numerator rows span
-    # the same space; + 0 reads a binary64 -0.0 as 0.0, as tuples() does
-    return linalg.span_basis((brackets.num + 0).reshape(-1, L.dim).tolist(), L.exact)
+def brackets(L, X, Y):
+    """t[a, b, k]: component k of [x_a, y_b], for the rows x_a of X and y_b
+    of Y."""
+    return scalars.contract("ajk,bj->abk", scalars.contract("ai,ijk->ajk", X, L.array), Y)
+
+
+def _bracket_span(L, left, right):
+    """Canonical basis of span{[v, w]} over the rows of left and right."""
+    return linalg.span_basis(brackets(L, left, right).reshape(-1, L.dim))
 
 
 def structure_report(L):
@@ -167,45 +167,45 @@ def structure_report(L):
 
     The series list starts at the whole algebra and ends at the first
     stationary term, so a nilpotent algebra of class m contributes m+1
-    entries with an empty basis last.
+    entries with an empty basis last.  Every basis is span_basis's, so in
+    exact mode two terms span the same space exactly when they are equal.
     """
     n = L.dim
     exact = L.exact
     C = L.array
-    full = linalg.identity(n, exact)
+    full = linalg.span_basis(scalars.eye(n, exact))
 
-    # row (j, k) holds c[i][j][k] over i; the rows share one positive
-    # denominator, so their numerators have the same kernel
-    center = linalg.nullspace(C.num.transpose(1, 2, 0).reshape(n * n, n).tolist(), exact)
+    # row (j, k) holds c[i][j][k] over i
+    center = linalg.nullspace(C.transpose(1, 2, 0).reshape(n * n, n))
 
     derived = _bracket_span(L, full, full)
 
-    series = [linalg.span_basis(full, exact)]
+    series = [full]
     while True:
         nxt = _bracket_span(L, full, series[-1])
-        if linalg.same_span(nxt, series[-1], exact):
+        if linalg.same_span(nxt, series[-1]):
             break
         series.append(nxt)
-        if not nxt:
+        if not len(nxt.num):
             break
-    nil_class = len(series) - 1 if series and not series[-1] else None
+    nil_class = len(series) - 1 if not len(series[-1].num) else None
 
-    dseries = [series[0]]
-    while dseries[-1]:
+    dseries = [full]
+    while len(dseries[-1].num):
         nxt = _bracket_span(L, dseries[-1], dseries[-1])
-        if linalg.same_span(nxt, dseries[-1], exact):
+        if linalg.same_span(nxt, dseries[-1]):
             break
         dseries.append(nxt)
-    solvable = not dseries[-1]
+    solvable = not len(dseries[-1].num)
 
     traces = scalars.contract("ikk->i", C)
     tr_tol = scalars.tolerance(exact, max(1.0, C.scale()))
     unimodular = not traces.beyond(tr_tol).any()
     abelian = not np.count_nonzero(C.num)
     return StructureReport(
-        center=center,
-        derived=derived,
-        lower_central=tuple(series),
+        center=center.tuples(),
+        derived=derived.tuples(),
+        lower_central=tuple(term.tuples() for term in series),
         nilpotency_class=nil_class,
         solvable=solvable,
         unimodular=unimodular,

@@ -265,20 +265,8 @@ def _build_oscillator_entry(lams):
 
 def _dim4_metric_family(L, k):
     def family(a, b, d, s00=0, s02=0, s03=0):
-        vals = scalars.flatten((a, b, d, s00, s02, s03))
-        exact = scalars.decide_mode(vals)
-        a, b, d, s00, s02, s03 = (scalars.coerce(v, exact) for v in (a, b, d, s00, s02, s03))
-        zero = scalars.coerce(0, exact)
-        one = scalars.coerce(1, exact)
-        smat = (
-            (s00, one, s02, s03),
-            (one, zero, zero, zero),
-            (s02, zero, a, b),
-            (s03, zero, b, -d),
-        )
-        metric = validate_form(smat)
-        iso = iso_from_metric(k if exact else k.to_float(), metric)
-        return iso, metric
+        metric = validate_form(((s00, 1, s02, s03), (1, 0, 0, 0), (s02, 0, a, b), (s03, 0, b, -d)))
+        return iso_from_metric(k, metric), metric
 
     return family
 
@@ -366,8 +354,6 @@ def _dim5_solution_curve(c):
 
 
 def _build_dim5():
-    z = Fraction(0)
-    one = Fraction(1)
     L = _table(
         5,
         {
@@ -380,14 +366,11 @@ def _build_dim5():
     k = validate_form(
         [[0, 0, 0, 0, 1], [0, 0, 0, -1, 0], [0, 0, 1, 0, 0], [0, -1, 0, 0, 0], [1, 0, 0, 0, 0]]
     )
-    umat = (
-        (z, one, z, z, z),
-        (one, z, z, z, z),
-        (z, z, one, z, z),
-        (z, z, z, z, -one),
-        (z, z, z, -one, z),
+    u = SymmetricIso(
+        5,
+        [[0, 1, 0, 0, 0], [1, 0, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 0, -1], [0, 0, 0, -1, 0]],
+        True,
     )
-    u = SymmetricIso(5, umat, True)
     _, metric = metric_from_iso(k, u)
 
     def flat_structure():

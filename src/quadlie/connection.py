@@ -28,7 +28,7 @@ from functools import cached_property
 from . import linalg, scalars
 from .algebra import LieAlgebra
 from .errors import DimensionMismatch, InvalidValue
-from .forms import SymBilinearForm, SymmetricIso, validate_form
+from .forms import SymBilinearForm, as_iso, validate_form
 
 __all__ = [
     "ProductTensor",
@@ -119,10 +119,8 @@ def levi_civita(L, g):
     form = g if isinstance(g, SymBilinearForm) else validate_form(g)
     if form.dim != L.dim:
         raise DimensionMismatch("metric and algebra dimensions differ")
-    exact = L.exact and form.exact
-    if not exact:
-        L = L.to_float()
-        form = form.to_float()
+    if not (L.exact and form.exact):
+        L, form = L.to_float(), form.to_float()
     # the product is unchanged when G is scaled by a constant, so G's
     # numerators stand in for G
     C, G = L.array, scalars.ScaledArray(form.array.num)
@@ -132,7 +130,7 @@ def levi_civita(L, g):
         - scalars.contract("jmk,ki->ijm", C, G)
         + scalars.contract("mik,kj->ijm", C, G)
     )
-    inv = scalars.to_array(linalg.inverse(2 * G.num, exact), exact)
+    inv = linalg.inverse(scalars.ScaledArray(2 * G.num))
     return ProductTensor(L, scalars.contract("mk,ijk->ijm", inv, rhs), form)
 
 
@@ -147,19 +145,15 @@ def product_from_iso(L, k, u):
     levi_civita so the two can cross-check each other.
     """
     form = k if isinstance(k, SymBilinearForm) else validate_form(k)
-    iso = u if isinstance(u, SymmetricIso) else SymmetricIso(
-        L.dim, scalars.coerce_matrix(u, L.exact and form.exact), L.exact and form.exact
-    )
-    exact = L.exact and form.exact and iso.exact
-    if not exact:
-        L = L.to_float()
-        form = form.to_float()
-        iso = iso.to_float()
-    C, U = L.array, scalars.to_array(iso.matrix, exact)
-    uinv = scalars.to_array(iso.inverse_matrix(), exact)
+    if form.dim != L.dim:
+        raise DimensionMismatch("form and algebra dimensions differ")
+    iso = as_iso(u, L.dim)
+    if not (L.exact and form.exact and iso.exact):
+        L, form, iso = L.to_float(), form.to_float(), iso.to_float()
+    C, U = L.array, iso.array
     # t[i][j][k]: component k of [e_i, u e_j]
     t = scalars.contract("ajk,bj->abk", C, U.transpose())
-    twice = C + scalars.contract("mk,ijk->ijm", uinv, t + t.transpose(1, 0, 2))
+    twice = C + scalars.contract("mk,ijk->ijm", iso.inverse, t + t.transpose(1, 0, 2))
     metric = validate_form(scalars.contract("ij,jk->ik", form.array, U))
     return ProductTensor(L, twice.half(), metric)
 

@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg, scalars
-from .algebra import LieAlgebra, structure_report, validate_algebra
+from .algebra import brackets, structure_report, validate_algebra
 from .connection import ProductTensor
 from .errors import (
     DimensionMismatch,
@@ -99,11 +99,8 @@ def build_double_extension(w_dim, k0, theta):
     if k0f.dim != w_dim:
         raise DimensionMismatch("k0 size does not match W dimension")
     exact = k0f.exact and scalars.decide_mode(scalars.flatten(theta))
-    th = scalars.coerce_matrix(theta, exact)
-    if len(th) != w_dim or any(len(r) != w_dim for r in th):
-        raise DimensionMismatch("theta size does not match W dimension")
-    k0f = k0f if exact else k0f.to_float()
-    K0, TH = k0f.array, scalars.to_array(th, exact)
+    TH = scalars.matrix(theta, w_dim, exact)
+    K0 = (k0f if exact else k0f.to_float()).array
 
     k0th = scalars.contract("ij,jk->ik", K0, TH)
     tol = scalars.tolerance(exact, max(1.0, K0.scale() * TH.scale()))
@@ -195,10 +192,9 @@ def _alternating_theta(m, theta):
     if len(bad):
         i, j, k = bad[0].tolist()
         raise NotAntisymmetric(f"theta is not alternating at ({i}, {j}, {k})")
-    # numerators over one positive denominator: the rows keep their ranks
-    if linalg.rank(T.num.transpose(1, 2, 0).reshape(m * m, m).tolist(), exact) < m:
+    if linalg.rank(T.transpose(1, 2, 0).reshape(m * m, m)) < m:
         raise RankDeficientTheta("theta has a kernel direction in V")
-    if linalg.rank(T.num.reshape(m * m, m).tolist(), exact) < m:
+    if linalg.rank(T.reshape(m * m, m)) < m:
         raise RankDeficientTheta("bracket image does not fill V*")
     return T
 
@@ -241,26 +237,20 @@ def two_step_metric(spec):
     if spec.phi is None:
         raise DimensionMismatch("spec carries no phi")
     m = spec.dim_v
-    exact = scalars.decide_mode(scalars.flatten(spec.phi))
-    phi = scalars.coerce_matrix(spec.phi, exact)
-    if len(phi) != m or any(len(r) != m for r in phi):
-        raise DimensionMismatch("phi must act on V")
-    try:
-        linalg.inverse(phi, exact)
-    except Singular:
-        raise Singular("phi is not invertible") from None
+    PHI = scalars.matrix(spec.phi, m, scalars.decide_mode(scalars.flatten(spec.phi)))
+    if linalg.rank(PHI) < m:
+        raise Singular("phi is not invertible")
     theta_exact = _alternating_theta(m, spec.theta).exact
     # u = phi on V and phi^T on V*
-    zero = (scalars.coerce(0, exact),) * m
-    umat = tuple(row + zero for row in phi) + tuple(zero + col for col in zip(*phi))
-    # G = K u for the pairing K: phi^T above the diagonal, phi below it, in
-    # binary64 when either phi or theta is
-    PHI = scalars.to_array(phi, exact and theta_exact)
-    gmat = np.zeros((2 * m, 2 * m), dtype=PHI.num.dtype)
-    gmat[m:, :m] = PHI.num
-    gmat[:m, m:] = PHI.num.T
-    metric = validate_form(scalars.ScaledArray(gmat, PHI.den))
-    return SymmetricIso(2 * m, umat, exact), metric, similarity_invariants(phi)
+    umat = np.zeros((2 * m, 2 * m), dtype=PHI.num.dtype)
+    umat[:m, :m] = PHI.num
+    umat[m:, m:] = PHI.num.T
+    # G = K u for the pairing K, which swaps V and V*: u with the two
+    # halves of its rows swapped, in binary64 when either phi or theta is
+    G = scalars.ScaledArray(np.roll(umat, m, axis=0), PHI.den)
+    metric = validate_form(G if theta_exact else G.to_float())
+    iso = SymmetricIso(2 * m, scalars.ScaledArray(umat, PHI.den), PHI.exact)
+    return iso, metric, similarity_invariants(spec.phi)
 
 
 def similarity_invariants(phi):
@@ -317,20 +307,14 @@ def build_cotangent_double(L):
 # graded derivation pairs on three-step algebras
 
 
-def _extend_basis(exact, inner, vectors):
-    """Grow the independent rows inner by those of vectors that raise the
-    rank, in order, returning the added ones."""
-    base, added = list(inner), []
-    for v in vectors:
-        if linalg.rank(base + [list(v)], exact) > len(base):
-            base.append(list(v))
-            added.append(tuple(v))
-    return added
-
-
-def _brackets(C, X, Y):
-    """[x_a, y_b][k] for the rows x_a of X and y_b of Y, over the table C."""
-    return scalars.contract("ajk,bj->abk", scalars.contract("ai,ijk->ajk", X, C), Y)
+def _extend_basis(inner, vectors):
+    """The rows of vectors, in order, that each lie outside the span of the
+    rows of inner and of the rows taken before them."""
+    taken = []
+    for i in range(len(vectors.num)):
+        if not linalg.in_span(scalars.stack([inner, vectors[taken]]), vectors[i]):
+            taken.append(i)
+    return vectors[taken]
 
 
 def build_f_derivation(L, k=None, a0=Fraction(4, 9)):
@@ -361,22 +345,21 @@ def build_f_derivation(L, k=None, a0=Fraction(4, 9)):
     exact = L.exact
     n = L.dim
     C = L.array
-    series = rep.lower_central  # C^1, C^2, C^3, C^4 = 0
-    c2, c3 = series[1], series[2]
+    # C^2 and C^3 of the lower central series C^1, C^2, C^3, C^4 = 0
+    c2, c3 = (scalars.to_array(term, exact) for term in rep.lower_central[1:3])
 
-    g0 = [tuple(v) for v in c3]
-    g1 = _extend_basis(exact, g0, c2)
-    g2 = _extend_basis(exact, g0 + g1, linalg.identity(n, exact))
-    grading = (tuple(g0), tuple(g1), tuple(g2))
-    sizes = (len(g0), len(g1), len(g2))
+    g1 = _extend_basis(c3, c2)
+    g2 = _extend_basis(scalars.stack([c3, g1]), scalars.eye(n, exact))
+    grading = (rep.lower_central[2], g1.tuples(), g2.tuples())
+    sizes = (len(c3.num), len(g1.num), len(g2.num))
     grade = np.repeat([0, 1, 2], sizes)
 
-    cols = tuple(zip(*(g0 + g1 + g2)))  # columns are the graded basis
-    B = scalars.to_array(cols, exact)
-    Binv = scalars.to_array(linalg.inverse(cols, exact), exact)
+    X = scalars.stack([c3, g1, g2])  # rows are the graded basis
+    B = X.transpose()
+    Binv = linalg.inverse(B)
     fa = tuple(scalars.coerce(v, exact) for v in (a0, Fraction(4, 9), Fraction(2, 3)))
     # coords[a, b, r]: coordinate r of [x_a, x_b] in the graded basis x
-    coords = scalars.contract("mk,ijk->ijm", Binv, _brackets(C, B.transpose(), B.transpose()))
+    coords = scalars.contract("mk,ijk->ijm", Binv, brackets(L, X, X))
 
     # constraints alpha_r = a_q alpha_p + a_p alpha_q, one per grade triple
     # (p <= q, r) with a nonzero bracket component, as rows
@@ -395,7 +378,7 @@ def build_f_derivation(L, k=None, a0=Fraction(4, 9)):
 
     # a slot the reduced rows leave open keeps the default 4/9
     alphas = [Fraction(4, 9), Fraction(4, 9)]
-    for row in linalg.rref(rows):
+    for row in linalg.rref(scalars.to_array(rows, True)).tuples():
         lead = next(j for j in range(3) if row[j] != 0)
         if lead == 2:
             raise NoSolution("graded constraints are inconsistent")
@@ -417,25 +400,23 @@ def build_f_derivation(L, k=None, a0=Fraction(4, 9)):
     tolv = scalars.tolerance(exact, 1.0)
 
     # the derivation identity on all basis pairs
-    fd = _brackets(C, FT, DT)
-    defect = scalars.contract("mk,ijk->ijm", D, C) - _brackets(C, DT, FT) - fd
+    fd = brackets(L, FT, DT)
+    defect = scalars.contract("mk,ijk->ijm", D, C) - brackets(L, DT, FT) - fd
     if defect.beyond(tolv).any():
         raise NoSolution("derivation identity fails after solving")
 
     # f must be a homomorphism up to the center: every F[e_i, e_j] -
     # [F e_i, F e_j] lies in it (the center rows are a basis)
-    hom = scalars.contract("mk,ijk->ijm", Fm, C) - _brackets(C, FT, FT)
-    center = list(rep.center)
-    if linalg.rank(center + hom.num.reshape(n * n, n).tolist(), exact) > len(center):
+    hom = scalars.contract("mk,ijk->ijm", Fm, C) - brackets(L, FT, FT)
+    center = scalars.to_array(rep.center, exact)
+    if linalg.rank(scalars.stack([center, hom.reshape(n * n, n)])) > len(center.num):
         raise NoSolution("f fails the homomorphism-mod-center property")
 
-    d_matrix = D.tuples()
-    Dinv = scalars.to_array(linalg.inverse(d_matrix, exact), exact)
-    gamma = scalars.contract("mk,ijk->ijm", Dinv, fd)
+    gamma = scalars.contract("mk,ijk->ijm", linalg.inverse(D), fd)
 
     spec = FDerivationSpec(
         grading=grading,
-        d_matrix=d_matrix,
+        d_matrix=D.tuples(),
         f_matrix=Fm.tuples(),
         d_diagonal=da,
         f_diagonal=fa,

@@ -45,11 +45,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import linalg, scalars
-from .algebra import bracket, structure_report
+from .algebra import brackets, structure_report
 from .connection import ProductTensor
 from .errors import DimensionMismatch, InvalidSpan, InvalidValue, NotNilpotent
 from .errors import SeriesNotPreserved, StepBudgetExhausted
-from .forms import SymmetricIso
+from .forms import as_iso
 
 __all__ = [
     "TerminationStatus",
@@ -615,9 +615,7 @@ def _field_from(P_or_field):
 def euler_field(P, x):
     """Right-hand side of the geodesic equation at x: the vector -x x."""
     if isinstance(P, ProductTensor):
-        xs = scalars.coerce_vector(x, P.exact)
-        xx = P.mult(xs, xs)
-        return tuple(-v for v in xx)
+        return tuple(-v for v in P.mult(x, x))
     fld, _ = _field_from(P)
     return tuple(float(v) for v in fld(np.asarray(x, dtype=float)))
 
@@ -627,25 +625,20 @@ def quadratic_euler_field(L, u):
 
     x' = u^{-1} [u(x), x].
 
-    Returned as a callable plus an exact evaluator for cross-checks.
+    Returned as a callable plus an evaluator for cross-checks, exact when
+    L and u are.  u^{-1} [u x, x] is bilinear in x, so both read one table
+    t[p][j][l] = sum_ik u_ip c_ijk (u^{-1})_lk, a single contraction.
     """
-    iso = u if isinstance(u, SymmetricIso) else SymmetricIso(
-        L.dim, scalars.coerce_matrix(u, L.exact), L.exact
-    )
-    exact = L.exact and iso.exact
-    uinv = linalg.inverse(iso.matrix, exact)
+    iso = as_iso(u, L.dim)
+    if not (L.exact and iso.exact):
+        L, iso = L.to_float(), iso.to_float()
+    table = scalars.contract("ip,ijk,lk->pjl", iso.array, L.array, iso.inverse)
 
     def evaluate(x):
-        ux = linalg.mat_vec(iso.matrix, scalars.coerce_vector(x, exact))
-        br = bracket(L, ux, scalars.coerce_vector(x, exact))
-        return linalg.mat_vec(uinv, br)
+        xs = scalars.vector(x, iso.exact)
+        return scalars.contract("p,pjl,j->l", xs, table, xs).tuples()
 
-    # u^{-1} [u x, x] is bilinear in x: contract u, the bracket table and
-    # u^{-1} into one table t[p][j][l] = sum_ik u_ip c_ijk (u^{-1})_lk
-    umat = np.asarray(iso.matrix, dtype=float)
-    uinv_f = np.asarray(uinv, dtype=float)
-    table = np.einsum("ip,ijk,lk->pjl", umat, L.to_float().array.num, uinv_f)
-    return _quadratic(table), evaluate
+    return _quadratic(table.to_float().num), evaluate
 
 
 def _sampled(f, y0, t0, t1, tol, t_eval=()):
@@ -839,13 +832,8 @@ def integrate_jacobi(P, x0, y0, ydot0, t_span, tol=1e-10, t_eval=()):
     t0, t1 = _check_span(t_span)
     P = _as_product(P)
     n = P.dim
-    for v in (x0, y0, ydot0):
-        if len(v) != n:
-            raise DimensionMismatch(f"vector of length {len(v)} in dimension {n}")
-    gam = P.array.num
-    carr = P.algebra.array.num
-    rhs = _jacobi_rhs(gam, carr)
-    z0 = np.array([*x0, *y0, *ydot0], dtype=float)
+    z0 = _seed_block([x0, y0, ydot0], n).reshape(-1)
+    rhs = _jacobi_rhs(P.array.num, P.algebra.array.num)
     times, zs, status = _sampled(rhs, z0, t0, t1, tol, t_eval)
     return JacobiTrajectory(
         times=tuple(times),
@@ -865,17 +853,15 @@ def biinvariant_jacobi(L, x0, y0, ydot0, t_span, tol=1e-10):
     t0, t1 = _check_span(t_span)
     Lf = L.to_float()
     n = Lf.dim
-    carr = Lf.array.num
-    x0a = np.asarray(x0, dtype=float)
-    adx0 = scalars.left_mult(carr, x0a)
+    x0a, y0a, ydot0a = _seed_block([x0, y0, ydot0], n)
+    adx0 = scalars.left_mult(Lf.array.num, x0a)
 
     def rhs(z):
         y = z[:n]
         yd = z[n:]
         return np.concatenate([yd, -adx0 @ yd])
 
-    z0 = np.concatenate([np.asarray(y0, dtype=float), np.asarray(ydot0, dtype=float)])
-    times, zs, status = _sampled(rhs, z0, t0, t1, tol)
+    times, zs, status = _sampled(rhs, np.concatenate([y0a, ydot0a]), t0, t1, tol)
     return JacobiTrajectory(
         times=tuple(times),
         states=tuple(tuple(float(v) for v in z[:n]) for z in zs),
@@ -894,10 +880,8 @@ def right_invariant_reflection(L, P, x0, y0, t_span, tol=1e-10):
     t0, t1 = _check_span(t_span)
     P = _as_product(P)
     n = P.dim
-    if len(x0) != n or len(y0) != n:
-        raise DimensionMismatch("seed lengths do not match the algebra dimension")
+    z0 = _seed_block([x0, y0], n).reshape(-1)
     rhs = _reflection_rhs(P.array.num, L.to_float().array.num)
-    z0 = np.concatenate([np.asarray(x0, dtype=float), np.asarray(y0, dtype=float)])
     times, zs, status = _sampled(rhs, z0, t0, t1, tol)
     return JacobiTrajectory(
         times=tuple(times),
@@ -930,7 +914,7 @@ def jacobi_route_gap(L, P, x0, y0, t_span, tol=1e-10, samples=101):
     n = P.dim
     gam = P.array.num
     carr = L.to_float().array.num
-    z0 = np.concatenate([np.asarray(x0, dtype=float), np.asarray(y0, dtype=float)])
+    z0 = _seed_block([x0, y0], n).reshape(-1)
     rhs_a = _reflection_rhs(gam, carr)
     dense_a = _Dense()
     _, _, status_a = _solve(rhs_a, z0, t0, t1, tol, dense=dense_a)
@@ -1028,9 +1012,7 @@ def conjugate_scan(P, x0, t_window, grid=200, tol=1e-10):
     # rounding of a + (b - a) * grid / grid
     ts = [a + (b - a) * i / grid for i in range(grid)] + [b]
     ts = [t for t in ts if t > 0]
-    z0 = np.concatenate(
-        [np.asarray(x0, dtype=float), np.zeros(n * n), np.eye(n).reshape(-1)]
-    )
+    z0 = np.concatenate([_seed_block([x0], n)[0], np.zeros(n * n), np.eye(n).reshape(-1)])
     dense = _Dense()
     _, _, status = _solve(rhs, z0, 0.0, b, tol, dense=dense)
     if not status.completed:
@@ -1176,34 +1158,29 @@ def polynomial_geodesic_check(L, u, trials=3, seed=0, tol=1e-7):
     if rep.nilpotency_class is None:
         raise NotNilpotent("lower central series does not reach zero")
     m_class = rep.nilpotency_class
-    iso = u if isinstance(u, SymmetricIso) else SymmetricIso(
-        L.dim, scalars.coerce_matrix(u, L.exact), L.exact
-    )
-    exact = L.exact and iso.exact
-
-    series = rep.lower_central
+    iso = as_iso(u, L.dim)
+    if not (L.exact and iso.exact):
+        L, iso = L.to_float(), iso.to_float()
+    n, exact = L.dim, iso.exact
+    series = [scalars.to_array(term, exact).reshape(-1, n) for term in rep.lower_central]
     for idx in range(1, len(series)):
         basis = series[idx]
-        for v in basis:
-            if not linalg.in_span(basis, iso.apply(v), exact):
-                raise SeriesNotPreserved(idx + 1)
+        image = scalars.contract("ij,aj->ai", iso.array, basis)  # the rows u(v)
+        if not linalg.in_span(basis, image):
+            raise SeriesNotPreserved(idx + 1)
 
-    uinv = linalg.inverse(iso.matrix, exact)
-    n = L.dim
-    spans = [linalg.span_basis(linalg.identity(n, exact), exact)]
+    spans = [linalg.span_basis(scalars.eye(n, exact))]
     in_series = True
-    while spans[-1]:
+    while len(spans[-1].num):
         p = len(spans)
-        vecs = []
-        for i in range(p):
-            for vv in spans[i]:
-                for ww in spans[p - 1 - i]:
-                    vecs.append(bracket(L, vv, linalg.mat_vec(uinv, ww)))
-        nxt = linalg.span_basis(vecs, exact)
-        term = series[p] if p < len(series) else ()
-        for vv in nxt:
-            if not linalg.in_span(term, vv, exact):
-                in_series = False
+        # the brackets [v, u^{-1} w] over v in X_i and w in X_{p-1-i}
+        vecs = [
+            brackets(L, spans[i], scalars.contract("lk,bk->bl", iso.inverse, spans[p - 1 - i]))
+            for i in range(p)
+        ]
+        nxt = linalg.span_basis(scalars.stack([v.reshape(-1, n) for v in vecs]))
+        term = series[min(p, len(series) - 1)]  # the last term is empty
+        in_series = in_series and linalg.in_span(term, nxt)
         spans.append(nxt)
         if len(spans) > n + 2:
             break

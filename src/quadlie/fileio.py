@@ -282,8 +282,7 @@ def parse_algebra_doc(doc):
     form = _form(form_entries, exact) if form_entries is not None else None
     iso = None
     if iso_entries is not None:
-        mat = tuple(tuple(conv(v) for _, v in row) for row in iso_entries)
-        iso = SymmetricIso(dim, mat, exact)
+        iso = SymmetricIso(dim, [[v for _, v in row] for row in iso_entries], exact)
     return L, form, iso
 
 
@@ -314,8 +313,7 @@ def _parse_form(rows, n):
 def _parse_iso(rows, n):
     toks = _parse_matrix_tokens(rows, n, "iso")
     exact = all(e for row in toks for e, _ in row)
-    mat = tuple(tuple(scalars.coerce(v, exact) for _, v in row) for row in toks)
-    return SymmetricIso(n, mat, exact)
+    return SymmetricIso(n, [[v for _, v in row] for row in toks], exact)
 
 
 def parse_algebra_file(path):

@@ -5,6 +5,11 @@ left-invariant metrics of interest arise as <x, y> = k(u(x), y) for an
 invertible operator u that is self-adjoint with respect to k.  This module
 owns the form bookkeeping: validation, signatures, ad-invariance checks
 and the metric <-> operator translations.
+
+A form and an operator are each stored as one ScaledArray, with the
+nested matrix built only when read.  Signatures, ranks and inverses are
+linalg kernels over those arrays, and G = K U, U^T K and K^{-1} G are
+contractions.  as_iso is the one intake of an operator, nested or not.
 """
 
 from dataclasses import dataclass
@@ -18,6 +23,7 @@ from .errors import Degenerate, DimensionMismatch, NotKSymmetric, NotSymmetric, 
 __all__ = [
     "SymBilinearForm",
     "SymmetricIso",
+    "as_iso",
     "Signature",
     "AdInvarianceReport",
     "validate_form",
@@ -54,28 +60,61 @@ class SymBilinearForm:
         return self if not self.exact else SymBilinearForm(self.array.to_float())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SymmetricIso:
-    """Invertible operator self-adjoint for the ambient invariant form.
+    """Invertible operator self-adjoint for the ambient invariant form,
+    stored as its matrix's ScaledArray; matrix is a read-only view.
 
     The matrix acts on coordinate columns: u(e_j) = sum_i matrix[i][j] e_i.
+    SymmetricIso(dim, matrix, exact) takes a nested dim x dim matrix, read
+    in mode exact (DimensionMismatch for any other shape), or a ScaledArray
+    that library code has assembled.  metric_from_iso checks the operator;
+    its inverse is computed once, when first used.
     """
 
-    dim: int
-    matrix: tuple
-    exact: bool
+    array: scalars.ScaledArray
+
+    def __init__(self, dim, matrix, exact):
+        if not isinstance(matrix, scalars.ScaledArray):
+            matrix = scalars.matrix(matrix, dim, exact)
+        object.__setattr__(self, "array", matrix)
+
+    @property
+    def dim(self):
+        return self.array.num.shape[0]
+
+    @property
+    def exact(self):
+        return self.array.exact
+
+    @cached_property
+    def matrix(self):
+        return self.array.tuples()
+
+    @cached_property
+    def inverse(self):
+        """u^{-1} as a ScaledArray; Singular when u is not invertible."""
+        return linalg.inverse(self.array)
 
     def apply(self, x):
-        xs = scalars.coerce_vector(x, self.exact)
-        return linalg.mat_vec(self.matrix, xs)
+        return scalars.contract("ij,j->i", self.array, scalars.vector(x, self.exact)).tuples()
 
     def inverse_matrix(self):
-        return linalg.inverse(self.matrix, self.exact)
+        return self.inverse.tuples()
 
     def to_float(self):
-        if not self.exact:
-            return self
-        return SymmetricIso(self.dim, scalars.coerce_matrix(self.matrix, False), False)
+        return self if not self.exact else SymmetricIso(self.dim, self.array.to_float(), False)
+
+
+def as_iso(u, dim):
+    """u as a SymmetricIso of size dim: itself, or a nested matrix whose
+    entries decide its mode, as for every nested input; DimensionMismatch
+    for any other size."""
+    if not isinstance(u, SymmetricIso):
+        u = SymmetricIso(dim, u, scalars.decide_mode(scalars.flatten(u)))
+    if u.dim != dim:
+        raise DimensionMismatch(f"operator of size {u.dim} in dimension {dim}")
+    return u
 
 
 @dataclass(frozen=True)
@@ -123,21 +162,14 @@ def validate_form(g):
     if len(bad):
         i, j = bad[0].tolist()
         raise NotSymmetric(f"entries ({i},{j}) and ({j},{i}) differ")
-    # the numerators share one positive denominator: same rank and kernel
-    if linalg.rank(M.num.tolist(), exact) < n:
-        raise Degenerate(linalg.nullspace(M.num.tolist(), exact))
+    if linalg.rank(M) < n:
+        raise Degenerate(linalg.nullspace(M).tuples())
     return SymBilinearForm(M)
 
 
 def signature(g):
     form = g if isinstance(g, SymBilinearForm) else validate_form(g)
-    # the positive common denominator leaves the inertia as it is
-    rows = form.array.num.tolist()
-    if form.exact:
-        p, q, z = linalg.exact_signature(rows)
-    else:
-        p, q, z = linalg.float_signature(rows)
-    return Signature(p, q, z)
+    return Signature(*linalg.signature(form.array))
 
 
 def check_ad_invariance(L, k):
@@ -167,29 +199,18 @@ def metric_from_iso(k, u):
     U^T K differs from K U, i.e. when u fails self-adjointness.
     """
     form = k if isinstance(k, SymBilinearForm) else validate_form(k)
-    umat = u.matrix if isinstance(u, SymmetricIso) else None
-    if umat is None:
-        exact = form.exact and scalars.decide_mode(scalars.flatten(u))
-        umat = scalars.coerce_matrix(u, exact)
-    else:
-        exact = form.exact and u.exact
-    if len(umat) != form.dim:
-        raise DimensionMismatch("operator and form dimensions differ")
-    if not exact:
-        form = form.to_float()
-        umat = scalars.coerce_matrix(umat, False)
-
-    K, U = form.array, scalars.to_array(umat, exact)
+    iso = as_iso(u, form.dim)
+    if not (form.exact and iso.exact):
+        form, iso = form.to_float(), iso.to_float()
+    K, U = form.array, iso.array
     ku = scalars.contract("ij,jk->ik", K, U)
     worst = (ku - scalars.contract("ji,jk->ik", U, K)).peak()
-    tol = scalars.tolerance(exact, max(1.0, K.scale() * U.scale()))
+    tol = scalars.tolerance(iso.exact, max(1.0, K.scale() * U.scale()))
     if worst > tol:
         raise NotKSymmetric(f"operator is not self-adjoint, residual {worst}")
-    try:
-        linalg.inverse(umat, exact)
-    except Singular:
-        raise Singular("operator is not invertible") from None
-    return SymmetricIso(form.dim, umat, exact), validate_form(ku)
+    if linalg.rank(U) < form.dim:
+        raise Singular("operator is not invertible")
+    return iso, validate_form(ku)
 
 
 def iso_from_metric(k, g):
@@ -198,8 +219,7 @@ def iso_from_metric(k, g):
     metric = g if isinstance(g, SymBilinearForm) else validate_form(g)
     if form.dim != metric.dim:
         raise DimensionMismatch("form and metric dimensions differ")
-    exact = form.exact and metric.exact
-    if not exact:
+    if not (form.exact and metric.exact):
         form, metric = form.to_float(), metric.to_float()
-    kinv = linalg.inverse(form.matrix, exact)
-    return SymmetricIso(form.dim, linalg.mat_mul(kinv, metric.matrix), exact)
+    kinv = linalg.inverse(form.array)
+    return SymmetricIso(form.dim, scalars.contract("ij,jk->ik", kinv, metric.array), form.exact)

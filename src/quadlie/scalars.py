@@ -33,7 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidValue, MixedModeError
+from .errors import DimensionMismatch, InvalidValue, MixedModeError
 
 __all__ = [
     "decide_mode",
@@ -49,6 +49,9 @@ __all__ = [
     "ScaledArray",
     "to_array",
     "vector",
+    "matrix",
+    "eye",
+    "stack",
     "contract",
     "left_mult",
 ]
@@ -222,6 +225,12 @@ class ScaledArray:
     def transpose(self, *axes):
         return ScaledArray(self.num.transpose(*axes), self.den)
 
+    def reshape(self, *shape):
+        return ScaledArray(self.num.reshape(*shape), self.den)
+
+    def __getitem__(self, key):
+        return ScaledArray(self.num[key], self.den)
+
     def scalar(self, v):
         """Entry value of the numerator v; binary64 reads -0.0 as 0.0, as
         the sums of plain loops give."""
@@ -274,6 +283,27 @@ def to_array(nested, exact):
 def vector(x, exact):
     """ScaledArray of a vector, coerced to the mode first."""
     return to_array(coerce_vector(x, exact), exact)
+
+
+def matrix(rows, n, exact):
+    """ScaledArray of an n x n matrix given as nested rows, coerced to the
+    mode first; DimensionMismatch unless rows holds n rows of n entries."""
+    square = isinstance(rows, (list, tuple)) and len(rows) == n
+    if not square or any(not isinstance(r, (list, tuple)) or len(r) != n for r in rows):
+        raise DimensionMismatch(f"expected a {n} x {n} matrix")
+    return to_array(coerce_matrix(rows, exact), exact)
+
+
+def eye(n, exact):
+    """The n x n identity as a ScaledArray."""
+    return ScaledArray(np.eye(n, dtype=object if exact else float))
+
+
+def stack(arrays):
+    """The rows of ScaledArrays of one mode, one after another, over their
+    common denominator."""
+    den = math.lcm(*(a.den for a in arrays))
+    return ScaledArray(np.concatenate([a._over(den) for a in arrays]), den)
 
 
 # int64 pays once the multiply-adds reach INT64_WORK_FLOOR plus

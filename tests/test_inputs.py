@@ -532,3 +532,82 @@ def test_probe_seeds_of_a_bare_field_share_one_length(e2_product):
     with pytest.raises(DimensionMismatch):
         dynamics.completeness_probe(field, [SEED, (0.7, -0.3)], t_max=1.0)
 
+
+
+DIM5_OPERATORS = {
+    "ragged": [[1, 0, 0, 0, 0]] * 4 + [[1, 0]],
+    "4x4": [[int(i == j) for j in range(4)] for i in range(4)],
+    "5x4": [[int(i == j) for j in range(4)] for i in range(5)],
+    "flat": [1, 0, 0, 0, 0] * 5,
+    "scalar": 5,
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIM5_OPERATORS))
+def test_operators_of_the_wrong_shape_are_a_dimension_mismatch(name):
+    from quadlie.connection import product_from_iso
+
+    entry = catalog("dim5-nilpotent")
+    L, k, u = entry.algebra, entry.quad_form, DIM5_OPERATORS[name]
+    for call in (
+        lambda: metric_from_iso(k, u),
+        lambda: product_from_iso(L, k, u),
+        lambda: dynamics.quadratic_euler_field(L, u),
+        lambda: dynamics.polynomial_geodesic_check(L, u, trials=1),
+    ):
+        with pytest.raises(DimensionMismatch):
+            call()
+
+
+def test_symmetric_iso_takes_only_a_matrix_of_its_size():
+    four = DIM5_OPERATORS["4x4"]
+    with pytest.raises(DimensionMismatch):
+        quadlie.SymmetricIso(5, four, True)
+    with pytest.raises(DimensionMismatch):
+        metric_from_iso(catalog("dim5-nilpotent").quad_form, quadlie.SymmetricIso(4, four, True))
+
+
+def test_theta_and_phi_must_be_square_matrices():
+    with pytest.raises(DimensionMismatch):
+        quadlie.build_double_extension(2, [[1, 0], [0, 1]], [0, 1, -1, 0])
+    with pytest.raises(DimensionMismatch):
+        quadlie.build_double_extension(2, [[1, 0], [0, 1]], [[0, 1], [-1]])
+    for phi in ([1, 0, 0, 0, 1, 0, 0, 0, 1], [[1, 0, 0], [0, 1, 0]], [[1, 0], [0, 1], [0, 0]]):
+        with pytest.raises(DimensionMismatch):
+            quadlie.two_step_metric(quadlie.TwoStepSpec(3, "volume", phi))
+
+
+@pytest.mark.parametrize("bad, error", [
+    ((0.7, "a", 1.3), InvalidValue),
+    ((0.7, 10**400, 1.3), InvalidValue),
+    ((0.7, None, 1.3), InvalidValue),
+    ((0.7, -0.3), DimensionMismatch),
+    ((0.7, -0.3, 1.3, 0.0), DimensionMismatch),
+    (5, DimensionMismatch),
+])
+def test_variation_and_scan_seeds_are_typed(e2_product, bad, error):
+    P, L, span = e2_product, e2_product.algebra, (0.0, 1.0)
+    for call in (
+        lambda: dynamics.integrate_jacobi(P, SEED, bad, SEED, span),
+        lambda: dynamics.integrate_jacobi(P, SEED, SEED, bad, span),
+        lambda: dynamics.right_invariant_reflection(L, P, bad, SEED, span),
+        lambda: dynamics.jacobi_route_gap(L, P, SEED, bad, span),
+        lambda: dynamics.biinvariant_jacobi(L, bad, SEED, SEED, span),
+        lambda: dynamics.biinvariant_jacobi(L, SEED, SEED, bad, span),
+        lambda: dynamics.conjugate_scan(P, bad, span, grid=4),
+    ):
+        with pytest.raises(error):
+            call()
+
+
+def test_a_binary64_operator_on_an_exact_algebra_gives_binary64_results():
+    from quadlie.connection import product_from_iso
+
+    entry = catalog("two-step-volume")
+    L, k, n = entry.algebra, entry.quad_form, entry.algebra.dim
+    u = [[float(i == j) for j in range(n)] for i in range(n)]
+    assert not metric_from_iso(k, u)[0].exact
+    assert not product_from_iso(L, k, u).exact
+    assert dynamics.polynomial_geodesic_check(L, quadlie.SymmetricIso(n, u, False), trials=1).certified
+    _, evaluate = dynamics.quadratic_euler_field(L, u)
+    assert all(isinstance(v, float) for v in evaluate([1] * n))

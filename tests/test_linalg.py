@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadlie import linalg
-from quadlie.errors import Singular
+from quadlie import linalg, scalars
+from quadlie.errors import DimensionMismatch, Singular
 
 F = Fraction
 
@@ -245,3 +245,78 @@ def test_solve_many_is_exact_and_singular_exactly_when_det_vanishes(a, data):
     assert [linalg.mat_vec(a, x) for x in sols] == [tuple(c) for c in cols]
     assert linalg.solve(a, cols[0], True) == sols[0]
     assert linalg.mat_mul(a, linalg.inverse(a, True)) == linalg.identity(n, True)
+
+
+def _stored_form(kernel_result, nested):
+    """The exact kernel result is the nested result's stored form: equal in
+    num and den to what to_array builds, lowest terms over the positive lcm
+    denominator."""
+    assert kernel_result.tuples() == nested
+    if nested:  # to_array of an empty tuple has no columns to compare
+        ref = scalars.to_array(nested, True)
+        assert kernel_result.den == ref.den
+        assert kernel_result.num.shape == ref.num.shape
+        assert all(type(v) is int for v in kernel_result.num.flat)
+        assert np.array_equal(kernel_result.num, ref.num)
+
+
+@settings(PROFILE, max_examples=200)
+@given(matrices())
+def test_exact_kernels_return_rows_in_lowest_terms_over_the_lcm(a):
+    A = scalars.to_array(a, True)
+    _stored_form(linalg.nullspace(A), linalg.nullspace(a, True))
+    _stored_form(linalg.rref(A), linalg.rref(a))
+    _stored_form(linalg.span_basis(A), linalg.span_basis(a, True))
+    assert linalg.rank(A) == linalg.rank(a, True)
+
+
+@settings(PROFILE, max_examples=200)
+@given(matrices(max_dim=4, square=True), st.data())
+def test_exact_inverse_and_solve_return_their_stored_form(a, data):
+    n = len(a)
+    if leibniz_det(a) == 0:
+        return
+    A = scalars.to_array(a, True)
+    _stored_form(linalg.inverse(A), linalg.inverse(a, True))
+    cols = [_rows(data.draw, 1, n)[0] for _ in range(data.draw(st.integers(1, 3)))]
+    B = scalars.to_array(cols, True).transpose()
+    X = linalg.solve(A, B)
+    _stored_form(X.transpose(), linalg.solve_many(a, cols, True))
+    _stored_form(linalg.solve(A, B[:, 0]), linalg.solve(a, cols[0], True))
+    assert linalg.det(A) == linalg.det(a, True) == leibniz_det(a)
+
+
+@settings(PROFILE, max_examples=100)
+@given(matrices())
+def test_binary64_nested_entry_points_read_the_kernels(a):
+    af = [[float(v) for v in row] for row in a]
+    A = scalars.to_array(af, False)
+    assert linalg.nullspace(A).tuples() == linalg.nullspace(af, False)
+    assert linalg.span_basis(A).tuples() == linalg.span_basis(af, False)
+    assert linalg.rank(A) == linalg.rank(af, False)
+    assert linalg.in_span(A, A[0]) and linalg.in_span(af, af[0], False)
+    if len(a) == len(a[0]) and linalg.rank(A) == len(a):
+        assert linalg.inverse(A).tuples() == linalg.inverse(af, False)
+
+
+def test_exact_same_span_compares_canonical_bases_by_value():
+    basis = scalars.to_array([[F(2), F(4), F(0)], [F(0), F(0), F(3)]], True)
+    canonical = linalg.span_basis(basis)
+    assert canonical.tuples() == ((1, 2, 0), (0, 0, 1))
+    assert linalg.same_span(canonical, linalg.span_basis(basis[::-1]))
+    assert not linalg.same_span(canonical, linalg.span_basis(basis[:1]))
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_non_square_matrices_are_a_dimension_mismatch(exact):
+    one = 1 if exact else 1.0
+    wide = [[one, 0, 0], [0, one, 0]]
+    for call in (
+        lambda: linalg.inverse(wide, exact),
+        lambda: linalg.solve_many(wide, [[one, one]], exact),
+        lambda: linalg.solve(wide, [one, one], exact),
+        lambda: linalg.det(wide, exact),
+        lambda: linalg.solve([[one, 0], [0, one]], [one, one, one], exact),
+    ):
+        with pytest.raises(DimensionMismatch):
+            call()
