@@ -92,6 +92,8 @@ def validate_algebra(c, labels=None):
     if isinstance(c, scalars.ScaledArray):
         C = c
     else:
+        if not scalars.is_rows(c) or not all(scalars.is_rows(plane) for plane in c):
+            raise DimensionMismatch("expected a structure table as nested rows c[i][j][k]")
         n = len(c)
         if n == 0:
             raise DimensionMismatch("empty structure table")

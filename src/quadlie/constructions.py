@@ -254,29 +254,133 @@ def two_step_metric(spec):
 
 
 def similarity_invariants(phi):
-    """Conjugacy invariants of a rational matrix: characteristic
-    polynomial plus the degrees of the nonunit invariant factors of the
-    characteristic matrix.  sympy is imported here, on first use, since
-    nothing else needs it."""
-    import sympy
-    from sympy.matrices.normalforms import smith_normal_form
+    """Conjugacy invariants of a rational matrix phi: its characteristic
+    polynomial (monic, descending powers) and the degrees of the nonunit
+    invariant factors of its characteristic matrix, in increasing order.
 
-    lam = sympy.Symbol("lam")
-    m = len(phi)
-    sm = sympy.Matrix(
-        [[sympy.Rational(Fraction(v).numerator, Fraction(v).denominator) for v in row] for row in phi]
+    phi is read through scalars.matrix, so its shape and entries raise the
+    typed errors of the other matrix intakes; a binary64 entry is read
+    exactly, as Fraction(v).  Over its lcm denominator d, phi = N / d with
+    an integer matrix N, and lam I - N = d (lam / d I - phi) has the
+    invariant factors of lam I - phi with lam scaled by d, so the same
+    degrees.  A Smith form of lam I - N over Q[lam] (see _smith_diagonal)
+    gives them, and its diagonal multiplies out to det(lam I - N) = p_N(lam)
+    up to a constant, so p_phi(lam) = p_N(d lam) / d**m: the monic p_N with
+    coefficient k divided by d**k.
+    """
+    exact = scalars.decide_mode(scalars.flatten(phi))
+    PHI = scalars.matrix(phi, None, exact)
+    if not exact:
+        PHI = scalars.to_array([[Fraction(v) for v in row] for row in phi], True)
+    diagonal = _smith_diagonal(PHI.num.tolist())
+    p = [1]
+    for q in diagonal:
+        p = _pmul(p, q)
+    m, lead, d = len(p) - 1, p[-1], PHI.den
+    return SimilarityInvariants(
+        char_poly=tuple(Fraction(p[m - k], lead * d**k) for k in range(m + 1)),
+        # the diagonal divides down the line, so the degrees come sorted
+        invariant_factor_degrees=tuple(len(q) - 1 for q in diagonal if len(q) > 1),
     )
-    charpoly = sm.charpoly(lam).all_coeffs()
-    cp = tuple(Fraction(int(c.p), int(c.q)) for c in charpoly)
 
-    a = lam * sympy.eye(m) - sm
-    snf = smith_normal_form(a, domain=sympy.QQ[lam])
-    degs = []
-    for i in range(m):
-        p = sympy.Poly(snf[i, i], lam)
-        if p.degree() >= 1:
-            degs.append(int(p.degree()))
-    return SimilarityInvariants(char_poly=cp, invariant_factor_degrees=tuple(sorted(degs)))
+
+# Polynomials over the integers in lam, as lists of coefficients in
+# increasing powers with no trailing zero; [] is the zero polynomial.
+
+
+def _ptrim(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _pmul(p, q):
+    out = [0] * (len(p) + len(q) - 1) if p and q else []
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+def _pcombine(c, x, q, y):
+    """c x - q y, for an integer c."""
+    qy = _pmul(q, y)
+    width = max(len(x), len(qy))
+    x, qy = x + [0] * (width - len(x)), qy + [0] * (width - len(qy))
+    return _ptrim([c * u - v for u, v in zip(x, qy)])
+
+
+def _pdiv(a, b):
+    """Pseudo-division of a by b != 0 (Knuth, TAOCP vol. 2, 4.6.1,
+    Algorithm R): (c, q, r) with c a = q b + r, deg r < deg b and c a
+    power of the leading coefficient of b."""
+    lb, n = b[-1], len(b)
+    if n == 1:
+        return lb, a, []
+    c, q, r = 1, [0] * max(len(a) - n + 1, 0), a
+    while len(r) >= n:
+        s, lr = len(r) - n, r[-1]
+        c, q = c * lb, [lb * x for x in q]
+        q[s] += lr
+        r = _ptrim([lb * x - lr * y for x, y in zip(r, [0] * s + b)])
+    return c, q, r
+
+
+def _clear_column(a):
+    """Row operations a[r] <- (c a[r] - q a[0]) / g that leave in column 0
+    the pseudo-remainder of each a[r][0] by the pivot a[0][0], with g the
+    content of the new row; whether every remainder vanishes."""
+    clear = True
+    for r in range(1, len(a)):
+        if a[r][0]:
+            c, q, rem = _pdiv(a[r][0], a[0][0])
+            row = [_pcombine(c, x, q, y) for x, y in zip(a[r], a[0])]
+            g = math.gcd(*(v for x in row for v in x))
+            a[r] = [[v // g for v in x] for x in row] if g > 1 else row
+            clear = clear and not rem
+    return clear
+
+
+def _smith_diagonal(N):
+    """The diagonal of a Smith form of lam I - N over Q[lam], for a square
+    integer matrix N as nested lists, each entry an integer polynomial
+    equal to its invariant factor up to a nonzero constant.
+
+    Euclid's algorithm on the pseudo-remainders of integer polynomials,
+    with every row and column operation invertible over Q[lam]: a nonzero
+    entry of least degree becomes the pivot; row operations reduce its
+    column to remainders, and a nonzero one is of lower degree and becomes
+    the next pivot.  A constant pivot divides everything, so its row and
+    column then leave as they are (a Schur complement step).  Otherwise
+    the matrix is transposed, which keeps its Smith form, and the pivot's
+    former row is reduced the same way; once both are clear, a row holding
+    an entry the pivot does not divide is added to the pivot's row and the
+    search goes on, else the pivot joins the diagonal.  The least degree
+    falls at every repeat, so the loop ends.
+    """
+    a = [[[-v, 1] if i == j else _ptrim([-v]) for j, v in enumerate(row)] for i, row in enumerate(N)]
+    diagonal = []
+    while a:
+        # ties go to the first entry in row order, so a pivot that is kept
+        # stays the pivot
+        _, i, j = min((len(x), i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x)
+        a[0], a[i] = a[i], a[0]
+        for row in a:
+            row[0], row[j] = row[j], row[0]
+        p = a[0][0]
+        if not _clear_column(a):
+            continue
+        if len(p) > 1:
+            a = [list(col) for col in zip(*a)]
+            if not _clear_column(a):
+                continue
+            rest = next((row for row in a[1:] if any(_pdiv(x, p)[2] for x in row[1:] if x)), None)
+            if rest is not None:
+                a[0] = [p] + rest[1:]
+                continue
+        diagonal.append(p)
+        a = [row[1:] for row in a[1:]]
+    return diagonal
 
 
 def build_cotangent_double(L):

@@ -147,6 +147,8 @@ def validate_form(g):
     if isinstance(g, scalars.ScaledArray):
         M = g
     else:
+        if not scalars.is_rows(g):
+            raise DimensionMismatch("expected a form matrix as nested rows")
         n = len(g)
         if n == 0:
             raise DimensionMismatch("empty form matrix")

@@ -80,10 +80,13 @@ def identity(n, exact=True):
 
 def _array(x, exact):
     """x as a ScaledArray: itself, or nested rows or a vector of one mode's
-    scalars read in mode exact, an empty list as a 0 x 0 matrix."""
+    scalars read in mode exact, an empty list as a 0 x 0 matrix; rows of
+    unequal length raise DimensionMismatch."""
     if isinstance(x, ScaledArray):
         return x
     entries = np.array(x, dtype=object)
+    if any(isinstance(v, (list, tuple)) for v in entries.flat):
+        raise DimensionMismatch("rows of unequal length")
     if not entries.size:
         entries = entries.reshape(len(entries), 0)
     coerced = [scalars.coerce(v, exact) for v in entries.flat]

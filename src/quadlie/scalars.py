@@ -49,6 +49,7 @@ __all__ = [
     "ScaledArray",
     "to_array",
     "vector",
+    "is_rows",
     "matrix",
     "eye",
     "stack",
@@ -285,11 +286,19 @@ def vector(x, exact):
     return to_array(coerce_vector(x, exact), exact)
 
 
+def is_rows(x):
+    """Whether x is a list or tuple of lists or tuples."""
+    return isinstance(x, (list, tuple)) and all(isinstance(r, (list, tuple)) for r in x)
+
+
 def matrix(rows, n, exact):
     """ScaledArray of an n x n matrix given as nested rows, coerced to the
-    mode first; DimensionMismatch unless rows holds n rows of n entries."""
-    square = isinstance(rows, (list, tuple)) and len(rows) == n
-    if not square or any(not isinstance(r, (list, tuple)) or len(r) != n for r in rows):
+    mode first; DimensionMismatch unless rows holds n rows of n entries,
+    with n = len(rows) when n is None."""
+    if not is_rows(rows):
+        raise DimensionMismatch("expected a matrix as nested rows")
+    n = len(rows) if n is None else n
+    if len(rows) != n or any(len(r) != n for r in rows):
         raise DimensionMismatch(f"expected a {n} x {n} matrix")
     return to_array(coerce_matrix(rows, exact), exact)
 

@@ -611,3 +611,58 @@ def test_a_binary64_operator_on_an_exact_algebra_gives_binary64_results():
     assert dynamics.polynomial_geodesic_check(L, quadlie.SymmetricIso(n, u, False), trials=1).certified
     _, evaluate = dynamics.quadratic_euler_field(L, u)
     assert all(isinstance(v, float) for v in evaluate([1] * n))
+
+
+@pytest.mark.parametrize("phi, error", [
+    ([[1, 2], [3]], DimensionMismatch),
+    ([[1, 2, 3], [4, 5, 6]], DimensionMismatch),
+    ([[math.nan, 0], [0, 1]], InvalidValue),
+    ([[math.inf, 0], [0, 1]], InvalidValue),
+    ([1, 2], DimensionMismatch),
+    (5, DimensionMismatch),
+])
+def test_similarity_invariants_rejects_what_is_not_a_square_matrix(phi, error):
+    with pytest.raises(error):
+        quadlie.similarity_invariants(phi)
+
+
+def test_similarity_invariants_of_the_empty_matrix():
+    inv = quadlie.similarity_invariants([])
+    assert inv.char_poly == (1,)
+    assert inv.invariant_factor_degrees == ()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: validate_form(5),
+    lambda: validate_form([1, 2]),
+    lambda: validate_algebra(5),
+    lambda: validate_algebra([[1]]),
+    lambda: validate_algebra([5]),
+])
+def test_form_and_table_that_are_not_nested_rows_are_dimension_mismatches(call):
+    with pytest.raises(DimensionMismatch):
+        call()
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("name", ["rank", "inverse", "det", "nullspace", "signature"])
+def test_linalg_reads_ragged_rows_as_a_dimension_mismatch(name, exact):
+    rows = [[1, 2], [3]] if exact else [[1.0, 2.0], [3.0]]
+    with pytest.raises(DimensionMismatch):
+        getattr(quadlie.linalg, name)(rows, exact)
+
+
+def test_two_step_metrics_and_family_sweep_leave_sympy_out():
+    code = (
+        "import contextlib, io, sys\n"
+        "from quadlie import TwoStepSpec, cli, two_step_metric\n"
+        "two_step_metric(TwoStepSpec(3, 'volume', ((2, 1, 0), (0, 2, 0), (0, 0, 3))))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    cli.main(['family-sweep', '--dimv', '3', '--trials', '2'])\n"
+        "print('sympy' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(quadlie.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"
