@@ -250,7 +250,7 @@ def two_step_metric(spec):
     G = scalars.ScaledArray(np.roll(umat, m, axis=0), PHI.den)
     metric = validate_form(G if theta_exact else G.to_float())
     iso = SymmetricIso(2 * m, scalars.ScaledArray(umat, PHI.den), PHI.exact)
-    return iso, metric, similarity_invariants(spec.phi)
+    return iso, metric, _invariants(PHI)
 
 
 def similarity_invariants(phi):
@@ -268,10 +268,14 @@ def similarity_invariants(phi):
     up to a constant, so p_phi(lam) = p_N(d lam) / d**m: the monic p_N with
     coefficient k divided by d**k.
     """
-    exact = scalars.decide_mode(scalars.flatten(phi))
-    PHI = scalars.matrix(phi, None, exact)
-    if not exact:
-        PHI = scalars.to_array([[Fraction(v) for v in row] for row in phi], True)
+    return _invariants(scalars.matrix(phi, None, scalars.decide_mode(scalars.flatten(phi))))
+
+
+def _invariants(PHI):
+    """similarity_invariants of a square ScaledArray PHI of either mode;
+    a binary64 entry v is read exactly, as Fraction(v)."""
+    if not PHI.exact:
+        PHI = scalars.to_array([[Fraction(v) for v in row] for row in PHI.num.tolist()], True)
     diagonal = _smith_diagonal(PHI.num.tolist())
     p = [1]
     for q in diagonal:

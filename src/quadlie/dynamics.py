@@ -11,16 +11,22 @@ clamps only its last step, onto t1.  Every state off that mesh (requested
 trajectory rows, the grids of the route gap and of the divided
 differences, the times of a conjugate scan) is read off the seventh-order
 continuous extension of the method, whose three extra stages are
-evaluated only for the steps that are read.
+evaluated only for the steps that are read.  A read takes one time or a
+1-D array of times and serves all of them at once, each row bit for bit
+the read of its time alone; so a scan runs every bisection bracket, then
+every golden-section candidate, in lockstep, one read and one stacked
+determinant per round.
 
 One _solve serves a single run and a block of runs alike.  Given a (B, n)
 block with one end per row, it runs every row in one step loop: each row
 keeps its own time, step size, accept/reject decision and status and
 leaves the block when it stops, while the stages, the field calls and the
 error norms are each one array operation across the rows.  So a field
-callable maps (..., n) states to (..., n).  completeness_probe runs all
-its seeds, both ways, as one block; every other entry point is a single
-run with a 1-D state.
+callable maps (..., n) states to (..., n), and the variation systems do
+too, each row as its 1-D call; a read of the continuous extension calls
+the field on the block of the steps it reads.  completeness_probe runs
+all its seeds, both ways, as one block; every other entry point is a
+single run with a 1-D state.
 
 Each integrator field is one bilinear table, contracted once when the
 field is built: the geodesic field, its invariant-form route, the
@@ -329,18 +335,28 @@ def _as_product(P):
     return P if not P.exact else P.to_float()
 
 
-def _check_span(t_span):
-    """(t0, t1) as floats: finite, nonempty and at most MAX_SPAN apart.
-    Every span, scan window and probe horizon a caller hands in passes
-    here, so InvalidSpan ends a longer run before its first step."""
+def _finite_real(v):
+    """Whether v is a real number, not a bool, that is finite in binary64."""
     try:
-        t0, t1 = float(t_span[0]), float(t_span[1])
-    except (TypeError, ValueError, IndexError):
-        raise InvalidSpan(f"bad time span {t_span!r}") from None
-    if not (math.isfinite(t0) and math.isfinite(t1)):
-        raise InvalidSpan("time span must be finite")
+        return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:  # an int or a Fraction beyond binary64
+        return False
+
+
+def _check_span(t_span):
+    """(t0, t1) as floats of a pair of finite reals, not bools, that differ
+    by at most MAX_SPAN.  Every span, scan window and probe horizon a
+    caller hands in is read here, so InvalidSpan ends a malformed or
+    longer run before its first step."""
+    try:
+        t0, t1 = t_span
+    except (TypeError, ValueError):
+        t0 = t1 = None
+    if not (_finite_real(t0) and _finite_real(t1)):
+        raise InvalidSpan(f"time span must be a pair of finite reals, got {t_span!r}")
+    t0, t1 = float(t0), float(t1)
     if t0 == t1:
-        raise InvalidSpan("time span is empty")
+        raise InvalidSpan(f"time span ({t0:g}, {t1:g}) is empty")
     if abs(t1 - t0) > MAX_SPAN:
         raise InvalidSpan(f"time span ({t0:g}, {t1:g}) is longer than {MAX_SPAN:g}")
     return t0, t1
@@ -376,39 +392,71 @@ def _initial_step(f, y0, f0, directions, tol, spans):
 class _Dense:
     """The continuous extension of one _solve run, to seventh order in the
     step.  _solve hands over its field and records each accepted step with
-    its stages; the first call that lands in a step evaluates that step's
-    three extra stages and coefficients, so unread steps cost nothing."""
+    its stages; reads come after the run.
+
+    A read takes one time t, giving the (N,) state, or a 1-D array of m
+    times, giving (m, N) rows, and each row is bit for bit the read of its
+    time alone.  One searchsorted over the step starts, in the direction
+    of the run, finds the step of every time.  The steps read for the
+    first time get their three extra stages together, one field call per
+    stage on the (S, N) block of those steps, and their coefficients are
+    kept; unread steps cost nothing.  Then one vecmat of each time's
+    powers against its step's coefficients gives the rows.
+    """
 
     def __init__(self):
         self.field = None  # handed over by _solve
         self.keys = []  # start of each accepted step, times the direction
-        # [start, signed step, start state, end state, stage array, (7, m)
-        # coefficients or None until the step is read] per step
+        # (start, signed step, start state, end state, stage array) per step
         self.steps = []
+        # per step, from the first read on: whether it was read, and once
+        # it is, its start, signed step, start state and (7, N)
+        # coefficients (the arrays starts, h, y and C)
+        self.read = None
 
     def record(self, t, h, y, y_new, K):
         """K is the step's stage array: stages 0-12, zero rows for the three
         extra stages and the start state as row 16."""
         self.keys.append(t if h > 0 else -t)
-        self.steps.append([t, h, y, y_new, K, None])
+        self.steps.append((t, h, y, y_new, K))
 
     def __call__(self, t):
+        if self.read is None or self.read.size != len(self.steps):
+            m, size = len(self.steps), self.steps[0][2].size
+            self.read = np.zeros(m, dtype=bool)
+            self.starts, self.h = np.empty(m), np.empty(m)
+            self.y, self.C = np.empty((m, size)), np.empty((m, 7, size))
+            # the step of a time is the number of later step starts at or
+            # before it, which clamps a time before the run onto step 0
+            self.later_keys = np.array(self.keys[1:])
+        t = np.asarray(t, dtype=float)
         key = t if self.steps[0][1] > 0 else -t
-        step = self.steps[max(bisect.bisect_right(self.keys, key) - 1, 0)]
-        t0, h, y, y_new, K, C = step
-        if C is None:
-            hA = h * _AY
-            hA[:, 16] = 1.0
-            for s in range(_STAGES, 16):
-                K[s] = self.field(hA[s] @ K)
-            dy = y_new - y
-            F = np.empty((7, y.size))
-            F[0] = dy
-            F[1] = h * K[0] - dy
-            F[2] = 2 * dy - h * (K[0] + K[12])
-            F[3:] = h * (_D @ K[:16])
-            C = step[5] = _POWER_BASIS @ F
-        return y + ((t - t0) / h) ** _POWERS @ C
+        i = np.searchsorted(self.later_keys, key, side="right")
+        touched = np.ravel(i)
+        fresh = touched[~self.read[touched]]
+        if fresh.size:
+            # sorted(set()) and not np.unique, whose first call imports numpy.ma
+            self._coefficients(sorted(set(fresh.tolist())))
+        x = (t - self.starts[i]) / self.h[i]
+        return self.y[i] + np.vecmat(x[..., None] ** _POWERS, self.C[i])
+
+    def _coefficients(self, fresh):
+        """Fill in the steps of the list fresh, each as its own read would."""
+        t0, h, y, y_new, K = map(np.array, zip(*(self.steps[k] for k in fresh)))
+        hA = h[:, None, None] * _AY
+        hA[..., 16] = 1.0
+        for s in range(_STAGES, 16):
+            K[:, s] = self.field(np.vecmat(hA[:, s], K))
+        dy = y_new - y
+        hs = h[:, None]
+        F = np.empty((len(h), 7, y.shape[1]))
+        F[:, 0] = dy
+        F[:, 1] = hs * K[:, 0] - dy
+        F[:, 2] = 2 * dy - hs * (K[:, 0] + K[:, 12])
+        F[:, 3:] = hs[..., None] * (_D @ K[:, :16])
+        self.C[fresh] = _POWER_BASIS @ F
+        self.starts[fresh], self.h[fresh], self.y[fresh] = t0, h, y
+        self.read[fresh] = True
 
 
 def _solve(f, y0, t0, t1, tol, *, escape=ESCAPE_RADIUS, hmin=MIN_STEP, dense=None, stats=None):
@@ -434,8 +482,8 @@ def _solve(f, y0, t0, t1, tol, *, escape=ESCAPE_RADIUS, hmin=MIN_STEP, dense=Non
     is not positive and finite or a non-finite initial state, and
     StepBudgetExhausted when a row reaches STEP_BUDGET attempted steps.
     """
-    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0):
-        raise InvalidValue(f"tolerance must be positive and finite, got {tol}")
+    if not (_finite_real(tol) and tol > 0):
+        raise InvalidValue(f"tolerance must be positive and finite, got {tol!r}")
     y = np.array(y0, dtype=float)
     if not np.all(np.isfinite(y)):
         raise InvalidValue("initial state must be finite")
@@ -647,11 +695,7 @@ def _sampled(f, y0, t0, t1, tol, t_eval=()):
     the continuous extension."""
     wanted = set()
     for t in t_eval:
-        try:
-            ok = isinstance(t, numbers.Real) and not isinstance(t, bool) and math.isfinite(t)
-        except OverflowError:  # an int or a Fraction beyond binary64
-            ok = False
-        if not ok:
+        if not _finite_real(t):
             raise InvalidSpan(f"sample times must be finite reals, got {t!r}")
         wanted.add(float(t))
     dense = _Dense() if wanted else None
@@ -659,7 +703,8 @@ def _sampled(f, y0, t0, t1, tol, t_eval=()):
     # a run that snapped onto t1 at once has no step to read
     lo, hi = sorted((t0, times[-1])) if dense and dense.steps else (t0, t0)
     extra = [t for t in wanted.difference(times) if lo <= t <= hi]
-    rows = sorted(zip(times + extra, states + [dense(t) for t in extra]), key=lambda r: r[0])
+    read = list(dense(np.array(extra))) if extra else []
+    rows = sorted(zip(times + extra, states + read), key=lambda r: r[0])
     return [t for t, _ in rows], [z for _, z in rows], status
 
 
@@ -706,28 +751,17 @@ class ProbeReport:
 
 def _probe_window(t_max):
     """(back, fwd) of a probe horizon T, meaning (-T, T), or of a pair
-    (a, b) with a < 0 < b; each end a finite real no more than MAX_SPAN
-    from 0."""
+    (a, b) with a < 0 < b; each end is read by _check_span as a span from
+    0, so it is a finite real no more than MAX_SPAN from 0."""
     pair = isinstance(t_max, (tuple, list))
-    ends = tuple(t_max) if pair else (t_max,)
-    if pair and len(ends) != 2:
+    if pair and len(t_max) != 2:
         raise InvalidSpan(f"probe window must be a pair (a, b), got {t_max!r}")
-    for end in ends:
-        if isinstance(end, bool) or not isinstance(end, numbers.Real):
-            raise InvalidSpan(f"probe window ends must be real numbers, got {t_max!r}")
-    try:
-        ends = [float(end) for end in ends]
-    except OverflowError:  # an int or a Fraction beyond binary64
-        raise InvalidSpan(f"probe window {t_max!r} is not finite") from None
+    ends = [_check_span((0.0, end))[1] for end in (t_max if pair else (t_max,))]
     back, fwd = ends if pair else (-ends[0], ends[0])
-    if not -math.inf < back < 0 < fwd < math.inf:
+    if not back < 0 < fwd:
         raise InvalidSpan(
-            "probe window must be finite and straddle 0"
-            if pair
-            else "probe horizon must be positive and finite"
+            "probe window must straddle 0" if pair else "probe horizon must be positive"
         )
-    _check_span((back, 0.0))
-    _check_span((0.0, fwd))
     return back, fwd
 
 
@@ -801,13 +835,21 @@ def _jacobi_rhs(gam, carr):
     rows[:n, n, :, n:] = -2.0 * gam.transpose(0, 2, 1)
     table = np.concatenate([geodesic, rows.reshape(n + 1, n + 1, -1)], axis=2)
     quad = _quadratic(table)
-    one = np.ones(1)
+    # xa = (x, 1) for each shape of the rows, kept from call to call, so
+    # that a call only copies x in
+    xas = {}
 
     def rhs(z):
-        q = quad(np.concatenate((z[:n], one)))
-        V = z[n:].reshape(2 * n, -1)  # Y over Y'
-        yddot = q[n:].reshape(n, 2 * n) @ V
-        return np.concatenate((q[:n], z[n + V.size // 2 :], yddot.reshape(-1)))
+        rows = z.shape[:-1]
+        xa = xas.get(rows)
+        if xa is None:
+            xa = xas[rows] = np.ones(rows + (n + 1,))
+        xa[..., :n] = z[..., :n]
+        q = quad(xa)
+        V = z[..., n:].reshape(rows + (2 * n, -1))  # Y over Y'
+        yddot = q[..., n:].reshape(rows + (n, 2 * n)) @ V
+        ydot = z[..., n + V.shape[-1] * n :]
+        return np.concatenate((q[..., :n], ydot, yddot.reshape(rows + (-1,))), -1)
 
     return rhs
 
@@ -854,12 +896,11 @@ def biinvariant_jacobi(L, x0, y0, ydot0, t_span, tol=1e-10):
     Lf = L.to_float()
     n = Lf.dim
     x0a, y0a, ydot0a = _seed_block([x0, y0, ydot0], n)
-    adx0 = scalars.left_mult(Lf.array.num, x0a)
+    minus_adx0 = -scalars.left_mult(Lf.array.num, x0a)
 
     def rhs(z):
-        y = z[:n]
-        yd = z[n:]
-        return np.concatenate([yd, -adx0 @ yd])
+        yd = z[..., n:]
+        return np.concatenate([yd, np.matvec(minus_adx0, yd)], -1)
 
     times, zs, status = _sampled(rhs, np.concatenate([y0a, ydot0a]), t0, t1, tol)
     return JacobiTrajectory(
@@ -928,7 +969,8 @@ def jacobi_route_gap(L, P, x0, y0, t_span, tol=1e-10, samples=101):
         return math.inf
     if not dense_a.steps:
         raise InvalidSpan(f"span end {t1} is within the minimal step of {t0}")
-    return max(float(np.max(np.abs(dense_a(t)[n:] - dense_b(t)[n : 2 * n]))) for t in grid)
+    grid = np.array(grid)
+    return float(np.max(np.abs(dense_a(grid)[:, n:] - dense_b(grid)[:, n : 2 * n])))
 
 
 def reflection_equation_residual(L, P, traj):
@@ -991,10 +1033,16 @@ def conjugate_scan(P, x0, t_window, grid=200, tol=1e-10):
     width 1e-10, and the golden-section polish of every grid minimum of
     |det| that does not change sign, kept when the minimum sits at 1e-12
     of the grid scale, which is how even-multiplicity crossings are
-    caught.
+    caught.  The grid is one read.  Every bisection bracket, then every
+    golden-section candidate, is refined in lockstep: a round reads the
+    next time of each one still open in one call and takes one stacked
+    determinant, and each keeps the iterates it would have alone.  Raises
+    InvalidSpan for a window that is not a pair of finite reals
+    0 <= a < b, b at most MAX_SPAN, or a grid that is not an integer from
+    1 to MAX_GRID.
     """
-    a, b = float(t_window[0]), float(t_window[1])
-    if not (math.isfinite(a) and math.isfinite(b)) or not a < b:
+    a, b = _check_span(t_window)
+    if not a < b:
         raise InvalidSpan(f"bad scan window ({a}, {b})")
     if a < 0:
         raise InvalidSpan("scan window must sit at nonnegative times")
@@ -1023,11 +1071,12 @@ def conjugate_scan(P, x0, t_window, grid=200, tol=1e-10):
     def y_matrix(t):
         return dense(t)[n : n + n * n].reshape(n, n)
 
-    def f_of(t):
-        return float(np.linalg.det(y_matrix(t))) / t**n
+    def f_at(times):
+        """det Y and det Y / t^n at each of times: one read, one det"""
+        dets = np.linalg.det(dense(np.array(times))[:, n : n + n * n].reshape(-1, n, n))
+        return dets, [float(d) / t**n for d, t in zip(dets, times)]
 
-    dets = np.linalg.det(np.array([y_matrix(t) for t in ts]))
-    fs = [float(d) / t**n for d, t in zip(dets, ts)]
+    dets, fs = f_at(ts)
     scale = max(abs(v) for v in fs) or 1.0
     det_scale = float(np.max(np.abs(dets))) or 1.0
 
@@ -1054,50 +1103,64 @@ def conjugate_scan(P, x0, t_window, grid=200, tol=1e-10):
             )
         )
 
+    # [lo, hi, f(lo)] of each grid zero, as a bracket of width 0, and of
+    # each grid sign change, in grid order
+    brackets = []
     for i in range(len(ts) - 1):
         f0, f1 = fs[i], fs[i + 1]
         if f0 == 0.0:
-            add_root(ts[i], "sign-change")
-            continue
-        if f0 * f1 < 0:
-            lo, hi = ts[i], ts[i + 1]
-            flo = f0
-            while hi - lo > 1e-10:
-                mid = 0.5 * (lo + hi)
-                fmid = f_of(mid)
-                if fmid == 0.0:
-                    lo = hi = mid
-                    break
-                if flo * fmid < 0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fmid
-            add_root(0.5 * (lo + hi), "sign-change")
+            brackets.append([ts[i], ts[i], f0])
+        elif f0 * f1 < 0:
+            brackets.append([ts[i], ts[i + 1], f0])
+    live = [br for br in brackets if br[1] - br[0] > 1e-10]
+    while live:
+        mids = [0.5 * (lo + hi) for lo, hi, _ in live]
+        for br, mid, fmid in zip(live, mids, f_at(mids)[1]):
+            if fmid == 0.0:
+                br[0] = br[1] = mid
+            elif br[2] * fmid < 0:
+                br[1] = mid
+            else:
+                br[0], br[2] = mid, fmid
+        live = [br for br in live if br[1] - br[0] > 1e-10]
+    for lo, hi, _ in brackets:
+        add_root(0.5 * (lo + hi), "sign-change")
 
+    # [lo, hi, c1, c2, |f(c1)|, |f(c2)|, iterations] of each candidate
     invphi = (math.sqrt(5.0) - 1) / 2
+    polish = []
     for i in range(1, len(ts) - 1):
         if abs(fs[i]) >= abs(fs[i - 1]) or abs(fs[i]) > abs(fs[i + 1]):
             continue
         if fs[i - 1] * fs[i] < 0 or fs[i] * fs[i + 1] < 0:
             continue
         lo, hi = ts[i - 1], ts[i + 1]
-        c1 = hi - invphi * (hi - lo)
-        c2 = lo + invphi * (hi - lo)
-        fc1 = abs(f_of(c1))
-        fc2 = abs(f_of(c2))
-        for _ in range(60):
-            if hi - lo <= 1e-10:
-                break
+        polish.append([lo, hi, hi - invphi * (hi - lo), lo + invphi * (hi - lo)])
+    fc = f_at([c for p in polish for c in p[2:]])[1]
+    for p, fc1, fc2 in zip(polish, fc[::2], fc[1::2]):
+        p += [abs(fc1), abs(fc2), 0]
+    live = [p for p in polish if p[1] - p[0] > 1e-10]
+    while live:
+        slots, times = [], []
+        for p in live:
+            lo, hi, c1, c2, fc1, fc2, k = p
             if fc1 < fc2:
                 hi, c2, fc2 = c2, c1, fc1
                 c1 = hi - invphi * (hi - lo)
-                fc1 = abs(f_of(c1))
+                slots.append(4)
+                times.append(c1)
             else:
                 lo, c1, fc1 = c1, c2, fc2
                 c2 = lo + invphi * (hi - lo)
-                fc2 = abs(f_of(c2))
-        t_star = 0.5 * (lo + hi)
-        if abs(f_of(t_star)) <= 1e-12 * scale:
+                slots.append(5)
+                times.append(c2)
+            p[:] = lo, hi, c1, c2, fc1, fc2, k + 1
+        for p, slot, v in zip(live, slots, f_at(times)[1]):
+            p[slot] = abs(v)
+        live = [p for p in live if p[6] < 60 and p[1] - p[0] > 1e-10]
+    stars = [0.5 * (p[0] + p[1]) for p in polish]
+    for t_star, v in zip(stars, f_at(stars)[1]):
+        if abs(v) <= 1e-12 * scale:
             add_root(t_star, "touch")
 
     roots.sort(key=lambda r: r.t)
@@ -1201,7 +1264,7 @@ def polynomial_geodesic_check(L, u, trials=3, seed=0, tol=1e-7):
         if not status.completed:
             worst = math.inf
             continue
-        diff = [np.asarray(x0, dtype=float)] + [dense(t) for t in grid]
+        diff = [np.asarray(x0, dtype=float), *dense(np.array(grid))]
         for _k in range(order):
             diff = [diff[i + 1] - diff[i] for i in range(len(diff) - 1)]
         dd = max(float(np.max(np.abs(d))) for d in diff) / (

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -666,3 +667,61 @@ def test_two_step_metrics_and_family_sweep_leave_sympy_out():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
     assert out.stdout.strip() == "False"
+
+
+_BAD_SPANS = {
+    "int-beyond-binary64": (0, 10**400),
+    "Fraction-beyond-binary64": (0, Fraction(10**400)),
+    "triple": (0, 1, 2),
+    "bool-start": (True, 3),
+    "bool-end": (0, True),
+    "text": ("a", 1),
+    "numeric-text": ("0", "1"),
+    "scalar": 5,
+    "None": None,
+    "single": (0,),
+    "empty": (),
+}
+
+
+@pytest.mark.parametrize("span", list(_BAD_SPANS.values()), ids=list(_BAD_SPANS))
+def test_spans_and_scan_windows_that_are_not_pairs_of_finite_reals_are_invalid(e2_product, span):
+    P, L = e2_product, e2_product.algebra
+    for call in (
+        lambda: dynamics.integrate_geodesic(P, SEED, span),
+        lambda: dynamics.integrate_jacobi(P, SEED, SEED, SEED, span),
+        lambda: dynamics.biinvariant_jacobi(L, SEED, SEED, SEED, span),
+        lambda: dynamics.right_invariant_reflection(L, P, SEED, SEED, span),
+        lambda: dynamics.jacobi_route_gap(L, P, SEED, SEED, span),
+        lambda: dynamics.conjugate_scan(P, SEED, span, grid=4),
+    ):
+        with pytest.raises(InvalidSpan):
+            call()
+
+
+@pytest.mark.parametrize("t_max", [(Fraction(-(10**400)), 1.0), Fraction(10**400), (-1.0, "2")])
+def test_probe_windows_are_read_as_spans(e2_product, t_max):
+    with pytest.raises(InvalidSpan):
+        dynamics.completeness_probe(e2_product, [SEED], t_max=t_max)
+
+
+def test_a_scan_window_of_numbers_of_any_real_type_reads_as_floats(e2_product):
+    rep = dynamics.conjugate_scan(e2_product, SEED, (Fraction(0), Fraction(3, 2)), grid=4)
+    assert rep.window == (0.0, 1.5)
+    assert rep == dynamics.conjugate_scan(e2_product, SEED, (0.0, 1.5), grid=4)
+
+
+@pytest.mark.parametrize("tol", [10**400, Fraction(10**400), True], ids=["int", "Fraction", "True"])
+def test_tolerances_beyond_binary64_or_bool_are_invalid(e2_product, tol):
+    P, L = e2_product, e2_product.algebra
+    for call in (
+        lambda: dynamics.integrate_geodesic(P, SEED, (0.0, 1.0), tol=tol),
+        lambda: dynamics.completeness_probe(P, [SEED], t_max=1.0, tol=tol),
+        lambda: dynamics.integrate_jacobi(P, SEED, SEED, SEED, (0.0, 1.0), tol=tol),
+        lambda: dynamics.biinvariant_jacobi(L, SEED, SEED, SEED, (0.0, 1.0), tol=tol),
+        lambda: dynamics.right_invariant_reflection(L, P, SEED, SEED, (0.0, 1.0), tol=tol),
+        lambda: dynamics.jacobi_route_gap(L, P, SEED, SEED, (0.0, 1.0), tol=tol),
+        lambda: dynamics.conjugate_scan(P, SEED, (0.0, 1.0), grid=4, tol=tol),
+    ):
+        with pytest.raises(InvalidValue):
+            call()
