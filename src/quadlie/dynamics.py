@@ -15,7 +15,12 @@ evaluated only for the steps that are read.  A read takes one time or a
 1-D array of times and serves all of them at once, each row bit for bit
 the read of its time alone; so a scan runs every bisection bracket, then
 every golden-section candidate, in lockstep, one read and one stacked
-determinant per round.
+determinant per round.  It polishes every grid minimum of |det Y / t^n|
+but the flat ones above its 1e-12 acceptance level: three samples that
+agree to 100 times the tolerance (at most 1e-6) of their size show no dip
+the solve resolves.  That is a rule on the samples, not a bound on det Y
+between them.  A scan on a flat metric, where det Y / t^n is constant up
+to the solve's error, is one read of its grid.
 
 One _solve serves a single run and a block of runs alike.  Given a (B, n)
 block with one end per row, it runs every row in one step loop: each row
@@ -338,7 +343,9 @@ def _as_product(P):
 def _finite_real(v):
     """Whether v is a real number, not a bool, that is finite in binary64."""
     try:
-        return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+        # float named first: an isinstance against the numbers.Real ABC alone
+        # takes about 0.4 us, and every entry of every seed is tested
+        return isinstance(v, (float, numbers.Real)) and not isinstance(v, bool) and math.isfinite(v)
     except OverflowError:  # an int or a Fraction beyond binary64
         return False
 
@@ -780,13 +787,9 @@ def _seed_block(seeds, dim):
             dim = size
         if size != dim:
             raise DimensionMismatch(f"seed of length {size} in dimension {dim}")
-        try:
-            row = [float(v) for v in seed]
-        except (TypeError, ValueError, OverflowError):
-            raise InvalidValue(f"seed entries must be finite reals, got {seed!r}") from None
-        if not all(map(math.isfinite, row)):
-            raise InvalidValue("initial state must be finite")
-        rows.append(row)
+        if not all(map(_finite_real, seed)):
+            raise InvalidValue(f"seed entries must be finite reals, got {seed!r}")
+        rows.append([float(v) for v in seed])
     return np.array(rows, dtype=float).reshape(len(rows), dim or 0)
 
 
@@ -1023,6 +1026,41 @@ class ConjugateReport:
         return tuple(r.t for r in self.roots)
 
 
+def _touch_candidates(ts, fs, scale, tol):
+    """The (lo, hi) bracket of each grid minimum of |f| that may hold a
+    root of even multiplicity, in grid order.
+
+    A minimum is a grid time t_i with |f_i| < |f_{i-1}|, |f_i| <= |f_{i+1}|
+    and no sign change on either side.  With g = |f_i| and d the rise
+    max(|f_{i-1}|, |f_{i+1}|) - g, a minimum is dropped only when it is
+    flat, d <= 100 tol g (at most 1e-6 g, so that a coarse tol never
+    flattens a real dip), and above the acceptance level of a touch root,
+    g - d > 1e-12 scale.  No rule on three samples bounds f between them
+    (an f the grid does not resolve can dip to a root between samples of
+    any values), so this one drops only minima whose samples differ by no
+    more than the solve's own error: a det Y / t^n that is constant in
+    exact arithmetic comes out of a solve at tol varying by up to about
+    8 tol of its size (e2-motion, tol 1e-12 to 1e-8, windows to 1000),
+    and by rounding on a flat phi metric.  A minimum that varies more is
+    kept, and so is every root the samples show: a double root k (t - r)^2
+    at s <= h/2 from its nearest grid time (step h) gives g = k s^2
+    against d >= k h^2 >= 4 g, a quartic root d >= 16 g, a grid zero
+    g = 0 < d.  A root between three samples that agree to 100 tol is the
+    one case dropped.
+    """
+    brackets = []
+    for i in range(1, len(ts) - 1):
+        g0, g, g1 = abs(fs[i - 1]), abs(fs[i]), abs(fs[i + 1])
+        if g >= g0 or g > g1:
+            continue
+        if fs[i - 1] * fs[i] < 0 or fs[i] * fs[i + 1] < 0:
+            continue
+        d = max(g0, g1) - g
+        if d > min(100 * tol, 1e-6) * g or g - d <= 1e-12 * scale:
+            brackets.append((ts[i - 1], ts[i + 1]))
+    return brackets
+
+
 def conjugate_scan(P, x0, t_window, grid=200, tol=1e-10):
     """Hunt zeros of t -> det Y(t) / t^n for the fundamental variation
     columns started as Y(0) = 0, Y'(0) = I.
@@ -1030,13 +1068,19 @@ def conjugate_scan(P, x0, t_window, grid=200, tol=1e-10):
     The variation system is integrated once, from 0 to the window's end,
     and every value below is read off the continuous extension of that
     run: the grid samples, the bisection of each grid sign change to
-    width 1e-10, and the golden-section polish of every grid minimum of
-    |det| that does not change sign, kept when the minimum sits at 1e-12
-    of the grid scale, which is how even-multiplicity crossings are
-    caught.  The grid is one read.  Every bisection bracket, then every
-    golden-section candidate, is refined in lockstep: a round reads the
+    width 1e-10, and the golden-section polish of the grid minima of |det|
+    that do not change sign, kept when the minimum sits at 1e-12 of the
+    grid scale, which is how even-multiplicity crossings are caught.  A
+    minimum is skipped only when its three samples agree to 100 tol of
+    their size and it sits above that level: a constant det Y / t^n comes
+    out of the solve varying by about 8 tol, and such a minimum shows no
+    dip the solve resolves (_touch_candidates states the rule and what it
+    assumes).  The grid is one read, which is the whole scan on a flat
+    metric, where det Y / t^n is constant.  Every bisection bracket, then
+    every polished candidate, is refined in lockstep: a round reads the
     next time of each one still open in one call and takes one stacked
-    determinant, and each keeps the iterates it would have alone.  Raises
+    determinant, and each keeps the iterates it would have alone.  The
+    roots' kernels and determinants come from one more read.  Raises
     InvalidSpan for a window that is not a pair of finite reals
     0 <= a < b, b at most MAX_SPAN, or a grid that is not an integer from
     1 to MAX_GRID.
@@ -1068,40 +1112,27 @@ def conjugate_scan(P, x0, t_window, grid=200, tol=1e-10):
     if not dense.steps:
         raise InvalidSpan(f"scan window end {b} is within the minimal step of 0")
 
-    def y_matrix(t):
-        return dense(t)[n : n + n * n].reshape(n, n)
+    def y_matrices(times):
+        """Y at each of times, one read"""
+        return dense(np.array(times))[:, n : n + n * n].reshape(-1, n, n)
 
     def f_at(times):
-        """det Y and det Y / t^n at each of times: one read, one det"""
-        dets = np.linalg.det(dense(np.array(times))[:, n : n + n * n].reshape(-1, n, n))
+        """det Y and det Y / t^n at each of times: one read and one det, or
+        none for no times"""
+        if not times:
+            return np.empty(0), []
+        dets = np.linalg.det(y_matrices(times))
         return dets, [float(d) / t**n for d, t in zip(dets, times)]
 
     dets, fs = f_at(ts)
     scale = max(abs(v) for v in fs) or 1.0
     det_scale = float(np.max(np.abs(dets))) or 1.0
 
-    roots = []
+    found = []  # (t, via) of each root, none within 1e-8 of an earlier one
 
     def add_root(t_star, via):
-        for r in roots:
-            if abs(r.t - t_star) <= 1e-8 * max(1.0, b):
-                return
-        Y = y_matrix(t_star)
-        u_, sing, vt = np.linalg.svd(Y)
-        cut = 1e-8 * (sing[0] if sing.size else 0.0)
-        kern = tuple(
-            tuple(float(v) for v in vt[i])
-            for i in range(n)
-            if sing[i] <= cut
-        )
-        roots.append(
-            ConjugateRoot(
-                t=t_star,
-                kernel=kern,
-                det_value=float(np.linalg.det(Y)),
-                via=via,
-            )
-        )
+        if all(abs(t - t_star) > 1e-8 * max(1.0, b) for t, _ in found):
+            found.append((t_star, via))
 
     # [lo, hi, f(lo)] of each grid zero, as a bracket of width 0, and of
     # each grid sign change, in grid order
@@ -1128,14 +1159,10 @@ def conjugate_scan(P, x0, t_window, grid=200, tol=1e-10):
 
     # [lo, hi, c1, c2, |f(c1)|, |f(c2)|, iterations] of each candidate
     invphi = (math.sqrt(5.0) - 1) / 2
-    polish = []
-    for i in range(1, len(ts) - 1):
-        if abs(fs[i]) >= abs(fs[i - 1]) or abs(fs[i]) > abs(fs[i + 1]):
-            continue
-        if fs[i - 1] * fs[i] < 0 or fs[i] * fs[i + 1] < 0:
-            continue
-        lo, hi = ts[i - 1], ts[i + 1]
-        polish.append([lo, hi, hi - invphi * (hi - lo), lo + invphi * (hi - lo)])
+    polish = [
+        [lo, hi, hi - invphi * (hi - lo), lo + invphi * (hi - lo)]
+        for lo, hi in _touch_candidates(ts, fs, scale, tol)
+    ]
     fc = f_at([c for p in polish for c in p[2:]])[1]
     for p, fc1, fc2 in zip(polish, fc[::2], fc[1::2]):
         p += [abs(fc1), abs(fc2), 0]
@@ -1163,6 +1190,18 @@ def conjugate_scan(P, x0, t_window, grid=200, tol=1e-10):
         if abs(v) <= 1e-12 * scale:
             add_root(t_star, "touch")
 
+    roots = []
+    if found:
+        Ys = y_matrices([t for t, _ in found])
+        _, sings, vts = np.linalg.svd(Ys)
+        for (t_star, via), sing, vt, det in zip(found, sings, vts, np.linalg.det(Ys)):
+            cut = 1e-8 * (sing[0] if sing.size else 0.0)
+            kern = tuple(
+                tuple(float(v) for v in vt[i])
+                for i in range(n)
+                if sing[i] <= cut
+            )
+            roots.append(ConjugateRoot(t=t_star, kernel=kern, det_value=float(det), via=via))
     roots.sort(key=lambda r: r.t)
     return ConjugateReport(
         roots=tuple(roots),

@@ -725,3 +725,28 @@ def test_tolerances_beyond_binary64_or_bool_are_invalid(e2_product, tol):
     ):
         with pytest.raises(InvalidValue):
             call()
+
+
+@pytest.mark.parametrize("bad", [("0.7", "-0.3", "1.3"), (0.7, "-0.3", 1.3), "123"])
+def test_seeds_of_numeric_strings_are_invalid_values(e2_product, bad):
+    P, L, span = e2_product, e2_product.algebra, (0.0, 1.0)
+    for call in (
+        lambda: dynamics.integrate_geodesic(P, bad, span),
+        lambda: dynamics.completeness_probe(P, [SEED, bad], t_max=1.0),
+        lambda: dynamics.integrate_jacobi(P, bad, SEED, SEED, span),
+        lambda: dynamics.integrate_jacobi(P, SEED, bad, SEED, span),
+        lambda: dynamics.right_invariant_reflection(L, P, SEED, bad, span),
+        lambda: dynamics.jacobi_route_gap(L, P, bad, SEED, span),
+        lambda: dynamics.biinvariant_jacobi(L, SEED, bad, SEED, span),
+        lambda: dynamics.conjugate_scan(P, bad, span, grid=4),
+    ):
+        with pytest.raises(InvalidValue):
+            call()
+
+
+def test_seeds_of_any_real_type_read_as_floats(e2_product):
+    import numpy as np
+
+    want = dynamics.integrate_geodesic(e2_product, (0.7, -0.25, 1.0), (0.0, 1.0))
+    for seed in [(Fraction(7, 10), Fraction(-1, 4), 1), (np.float64(0.7), np.float32(-0.25), 1)]:
+        assert dynamics.integrate_geodesic(e2_product, seed, (0.0, 1.0)) == want

@@ -18,10 +18,12 @@ on [0.95, 1.05] and the rest on [-0.5, 0.5]; e2: x1, x2 uniform on
 [-1, 1] and x3 in +-[0.9, 1.1]; phi: uniform on [-1, 1]).  It prints one
 JSON line per kind: the best of five medians of each wall time in
 milliseconds, averaged over the seeds, their difference, and the calls
-of the continuous extension per scan.  It uses only what every quadlie
-tree since the stored-form tensors has (conjugate_scan, _solve, _Dense,
-_as_product, _jacobi_rhs, the catalog and the two-step builders), so the
-same script measures an older tree by pointing PYTHONPATH at it:
+of the continuous extension and the roots found per scan, so a change in
+how a scan reads shows beside the roots it must keep.  It uses only what
+every quadlie tree since the stored-form tensors has (conjugate_scan,
+_solve, _Dense, _as_product, _jacobi_rhs, the catalog and the two-step
+builders), so the same script measures an older tree by pointing
+PYTHONPATH at it:
 
     PYTHONPATH=src python3 tools/scan_reads.py
 """
@@ -114,7 +116,7 @@ def main():
         def solve(z0):
             return dynamics._solve(rhs, z0, 0.0, float(window[1]), TOL, dense=dynamics._Dense())
 
-        read, calls = dynamics._Dense.__call__, [0]
+        read, calls, roots = dynamics._Dense.__call__, [0], 0
 
         def counted(self, t):
             calls[0] += 1
@@ -123,7 +125,7 @@ def main():
         dynamics._Dense.__call__ = counted
         try:
             for x0 in seeds:
-                scan(x0)
+                roots += len(scan(x0).roots)
         finally:
             dynamics._Dense.__call__ = read
         scan_s = statistics.fmean(_best(lambda x0=x0: scan(x0), 10) for x0 in seeds)
@@ -134,6 +136,7 @@ def main():
             "solve_ms": round(solve_s * 1e3, 3),
             "rest_ms": round((scan_s - solve_s) * 1e3, 3),
             "read_calls": calls[0] / len(seeds),
+            "roots": roots / len(seeds),
         }), flush=True)
 
 
