@@ -25,7 +25,15 @@ from .errors import (
     ValidationError,
 )
 
-__all__ = ["LieAlgebra", "StructureReport", "validate_algebra", "bracket", "structure_report"]
+__all__ = [
+    "LieAlgebra",
+    "StructureReport",
+    "as_algebra",
+    "label_index",
+    "validate_algebra",
+    "bracket",
+    "structure_report",
+]
 
 
 @dataclass(frozen=True)
@@ -58,26 +66,40 @@ class LieAlgebra:
         return scalars.eye(self.dim, self.exact)[i].tuples()
 
     def label_index(self, name):
-        """Resolve a coordinate label; falls back to integer and e<k> forms."""
-        if name in self.labels:
-            return self.labels.index(name)
-        try:
-            k = int(name)
-        except ValueError:
-            if name.startswith("e"):
-                try:
-                    k = int(name[1:])
-                except ValueError:
-                    raise ValidationError(f"unknown coordinate label {name!r}") from None
-                if 0 <= k < self.dim:
-                    return k
-            raise ValidationError(f"unknown coordinate label {name!r}") from None
-        if 0 <= k < self.dim:
-            return k
-        raise ValidationError(f"coordinate index {k} out of range for dimension {self.dim}")
+        return label_index(self.labels, name)
 
     def to_float(self):
         return self if not self.exact else LieAlgebra(self.array.to_float(), self.labels)
+
+
+def as_algebra(L):
+    """L itself when it is a LieAlgebra; DimensionMismatch for anything
+    else, nested tables included (validate_algebra reads those)."""
+    if not isinstance(L, LieAlgebra):
+        raise DimensionMismatch(f"expected a Lie algebra, got {type(L).__name__}")
+    return L
+
+
+def label_index(labels, name):
+    """Index of a coordinate name among labels: the label itself, else an
+    integer index, else e<k>; ValidationError for an index out of range or
+    any other name."""
+    if name in labels:
+        return labels.index(name)
+    n = len(labels)
+    try:
+        k = int(name)
+    except (TypeError, ValueError, OverflowError):
+        try:
+            k = int(name[1:]) if name.startswith("e") else -1
+        except (AttributeError, TypeError, ValueError):
+            k = -1
+        if 0 <= k < n:
+            return k
+        raise ValidationError(f"unknown basis reference {name!r}") from None
+    if 0 <= k < n:
+        return k
+    raise ValidationError(f"index {k} out of range for dimension {n}")
 
 
 def validate_algebra(c, labels=None):
@@ -134,12 +156,9 @@ def validate_algebra(c, labels=None):
 
 
 def bracket(L, x, y):
-    if len(x) != L.dim or len(y) != L.dim:
-        raise DimensionMismatch(
-            f"vectors of length {len(x)}, {len(y)} in dimension {L.dim}"
-        )
-    ad_x = scalars.left_mult(L.array, scalars.vector(x, L.exact))
-    return scalars.contract("kj,j->k", ad_x, scalars.vector(y, L.exact)).tuples()
+    L = as_algebra(L)
+    xs, ys = (scalars.vector(v, L.exact, L.dim) for v in (x, y))
+    return scalars.contract("kj,j->k", scalars.left_mult(L.array, xs), ys).tuples()
 
 
 @dataclass(frozen=True)
@@ -172,7 +191,7 @@ def structure_report(L):
     entries with an empty basis last.  Every basis is span_basis's, so in
     exact mode two terms span the same space exactly when they are equal.
     """
-    n = L.dim
+    n = as_algebra(L).dim
     exact = L.exact
     C = L.array
     full = linalg.span_basis(scalars.eye(n, exact))

@@ -433,7 +433,6 @@ def _build_two_step_volume():
 
 
 def _build_a_d(d):
-    di = int(d)
     # order e1, e2, e3, e4, f1, f2
     L = _table(
         6,
@@ -441,12 +440,12 @@ def _build_a_d(d):
             (0, 1): (0, 0, 0, 0, 0, 1),  # [e1, e2] = f2
             (2, 3): (0, 0, 0, 0, 0, 1),  # [e3, e4] = f2
             (0, 2): (0, 0, 0, 0, 1, 0),  # [e1, e3] = f1
-            (1, 3): (0, 0, 0, 0, 0, di),  # [e2, e4] = d f2
+            (1, 3): (0, 0, 0, 0, 0, d),  # [e2, e4] = d f2
         },
         ("e1", "e2", "e3", "e4", "f1", "f2"),
     )
     return _entry(
-        f"a-d({di})",
+        f"a-d({d})",
         L,
         metadata={
             "family": "two-step nilpotent with central pair f1, f2",
@@ -456,7 +455,7 @@ def _build_a_d(d):
                 " reading with e4 included and f1, f2 central"
             ),
             "parameter": (
-                f"bracket parameter d = {di}; square-free values give"
+                f"bracket parameter d = {d}; square-free values give"
                 " pairwise non-isomorphic rational algebras"
             ),
             "quadratic": (
@@ -471,7 +470,7 @@ def _build_a_d_double(d):
     base = _build_a_d(d)
     L, k = build_cotangent_double(base.algebra)
     return _entry(
-        f"a-d-double({int(d)})",
+        f"a-d-double({d})",
         L,
         quad_form=k,
         metric=k,
@@ -501,12 +500,6 @@ _PLAIN = {
     "two-step-volume": _build_two_step_volume,
 }
 
-_PARAMETRIC = {
-    "oscillator": ("frequency list", lambda args: _build_oscillator_entry(args)),
-    "a-d": ("integer parameter", lambda args: _build_a_d(args[0])),
-    "a-d-double": ("integer parameter", lambda args: _build_a_d_double(args[0])),
-}
-
 
 def available():
     """Name templates with one-line descriptions, for listings."""
@@ -522,6 +515,8 @@ def available():
 
 
 def _parse_name(name):
+    if not isinstance(name, str):
+        raise UnknownName(f"catalog names are strings, got {name!r}")
     text = name.strip()
     if "(" in text:
         base, _, rest = text.partition("(")
@@ -531,6 +526,8 @@ def _parse_name(name):
             a.strip() for a in rest[:-1].split(",") if a.strip() != ""
         )
         return base.strip(), args
+    if text in ("oscillator", "a-d", "a-d-double"):  # bare, the parameter is 1
+        return text, ("1",)
     return text, None
 
 
@@ -539,10 +536,6 @@ def _lookup(base, args):
     if args is None:
         if base in _PLAIN:
             return _PLAIN[base]()
-        if base == "oscillator":
-            return _build_oscillator_entry((Fraction(1),))
-        if base in _PARAMETRIC:
-            return _PARAMETRIC[base][1](("1",))
         raise UnknownName(f"no catalog entry named {base!r}")
     if base == "oscillator":
         try:

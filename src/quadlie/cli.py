@@ -40,21 +40,6 @@ from .errors import EngineError, ParseError, ValidationError, ZeroXMinusOne
 from .forms import check_ad_invariance, metric_from_iso, signature
 from .linalg import det
 
-_COMMANDS = (
-    "validate",
-    "analyze",
-    "connection",
-    "curvature",
-    "flat",
-    "geodesic",
-    "jacobi",
-    "conjugate",
-    "probe",
-    "build",
-    "catalog",
-    "family-sweep",
-)
-
 # flags whose values may start with a minus sign; glued to --flag=value
 # before argparse sees them so "--span -0.99:5" parses
 _GLUE = {"--span", "--window", "--x", "--y", "--ydot", "--lambda", "--tol"}
@@ -104,6 +89,7 @@ def _parser():
         if grid:
             sp.add_argument("--grid", type=int, default=200, help="scan grid size")
         if sweep:
+            sp.add_argument("--input", help="phi sample file: a JSON list of dimv x dimv matrices")
             sp.add_argument("--dimv", type=int, default=3, help="dimension of V")
             sp.add_argument("--trials", type=int, default=5,
                             help="number of generated phi samples")
@@ -128,7 +114,7 @@ def _parser():
     add("probe", "completeness probe", seeded=True, span=True)
     add("build", "emit a catalog or construct algebra as a document")
     add("catalog", "list builtin models", model=False)
-    add("family-sweep", "two-step metric family table", model=True, sweep=True)
+    add("family-sweep", "two-step metric family table", model=False, sweep=True)
     return p
 
 
@@ -175,14 +161,8 @@ def _resolve_model(args, need_metric=False):
         metric = entry.metric
         kform = entry.quad_form
         iso = entry.iso
-        doc = fileio.serialize_algebra(
-            L,
-            form=kform if kform is not None else metric,
-            iso=iso if iso is not None else None,
-        )
-        digest = hashlib.sha256(
-            json.dumps(doc, sort_keys=True).encode()
-        ).hexdigest()
+        doc = fileio.serialize_algebra(L, form=kform if kform is not None else metric, iso=iso)
+        digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
         source = {"catalog": entry.name, "sha256": digest}
     else:
         raise ParseError("need --input or --catalog")
@@ -643,27 +623,11 @@ def _cmd_family_sweep(args):
     # the algebra first: it rejects a dimension with no volume form before
     # any m x m sample is drawn
     L, _ = build_two_step(TwoStepSpec(m, "volume"))
-    phis = []
     if args.input:
-        try:
-            doc = json.loads(Path(args.input).read_text())
-        except OSError as e:
-            raise ParseError(f"cannot read {args.input}: {e}") from None
-        except json.JSONDecodeError as e:
-            raise ParseError(f"{args.input}: line {e.lineno}: {e.msg}") from None
+        doc = fileio.read_json(args.input)
         if not isinstance(doc, list):
             raise ParseError("phi sample file must be a JSON list of matrices")
-        for idx, rows in enumerate(doc):
-            if not isinstance(rows, list) or len(rows) != m or any(
-                not isinstance(r, list) or len(r) != m for r in rows
-            ):
-                raise ParseError(f"sample {idx} is not a {m}x{m} matrix")
-            phis.append(
-                tuple(
-                    tuple(Fraction(v) if isinstance(v, (int, str)) else float(v) for v in row)
-                    for row in rows
-                )
-            )
+        phis = [fileio.parse_matrix(rows, m, f"sample {idx}") for idx, rows in enumerate(doc)]
         source = {"path": str(args.input), "sha256": fileio.sha256_file(args.input)}
     else:
         rng = random.Random(args.rng_seed)
@@ -675,7 +639,7 @@ def _cmd_family_sweep(args):
     worst_mode = "exact"
     for idx, phi in enumerate(phis):
         _, metric, inv = two_step_metric(TwoStepSpec(m, "volume", phi))
-        rep = flatness_report(L if metric.exact else L.to_float(), metric)
+        rep = flatness_report(L, metric)
         sig = signature(metric)
         all_flat = all_flat and rep.flat
         if rep.mode != "exact":

@@ -26,14 +26,15 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import linalg, scalars
-from .algebra import LieAlgebra
+from .algebra import LieAlgebra, as_algebra
 from .errors import DimensionMismatch, InvalidValue
-from .forms import SymBilinearForm, as_iso, validate_form
+from .forms import SymBilinearForm, as_form, as_iso, validate_form
 
 __all__ = [
     "ProductTensor",
     "CurvatureTensor",
     "FlatnessReport",
+    "as_product",
     "levi_civita",
     "product_from_iso",
     "curvature",
@@ -65,8 +66,8 @@ class ProductTensor:
         return self.array.tuples()
 
     def mult(self, x, y):
-        lx = scalars.left_mult(self.array, scalars.vector(x, self.exact))
-        return scalars.contract("kj,j->k", lx, scalars.vector(y, self.exact)).tuples()
+        lx = scalars.left_mult(self.array, scalars.vector(x, self.exact, self.dim))
+        return scalars.contract("kj,j->k", lx, scalars.vector(y, self.exact, self.dim)).tuples()
 
     def left_mult(self, x):
         """Matrix of y -> x y on coordinate columns (rows k, columns j)."""
@@ -114,13 +115,17 @@ class FlatnessReport:
     tolerance: object
 
 
+def as_product(P):
+    """P itself when it is a ProductTensor; DimensionMismatch otherwise."""
+    if not isinstance(P, ProductTensor):
+        raise DimensionMismatch("expected a product tensor")
+    return P
+
+
 def levi_civita(L, g):
     """Metric product tensor of a left-invariant metric on L."""
-    form = g if isinstance(g, SymBilinearForm) else validate_form(g)
-    if form.dim != L.dim:
-        raise DimensionMismatch("metric and algebra dimensions differ")
-    if not (L.exact and form.exact):
-        L, form = L.to_float(), form.to_float()
+    L = as_algebra(L)
+    L, form = scalars.common_mode(L, as_form(g, L.dim))
     # the product is unchanged when G is scaled by a constant, so G's
     # numerators stand in for G
     C, G = L.array, scalars.ScaledArray(form.array.num)
@@ -144,12 +149,8 @@ def product_from_iso(L, k, u):
     metric Gram matrix G is never inverted.  Kept separate from
     levi_civita so the two can cross-check each other.
     """
-    form = k if isinstance(k, SymBilinearForm) else validate_form(k)
-    if form.dim != L.dim:
-        raise DimensionMismatch("form and algebra dimensions differ")
-    iso = as_iso(u, L.dim)
-    if not (L.exact and form.exact and iso.exact):
-        L, form, iso = L.to_float(), form.to_float(), iso.to_float()
+    L = as_algebra(L)
+    L, form, iso = scalars.common_mode(L, as_form(k, L.dim), as_iso(u, L.dim))
     C, U = L.array, iso.array
     # t[i][j][k]: component k of [e_i, u e_j]
     t = scalars.contract("ajk,bj->abk", C, U.transpose())
@@ -175,6 +176,7 @@ def _curvature_array(P, comp):
 
 def curvature(P):
     """R[i][j][k][l] under R(x,y) = L_[x,y] - L_x L_y + L_y L_x."""
+    P = as_product(P)
     return CurvatureTensor(_curvature_array(P, _compose(P)))
 
 
@@ -185,6 +187,7 @@ def product_report(P):
     metric entry point.  In exact mode every verdict is an equality test;
     in binary64 the thresholds scale with the tensor norms.
     """
+    P = as_product(P)
     C, G, exact = P.algebra.array, P.array, P.exact
     cmax, gmax = C.scale(), G.scale()
 
@@ -226,7 +229,7 @@ def flatness_report(L, g):
 def biinvariant_connection(L):
     """Half-bracket product; it is the metric product of any ad-invariant
     metric and needs no form to write down."""
-    return ProductTensor(L, L.array.half(), None)
+    return ProductTensor(as_algebra(L), L.array.half(), None)
 
 
 def dim4_obstruction(a, b, d):

@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg, scalars
-from .algebra import brackets, structure_report, validate_algebra
+from .algebra import as_algebra, brackets, structure_report, validate_algebra
 from .connection import ProductTensor
 from .errors import (
     DimensionMismatch,
@@ -41,7 +41,7 @@ from .errors import (
     WrongClass,
     ZeroXMinusOne,
 )
-from .forms import SymBilinearForm, SymmetricIso, check_ad_invariance, validate_form
+from .forms import SymmetricIso, as_form, check_ad_invariance, validate_form
 
 __all__ = [
     "OscillatorSpec",
@@ -88,6 +88,14 @@ class SimilarityInvariants:
     invariant_factor_degrees: tuple
 
 
+def _size(m, what):
+    """m when it is a positive integer, not a bool; DimensionMismatch
+    otherwise."""
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
+        raise DimensionMismatch(f"{what} must be a positive integer, got {m!r}")
+    return m
+
+
 def build_double_extension(w_dim, k0, theta):
     """Extend an abelian metric space (W, k0) by a k0-skew map theta.
 
@@ -95,12 +103,10 @@ def build_double_extension(w_dim, k0, theta):
     second, then W.  The invariant form pairs the two new directions
     hyperbolically and restricts to k0 on W.
     """
-    k0f = k0 if isinstance(k0, SymBilinearForm) else validate_form(k0)
-    if k0f.dim != w_dim:
-        raise DimensionMismatch("k0 size does not match W dimension")
-    exact = k0f.exact and scalars.decide_mode(scalars.flatten(theta))
-    TH = scalars.matrix(theta, w_dim, exact)
-    K0 = (k0f if exact else k0f.to_float()).array
+    k0f = as_form(k0, _size(w_dim, "w_dim"))
+    TH = scalars.matrix(theta, w_dim, scalars.decide_mode(scalars.flatten(theta)))
+    k0f, TH = scalars.common_mode(k0f, TH)
+    exact, K0 = TH.exact, k0f.array
 
     k0th = scalars.contract("ij,jk->ik", K0, TH)
     tol = scalars.tolerance(exact, max(1.0, K0.scale() * TH.scale()))
@@ -141,7 +147,10 @@ def build_oscillator(spec):
     W carries the standard inner product on pairs (e_j, f_j) and theta
     rotates each pair with speed lambda_j.
     """
-    lams = spec.lams if isinstance(spec, OscillatorSpec) else tuple(spec)
+    try:
+        lams = tuple(spec.lams if isinstance(spec, OscillatorSpec) else spec)
+    except TypeError:
+        raise DimensionMismatch(f"expected a sequence of frequencies, got {spec!r}") from None
     if not lams:
         raise InvalidLambda("need at least one frequency")
     exact = scalars.decide_mode(lams)
@@ -174,17 +183,17 @@ def _alternating_theta(m, theta):
     """theta as a ScaledArray, after the checks of build_two_step: shape,
     alternation (the first violation in index order) and the two
     corank-zero rank tests."""
+    _size(m, "dim_v")
     if theta == "volume":
         theta = volume_theta(m)
-    exact = scalars.decide_mode(scalars.flatten(theta))
-    th = tuple(
-        tuple(scalars.coerce_vector(row, exact) for row in plane) for plane in theta
-    )
-    if len(th) != m or any(len(p) != m or any(len(r) != m for r in p) for p in th):
+    if not (
+        scalars.is_rows(theta)
+        and len(theta) == m
+        and all(scalars.is_rows(p) and len(p) == m and all(len(r) == m for r in p) for p in theta)
+    ):
         raise DimensionMismatch("theta must be dim_v^3")
-    if m == 0:  # the table validate_algebra would be handed
-        raise DimensionMismatch("empty structure table")
-    T = scalars.to_array(th, exact)
+    exact = scalars.decide_mode(scalars.flatten(theta))
+    T = scalars.to_array([[scalars.coerce_vector(r, exact) for r in p] for p in theta], exact)
     tol = scalars.tolerance(exact, max(1.0, T.scale()))
     bad = np.argwhere(
         (T + T.transpose(1, 0, 2)).beyond(tol) | (T + T.transpose(0, 2, 1)).beyond(tol)
@@ -215,6 +224,8 @@ def build_two_step(spec):
     otherwise RankDeficientTheta.
     """
     if not isinstance(spec, TwoStepSpec):
+        if not scalars.is_rows(spec):
+            raise DimensionMismatch(f"expected a TwoStepSpec or a theta tensor, got {spec!r}")
         spec = TwoStepSpec(dim_v=len(spec), theta=spec)
     m = spec.dim_v
     T = _alternating_theta(m, spec.theta)
@@ -234,21 +245,21 @@ def two_step_metric(spec):
     build_two_step; the algebra itself is not rebuilt, since an
     alternating theta always gives a Lie algebra.
     """
-    if spec.phi is None:
-        raise DimensionMismatch("spec carries no phi")
+    if not isinstance(spec, TwoStepSpec) or spec.phi is None:
+        raise DimensionMismatch("expected a TwoStepSpec that carries a phi")
     m = spec.dim_v
     PHI = scalars.matrix(spec.phi, m, scalars.decide_mode(scalars.flatten(spec.phi)))
     if linalg.rank(PHI) < m:
         raise Singular("phi is not invertible")
-    theta_exact = _alternating_theta(m, spec.theta).exact
+    T = _alternating_theta(m, spec.theta)
     # u = phi on V and phi^T on V*
     umat = np.zeros((2 * m, 2 * m), dtype=PHI.num.dtype)
     umat[:m, :m] = PHI.num
     umat[m:, m:] = PHI.num.T
     # G = K u for the pairing K, which swaps V and V*: u with the two
     # halves of its rows swapped, in binary64 when either phi or theta is
-    G = scalars.ScaledArray(np.roll(umat, m, axis=0), PHI.den)
-    metric = validate_form(G if theta_exact else G.to_float())
+    _, G = scalars.common_mode(T, scalars.ScaledArray(np.roll(umat, m, axis=0), PHI.den))
+    metric = validate_form(G)
     iso = SymmetricIso(2 * m, scalars.ScaledArray(umat, PHI.den), PHI.exact)
     return iso, metric, _invariants(PHI)
 
@@ -393,7 +404,7 @@ def build_cotangent_double(L):
     For a two-step A with corank-zero center this lands back in the
     two-step quadratic class at doubled dimension.
     """
-    n = L.dim
+    n = as_algebra(L).dim
     C = L.array
     c = np.zeros((2 * n,) * 3, dtype=C.num.dtype)
     # A occupies indices n..2n-1, the duals 0..n-1
@@ -531,12 +542,10 @@ def build_f_derivation(L, k=None, a0=Fraction(4, 9)):
     )
     metric = None
     if k is not None:
-        kf = k if isinstance(k, SymBilinearForm) else validate_form(k)
-        inv_rep = check_ad_invariance(L, kf)
-        if not inv_rep.invariant:
+        kf = as_form(k, n)
+        if not check_ad_invariance(L, kf).invariant:
             raise NoSolution("supplied form is not ad-invariant")
-        if not (exact and kf.exact):  # binary64 when either L or k is
-            kf, D = kf.to_float(), D.to_float()
+        kf, D = scalars.common_mode(kf, D)  # D is in L's mode
         gm = scalars.contract("ij,jk->ik", scalars.contract("ji,jk->ik", D, kf.array), D)
         metric = validate_form(gm)
     product = ProductTensor(L, gamma, metric)
@@ -559,16 +568,10 @@ class OscillatorJacobiForms:
     """
 
     def __init__(self, lams, x0, r):
-        self.lams = tuple(float(v) for v in lams)
+        self.lams = tuple(scalars.vector(lams, False).num.tolist())
         m = len(self.lams)
-        if len(x0) != 2 * m + 2:
-            raise DimensionMismatch(
-                f"seed length {len(x0)} for {2 * m + 2}-dimensional algebra"
-            )
-        if len(r) != m:
-            raise DimensionMismatch("one amplitude per frequency expected")
-        self.x0 = tuple(float(v) for v in x0)
-        self.r = tuple(float(v) for v in r)
+        self.x0 = tuple(scalars.vector(x0, False, 2 * m + 2).num.tolist())
+        self.r = tuple(scalars.vector(r, False, m).num.tolist())
         self.xm1 = self.x0[0]
         if self.xm1 == 0:
             raise ZeroXMinusOne("seed has no rotation component")

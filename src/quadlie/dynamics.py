@@ -56,8 +56,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import linalg, scalars
-from .algebra import brackets, structure_report
-from .connection import ProductTensor
+from .algebra import as_algebra, brackets, structure_report
+from .connection import ProductTensor, as_product
 from .errors import DimensionMismatch, InvalidSpan, InvalidValue, NotNilpotent
 from .errors import SeriesNotPreserved, StepBudgetExhausted
 from .forms import as_iso
@@ -335,9 +335,25 @@ class JacobiTrajectory(Trajectory):
 
 
 def _as_product(P):
-    if not isinstance(P, ProductTensor):
-        raise DimensionMismatch("expected a product tensor")
-    return P if not P.exact else P.to_float()
+    """P in binary64, as every integrator reads it."""
+    return as_product(P).to_float()
+
+
+def _bracket_table(L, n):
+    """The structure constants of L as a float64 array; DimensionMismatch
+    unless L is a Lie algebra of the product's dimension n."""
+    L = as_algebra(L)
+    if L.dim != n:
+        raise DimensionMismatch(f"algebra of dimension {L.dim} for a product in dimension {n}")
+    return L.to_float().array.num
+
+
+def _trajectory(traj, n, kind=Trajectory):
+    """traj when it is a run of the given kind in dimension n;
+    DimensionMismatch otherwise."""
+    if not isinstance(traj, kind) or np.shape(traj.states)[1:] != (n,):
+        raise DimensionMismatch(f"expected a {kind.__name__} in dimension {n}")
+    return traj
 
 
 def _finite_real(v):
@@ -367,6 +383,16 @@ def _check_span(t_span):
     if abs(t1 - t0) > MAX_SPAN:
         raise InvalidSpan(f"time span ({t0:g}, {t1:g}) is longer than {MAX_SPAN:g}")
     return t0, t1
+
+
+def _count(value, least, what):
+    """value as an int when it is an integer, not a bool, from least to
+    MAX_GRID; InvalidSpan otherwise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise InvalidSpan(f"{what} must be an integer >= {least}, got {value!r}")
+    if value > MAX_GRID:
+        raise InvalidSpan(f"{what} {value} exceeds {MAX_GRID}")
+    return int(value)
 
 
 def _initial_step(f, y0, f0, directions, tol, spans):
@@ -672,7 +698,7 @@ def euler_field(P, x):
     if isinstance(P, ProductTensor):
         return tuple(-v for v in P.mult(x, x))
     fld, _ = _field_from(P)
-    return tuple(float(v) for v in fld(np.asarray(x, dtype=float)))
+    return tuple(float(v) for v in fld(_seed_block([x], None)[0]))
 
 
 def quadratic_euler_field(L, u):
@@ -684,9 +710,8 @@ def quadratic_euler_field(L, u):
     L and u are.  u^{-1} [u x, x] is bilinear in x, so both read one table
     t[p][j][l] = sum_ik u_ip c_ijk (u^{-1})_lk, a single contraction.
     """
-    iso = as_iso(u, L.dim)
-    if not (L.exact and iso.exact):
-        L, iso = L.to_float(), iso.to_float()
+    L = as_algebra(L)
+    L, iso = scalars.common_mode(L, as_iso(u, L.dim))
     table = scalars.contract("ip,ijk,lk->pjl", iso.array, L.array, iso.inverse)
 
     def evaluate(x):
@@ -777,6 +802,10 @@ def _seed_block(seeds, dim):
     any row runs: DimensionMismatch for a seed that is not a vector of the
     field's dimension (or, for a bare field, of the first seed's length),
     InvalidValue for an entry that is not a finite real."""
+    try:
+        seeds = list(seeds)
+    except TypeError:
+        raise DimensionMismatch(f"seeds {seeds!r} are not a list of vectors") from None
     rows = []
     for seed in seeds:
         try:
@@ -896,7 +925,7 @@ def biinvariant_jacobi(L, x0, y0, ydot0, t_span, tol=1e-10):
     to check the full system against on bi-invariant examples.
     """
     t0, t1 = _check_span(t_span)
-    Lf = L.to_float()
+    Lf = as_algebra(L).to_float()
     n = Lf.dim
     x0a, y0a, ydot0a = _seed_block([x0, y0, ydot0], n)
     minus_adx0 = -scalars.left_mult(Lf.array.num, x0a)
@@ -925,7 +954,7 @@ def right_invariant_reflection(L, P, x0, y0, t_span, tol=1e-10):
     P = _as_product(P)
     n = P.dim
     z0 = _seed_block([x0, y0], n).reshape(-1)
-    rhs = _reflection_rhs(P.array.num, L.to_float().array.num)
+    rhs = _reflection_rhs(P.array.num, _bracket_table(L, n))
     times, zs, status = _sampled(rhs, z0, t0, t1, tol)
     return JacobiTrajectory(
         times=tuple(times),
@@ -947,17 +976,14 @@ def jacobi_route_gap(L, P, x0, y0, t_span, tol=1e-10, samples=101):
     integrations.
     """
     t0, t1 = _check_span(t_span)
-    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 2:
-        raise InvalidSpan(f"route-gap samples must be an integer >= 2, got {samples!r}")
-    if samples > MAX_GRID:
-        raise InvalidSpan(f"route-gap samples {samples} exceed {MAX_GRID}")
+    samples = _count(samples, 2, "route-gap samples")
     # t0 is left out, where the routes agree by construction; the last
     # time is t1 itself
     grid = [t0 + (t1 - t0) * i / (samples - 1) for i in range(1, samples - 1)] + [t1]
     P = _as_product(P)
     n = P.dim
     gam = P.array.num
-    carr = L.to_float().array.num
+    carr = _bracket_table(L, n)
     z0 = _seed_block([x0, y0], n).reshape(-1)
     rhs_a = _reflection_rhs(gam, carr)
     dense_a = _Dense()
@@ -985,7 +1011,8 @@ def reflection_equation_residual(L, P, traj):
     P = _as_product(P)
     n = P.dim
     gam = P.array.num
-    carr = L.to_float().array.num
+    carr = _bracket_table(L, n)
+    traj = _trajectory(traj, n, JacobiTrajectory)
     worst = 0.0
     for x, y in zip(traj.base_states, traj.states):
         xa = np.asarray(x)
@@ -1090,12 +1117,8 @@ def conjugate_scan(P, x0, t_window, grid=200, tol=1e-10):
         raise InvalidSpan(f"bad scan window ({a}, {b})")
     if a < 0:
         raise InvalidSpan("scan window must sit at nonnegative times")
-    if isinstance(grid, bool) or not isinstance(grid, numbers.Integral) or grid < 1:
-        raise InvalidSpan(f"scan grid must be an integer >= 1, got {grid}")
-    if grid > MAX_GRID:
-        raise InvalidSpan(f"scan grid {grid} exceeds {MAX_GRID}")
+    grid = _count(grid, 1, "scan grid")
     _check_span((0.0, b))
-    grid = int(grid)
     P = _as_product(P)
     n = P.dim
     rhs = _jacobi_rhs(P.array.num, P.algebra.array.num)
@@ -1218,19 +1241,20 @@ def annotate_candidates(report, primary, alternate=(), match_tol=1e-6):
     primary carries the expected conjugate times, alternate the times a
     competing closed form would predict; the annotation shows the former
     matched and the latter rejected, or exposes a genuine disagreement.
+    Both are read as a seed is, each a vector of finite reals.
     """
+    if not isinstance(report, ConjugateReport):
+        raise DimensionMismatch("expected a conjugate scan report")
     found = report.times
 
     def match(c):
-        best = None
-        for t in found:
-            if abs(t - c) <= match_tol * max(1.0, abs(c)):
-                if best is None or abs(t - c) < abs(best - c):
-                    best = t
-        return best
+        near = [t for t in found if abs(t - c) <= match_tol * max(1.0, abs(c))]
+        return min(near, key=lambda t: abs(t - c), default=None)
 
-    prim = tuple((float(c), match(c)) for c in primary)
-    alt = tuple((float(c), match(c)) for c in alternate)
+    prim, alt = (
+        tuple((c, match(c)) for c in _seed_block([times], None)[0].tolist())
+        for times in (primary, alternate)
+    )
     return replace(report, primary_matches=prim, alternate_matches=alt)
 
 
@@ -1260,9 +1284,7 @@ def polynomial_geodesic_check(L, u, trials=3, seed=0, tol=1e-7):
     if rep.nilpotency_class is None:
         raise NotNilpotent("lower central series does not reach zero")
     m_class = rep.nilpotency_class
-    iso = as_iso(u, L.dim)
-    if not (L.exact and iso.exact):
-        L, iso = L.to_float(), iso.to_float()
+    L, iso = scalars.common_mode(L, as_iso(u, L.dim))
     n, exact = L.dim, iso.exact
     series = [scalars.to_array(term, exact).reshape(-1, n) for term in rep.lower_central]
     for idx in range(1, len(series)):
@@ -1323,10 +1345,10 @@ def polynomial_geodesic_check(L, u, trials=3, seed=0, tol=1e-7):
 
 def energy_drift(P, traj):
     """Relative wander of <x, x> along a trajectory; needs a metric."""
-    if P.metric is None:
+    if as_product(P).metric is None:
         raise DimensionMismatch("product has no metric to conserve")
     G = P.metric.to_float().array.num
-    xs = np.asarray(traj.states, dtype=float)
+    xs = np.asarray(_trajectory(traj, P.dim).states, dtype=float)
     energies = np.einsum("ti,ij,tj->t", xs, G, xs)
     e0 = energies[0]
     scale = max(abs(e0), float(np.max(np.abs(G))) * float(np.max(xs**2)), 1e-300)

@@ -117,7 +117,3 @@ class UnknownName(ValidationError):
 
 class ParseError(ValidationError):
     pass
-
-
-class UnknownCommand(ValidationError):
-    pass

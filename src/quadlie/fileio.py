@@ -10,28 +10,36 @@ The JSON algebra document carries the keys
   construct optional builder spec, mutually exclusive with "brackets"
 
 Unlisted bracket pairs are zero and the mirrored pair (j, i) is filled by
-antisymmetry.  Coefficients may be JSON numbers or strings; the document
-is exact when every coefficient is an integer or a Fraction-parseable
-string, and binary64 as soon as one JSON float appears.  Exact values
-serialize back as integer or "p/q" strings, never floats, so a
+antisymmetry.  A basis reference is a JSON integer or a string that
+algebra.label_index resolves.  Each scalar array (lambda, theta, phi,
+iso, a row of form) is read by one reader, _tokens, against its shape:
+an integer or a Fraction-parseable string is exact, a JSON float is
+binary64, anything else is a ParseError naming the entry.  One mode
+rule, _mode, reads a set of entries exactly unless a JSON float is among
+them: an explicit document is one set, a construct document one per
+array, and parse_matrix reads one n x n matrix the same way.  Exact
+values serialize back as integer or "p/q" strings, never floats, so a
 certificate-grade file survives a round trip.
 """
 
 import hashlib
 import json
 import math
+import os
 from fractions import Fraction
 from pathlib import Path
 
 from . import scalars
-from .algebra import validate_algebra
+from .algebra import as_algebra, label_index, validate_algebra
 from .constructions import TwoStepSpec, build_oscillator, build_two_step, two_step_metric
-from .errors import ParseError
-from .forms import SymmetricIso, validate_form
+from .errors import ParseError, ValidationError
+from .forms import as_form, as_iso, validate_form
 
 __all__ = [
     "parse_algebra_file",
     "parse_algebra_doc",
+    "parse_matrix",
+    "read_json",
     "serialize_algebra",
     "write_algebra_file",
     "write_trajectory_csv",
@@ -44,52 +52,75 @@ _DOC_KEYS = {"dim", "basis", "brackets", "form", "iso", "construct"}
 
 
 def _classify(tok, where):
-    """One coefficient token -> (is_exact, value as Fraction or float)."""
+    """One scalar token: a Fraction for an integer or a rational string, a
+    float for a JSON float."""
     if isinstance(tok, bool):
         raise ParseError(f"{where}: boolean is not a scalar")
     if isinstance(tok, int):
-        return True, Fraction(tok)
+        return Fraction(tok)
     if isinstance(tok, float):
-        return False, tok
+        return tok
     if isinstance(tok, str):
         try:
-            return True, Fraction(tok)
+            return Fraction(tok)
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"{where}: cannot parse coefficient {tok!r}") from None
     raise ParseError(f"{where}: unsupported coefficient {tok!r}")
 
 
-def _resolver(n, labels):
-    # mirrors LieAlgebra.label_index so files and CLI agree on names
-    def resolve(tok, where):
-        if isinstance(tok, bool):
-            raise ParseError(f"{where}: boolean is not a basis reference")
-        if isinstance(tok, int):
-            if 0 <= tok < n:
-                return tok
-            raise ParseError(f"{where}: index {tok} out of range for dimension {n}")
-        if isinstance(tok, str):
-            if tok in labels:
-                return labels.index(tok)
-            try:
-                k = int(tok)
-            except ValueError:
-                if tok.startswith("e"):
-                    try:
-                        k = int(tok[1:])
-                    except ValueError:
-                        raise ParseError(
-                            f"{where}: unknown basis reference {tok!r}"
-                        ) from None
-                    if 0 <= k < n:
-                        return k
-                raise ParseError(f"{where}: unknown basis reference {tok!r}") from None
-            if 0 <= k < n:
-                return k
-            raise ParseError(f"{where}: index {k} out of range for dimension {n}")
-        raise ParseError(f"{where}: unsupported basis reference {tok!r}")
+def _tokens(value, shape, where):
+    """The JSON array value of the given shape as nested lists of scalar
+    tokens; ParseError at the first level or entry that does not fit."""
+    if not shape:
+        return _classify(value, where)
+    if not isinstance(value, list) or len(value) != shape[0]:
+        raise ParseError(f"{where}: expected an array of {shape[0]} entries")
+    return [_tokens(v, shape[1:], f"{where}[{i}]") for i, v in enumerate(value)]
 
-    return resolve
+
+def _mode(*arrays):
+    """Whether tokens read exactly: none of them is a JSON float."""
+    return not any(isinstance(v, float) for v in scalars.flatten(arrays))
+
+
+def _values(tokens, exact):
+    """Nested token lists as nested tuples of the mode's scalars."""
+    if isinstance(tokens, list):
+        return tuple(_values(t, exact) for t in tokens)
+    return scalars.coerce(tokens, exact)
+
+
+def parse_matrix(value, n, where):
+    """An n x n matrix of document entries, as nested tuples in its own
+    mode; ParseError, located at where, for any other shape or entry."""
+    toks = _tokens(value, (n, n), where)
+    return _values(toks, _mode(toks))
+
+
+def _form_tokens(rows, n):
+    """The tokens of the symmetric matrix whose lower triangle is rows."""
+    if not isinstance(rows, list) or len(rows) != n:
+        raise ParseError(f"form must have {n} lower-triangular rows")
+    low = [_tokens(row, (r + 1,), f"form[{r}]") for r, row in enumerate(rows)]
+    return [[low[max(r, s)][min(r, s)] for s in range(n)] for r in range(n)]
+
+
+def _parse_form(rows, n):
+    toks = _form_tokens(rows, n)
+    return validate_form(_values(toks, _mode(toks)))
+
+
+def _basis_index(labels, tok, where):
+    """A basis reference, a JSON integer or a string, as label_index reads
+    it."""
+    if isinstance(tok, bool):
+        raise ParseError(f"{where}: boolean is not a basis reference")
+    if not isinstance(tok, (int, str)):
+        raise ParseError(f"{where}: unsupported basis reference {tok!r}")
+    try:
+        return label_index(labels, tok)
+    except ValidationError as e:
+        raise ParseError(f"{where}: {e}") from None
 
 
 def _require_keys(item, required, where):
@@ -101,17 +132,6 @@ def _require_keys(item, required, where):
     extra = set(item) - required
     if extra:
         raise ParseError(f"{where}: unknown key(s) {sorted(extra)}")
-
-
-def _parse_matrix_tokens(rows, n, where):
-    if not isinstance(rows, list) or len(rows) != n:
-        raise ParseError(f"{where}: expected {n} rows")
-    out = []
-    for r, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != n:
-            raise ParseError(f"{where}: row {r} must have {n} entries")
-        out.append([_classify(v, f"{where}[{r}][{s}]") for s, v in enumerate(row)])
-    return out
 
 
 def _construct(doc):
@@ -130,10 +150,8 @@ def _construct(doc):
         raw = doc.get("lambda")
         if not isinstance(raw, list) or not raw:
             raise ParseError("oscillator construct needs a nonempty lambda list")
-        toks = [_classify(v, f"lambda[{i}]") for i, v in enumerate(raw)]
-        exact = all(e for e, _ in toks)
-        lams = tuple(scalars.coerce(v, exact) for _, v in toks)
-        L, k = build_oscillator(lams)
+        toks = _tokens(raw, (len(raw),), "lambda")
+        L, k = build_oscillator(_values(toks, _mode(toks)))
         return L, k, None
 
     if name == "two-step":
@@ -146,39 +164,16 @@ def _construct(doc):
             raise ParseError("two-step construct needs a positive integer dimv")
         theta = doc.get("theta", "volume")
         if theta != "volume":
-            if not isinstance(theta, list) or len(theta) != m:
-                raise ParseError("theta must be 'volume' or a dimv^3 nested array")
-            toks = []
-            for i, plane in enumerate(theta):
-                if not isinstance(plane, list) or len(plane) != m:
-                    raise ParseError(f"theta[{i}] must have {m} rows")
-                rows = []
-                for j, row in enumerate(plane):
-                    if not isinstance(row, list) or len(row) != m:
-                        raise ParseError(f"theta[{i}][{j}] must have {m} entries")
-                    rows.append(
-                        [_classify(v, f"theta[{i}][{j}][{k_}]") for k_, v in enumerate(row)]
-                    )
-                toks.append(rows)
-            exact = all(e for plane in toks for row in plane for e, _ in row)
-            theta = tuple(
-                tuple(
-                    tuple(scalars.coerce(v, exact) for _, v in row) for row in plane
-                )
-                for plane in toks
-            )
-        phi_rows = doc.get("phi")
-        if phi_rows is None:
-            L, k = build_two_step(TwoStepSpec(m, theta))
+            toks = _tokens(theta, (m, m, m), "theta")
+            theta = _values(toks, _mode(toks))
+        phi = doc.get("phi")
+        if phi is not None:
+            phi = parse_matrix(phi, m, "phi")
+        L, k = build_two_step(TwoStepSpec(m, theta))
+        if phi is None:
             return L, k, None
-        toks = _parse_matrix_tokens(phi_rows, m, "phi")
-        exact = all(e for row in toks for e, _ in row)
-        phi = tuple(
-            tuple(scalars.coerce(v, exact) for _, v in row) for row in toks
-        )
         # form slot carries the duality pairing, iso slot the operator;
         # consumers recover the phi-metric as k.u like for any other file
-        L, k = build_two_step(TwoStepSpec(m, theta))
         iso, _, _ = two_step_metric(TwoStepSpec(m, theta, phi))
         return L, k, iso
 
@@ -200,7 +195,7 @@ def parse_algebra_doc(doc):
         if "form" in doc:
             form = _parse_form(doc["form"], L.dim)
         if "iso" in doc:
-            iso = _parse_iso(doc["iso"], L.dim)
+            iso = as_iso(parse_matrix(doc["iso"], L.dim, "iso"), L.dim)
         return L, form, iso
 
     extra = set(doc) - _DOC_KEYS
@@ -220,18 +215,17 @@ def parse_algebra_doc(doc):
         if len(set(basis)) != dim:
             raise ParseError("basis labels must be distinct")
     labels = tuple(basis) if basis else tuple(f"e{i}" for i in range(dim))
-    resolve = _resolver(dim, labels)
 
     brackets = doc.get("brackets", [])
     if not isinstance(brackets, list):
         raise ParseError("brackets must be an array")
-    entries = []  # (i, j, k, is_exact, value)
+    entries = []  # (i, j, k, token)
     seen_pairs = set()
     for idx, item in enumerate(brackets):
         where = f"brackets[{idx}]"
         _require_keys(item, {"i", "j", "terms"}, where)
-        i = resolve(item["i"], where)
-        j = resolve(item["j"], where)
+        i = _basis_index(labels, item["i"], where)
+        j = _basis_index(labels, item["j"], where)
         if i == j:
             raise ParseError(f"{where}: pair ({i}, {i}) is zero by antisymmetry")
         key = (min(i, j), max(i, j))
@@ -245,93 +239,65 @@ def parse_algebra_doc(doc):
         for tdx, term in enumerate(terms):
             twhere = f"{where}.terms[{tdx}]"
             _require_keys(term, {"k", "coef"}, twhere)
-            k = resolve(term["k"], twhere)
+            k = _basis_index(labels, term["k"], twhere)
             if k in seen_k:
                 raise ParseError(f"{twhere}: duplicate component {k}")
             seen_k.add(k)
-            exact, value = _classify(term["coef"], twhere)
-            entries.append((i, j, k, exact, value))
+            entries.append((i, j, k, _classify(term["coef"], twhere)))
 
-    form_rows = doc.get("form")
-    form_entries = None
-    if form_rows is not None:
-        form_entries = _parse_form_tokens(form_rows, dim)
-    iso_rows = doc.get("iso")
-    iso_entries = None
-    if iso_rows is not None:
-        iso_entries = _parse_matrix_tokens(iso_rows, dim, "iso")
+    form = doc.get("form")
+    if form is not None:
+        form = _form_tokens(form, dim)
+    iso = doc.get("iso")
+    if iso is not None:
+        iso = _tokens(iso, (dim, dim), "iso")
 
     # one arithmetic mode per document, decided over every coefficient
-    flags = [e for _, _, _, e, _ in entries]
-    if form_entries is not None:
-        flags.extend(e for row in form_entries for e, _ in row)
-    if iso_entries is not None:
-        flags.extend(e for row in iso_entries for e, _ in row)
-    exact = all(flags)
-
-    def conv(v):
-        return scalars.coerce(v, exact)
-
-    zero = Fraction(0) if exact else 0.0
+    exact = _mode([tok for *_, tok in entries], form, iso)
+    zero = scalars.coerce(0, exact)
     c = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-    for i, j, k, _, value in entries:
-        c[i][j][k] = conv(value)
-        c[j][i][k] = -conv(value)
+    for i, j, k, tok in entries:
+        v = scalars.coerce(tok, exact)
+        c[i][j][k], c[j][i][k] = v, -v
     L = validate_algebra(c, labels=labels)
-
-    form = _form(form_entries, exact) if form_entries is not None else None
-    iso = None
-    if iso_entries is not None:
-        iso = SymmetricIso(dim, [[v for _, v in row] for row in iso_entries], exact)
+    if form is not None:
+        form = validate_form(_values(form, exact))
+    if iso is not None:
+        iso = as_iso(_values(iso, exact), dim)
     return L, form, iso
 
 
-def _parse_form_tokens(rows, n):
-    if not isinstance(rows, list) or len(rows) != n:
-        raise ParseError(f"form must have {n} lower-triangular rows")
-    out = []
-    for r, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != r + 1:
-            raise ParseError(f"form row {r} must have {r + 1} entries")
-        out.append([_classify(v, f"form[{r}][{s}]") for s, v in enumerate(row)])
-    return out
+def _path(path):
+    if not isinstance(path, (str, os.PathLike)):
+        raise ParseError(f"expected a file path, got {path!r}")
+    return Path(path)
 
 
-def _form(toks, exact):
-    """The form whose lower triangle holds the values of the tokens toks."""
-    n = len(toks)
-    return validate_form(
-        [[scalars.coerce(toks[max(r, s)][min(r, s)][1], exact) for s in range(n)] for r in range(n)]
-    )
-
-
-def _parse_form(rows, n):
-    toks = _parse_form_tokens(rows, n)
-    return _form(toks, all(e for row in toks for e, _ in row))
-
-
-def _parse_iso(rows, n):
-    toks = _parse_matrix_tokens(rows, n, "iso")
-    exact = all(e for row in toks for e, _ in row)
-    return SymmetricIso(n, [[v for _, v in row] for row in toks], exact)
+def read_json(path):
+    """The decoded JSON document in the file at path; ParseError when the
+    file cannot be read or holds no JSON document."""
+    p = _path(path)
+    try:
+        text = p.read_text()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ParseError(f"cannot read {p}: {e}") from None
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"{p}: line {e.lineno}: {e.msg}") from None
 
 
 def parse_algebra_file(path):
     """Load (LieAlgebra, form or None, iso or None) from a JSON file."""
-    p = Path(path)
-    try:
-        text = p.read_text()
-    except OSError as e:
-        raise ParseError(f"cannot read {p}: {e}") from None
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{p}: line {e.lineno}: {e.msg}") from None
-    return parse_algebra_doc(doc)
+    return parse_algebra_doc(read_json(path))
 
 
 def serialize_algebra(L, form=None, iso=None):
-    """Document for write_algebra_file; inverse of parse up to term order."""
+    """Document for write_algebra_file; inverse of parse up to term order.
+    L, form and iso are read by as_algebra, as_form and as_iso."""
+    L = as_algebra(L)
+    form = as_form(form, L.dim) if form is not None else None
+    iso = as_iso(iso, L.dim) if iso is not None else None
     doc = {"dim": L.dim, "basis": list(L.labels)}
     items = []
     for i in range(L.dim):
@@ -357,9 +323,14 @@ def serialize_algebra(L, form=None, iso=None):
 
 
 def write_algebra_file(path, L, form=None, iso=None):
-    Path(path).write_text(
-        json.dumps(serialize_algebra(L, form=form, iso=iso), indent=2) + "\n"
-    )
+    """Write serialize_algebra's document; ParseError when path is not a
+    file path or cannot be written."""
+    text = json.dumps(serialize_algebra(L, form=form, iso=iso), indent=2) + "\n"
+    p = _path(path)
+    try:
+        p.write_text(text)
+    except OSError as e:
+        raise ParseError(f"cannot write {p}: {e}") from None
 
 
 def write_trajectory_csv(path, traj):

@@ -9,7 +9,9 @@ and the metric <-> operator translations.
 A form and an operator are each stored as one ScaledArray, with the
 nested matrix built only when read.  Signatures, ranks and inverses are
 linalg kernels over those arrays, and G = K U, U^T K and K^{-1} G are
-contractions.  as_iso is the one intake of an operator, nested or not.
+contractions.  Every function reads a form through as_form and an
+operator through as_iso, nested or not; each raises DimensionMismatch for
+an argument of another kind or size.
 """
 
 from dataclasses import dataclass
@@ -18,11 +20,13 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg, scalars
+from .algebra import as_algebra
 from .errors import Degenerate, DimensionMismatch, NotKSymmetric, NotSymmetric, Singular
 
 __all__ = [
     "SymBilinearForm",
     "SymmetricIso",
+    "as_form",
     "as_iso",
     "Signature",
     "AdInvarianceReport",
@@ -106,6 +110,15 @@ class SymmetricIso:
         return self if not self.exact else SymmetricIso(self.dim, self.array.to_float(), False)
 
 
+def as_form(g, dim=None):
+    """g as a SymBilinearForm: itself, or whatever validate_form takes;
+    DimensionMismatch when dim is given and the form has another size."""
+    form = g if isinstance(g, SymBilinearForm) else validate_form(g)
+    if dim is not None and form.dim != dim:
+        raise DimensionMismatch(f"form of size {form.dim} in dimension {dim}")
+    return form
+
+
 def as_iso(u, dim):
     """u as a SymmetricIso of size dim: itself, or a nested matrix whose
     entries decide its mode, as for every nested input; DimensionMismatch
@@ -170,8 +183,7 @@ def validate_form(g):
 
 
 def signature(g):
-    form = g if isinstance(g, SymBilinearForm) else validate_form(g)
-    return Signature(*linalg.signature(form.array))
+    return Signature(*linalg.signature(as_form(g).array))
 
 
 def check_ad_invariance(L, k):
@@ -180,12 +192,9 @@ def check_ad_invariance(L, k):
     Matrix form per basis direction: K ad + ad^T K = 0.  The report keeps
     the worst residual entry so near-misses are visible in float mode.
     """
-    form = k if isinstance(k, SymBilinearForm) else validate_form(k)
-    if form.dim != L.dim:
-        raise DimensionMismatch("form and algebra dimensions differ")
-    exact = form.exact and L.exact
-    if not exact:
-        L, form = L.to_float(), form.to_float()
+    L = as_algebra(L)
+    L, form = scalars.common_mode(L, as_form(k, L.dim))
+    exact = form.exact
     C, K = L.array, form.array
     # res[i, r, s]: entry (r, s) of K ad_i + ad_i^T K, ad_i[t][s] = c[i][s][t]
     res = scalars.contract("rt,ist->irs", K, C) + scalars.contract("irt,ts->irs", C, K)
@@ -200,10 +209,8 @@ def metric_from_iso(k, u):
     Raises Singular when u is not invertible and NotKSymmetric when
     U^T K differs from K U, i.e. when u fails self-adjointness.
     """
-    form = k if isinstance(k, SymBilinearForm) else validate_form(k)
-    iso = as_iso(u, form.dim)
-    if not (form.exact and iso.exact):
-        form, iso = form.to_float(), iso.to_float()
+    form = as_form(k)
+    form, iso = scalars.common_mode(form, as_iso(u, form.dim))
     K, U = form.array, iso.array
     ku = scalars.contract("ij,jk->ik", K, U)
     worst = (ku - scalars.contract("ji,jk->ik", U, K)).peak()
@@ -217,11 +224,7 @@ def metric_from_iso(k, u):
 
 def iso_from_metric(k, g):
     """Recover u = K^{-1} G; the round trip with metric_from_iso is exact."""
-    form = k if isinstance(k, SymBilinearForm) else validate_form(k)
-    metric = g if isinstance(g, SymBilinearForm) else validate_form(g)
-    if form.dim != metric.dim:
-        raise DimensionMismatch("form and metric dimensions differ")
-    if not (form.exact and metric.exact):
-        form, metric = form.to_float(), metric.to_float()
+    form = as_form(k)
+    form, metric = scalars.common_mode(form, as_form(g, form.dim))
     kinv = linalg.inverse(form.array)
     return SymmetricIso(form.dim, scalars.contract("ij,jk->ik", kinv, metric.array), form.exact)

@@ -46,6 +46,7 @@ __all__ = [
     "max_abs",
     "flatten",
     "tolerance",
+    "common_mode",
     "ScaledArray",
     "to_array",
     "vector",
@@ -94,11 +95,14 @@ def as_exact(v):
 
 
 def as_float(v):
-    """v in binary64; InvalidValue when an exact v lies beyond its range."""
+    """v in binary64; InvalidValue when an exact v lies beyond its range,
+    MixedModeError when v is no number."""
     try:
         return float(v)
     except OverflowError:
         raise InvalidValue(_BEYOND) from None
+    except (TypeError, ValueError):
+        raise MixedModeError(f"unsupported scalar {v!r}") from None
 
 
 def coerce(v, exact):
@@ -162,6 +166,14 @@ def max_abs(nested):
 def tolerance(exact, scale):
     """Slack of a verdict: none in exact mode, 1e-9 times scale in binary64."""
     return 0 if exact else 1e-9 * scale
+
+
+def common_mode(*tensors):
+    """The tensors in one arithmetic mode: as they are when every one is
+    exact, else each one's to_float()."""
+    if all(t.exact for t in tensors):
+        return tensors
+    return tuple(t.to_float() for t in tensors)
 
 
 def _tupled(x):
@@ -281,9 +293,16 @@ def to_array(nested, exact):
     return ScaledArray(num, den)
 
 
-def vector(x, exact):
-    """ScaledArray of a vector, coerced to the mode first."""
-    return to_array(coerce_vector(x, exact), exact)
+def vector(x, exact, n=None):
+    """ScaledArray of a vector, coerced to the mode first; DimensionMismatch
+    unless x is a sequence of scalars, of n of them when n is given."""
+    try:
+        v = to_array(coerce_vector(x, exact), exact)
+    except TypeError:
+        raise DimensionMismatch(f"expected a vector, got {x!r}") from None
+    if n is not None and v.num.shape != (n,):
+        raise DimensionMismatch(f"vector of length {len(v.num)} in dimension {n}")
+    return v
 
 
 def is_rows(x):

@@ -174,3 +174,32 @@ def test_error_mapping(tmp_path):
 
     code, _ = run("nonsense")
     assert code == 1
+
+
+def _sweep_file(tmp_path, samples):
+    p = tmp_path / "phis.json"
+    p.write_text(json.dumps(samples))
+    return run("family-sweep", "--dimv", "3", "--input", str(p))
+
+
+@pytest.mark.parametrize("entry", ["1/0", "abc", {}, None, True])
+def test_family_sweep_reads_phi_entries_by_the_document_rules(tmp_path, entry):
+    code, rep = _sweep_file(tmp_path, [[[entry, 0, 0], [0, 1, 0], [0, 0, 1]]])
+    assert code == 1 and rep["error"]["type"] == "ParseError"
+    assert "sample 0[0][0]" in rep["error"]["message"]
+
+
+def test_family_sweep_reads_a_sample_with_one_float_in_binary64(tmp_path):
+    code, rep = _sweep_file(
+        tmp_path, [[[1.5, 0, 0], [0, 1, 0], [0, 0, 1]], [["3/2", 0, 0], [0, 1, 0], [0, 0, 1]]]
+    )
+    assert code == 0 and rep["mode"] == "binary64"
+    assert rep["table"][0]["phi"] == [[1.5, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    assert rep["table"][1]["phi"] == [["3/2", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+    assert rep["table"][0]["char_poly"] == rep["table"][1]["char_poly"]
+
+
+@pytest.mark.parametrize("flag", ["--catalog", "--lambda"])
+def test_family_sweep_takes_no_model_flags(flag):
+    code, rep = run("family-sweep", "--trials", "1", flag, "1")
+    assert code == 1 and rep is None

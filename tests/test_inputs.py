@@ -750,3 +750,52 @@ def test_seeds_of_any_real_type_read_as_floats(e2_product):
     want = dynamics.integrate_geodesic(e2_product, (0.7, -0.25, 1.0), (0.0, 1.0))
     for seed in [(Fraction(7, 10), Fraction(-1, 4), 1), (np.float64(0.7), np.float32(-0.25), 1)]:
         assert dynamics.integrate_geodesic(e2_product, seed, (0.0, 1.0)) == want
+
+
+def test_an_algebra_or_run_of_another_dimension_is_a_dimension_mismatch(e2_product):
+    P, span = e2_product, (0.0, 1.0)
+    osc = catalog("oscillator(1)").algebra
+    jac = dynamics.right_invariant_reflection(P.algebra, P, SEED, SEED, span)
+    other = dynamics.integrate_geodesic(levi_civita(osc, catalog("oscillator(1)").quad_form),
+                                        (1, 0, 1, 0), span)
+    for call in (
+        lambda: dynamics.right_invariant_reflection(osc, P, SEED, SEED, span),
+        lambda: dynamics.jacobi_route_gap(osc, P, SEED, SEED, span),
+        lambda: dynamics.reflection_equation_residual(osc, P, jac),
+        lambda: dynamics.reflection_equation_residual(P.algebra, P, other),
+        lambda: dynamics.energy_drift(P, other),
+    ):
+        with pytest.raises(DimensionMismatch):
+            call()
+
+
+@pytest.mark.parametrize("ref", ["e3", "2", 2, "e2"])
+def test_documents_and_algebras_resolve_basis_names_alike(ref):
+    from quadlie.algebra import label_index
+
+    labels = ("a", "b", "e2")
+    doc = {"dim": 3, "basis": list(labels), "brackets": [
+        {"i": "a", "j": "b", "terms": [{"k": ref, "coef": 1}]}]}
+    try:
+        k = label_index(labels, ref)
+    except quadlie.ValidationError:
+        with pytest.raises(quadlie.ParseError, match=r"brackets\[0\]\.terms\[0\]"):
+            fileio.parse_algebra_doc(doc)
+    else:
+        L, _, _ = fileio.parse_algebra_doc(doc)
+        assert L.c[0][1][k] == 1 and L.label_index(ref) == k
+
+
+def test_bare_parametric_catalog_names_take_parameter_one():
+    for bare in ("oscillator", "a-d", "a-d-double"):
+        assert catalog(bare).name == catalog(f"{bare}(1)").name == f"{bare}(1)"
+
+
+def test_common_mode_promotes_every_tensor_or_none():
+    from quadlie import scalars
+
+    e2 = catalog("e2-motion")
+    L, g = e2.algebra, e2.metric
+    assert scalars.common_mode(L, g) == (L, g)
+    Lf, gf = scalars.common_mode(L, g.to_float())
+    assert not Lf.exact and not gf.exact and Lf.c == L.to_float().c
