@@ -14,6 +14,7 @@ nested bases only at the end.
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -127,7 +128,7 @@ def validate_algebra(c, labels=None):
                     raise DimensionMismatch(
                         f"entry ({i}, {j}) has {len(row)} coefficients, expected {n}"
                     )
-        C = scalars.to_array(c, scalars.decide_mode(scalars.flatten(c)))
+        C = scalars.to_array(c, scalars.decide_mode(chain.from_iterable(chain.from_iterable(c))))
     n, exact = C.num.shape[0], C.exact
     lbl = tuple(labels) if labels else tuple(f"e{i}" for i in range(n))
     cmax = C.scale()

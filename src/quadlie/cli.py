@@ -6,6 +6,12 @@ stdout.  Exit codes: 0 success, 1 input rejected by validation, 2 a
 requested certification did not hold (non-flat metric, integration that
 stopped before the requested span, a sweep sample failing its check).
 
+Each command takes only the flags its _COMMANDS row names: --tol is the
+integrator tolerance of geodesic, jacobi, conjugate and probe, and --out
+the artifact directory of the commands that write one.  Certificate
+verdicts take the library's tolerances: none in exact mode, scale-aware
+in binary64.
+
 Files follow the format in fileio: when a document carries both a form
 and an iso, the form is the invariant pairing and the studied metric is
 their composition; a lone form is the metric itself.  Reports are
@@ -19,14 +25,14 @@ import hashlib
 import json
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from . import fileio, scalars
 from .algebra import structure_report
 from .catalog import available, catalog
-from .connection import curvature, flatness_report, levi_civita, product_report
+from .connection import curvature, curvature_tolerance, flatness_report, levi_civita, product_report
 from .constructions import TwoStepSpec, build_two_step, two_step_metric
 from .dynamics import (
     annotate_candidates,
@@ -60,61 +66,49 @@ def _glue(argv):
     return out
 
 
+# flag groups: (flag, add_argument keywords) pairs, added in this order
+_MODEL = (
+    ("--input", {"help": "algebra JSON file"}),
+    ("--catalog", {"help": "builtin catalog name"}),
+    ("--lambda", {"dest": "lam",
+                  "help": "CSV of oscillator frequencies, composes with --catalog oscillator"}),
+)
+_SEEDED = (
+    ("--x", {"help": "initial velocity, CSV of label:value"}),
+    ("--seed", {"default": "default", "help": "named catalog seed when --x is absent"}),
+)
+_VARIATION = (
+    ("--y", {"help": "initial variation, CSV of label:value"}),
+    ("--ydot", {"help": "initial variation rate, CSV of label:value"}),
+)
+_SPAN = (("--span", {"help": "integration span A:B"}),)
+_SCAN = (
+    ("--window", {"required": True, "help": "scan window A:B"}),
+    ("--grid", {"type": int, "default": 200, "help": "scan grid size"}),
+)
+_SWEEP = (
+    ("--input", {"help": "phi sample file: a JSON list of dimv x dimv matrices"}),
+    ("--dimv", {"type": int, "default": 3, "help": "dimension of V"}),
+    ("--trials", {"type": int, "default": 5, "help": "number of generated phi samples"}),
+    ("--rng-seed", {"type": int, "default": 0, "help": "seed for the phi sample generator"}),
+)
+_TOL = (("--tol", {"type": float, "default": 1e-10, "help": "integrator tolerance"}),)
+_OUT = (("--out", {"help": "directory for artifacts"}),)
+_FORMAT = (("--format", {"choices": ("json", "csv"), "default": "json",
+                         "help": "artifact format"}),)
+
+
 def _parser():
     p = argparse.ArgumentParser(
         prog="quadlie",
         description="left-invariant geometry from structure constants",
     )
     sub = p.add_subparsers(dest="cmd", required=True)
-
-    def add(name, help_, *, model=True, seeded=False, span=False, window=False,
-            fmt=False, jacobi=False, grid=False, sweep=False):
+    for name, (_, help_, groups) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_)
-        if model:
-            sp.add_argument("--input", help="algebra JSON file")
-            sp.add_argument("--catalog", help="builtin catalog name")
-            sp.add_argument("--lambda", dest="lam",
-                            help="CSV of oscillator frequencies, composes with --catalog oscillator")
-        if seeded:
-            sp.add_argument("--x", help="initial velocity, CSV of label:value")
-            sp.add_argument("--seed", default="default",
-                            help="named catalog seed when --x is absent")
-        if jacobi:
-            sp.add_argument("--y", help="initial variation, CSV of label:value")
-            sp.add_argument("--ydot", help="initial variation rate, CSV of label:value")
-        if span:
-            sp.add_argument("--span", help="integration span A:B")
-        if window:
-            sp.add_argument("--window", required=True, help="scan window A:B")
-        if grid:
-            sp.add_argument("--grid", type=int, default=200, help="scan grid size")
-        if sweep:
-            sp.add_argument("--input", help="phi sample file: a JSON list of dimv x dimv matrices")
-            sp.add_argument("--dimv", type=int, default=3, help="dimension of V")
-            sp.add_argument("--trials", type=int, default=5,
-                            help="number of generated phi samples")
-            sp.add_argument("--rng-seed", type=int, default=0,
-                            help="seed for the phi sample generator")
-        sp.add_argument("--tol", type=float, default=1e-10, help="numerical tolerance")
-        sp.add_argument("--out", help="directory for artifacts")
-        if fmt or sweep:
-            sp.add_argument("--format", choices=("json", "csv"), default="json",
-                            help="artifact format")
-        return sp
-
-    add("validate", "check an algebra document")
-    add("analyze", "structure report and signatures")
-    add("connection", "Levi-Civita product tensor")
-    add("curvature", "curvature tensor")
-    add("flat", "flatness certificate")
-    add("geodesic", "integrate one geodesic", seeded=True, span=True, fmt=True)
-    add("jacobi", "integrate one variation field", seeded=True, span=True,
-        fmt=True, jacobi=True)
-    add("conjugate", "scan for conjugate points", seeded=True, window=True, grid=True)
-    add("probe", "completeness probe", seeded=True, span=True)
-    add("build", "emit a catalog or construct algebra as a document")
-    add("catalog", "list builtin models", model=False)
-    add("family-sweep", "two-step metric family table", model=False, sweep=True)
+        for group in groups:
+            for flag, kw in group:
+                sp.add_argument(flag, **kw)
     return p
 
 
@@ -239,12 +233,25 @@ def _initial_vector(args, model, flag="--x"):
     return tuple(float(v) for v in seeds[name])
 
 
-def _outdir(args):
-    if getattr(args, "out", None) is None:
-        return None
-    p = Path(args.out)
-    p.mkdir(parents=True, exist_ok=True)
-    return p
+def _artifacts(args, stem, payload, write_csv=None):
+    """Writes payload to stem.json under --out, or calls write_csv on
+    stem.csv there when the command takes --format and it is csv; the
+    paths written, none without --out.  ParseError when the directory
+    cannot be made or the file written."""
+    if args.out is None:
+        return []
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ParseError(f"cannot make {out}: {e}") from None
+    if write_csv is not None and args.format == "csv":
+        path = out / f"{stem}.csv"
+        write_csv(path)
+    else:
+        path = out / f"{stem}.json"
+        fileio.write_json(path, payload)
+    return [str(path)]
 
 
 def _verdict(value, mode, tolerance):
@@ -255,9 +262,10 @@ def _mode(exact):
     return "exact" if exact else "binary64"
 
 
-def _vtol(exact):
-    # validators run with zero slack in exact mode, 1e-9 relative otherwise
-    return scalars.tolerance(exact, 1.0)
+def _checked(value, exact):
+    """A validator's verdict: zero slack in exact mode, 1e-9 relative
+    otherwise."""
+    return _verdict(value, _mode(exact), scalars.tolerance(exact, 1.0))
 
 
 def _status_dict(ts):
@@ -270,18 +278,6 @@ def _traj_payload(traj):
         "states": [list(s) for s in traj.states],
         "status": _status_dict(traj.status),
     }
-
-
-def _write_trajectory(traj, outdir, stem, fmt):
-    if outdir is None:
-        return []
-    if fmt == "csv":
-        path = outdir / f"{stem}.csv"
-        fileio.write_trajectory_csv(path, traj)
-    else:
-        path = outdir / f"{stem}.json"
-        fileio.write_json(path, _traj_payload(traj))
-    return [str(path)]
 
 
 # ---------------------------------------------------------------------------
@@ -297,19 +293,15 @@ def _cmd_validate(args):
         "mode": _mode(L.exact),
         "basis": list(L.labels),
         "verdicts": {
-            "antisymmetry": _verdict(True, _mode(L.exact), _vtol(L.exact)),
-            "jacobi": _verdict(True, _mode(L.exact), _vtol(L.exact)),
+            "antisymmetry": _checked(True, L.exact),
+            "jacobi": _checked(True, L.exact),
         },
     }
     if model.metric is not None or model.kform is not None:
         form = model.kform if model.kform is not None else model.metric
-        payload["verdicts"]["form_nondegenerate"] = _verdict(
-            True, _mode(form.exact), _vtol(form.exact)
-        )
+        payload["verdicts"]["form_nondegenerate"] = _checked(True, form.exact)
     if model.iso is not None:
-        payload["verdicts"]["iso_self_adjoint"] = _verdict(
-            True, _mode(model.iso.exact), _vtol(model.iso.exact)
-        )
+        payload["verdicts"]["iso_self_adjoint"] = _checked(True, model.iso.exact)
     return payload, [], 0
 
 
@@ -334,26 +326,11 @@ def _cmd_analyze(args):
     }
     if model.metric is not None:
         sig = signature(model.metric)
-        payload["metric_signature"] = {
-            "positive": sig.positive,
-            "negative": sig.negative,
-            "zero": sig.zero,
-            "index": sig.index,
-        }
+        payload["metric_signature"] = {**asdict(sig), "index": sig.index}
     if model.kform is not None:
         inv = check_ad_invariance(L, model.kform)
-        sig = signature(model.kform)
-        payload["invariant_form"] = {
-            "signature": {
-                "positive": sig.positive,
-                "negative": sig.negative,
-                "zero": sig.zero,
-            },
-        }
-        payload["verdicts"]["ad_invariant"] = _verdict(
-            inv.invariant, _mode(model.kform.exact and L.exact),
-            _vtol(model.kform.exact and L.exact),
-        )
+        payload["invariant_form"] = {"signature": asdict(signature(model.kform))}
+        payload["verdicts"]["ad_invariant"] = _checked(inv.invariant, model.kform.exact and L.exact)
         payload["residuals"] = {"ad_invariance": inv.max_residual}
     return payload, [], 0
 
@@ -370,14 +347,9 @@ def _cmd_connection(args):
             "metric_compatible": _verdict(rep.skew_ok, rep.mode, rep.tolerance),
         },
     }
-    outdir = _outdir(args)
-    artifacts = []
-    if outdir is None:
+    artifacts = _artifacts(args, "product", {"gamma": P.gamma, "mode": rep.mode})
+    if not artifacts:
         payload["gamma"] = P.gamma
-    else:
-        path = outdir / "product.json"
-        fileio.write_json(path, {"gamma": P.gamma, "mode": rep.mode})
-        artifacts.append(str(path))
     return payload, artifacts, 0
 
 
@@ -386,7 +358,7 @@ def _cmd_curvature(args):
     P = levi_civita(model.L, model.metric)
     R = curvature(P)
     worst = R.max_abs()
-    tol = 0 if R.exact else args.tol
+    tol = curvature_tolerance(P)
     payload = {
         "input": model.source,
         "mode": _mode(R.exact),
@@ -397,14 +369,9 @@ def _cmd_curvature(args):
         },
         "residuals": {"max_abs_curvature": worst},
     }
-    outdir = _outdir(args)
-    artifacts = []
-    if outdir is None:
+    artifacts = _artifacts(args, "curvature", {"r": R.r, "mode": _mode(R.exact)})
+    if not artifacts:
         payload["r"] = R.r
-    else:
-        path = outdir / "curvature.json"
-        fileio.write_json(path, {"r": R.r, "mode": _mode(R.exact)})
-        artifacts.append(str(path))
     return payload, artifacts, 0
 
 
@@ -447,7 +414,8 @@ def _cmd_geodesic(args):
         },
         "residuals": {"energy_drift": drift},
     }
-    artifacts = _write_trajectory(traj, _outdir(args), "geodesic", args.format)
+    artifacts = _artifacts(args, "geodesic", _traj_payload(traj),
+                           lambda path: fileio.write_trajectory_csv(path, traj))
     return payload, artifacts, 0 if traj.status.completed else 2
 
 
@@ -478,7 +446,8 @@ def _cmd_jacobi(args):
             "completed": _verdict(traj.status.completed, "binary64", args.tol),
         },
     }
-    artifacts = _write_trajectory(traj, _outdir(args), "jacobi", args.format)
+    artifacts = _artifacts(args, "jacobi", _traj_payload(traj),
+                           lambda path: fileio.write_trajectory_csv(path, traj))
     return payload, artifacts, 0 if traj.status.completed else 2
 
 
@@ -584,19 +553,14 @@ def _cmd_build(args):
         "mode": _mode(model.L.exact),
         "basis": list(model.L.labels),
     }
-    outdir = _outdir(args)
-    artifacts = []
-    if outdir is None:
+    stem = "algebra"
+    if model.entry is not None:
+        stem = "".join(
+            ch if ch.isalnum() or ch in "._-" else "_" for ch in model.entry.name
+        ).strip("_")
+    artifacts = _artifacts(args, stem, doc)
+    if not artifacts:
         payload["document"] = doc
-    else:
-        stem = "algebra"
-        if model.entry is not None:
-            stem = "".join(
-                ch if ch.isalnum() or ch in "._-" else "_" for ch in model.entry.name
-            ).strip("_")
-        path = outdir / f"{stem}.json"
-        path.write_text(json.dumps(doc, indent=2) + "\n")
-        artifacts.append(str(path))
     return payload, artifacts, 0
 
 
@@ -614,6 +578,20 @@ def _random_phi(rng, m):
         cand = [[Fraction(rng.randint(-3, 3)) for _ in range(m)] for _ in range(m)]
         if det(cand, True) != 0:
             return tuple(tuple(row) for row in cand)
+
+
+def _sweep_csv(rows):
+    lines = ["sample,flat,positive,negative,zero,char_poly,invariant_factor_degrees,phi"]
+    for row in rows:
+        cp = ";".join(scalars.fmt(v) for v in row["char_poly"])
+        degs = ";".join(str(v) for v in row["invariant_factor_degrees"])
+        flat_phi = ";".join(scalars.fmt(v) for r in row["phi"] for v in r)
+        sig = row["signature"]
+        lines.append(
+            f"{row['sample']},{row['flat']},{sig['positive']},"
+            f"{sig['negative']},{sig['zero']},{cp},{degs},{flat_phi}"
+        )
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_family_sweep(args):
@@ -637,11 +615,12 @@ def _cmd_family_sweep(args):
     rows = []
     all_flat = True
     worst_mode = "exact"
+    tol = 0  # the largest tolerance any sample's verdict took
     for idx, phi in enumerate(phis):
         _, metric, inv = two_step_metric(TwoStepSpec(m, "volume", phi))
         rep = flatness_report(L, metric)
-        sig = signature(metric)
         all_flat = all_flat and rep.flat
+        tol = max(tol, rep.tolerance)
         if rep.mode != "exact":
             worst_mode = rep.mode
         rows.append(
@@ -649,11 +628,7 @@ def _cmd_family_sweep(args):
                 "sample": idx,
                 "phi": phi,
                 "flat": rep.flat,
-                "signature": {
-                    "positive": sig.positive,
-                    "negative": sig.negative,
-                    "zero": sig.zero,
-                },
+                "signature": asdict(signature(metric)),
                 "char_poly": inv.char_poly,
                 "invariant_factor_degrees": inv.invariant_factor_degrees,
             }
@@ -663,48 +638,29 @@ def _cmd_family_sweep(args):
         "dimv": m,
         "mode": worst_mode,
         "table": rows,
-        "verdicts": {
-            "all_flat": _verdict(all_flat, worst_mode, 0 if worst_mode == "exact" else args.tol),
-        },
+        "verdicts": {"all_flat": _verdict(all_flat, worst_mode, tol)},
     }
-    artifacts = []
-    outdir = _outdir(args)
-    if outdir is not None:
-        if args.format == "csv":
-            path = outdir / "family_sweep.csv"
-            lines = ["sample,flat,positive,negative,zero,char_poly,invariant_factor_degrees,phi"]
-            for row in rows:
-                cp = ";".join(scalars.fmt(v) for v in row["char_poly"])
-                degs = ";".join(str(v) for v in row["invariant_factor_degrees"])
-                flat_phi = ";".join(
-                    scalars.fmt(v) for r in row["phi"] for v in r
-                )
-                sig = row["signature"]
-                lines.append(
-                    f"{row['sample']},{row['flat']},{sig['positive']},"
-                    f"{sig['negative']},{sig['zero']},{cp},{degs},{flat_phi}"
-                )
-            path.write_text("\n".join(lines) + "\n")
-        else:
-            path = outdir / "family_sweep.json"
-            fileio.write_json(path, rows)
-        artifacts.append(str(path))
+    artifacts = _artifacts(args, "family_sweep", rows,
+                           lambda path: fileio.write_text(path, _sweep_csv(rows)))
     return payload, artifacts, 0 if all_flat else 2
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "analyze": _cmd_analyze,
-    "connection": _cmd_connection,
-    "curvature": _cmd_curvature,
-    "flat": _cmd_flat,
-    "geodesic": _cmd_geodesic,
-    "jacobi": _cmd_jacobi,
-    "conjugate": _cmd_conjugate,
-    "probe": _cmd_probe,
-    "build": _cmd_build,
-    "catalog": _cmd_catalog,
-    "family-sweep": _cmd_family_sweep,
+# name: (handler, help, flag groups)
+_COMMANDS = {
+    "validate": (_cmd_validate, "check an algebra document", (_MODEL,)),
+    "analyze": (_cmd_analyze, "structure report and signatures", (_MODEL,)),
+    "connection": (_cmd_connection, "Levi-Civita product tensor", (_MODEL, _OUT)),
+    "curvature": (_cmd_curvature, "curvature tensor", (_MODEL, _OUT)),
+    "flat": (_cmd_flat, "flatness certificate", (_MODEL,)),
+    "geodesic": (_cmd_geodesic, "integrate one geodesic",
+                 (_MODEL, _SEEDED, _SPAN, _TOL, _OUT, _FORMAT)),
+    "jacobi": (_cmd_jacobi, "integrate one variation field",
+               (_MODEL, _SEEDED, _VARIATION, _SPAN, _TOL, _OUT, _FORMAT)),
+    "conjugate": (_cmd_conjugate, "scan for conjugate points", (_MODEL, _SEEDED, _SCAN, _TOL)),
+    "probe": (_cmd_probe, "completeness probe", (_MODEL, _SEEDED, _SPAN, _TOL)),
+    "build": (_cmd_build, "emit a catalog or construct algebra as a document", (_MODEL, _OUT)),
+    "catalog": (_cmd_catalog, "list builtin models", ()),
+    "family-sweep": (_cmd_family_sweep, "two-step metric family table", (_SWEEP, _OUT, _FORMAT)),
 }
 
 
@@ -716,7 +672,7 @@ def main(argv=None):
     except SystemExit as e:
         return 0 if e.code == 0 else 1
     try:
-        payload, artifacts, code = _HANDLERS[args.cmd](args)
+        payload, artifacts, code = _COMMANDS[args.cmd][0](args)
     except EngineError as e:
         report = {
             "command": ["quadlie", *argv],

@@ -38,6 +38,7 @@ __all__ = [
     "levi_civita",
     "product_from_iso",
     "curvature",
+    "curvature_tolerance",
     "flatness_report",
     "product_report",
     "biinvariant_connection",
@@ -180,6 +181,14 @@ def curvature(P):
     return CurvatureTensor(_curvature_array(P, _compose(P)))
 
 
+def curvature_tolerance(P):
+    """Slack of a zero-curvature verdict on P: none in exact mode,
+    1e-9 * (1 + |gamma|^2 + |c| |gamma|) in binary64, max norms."""
+    P = as_product(P)
+    gmax = P.array.scale()
+    return scalars.tolerance(P.exact, 1.0 + gmax * gmax + P.algebra.array.scale() * gmax)
+
+
 def product_report(P):
     """Torsion, metric skewness, left-symmetry and flatness of a product.
 
@@ -209,7 +218,7 @@ def product_report(P):
     left_symmetric = ls_res <= scalars.tolerance(exact, max(1.0, 2 * gmax * gmax + cmax * gmax))
 
     rmax = _curvature_array(P, comp).peak()
-    tol_f = scalars.tolerance(exact, 1.0 + gmax * gmax + cmax * gmax)
+    tol_f = curvature_tolerance(P)
     flat = rmax <= tol_f
     return FlatnessReport(
         flat=flat,

@@ -45,6 +45,7 @@ __all__ = [
     "write_trajectory_csv",
     "to_jsonable",
     "write_json",
+    "write_text",
     "sha256_file",
 ]
 
@@ -322,10 +323,9 @@ def serialize_algebra(L, form=None, iso=None):
     return doc
 
 
-def write_algebra_file(path, L, form=None, iso=None):
-    """Write serialize_algebra's document; ParseError when path is not a
-    file path or cannot be written."""
-    text = json.dumps(serialize_algebra(L, form=form, iso=iso), indent=2) + "\n"
+def write_text(path, text):
+    """The one write of every file: ParseError when path is not a file
+    path or cannot be written."""
     p = _path(path)
     try:
         p.write_text(text)
@@ -333,13 +333,19 @@ def write_algebra_file(path, L, form=None, iso=None):
         raise ParseError(f"cannot write {p}: {e}") from None
 
 
+def write_algebra_file(path, L, form=None, iso=None):
+    """Write serialize_algebra's document, through write_text."""
+    write_text(path, json.dumps(serialize_algebra(L, form=form, iso=iso), indent=2) + "\n")
+
+
 def write_trajectory_csv(path, traj):
-    """One row per accepted step, header t,x0,...,x{n-1}."""
+    """One row per accepted step, header t,x0,...,x{n-1}, through
+    write_text."""
     n = len(traj.states[0])
     lines = ["t," + ",".join(f"x{i}" for i in range(n))]
     for t, state in zip(traj.times, traj.states):
         lines.append(",".join(scalars.fmt(v) for v in (t, *state)))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def to_jsonable(value):
@@ -359,7 +365,8 @@ def to_jsonable(value):
 
 
 def write_json(path, payload):
-    Path(path).write_text(json.dumps(to_jsonable(payload), indent=2) + "\n")
+    """to_jsonable's payload as indented JSON, through write_text."""
+    write_text(path, json.dumps(to_jsonable(payload), indent=2) + "\n")
 
 
 def sha256_file(path):

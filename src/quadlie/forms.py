@@ -16,6 +16,7 @@ an argument of another kind or size.
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -168,7 +169,7 @@ def validate_form(g):
         for i, row in enumerate(g):
             if len(row) != n:
                 raise DimensionMismatch(f"form row {i} has {len(row)} entries, expected {n}")
-        M = scalars.to_array(g, scalars.decide_mode(scalars.flatten(g)))
+        M = scalars.to_array(g, scalars.decide_mode(chain.from_iterable(g)))
     n, exact = M.num.shape[0], M.exact
     tol = scalars.tolerance(exact, max(1.0, M.scale()))
     # M - M^T is antisymmetric with a zero diagonal, so the first violation

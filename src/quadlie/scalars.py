@@ -68,7 +68,8 @@ def decide_mode(values):
 
     A single float forces binary64 mode; a float meeting a Fraction in the
     same container is a hard error rather than a silent promotion, and a
-    NaN or infinite float is rejected with InvalidValue.
+    NaN or infinite float is rejected with InvalidValue.  A list or tuple
+    where a scalar belongs is a DimensionMismatch.
     """
     saw_float = False
     saw_frac = False
@@ -79,6 +80,8 @@ def decide_mode(values):
             if not math.isfinite(v):
                 raise InvalidValue(f"non-finite entry {v!r}")
             saw_float = True
+        elif isinstance(v, (list, tuple)):
+            raise DimensionMismatch(f"expected a scalar, got {v!r}")
         elif not _is_int(v):
             raise MixedModeError(f"unsupported scalar {v!r}")
     if saw_float and saw_frac:

@@ -1,7 +1,7 @@
 """Only EngineError escapes from the public API: a derandomized fuzz that
 puts junk in each required position of a valid call of every function in
 quadlie.__all__.  Its 100 examples per function cover every pair of
-position and junk value, at most five positions of nine values each."""
+position and junk value, at most five positions of ten values each."""
 
 import inspect
 import json
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import quadlie
 from quadlie import EngineError, TwoStepSpec, catalog
 
-JUNK = (5, None, "x", [], [[1]], math.nan, (1, 2), {}, True)
+JUNK = (5, None, "x", [], [[1]], [[[1]]], math.nan, (1, 2), {}, True)
 
 FUNCTIONS = sorted(
     name for name in quadlie.__all__ if inspect.isfunction(getattr(quadlie, name))

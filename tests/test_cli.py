@@ -10,6 +10,8 @@ import pytest
 from quadlie import fileio
 from quadlie.catalog import catalog
 from quadlie.cli import main
+from quadlie.connection import flatness_report
+from quadlie.constructions import TwoStepSpec, build_two_step, two_step_metric
 
 
 def run(*argv):
@@ -203,3 +205,75 @@ def test_family_sweep_reads_a_sample_with_one_float_in_binary64(tmp_path):
 def test_family_sweep_takes_no_model_flags(flag):
     code, rep = run("family-sweep", "--trials", "1", flag, "1")
     assert code == 1 and rep is None
+
+
+_WRITERS = [
+    ("connection", "--catalog", "e2-motion"),
+    ("curvature", "--catalog", "e2-motion"),
+    ("geodesic", "--catalog", "e2-motion", "--span", "0:1"),
+    ("geodesic", "--catalog", "e2-motion", "--span", "0:1", "--format", "csv"),
+    ("jacobi", "--catalog", "e2-motion", "--ydot", "e1:1", "--span", "0:1"),
+    ("build", "--catalog", "e2-motion"),
+    ("family-sweep", "--trials", "1"),
+    ("family-sweep", "--trials", "1", "--format", "csv"),
+]
+
+
+@pytest.mark.parametrize("argv", _WRITERS)
+def test_an_out_directory_that_cannot_be_made_is_a_parse_error(argv):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main([*argv, "--out", "/dev/null/x"])
+    rep = json.loads(buf.getvalue())
+    assert code == 1 and rep["error"]["type"] == "ParseError"
+    assert list(rep) == ["command", "error"]
+
+
+# --tol is the integrator tolerance, --out the artifact directory: no
+# other command takes them
+_REMOVED = [
+    *((cmd, "--tol") for cmd in (
+        "validate", "analyze", "connection", "curvature", "flat", "build", "catalog",
+        "family-sweep",
+    )),
+    *((cmd, "--out") for cmd in ("validate", "analyze", "flat", "conjugate", "probe", "catalog")),
+]
+
+
+@pytest.mark.parametrize("cmd, flag", _REMOVED)
+def test_commands_take_only_the_flags_they_read(cmd, flag):
+    model = () if cmd in ("catalog", "family-sweep") else ("--catalog", "e2-motion")
+    window = ("--window", "0:1") if cmd == "conjugate" else ()
+    code, rep = run(cmd, *model, *window, flag, "1")
+    assert code == 1 and rep is None
+
+
+# the e2-motion table in binary64 with a form 1e-9 off the flat one
+_NEAR_FLAT = {
+    "dim": 3,
+    "brackets": [
+        {"i": 0, "j": 2, "terms": [{"k": 1, "coef": -1.0}]},
+        {"i": 1, "j": 2, "terms": [{"k": 0, "coef": 1.0}]},
+    ],
+    "form": [[1.0], [0.0, 1.000000001], [0.0, 0.0, -1.0]],
+}
+
+
+def test_flat_and_curvature_judge_a_binary64_document_alike(tmp_path):
+    p = tmp_path / "near.json"
+    p.write_text(json.dumps(_NEAR_FLAT))
+    _, flat = run("flat", "--input", str(p))
+    _, curv = run("curvature", "--input", str(p))
+    verdict = flat["verdicts"]["flat"]
+    assert verdict["mode"] == "binary64" and 0 < curv["residuals"]["max_abs_curvature"]
+    assert curv["verdicts"]["zero_curvature"] == verdict
+
+
+def test_family_sweep_reports_the_tolerance_its_samples_took(tmp_path):
+    phi = [[1.5, 0, 0], [0, 1, 0], [0, 0, 1]]
+    code, rep = _sweep_file(tmp_path, [phi])
+    L, _ = build_two_step(TwoStepSpec(3, "volume"))
+    _, metric, _ = two_step_metric(TwoStepSpec(3, "volume", fileio.parse_matrix(phi, 3, "phi")))
+    tol = flatness_report(L, metric).tolerance
+    assert code == 0 and tol > 1e-9
+    assert rep["verdicts"]["all_flat"] == {"value": True, "mode": "binary64", "tolerance": tol}

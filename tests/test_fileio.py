@@ -175,6 +175,23 @@ def test_write_json_scalar_encoding(tmp_path):
     assert fileio.sha256_file(p) == fileio.sha256_file(p)
 
 
+def _e2_trajectory():
+    cat = catalog("e2-motion")
+    return integrate_geodesic(levi_civita(cat.algebra, cat.metric), (1.0, 0.0, 1.0), (0.0, 1.0))
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: fileio.write_json(path, {"n": 1}),
+    lambda path: fileio.write_trajectory_csv(path, _e2_trajectory()),
+    lambda path: fileio.write_text(path, "x\n"),
+    lambda path: fileio.write_algebra_file(path, catalog("e2-motion").algebra),
+])
+@pytest.mark.parametrize("path", ["/dev/null/x", 5])
+def test_every_writer_turns_an_unwritable_path_into_a_parse_error(write, path):
+    with pytest.raises(ParseError):
+        write(path)
+
+
 settings.register_profile(
     "quadlie-fileio",
     derandomize=True,

@@ -314,18 +314,22 @@ _VALUES = {
     "--rng-seed": st.sampled_from(["0", "7", "-5", "9" * 40, "x"]),
     "--tol": st.sampled_from(["1e-8", "1e-6", "0", "-1", "nan", "inf", "1e309", "", "x"]),
     "--format": st.sampled_from(["json", "csv", "xml"]),
+    "--out": st.just("/dev/null/x"),
     "--bogus": st.just("1"),
 }
 _MODEL = ("--input", "--catalog", "--lambda")
+# --tol only where it is the integrator tolerance, --out only where
+# artifacts are written
 _FLAGS = {
-    "validate": _MODEL, "analyze": _MODEL, "connection": _MODEL,
-    "curvature": _MODEL, "flat": _MODEL, "build": _MODEL,
+    "validate": _MODEL, "analyze": _MODEL, "flat": _MODEL,
+    "connection": _MODEL + ("--out",), "curvature": _MODEL + ("--out",),
+    "build": _MODEL + ("--out",),
     "catalog": (),
-    "geodesic": _MODEL + ("--x", "--seed", "--span", "--format"),
-    "jacobi": _MODEL + ("--x", "--seed", "--y", "--ydot", "--span", "--format"),
-    "conjugate": _MODEL + ("--x", "--seed", "--window", "--grid"),
-    "probe": _MODEL + ("--x", "--seed", "--span"),
-    "family-sweep": _MODEL + ("--dimv", "--trials", "--rng-seed", "--format"),
+    "geodesic": _MODEL + ("--x", "--seed", "--span", "--tol", "--out", "--format"),
+    "jacobi": _MODEL + ("--x", "--seed", "--y", "--ydot", "--span", "--tol", "--out", "--format"),
+    "conjugate": _MODEL + ("--x", "--seed", "--window", "--grid", "--tol"),
+    "probe": _MODEL + ("--x", "--seed", "--span", "--tol"),
+    "family-sweep": _MODEL + ("--dimv", "--trials", "--rng-seed", "--out", "--format"),
 }
 # drawn for most cases, so that most commands get past argument checking
 _USUAL = {
@@ -344,7 +348,7 @@ def _argv(draw):
     if "--catalog" in _FLAGS.get(cmd, ()) and cmd != "family-sweep":
         usual = ("--catalog",) + usual
     flags = [flag for flag in usual if draw(st.integers(0, 5))]
-    flags += draw(st.lists(st.sampled_from(_FLAGS.get(cmd, ()) + ("--tol", "--bogus")), max_size=3))
+    flags += draw(st.lists(st.sampled_from(_FLAGS.get(cmd, ()) + ("--bogus",)), max_size=3))
     argv = [cmd]
     for flag in flags:
         argv += [flag, draw(_VALUES[flag])]
@@ -641,6 +645,18 @@ def test_similarity_invariants_of_the_empty_matrix():
     lambda: validate_algebra([5]),
 ])
 def test_form_and_table_that_are_not_nested_rows_are_dimension_mismatches(call):
+    with pytest.raises(DimensionMismatch):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: validate_form([[[1]]]),
+    lambda: validate_form([[[1, 0], [0, 1]], [[0, 1], [1, 0]]]),
+    lambda: validate_form([[1.0, [2.0]], [3.0, 4.0]]),
+    lambda: validate_algebra([[[[1]]]]),
+    lambda: validate_algebra([[[1, [2]], [3, 4]], [[5, 6], [7, 8]]]),
+])
+def test_form_and_table_entries_that_are_sequences_are_dimension_mismatches(call):
     with pytest.raises(DimensionMismatch):
         call()
 
