@@ -94,8 +94,7 @@ _SWEEP = (
 )
 _TOL = (("--tol", {"type": float, "default": 1e-10, "help": "integrator tolerance"}),)
 _OUT = (("--out", {"help": "directory for artifacts"}),)
-_FORMAT = (("--format", {"choices": ("json", "csv"), "default": "json",
-                         "help": "artifact format"}),)
+_FORMAT = (("--format", {"choices": ("json", "csv"), "help": "artifact format, with --out"}),)
 
 
 def _parser():
@@ -236,9 +235,11 @@ def _initial_vector(args, model, flag="--x"):
 def _artifacts(args, stem, payload, write_csv=None):
     """Writes payload to stem.json under --out, or calls write_csv on
     stem.csv there when the command takes --format and it is csv; the
-    paths written, none without --out.  ParseError when the directory
-    cannot be made or the file written."""
+    paths written, none without --out.  ParseError for --format without
+    --out, or when the directory cannot be made or the file written."""
     if args.out is None:
+        if getattr(args, "format", None) is not None:
+            raise ParseError("--format needs --out")
         return []
     out = Path(args.out)
     try:
@@ -576,7 +577,7 @@ def _cmd_catalog(args):
 def _random_phi(rng, m):
     while True:
         cand = [[Fraction(rng.randint(-3, 3)) for _ in range(m)] for _ in range(m)]
-        if det(cand, True) != 0:
+        if det(scalars.matrix(cand, m, True)) != 0:
             return tuple(tuple(row) for row in cand)
 
 

@@ -160,25 +160,13 @@ def product_from_iso(L, k, u):
     return ProductTensor(L, twice.half(), metric)
 
 
-def _compose(P):
-    """comp[i][j][k][l]: coefficient of e_l in e_i (e_j e_k)."""
-    G = P.array
-    return scalars.contract("jkm,iml->ijkl", G, G)
-
-
-def _curvature_array(P, comp):
-    """R as a ScaledArray, from comp = _compose(P)."""
-    return (
-        scalars.contract("ijm,mkl->ijkl", P.algebra.array, P.array)
-        - comp
-        + comp.transpose(1, 0, 2, 3)
-    )
-
-
 def curvature(P):
     """R[i][j][k][l] under R(x,y) = L_[x,y] - L_x L_y + L_y L_x."""
     P = as_product(P)
-    return CurvatureTensor(_curvature_array(P, _compose(P)))
+    C, G = P.algebra.array, P.array
+    comp = scalars.contract("jkm,iml->ijkl", G, G)  # e_i (e_j e_k)
+    bracket = scalars.contract("ijm,mkl->ijkl", C, G)  # [e_i, e_j] e_k
+    return CurvatureTensor(bracket - comp + comp.transpose(1, 0, 2, 3))
 
 
 def curvature_tolerance(P):
@@ -211,13 +199,13 @@ def product_report(P):
         skew = scalars.contract("ijm,ml->ijl", G, K) + scalars.contract("jm,ilm->ijl", K, G)
         skew_ok = skew.peak() <= scalars.tolerance(exact, max(1.0, 2 * gmax * kmax))
 
-    # associator (e_i e_j) e_k - e_i (e_j e_k), symmetric in i, j
-    comp = _compose(P)
-    assoc = scalars.contract("ijm,mkl->ijkl", G, G) - comp
-    ls_res = (assoc - assoc.transpose(1, 0, 2, 3)).peak()
+    # the associator (e_i e_j) e_k - e_i (e_j e_k) is symmetric in i, j
+    # exactly when R + T gamma vanishes, T the torsion
+    R = curvature(P).array
+    ls_res = (R + scalars.contract("ijm,mkl->ijkl", torsion, G)).peak()
     left_symmetric = ls_res <= scalars.tolerance(exact, max(1.0, 2 * gmax * gmax + cmax * gmax))
 
-    rmax = _curvature_array(P, comp).peak()
+    rmax = R.peak()
     tol_f = curvature_tolerance(P)
     flat = rmax <= tol_f
     return FlatnessReport(

@@ -43,7 +43,6 @@ __all__ = [
     "coerce_matrix",
     "fmt",
     "scalar_to_json",
-    "max_abs",
     "flatten",
     "tolerance",
     "common_mode",
@@ -153,19 +152,6 @@ def flatten(nested):
             yield item
 
 
-def max_abs(nested):
-    """Largest |entry| over a nested container, in the entries' own type.
-
-    Empty input gives integer 0, which both modes accept.
-    """
-    best = 0
-    for v in flatten(nested):
-        a = -v if v < 0 else v
-        if a > best:
-            best = a
-    return best
-
-
 def tolerance(exact, scale):
     """Slack of a verdict: none in exact mode, 1e-9 times scale in binary64."""
     return 0 if exact else 1e-9 * scale
@@ -265,7 +251,7 @@ class ScaledArray:
 
     def peak(self):
         """Largest |entry| in the entries' own type, integer 0 when every
-        entry vanishes, as max_abs gives for the nested tuples."""
+        entry vanishes."""
         top = np.max(np.abs(self.num)) if self.num.size else 0
         return self.scalar(top) if top else 0
 
@@ -315,14 +301,14 @@ def is_rows(x):
 
 def matrix(rows, n, exact):
     """ScaledArray of an n x n matrix given as nested rows, coerced to the
-    mode first; DimensionMismatch unless rows holds n rows of n entries,
-    with n = len(rows) when n is None."""
+    mode first, of shape (0, 0) for no rows; DimensionMismatch unless rows
+    holds n rows of n entries, with n = len(rows) when n is None."""
     if not is_rows(rows):
         raise DimensionMismatch("expected a matrix as nested rows")
     n = len(rows) if n is None else n
     if len(rows) != n or any(len(r) != n for r in rows):
         raise DimensionMismatch(f"expected a {n} x {n} matrix")
-    return to_array(coerce_matrix(rows, exact), exact)
+    return to_array(coerce_matrix(rows, exact), exact).reshape(n, n)
 
 
 def eye(n, exact):

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from quadlie import connection, dynamics, linalg
+from quadlie import connection, dynamics, linalg, scalars
 from quadlie.algebra import structure_report
 from quadlie.catalog import available, catalog
 from quadlie.errors import UnknownName
@@ -191,7 +191,8 @@ def test_a_d_and_double():
     repd = structure_report(add.algebra)
     assert repd.nilpotency_class == 2 and repd.unimodular
     # corank zero: the derived subalgebra is exactly the center
-    assert linalg.same_span(repd.lower_central[1], repd.center, True)
+    assert linalg.same_span(*(linalg.span_basis(scalars.to_array(rows, True))
+                             for rows in (repd.lower_central[1], repd.center)))
     R = connection.curvature(connection.biinvariant_connection(add.algebra))
     assert R.max_abs() == 0
 

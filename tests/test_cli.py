@@ -229,6 +229,33 @@ def test_an_out_directory_that_cannot_be_made_is_a_parse_error(argv):
     assert list(rep) == ["command", "error"]
 
 
+_FORMATTED = [
+    ("geodesic", "--catalog", "e2-motion", "--x", "e1:1", "--span", "0:1"),
+    ("jacobi", "--catalog", "e2-motion", "--ydot", "e1:1", "--span", "0:1"),
+    ("family-sweep", "--trials", "1"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", _FORMATTED)
+def test_format_without_out_is_a_parse_error(argv, fmt):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main([*argv, "--format", fmt])
+    rep = json.loads(buf.getvalue())
+    assert code == 1 and rep["error"]["type"] == "ParseError"
+    assert list(rep) == ["command", "error"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", _FORMATTED)
+def test_format_with_out_writes_its_artifact(argv, fmt, tmp_path):
+    code, rep = run(*argv, "--format", fmt, "--out", str(tmp_path))
+    assert code == 0
+    [path] = rep["artifacts"]
+    assert path.endswith(f".{fmt}") and Path(path).read_text()
+
+
 # --tol is the integrator tolerance, --out the artifact directory: no
 # other command takes them
 _REMOVED = [

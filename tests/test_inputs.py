@@ -666,7 +666,7 @@ def test_form_and_table_entries_that_are_sequences_are_dimension_mismatches(call
 def test_linalg_reads_ragged_rows_as_a_dimension_mismatch(name, exact):
     rows = [[1, 2], [3]] if exact else [[1.0, 2.0], [3.0]]
     with pytest.raises(DimensionMismatch):
-        getattr(quadlie.linalg, name)(rows, exact)
+        getattr(quadlie.linalg, name)(quadlie.scalars.matrix(rows, None, exact))
 
 
 def test_two_step_metrics_and_family_sweep_leave_sympy_out():

@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from quadlie import (
+    ProductTensor,
     TwoStepSpec,
     biinvariant_connection,
     build_cotangent_double,
@@ -91,7 +92,7 @@ def two_step_algebras(draw, with_phi=False):
     if not with_phi:
         return L, k
     phi = [[F(draw(small)) for _ in range(m)] for _ in range(m)]
-    assume(linalg.det(phi, True) != 0)
+    assume(linalg.det(scalars.to_array(phi, True)) != 0)
     _iso, metric, _inv = two_step_metric(TwoStepSpec(m, theta, phi))
     return L, metric
 
@@ -203,6 +204,76 @@ def test_curvature_matches_plain_loops(family, examples):
     check()
 
 
+def reference_verdicts(c, gam):
+    """(torsion-free, left-symmetric, max |R|) of a product by plain loops
+    over Fractions: gamma_ij - gamma_ji = c_ij, and the associator
+    (e_i e_j) e_k - e_i (e_j e_k) symmetric in i, j."""
+    idx = range(len(c))
+
+    def assoc(i, j, k, l):
+        return sum((gam[i][j][m] * gam[m][k][l] - gam[j][k][m] * gam[i][m][l] for m in idx), F(0))
+
+    torsion_free = all(gam[i][j][k] - gam[j][i][k] == c[i][j][k] for i in idx for j in idx for k in idx)
+    left_symmetric = all(
+        assoc(i, j, k, l) == assoc(j, i, k, l) for i in idx for j in idx for k in idx for l in idx
+    )
+    rmax = max(abs(v) for a in reference_curvature(c, gam) for b in a for row in b for v in row)
+    return torsion_free, left_symmetric, rmax
+
+
+def check_report_against_loops(L, gam, exact):
+    """product_report of the product gam over L, in the given mode, against
+    reference_verdicts; returns the report."""
+    P = ProductTensor(L, scalars.to_array(gam, True), None)
+    if not exact:
+        P = P.to_float()
+    torsion_free, left_symmetric, rmax = reference_verdicts(L.c, gam)
+    rep = product_report(P)
+    assert (rep.torsion_ok, rep.left_symmetric, rep.flat) == (torsion_free, left_symmetric, rmax == 0)
+    assert rep.skew_ok is None
+    if exact:
+        assert rep.max_residual == rmax
+    else:
+        assert math.isclose(rep.max_residual, float(rmax), rel_tol=1e-12)
+    return rep
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_upper_triangular_matrix_product_has_torsion_and_is_not_flat(exact):
+    # basis E11, E12, E22 of the upper-triangular 2 x 2 matrices over the
+    # abelian algebra: associative, so left-symmetric, but not commutative
+    gam = [[[F(0)] * 3 for _ in range(3)] for _ in range(3)]
+    for i, j, k in ((0, 0, 0), (0, 1, 1), (1, 2, 1), (2, 2, 2)):
+        gam[i][j][k] = F(1)
+    L = validate_algebra([[[0] * 3 for _ in range(3)] for _ in range(3)])
+    rep = check_report_against_loops(L, gam, exact)
+    assert (rep.flat, rep.torsion_ok, rep.left_symmetric) == (False, False, True)
+
+
+@st.composite
+def random_products(draw):
+    L = catalog(draw(st.sampled_from(("e2-motion", "dim4-b", "a-d(1)")))).algebra
+    n = L.dim
+    entries = st.builds(F, small, st.integers(1, 2))
+    return L, [[[draw(entries) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_random_product_verdicts_match_plain_loops(exact):
+    @settings(PROFILE, max_examples=8)
+    @given(random_products())
+    def check(case):
+        check_report_against_loops(*case, exact)
+
+    check()
+    # a pinned draw that is neither torsion-free nor left-symmetric
+    L = catalog("e2-motion").algebra
+    gam = [[[F((i + 2 * j + 3 * k) % 5 - 2, 1 + (i + k) % 2) for k in range(3)]
+            for j in range(3)] for i in range(3)]
+    rep = check_report_against_loops(L, gam, exact)
+    assert (rep.flat, rep.torsion_ok, rep.left_symmetric) == (False, False, False)
+
+
 @pytest.mark.parametrize("family, examples", FAMILIES)
 def test_exact_and_binary64_flat_verdicts_agree(family, examples):
     @settings(PROFILE, max_examples=examples)
@@ -297,7 +368,7 @@ def two_step_isos(draw):
     m = L.dim // 2
     theta = [[row[m:] for row in plane[:m]] for plane in L.c[:m]]
     phi = [[F(draw(small)) for _ in range(m)] for _ in range(m)]
-    assume(linalg.det(phi, True) != 0)
+    assume(linalg.det(scalars.to_array(phi, True)) != 0)
     iso, metric, _ = two_step_metric(TwoStepSpec(m, theta, phi))
     return L, k, iso, metric
 

@@ -66,11 +66,10 @@ def test_scalar_to_json_types():
     assert scalars.scalar_to_json(0.25) == 0.25
 
 
-def test_flatten_and_max_abs():
+def test_flatten():
     nested = [[Fraction(1, 2), Fraction(-3)], [Fraction(0), Fraction(2)]]
     flat = sorted(scalars.flatten(nested))
     assert flat == [Fraction(-3), Fraction(0), Fraction(1, 2), Fraction(2)]
-    assert scalars.max_abs(nested) == Fraction(3)
 
 
 def test_coerce_matrix_mode():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadlie import linalg, similarity_invariants
+from quadlie import linalg, scalars, similarity_invariants
 
 sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import smith_normal_form  # noqa: E402
@@ -76,7 +76,7 @@ def jordan_conjugates(draw):
     lower = [[F(i == j) if j >= i else F(draw(ints)) for j in range(m)] for i in range(m)]
     upper = [[F(i == j) if j <= i else F(draw(ints)) for j in range(m)] for i in range(m)]
     P = linalg.mat_mul(lower, upper)
-    return [list(row) for row in linalg.mat_mul(linalg.mat_mul(P, J), linalg.inverse(P, True))]
+    return [list(row) for row in linalg.mat_mul(linalg.mat_mul(P, J), linalg.inverse(scalars.to_array(P, True)).tuples())]
 
 
 @st.composite
