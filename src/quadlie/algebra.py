@@ -14,7 +14,6 @@ nested bases only at the end.
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -61,7 +60,7 @@ class LieAlgebra:
 
     def ad(self, x):
         """Matrix of ad_x acting on coordinate columns: rows k, columns j."""
-        return scalars.left_mult(self.array, scalars.vector(x, self.exact)).tuples()
+        return scalars.left_mult(self.array, scalars.read(x, 1, self.dim, self.exact)).tuples()
 
     def basis_vector(self, i):
         return scalars.eye(self.dim, self.exact)[i].tuples()
@@ -106,30 +105,17 @@ def label_index(labels, name):
 def validate_algebra(c, labels=None):
     """Build a LieAlgebra after checking shape, antisymmetry and Jacobi.
 
-    Accepts any nested sequence c[i][j][k] of ints, Fractions or floats,
-    or an n x n x n ScaledArray that library code has assembled.  The
-    arithmetic mode of nested input is decided here once: all-exact
+    Accepts a nested n x n x n table c[i][j][k] of ints, Fractions or
+    floats, read by scalars.read, so its entries decide its mode: all-exact
     entries give an exact algebra, any float switches the whole table to
-    binary64, and a mix of Fraction and float is rejected.
+    binary64, and a mix of Fraction and float is rejected.  Also accepts
+    a ScaledArray that library code has assembled.  An empty table is a
+    DimensionMismatch.
     """
-    if isinstance(c, scalars.ScaledArray):
-        C = c
-    else:
-        if not scalars.is_rows(c) or not all(scalars.is_rows(plane) for plane in c):
-            raise DimensionMismatch("expected a structure table as nested rows c[i][j][k]")
-        n = len(c)
-        if n == 0:
-            raise DimensionMismatch("empty structure table")
-        for i, plane in enumerate(c):
-            if len(plane) != n:
-                raise DimensionMismatch(f"row {i} has {len(plane)} entries, expected {n}")
-            for j, row in enumerate(plane):
-                if len(row) != n:
-                    raise DimensionMismatch(
-                        f"entry ({i}, {j}) has {len(row)} coefficients, expected {n}"
-                    )
-        C = scalars.to_array(c, scalars.decide_mode(chain.from_iterable(chain.from_iterable(c))))
+    C = c if isinstance(c, scalars.ScaledArray) else scalars.read(c, 3)
     n, exact = C.num.shape[0], C.exact
+    if n == 0:
+        raise DimensionMismatch("empty structure table")
     lbl = tuple(labels) if labels else tuple(f"e{i}" for i in range(n))
     cmax = C.scale()
 
@@ -158,7 +144,7 @@ def validate_algebra(c, labels=None):
 
 def bracket(L, x, y):
     L = as_algebra(L)
-    xs, ys = (scalars.vector(v, L.exact, L.dim) for v in (x, y))
+    xs, ys = (scalars.read(v, 1, L.dim, L.exact) for v in (x, y))
     return scalars.contract("kj,j->k", scalars.left_mult(L.array, xs), ys).tuples()
 
 

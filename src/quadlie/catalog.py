@@ -210,7 +210,7 @@ def _build_e2():
 
 def _osc_group_product(lams):
     def product(g, h):
-        lam = scalars.coerce_vector(lams, False)
+        lam = scalars.read(lams, 1, exact=False).num.tolist()
         s, t = float(g[0]), float(g[-1])
         sp, tp = float(h[0]), float(h[-1])
         zs = [complex(v) for v in g[1:-1]]
@@ -369,7 +369,6 @@ def _build_dim5():
     u = SymmetricIso(
         5,
         [[0, 1, 0, 0, 0], [1, 0, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 0, -1], [0, 0, 0, -1, 0]],
-        True,
     )
     _, metric = metric_from_iso(k, u)
 

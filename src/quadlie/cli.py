@@ -577,7 +577,7 @@ def _cmd_catalog(args):
 def _random_phi(rng, m):
     while True:
         cand = [[Fraction(rng.randint(-3, 3)) for _ in range(m)] for _ in range(m)]
-        if det(scalars.matrix(cand, m, True)) != 0:
+        if det(scalars.read(cand, 2)) != 0:
             return tuple(tuple(row) for row in cand)
 
 

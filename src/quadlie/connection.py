@@ -67,12 +67,12 @@ class ProductTensor:
         return self.array.tuples()
 
     def mult(self, x, y):
-        lx = scalars.left_mult(self.array, scalars.vector(x, self.exact, self.dim))
-        return scalars.contract("kj,j->k", lx, scalars.vector(y, self.exact, self.dim)).tuples()
+        lx = scalars.left_mult(self.array, scalars.read(x, 1, self.dim, self.exact))
+        return scalars.contract("kj,j->k", lx, scalars.read(y, 1, self.dim, self.exact)).tuples()
 
     def left_mult(self, x):
         """Matrix of y -> x y on coordinate columns (rows k, columns j)."""
-        return scalars.left_mult(self.array, scalars.vector(x, self.exact)).tuples()
+        return scalars.left_mult(self.array, scalars.read(x, 1, self.dim, self.exact)).tuples()
 
     def to_float(self):
         if not self.exact:
@@ -100,9 +100,10 @@ class CurvatureTensor:
         return self.array.peak()
 
     def apply(self, x, y, z):
-        r = scalars.contract("i,ijkl->jkl", scalars.vector(x, self.exact), self.array)
-        r = scalars.contract("j,jkl->kl", scalars.vector(y, self.exact), r)
-        return scalars.contract("k,kl->l", scalars.vector(z, self.exact), r).tuples()
+        x, y, z = (scalars.read(v, 1, len(self.array.num), self.exact) for v in (x, y, z))
+        r = scalars.contract("i,ijkl->jkl", x, self.array)
+        r = scalars.contract("j,jkl->kl", y, r)
+        return scalars.contract("k,kl->l", z, r).tuples()
 
 
 @dataclass(frozen=True)
@@ -189,7 +190,8 @@ def product_report(P):
     cmax, gmax = C.scale(), G.scale()
 
     torsion = G - G.transpose(1, 0, 2) - C
-    torsion_ok = torsion.peak() <= scalars.tolerance(exact, max(1.0, cmax + 2 * gmax))
+    tpeak = torsion.peak()
+    torsion_ok = tpeak <= scalars.tolerance(exact, max(1.0, cmax + 2 * gmax))
 
     skew_ok = None
     if P.metric is not None:
@@ -200,12 +202,13 @@ def product_report(P):
         skew_ok = skew.peak() <= scalars.tolerance(exact, max(1.0, 2 * gmax * kmax))
 
     # the associator (e_i e_j) e_k - e_i (e_j e_k) is symmetric in i, j
-    # exactly when R + T gamma vanishes, T the torsion
+    # exactly when R + T gamma vanishes, T the torsion; R itself when T
+    # vanishes, as on every exact Levi-Civita product
     R = curvature(P).array
-    ls_res = (R + scalars.contract("ijm,mkl->ijkl", torsion, G)).peak()
+    rmax = R.peak()
+    ls_res = (R + scalars.contract("ijm,mkl->ijkl", torsion, G)).peak() if tpeak else rmax
     left_symmetric = ls_res <= scalars.tolerance(exact, max(1.0, 2 * gmax * gmax + cmax * gmax))
 
-    rmax = R.peak()
     tol_f = curvature_tolerance(P)
     flat = rmax <= tol_f
     return FlatnessReport(

@@ -104,7 +104,7 @@ def build_double_extension(w_dim, k0, theta):
     hyperbolically and restricts to k0 on W.
     """
     k0f = as_form(k0, _size(w_dim, "w_dim"))
-    TH = scalars.matrix(theta, w_dim, scalars.decide_mode(scalars.flatten(theta)))
+    TH = scalars.read(theta, 2, w_dim)
     k0f, TH = scalars.common_mode(k0f, TH)
     exact, K0 = TH.exact, k0f.array
 
@@ -147,16 +147,12 @@ def build_oscillator(spec):
     W carries the standard inner product on pairs (e_j, f_j) and theta
     rotates each pair with speed lambda_j.
     """
-    try:
-        lams = tuple(spec.lams if isinstance(spec, OscillatorSpec) else spec)
-    except TypeError:
-        raise DimensionMismatch(f"expected a sequence of frequencies, got {spec!r}") from None
-    if not lams:
+    lams = scalars.read(spec.lams if isinstance(spec, OscillatorSpec) else spec, 1)
+    if not lams.num.size:
         raise InvalidLambda("need at least one frequency")
-    exact = scalars.decide_mode(lams)
-    lams = scalars.coerce_vector(lams, exact)
-    if any(l <= 0 for l in lams):
+    if (lams.num <= 0).any():
         raise InvalidLambda("frequencies must be positive")
+    exact, lams = lams.exact, lams.tuples()
     m = len(lams)
     zero, one = scalars.coerce(0, exact), scalars.coerce(1, exact)
     k0 = np.full((2 * m, 2 * m), zero, dtype=object)
@@ -186,15 +182,8 @@ def _alternating_theta(m, theta):
     _size(m, "dim_v")
     if theta == "volume":
         theta = volume_theta(m)
-    if not (
-        scalars.is_rows(theta)
-        and len(theta) == m
-        and all(scalars.is_rows(p) and len(p) == m and all(len(r) == m for r in p) for p in theta)
-    ):
-        raise DimensionMismatch("theta must be dim_v^3")
-    exact = scalars.decide_mode(scalars.flatten(theta))
-    T = scalars.to_array([[scalars.coerce_vector(r, exact) for r in p] for p in theta], exact)
-    tol = scalars.tolerance(exact, max(1.0, T.scale()))
+    T = scalars.read(theta, 3, m)
+    tol = scalars.tolerance(T.exact, max(1.0, T.scale()))
     bad = np.argwhere(
         (T + T.transpose(1, 0, 2)).beyond(tol) | (T + T.transpose(0, 2, 1)).beyond(tol)
     )
@@ -224,9 +213,7 @@ def build_two_step(spec):
     otherwise RankDeficientTheta.
     """
     if not isinstance(spec, TwoStepSpec):
-        if not scalars.is_rows(spec):
-            raise DimensionMismatch(f"expected a TwoStepSpec or a theta tensor, got {spec!r}")
-        spec = TwoStepSpec(dim_v=len(spec), theta=spec)
+        spec = TwoStepSpec(dim_v=len(scalars.read(spec, 3).num), theta=spec)
     m = spec.dim_v
     T = _alternating_theta(m, spec.theta)
     c = np.zeros((2 * m,) * 3, dtype=T.num.dtype)
@@ -248,7 +235,7 @@ def two_step_metric(spec):
     if not isinstance(spec, TwoStepSpec) or spec.phi is None:
         raise DimensionMismatch("expected a TwoStepSpec that carries a phi")
     m = spec.dim_v
-    PHI = scalars.matrix(spec.phi, m, scalars.decide_mode(scalars.flatten(spec.phi)))
+    PHI = scalars.read(spec.phi, 2, m)
     if linalg.rank(PHI) < m:
         raise Singular("phi is not invertible")
     T = _alternating_theta(m, spec.theta)
@@ -260,7 +247,7 @@ def two_step_metric(spec):
     # halves of its rows swapped, in binary64 when either phi or theta is
     _, G = scalars.common_mode(T, scalars.ScaledArray(np.roll(umat, m, axis=0), PHI.den))
     metric = validate_form(G)
-    iso = SymmetricIso(2 * m, scalars.ScaledArray(umat, PHI.den), PHI.exact)
+    iso = SymmetricIso(2 * m, scalars.ScaledArray(umat, PHI.den))
     return iso, metric, _invariants(PHI)
 
 
@@ -269,8 +256,8 @@ def similarity_invariants(phi):
     polynomial (monic, descending powers) and the degrees of the nonunit
     invariant factors of its characteristic matrix, in increasing order.
 
-    phi is read through scalars.matrix, so its shape and entries raise the
-    typed errors of the other matrix intakes; a binary64 entry is read
+    phi is read by scalars.read, so its shape and entries raise the typed
+    errors of every other nested intake; a binary64 entry is read
     exactly, as Fraction(v).  Over its lcm denominator d, phi = N / d with
     an integer matrix N, and lam I - N = d (lam / d I - phi) has the
     invariant factors of lam I - phi with lam scaled by d, so the same
@@ -279,7 +266,7 @@ def similarity_invariants(phi):
     up to a constant, so p_phi(lam) = p_N(d lam) / d**m: the monic p_N with
     coefficient k divided by d**k.
     """
-    return _invariants(scalars.matrix(phi, None, scalars.decide_mode(scalars.flatten(phi))))
+    return _invariants(scalars.read(phi, 2))
 
 
 def _invariants(PHI):
@@ -568,10 +555,10 @@ class OscillatorJacobiForms:
     """
 
     def __init__(self, lams, x0, r):
-        self.lams = tuple(scalars.vector(lams, False).num.tolist())
+        self.lams = tuple(scalars.read(lams, 1, exact=False).num.tolist())
         m = len(self.lams)
-        self.x0 = tuple(scalars.vector(x0, False, 2 * m + 2).num.tolist())
-        self.r = tuple(scalars.vector(r, False, m).num.tolist())
+        self.x0 = tuple(scalars.read(x0, 1, 2 * m + 2, False).num.tolist())
+        self.r = tuple(scalars.read(r, 1, m, False).num.tolist())
         self.xm1 = self.x0[0]
         if self.xm1 == 0:
             raise ZeroXMinusOne("seed has no rotation component")
@@ -617,30 +604,24 @@ class OscillatorJacobiForms:
         return tuple(yd)
 
     def conjugate_times(self, window):
-        a, b = window
-        out = set()
-        for om in self.omegas:
-            w = abs(om)
-            k = 1
-            while 2 * math.pi * k / w <= b:
-                t = 2 * math.pi * k / w
-                if t > a:
-                    out.add(t)
-                k += 1
-        return tuple(sorted(out))
+        return self._multiples(window, 2)
 
     def halved_times(self, window):
+        return self._multiples(window, 1)
+
+    def _multiples(self, window, first):
+        """The times j pi / |omega| in the window (a, b], over every omega,
+        for j = first, first + 2, ...: even j give the conjugate times,
+        odd j the halved ones."""
         a, b = window
         out = set()
         for om in self.omegas:
             w = abs(om)
-            k = 1
-            while math.pi * k / w <= b:
-                if k % 2 == 1:
-                    t = math.pi * k / w
-                    if t > a:
-                        out.add(t)
-                k += 2
+            j = first
+            while (t := j * math.pi / w) <= b:
+                if t > a:
+                    out.add(t)
+                j += 2
         return tuple(sorted(out))
 
 

@@ -715,7 +715,7 @@ def quadratic_euler_field(L, u):
     table = scalars.contract("ip,ijk,lk->pjl", iso.array, L.array, iso.inverse)
 
     def evaluate(x):
-        xs = scalars.vector(x, iso.exact)
+        xs = scalars.read(x, 1, iso.dim, iso.exact)
         return scalars.contract("p,pjl,j->l", xs, table, xs).tuples()
 
     return _quadratic(table.to_float().num), evaluate

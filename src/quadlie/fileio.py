@@ -80,8 +80,9 @@ def _tokens(value, shape, where):
 
 
 def _mode(*arrays):
-    """Whether tokens read exactly: none of them is a JSON float."""
-    return not any(isinstance(v, float) for v in scalars.flatten(arrays))
+    """Whether tokens read exactly: none of them, at any depth, is a JSON
+    float."""
+    return all(_mode(*a) if isinstance(a, list) else not isinstance(a, float) for a in arrays)
 
 
 def _values(tokens, exact):

@@ -16,7 +16,6 @@ an argument of another kind or size.
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -58,8 +57,8 @@ class SymBilinearForm:
         return self.array.tuples()
 
     def apply(self, x, y):
-        my = scalars.contract("ij,j->i", self.array, scalars.vector(y, self.exact))
-        return scalars.contract("i,i->", scalars.vector(x, self.exact), my).tuples()
+        my = scalars.contract("ij,j->i", self.array, scalars.read(y, 1, self.dim, self.exact))
+        return scalars.contract("i,i->", scalars.read(x, 1, self.dim, self.exact), my).tuples()
 
     def to_float(self):
         return self if not self.exact else SymBilinearForm(self.array.to_float())
@@ -71,17 +70,18 @@ class SymmetricIso:
     stored as its matrix's ScaledArray; matrix is a read-only view.
 
     The matrix acts on coordinate columns: u(e_j) = sum_i matrix[i][j] e_i.
-    SymmetricIso(dim, matrix, exact) takes a nested dim x dim matrix, read
-    in mode exact (DimensionMismatch for any other shape), or a ScaledArray
+    SymmetricIso(dim, matrix, exact=None) takes a nested dim x dim matrix,
+    read by scalars.read in mode exact, or in the mode of its entries when
+    exact is None (DimensionMismatch for any other shape), or a ScaledArray
     that library code has assembled.  metric_from_iso checks the operator;
     its inverse is computed once, when first used.
     """
 
     array: scalars.ScaledArray
 
-    def __init__(self, dim, matrix, exact):
+    def __init__(self, dim, matrix, exact=None):
         if not isinstance(matrix, scalars.ScaledArray):
-            matrix = scalars.matrix(matrix, dim, exact)
+            matrix = scalars.read(matrix, 2, dim, exact)
         object.__setattr__(self, "array", matrix)
 
     @property
@@ -102,13 +102,14 @@ class SymmetricIso:
         return linalg.inverse(self.array)
 
     def apply(self, x):
-        return scalars.contract("ij,j->i", self.array, scalars.vector(x, self.exact)).tuples()
+        xs = scalars.read(x, 1, self.dim, self.exact)
+        return scalars.contract("ij,j->i", self.array, xs).tuples()
 
     def inverse_matrix(self):
         return self.inverse.tuples()
 
     def to_float(self):
-        return self if not self.exact else SymmetricIso(self.dim, self.array.to_float(), False)
+        return self if not self.exact else SymmetricIso(self.dim, self.array.to_float())
 
 
 def as_form(g, dim=None):
@@ -125,7 +126,7 @@ def as_iso(u, dim):
     entries decide its mode, as for every nested input; DimensionMismatch
     for any other size."""
     if not isinstance(u, SymmetricIso):
-        u = SymmetricIso(dim, u, scalars.decide_mode(scalars.flatten(u)))
+        u = SymmetricIso(dim, u)
     if u.dim != dim:
         raise DimensionMismatch(f"operator of size {u.dim} in dimension {dim}")
     return u
@@ -151,26 +152,18 @@ class AdInvarianceReport:
 def validate_form(g):
     """Accept a square symmetric nondegenerate matrix as a form.
 
-    Takes a nested square matrix of one mode's scalars, or a ScaledArray
-    that library code has assembled.  Exact mode demands literal symmetry;
+    Takes a nested n x n matrix, read by scalars.read, so its entries
+    decide its mode, or a ScaledArray that library code has assembled; an
+    empty matrix is a DimensionMismatch.  Exact mode demands literal symmetry;
     binary64 mode allows symmetry slack 1e-9 relative to the largest
     entry.  The form is degenerate when its rank is below its size, with
     linalg's rank in either mode (in binary64 the singular values cut at
     1e-9 of the largest), and the Degenerate report carries a kernel basis.
     """
-    if isinstance(g, scalars.ScaledArray):
-        M = g
-    else:
-        if not scalars.is_rows(g):
-            raise DimensionMismatch("expected a form matrix as nested rows")
-        n = len(g)
-        if n == 0:
-            raise DimensionMismatch("empty form matrix")
-        for i, row in enumerate(g):
-            if len(row) != n:
-                raise DimensionMismatch(f"form row {i} has {len(row)} entries, expected {n}")
-        M = scalars.to_array(g, scalars.decide_mode(chain.from_iterable(g)))
+    M = g if isinstance(g, scalars.ScaledArray) else scalars.read(g, 2)
     n, exact = M.num.shape[0], M.exact
+    if n == 0:
+        raise DimensionMismatch("empty form matrix")
     tol = scalars.tolerance(exact, max(1.0, M.scale()))
     # M - M^T is antisymmetric with a zero diagonal, so the first violation
     # in index order has i < j
@@ -228,4 +221,4 @@ def iso_from_metric(k, g):
     form = as_form(k)
     form, metric = scalars.common_mode(form, as_form(g, form.dim))
     kinv = linalg.inverse(form.array)
-    return SymmetricIso(form.dim, scalars.contract("ij,jk->ik", kinv, metric.array), form.exact)
+    return SymmetricIso(form.dim, scalars.contract("ij,jk->ik", kinv, metric.array))

@@ -25,6 +25,13 @@ multiply-add, which takes numerators of any size.  Exact verdicts take no
 slack, so they never need a binary64 scale of their entries (see
 ScaledArray.scale); converting an exact entry beyond binary64 raises
 InvalidValue.
+
+Nested input of every kind, a structure table, a form, an operator, a
+builder's theta or phi and the vectors of the tensor methods, is read by
+one function, read: it checks the shape level by level, types any other
+nesting as a DimensionMismatch, and takes the mode the caller gives or
+the one decide_mode finds in the entries.  to_array stays the reader of
+rows that library code has built in a known mode.
 """
 
 import math
@@ -39,23 +46,21 @@ __all__ = [
     "decide_mode",
     "as_exact",
     "coerce",
-    "coerce_vector",
-    "coerce_matrix",
     "fmt",
     "scalar_to_json",
-    "flatten",
     "tolerance",
     "common_mode",
     "ScaledArray",
     "to_array",
-    "vector",
-    "is_rows",
-    "matrix",
+    "read",
     "eye",
     "stack",
     "contract",
     "left_mult",
 ]
+
+
+_LEVEL = (list, tuple, np.ndarray)
 
 
 def _is_int(v):
@@ -67,8 +72,8 @@ def decide_mode(values):
 
     A single float forces binary64 mode; a float meeting a Fraction in the
     same container is a hard error rather than a silent promotion, and a
-    NaN or infinite float is rejected with InvalidValue.  A list or tuple
-    where a scalar belongs is a DimensionMismatch.
+    NaN or infinite float is rejected with InvalidValue.  A list, tuple
+    or numpy array where a scalar belongs is a DimensionMismatch.
     """
     saw_float = False
     saw_frac = False
@@ -79,7 +84,7 @@ def decide_mode(values):
             if not math.isfinite(v):
                 raise InvalidValue(f"non-finite entry {v!r}")
             saw_float = True
-        elif isinstance(v, (list, tuple)):
+        elif isinstance(v, _LEVEL):
             raise DimensionMismatch(f"expected a scalar, got {v!r}")
         elif not _is_int(v):
             raise MixedModeError(f"unsupported scalar {v!r}")
@@ -111,14 +116,6 @@ def coerce(v, exact):
     return as_exact(v) if exact else as_float(v)
 
 
-def coerce_vector(xs, exact):
-    return tuple(coerce(v, exact) for v in xs)
-
-
-def coerce_matrix(rows, exact):
-    return tuple(tuple(coerce(v, exact) for v in row) for row in rows)
-
-
 def fmt(v):
     """Render a scalar for reports and files.
 
@@ -139,17 +136,6 @@ def scalar_to_json(v):
     if isinstance(v, Fraction) or _is_int(v):
         return fmt(v)
     return float(v)
-
-
-def flatten(nested):
-    """Yield scalars from arbitrarily nested sequences."""
-    stack = [nested]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, (list, tuple)):
-            stack.extend(item)
-        else:
-            yield item
 
 
 def tolerance(exact, scale):
@@ -282,33 +268,33 @@ def to_array(nested, exact):
     return ScaledArray(num, den)
 
 
-def vector(x, exact, n=None):
-    """ScaledArray of a vector, coerced to the mode first; DimensionMismatch
-    unless x is a sequence of scalars, of n of them when n is given."""
+def read(value, ndim, n=None, exact=None):
+    """ScaledArray of value, a nested array with ndim axes of length n, or
+    of len(value) when n is None; the one reader of nested input (a
+    document's arrays pass fileio's own reader first).
+
+    A level is a list, tuple or numpy array, and any other nesting, a
+    sequence among the entries included, is a DimensionMismatch.
+    With exact None, decide_mode picks the mode from the entries, which
+    to_array then takes as they are; with a mode given, each entry is
+    coerced to it first.
+    """
     try:
-        v = to_array(coerce_vector(x, exact), exact)
-    except TypeError:
-        raise DimensionMismatch(f"expected a vector, got {x!r}") from None
-    if n is not None and v.num.shape != (n,):
-        raise DimensionMismatch(f"vector of length {len(v.num)} in dimension {n}")
-    return v
-
-
-def is_rows(x):
-    """Whether x is a list or tuple of lists or tuples."""
-    return isinstance(x, (list, tuple)) and all(isinstance(r, (list, tuple)) for r in x)
-
-
-def matrix(rows, n, exact):
-    """ScaledArray of an n x n matrix given as nested rows, coerced to the
-    mode first, of shape (0, 0) for no rows; DimensionMismatch unless rows
-    holds n rows of n entries, with n = len(rows) when n is None."""
-    if not is_rows(rows):
-        raise DimensionMismatch("expected a matrix as nested rows")
-    n = len(rows) if n is None else n
-    if len(rows) != n or any(len(r) != n for r in rows):
-        raise DimensionMismatch(f"expected a {n} x {n} matrix")
-    return to_array(coerce_matrix(rows, exact), exact).reshape(n, n)
+        n = len(value) if n is None else n
+        entries = [value]
+        for _ in range(ndim):
+            if not all(isinstance(x, _LEVEL) and len(x) == n for x in entries):
+                raise DimensionMismatch(f"expected {ndim} nested levels of {n} entries")
+            entries = [v for x in entries for v in x]
+    except TypeError:  # no length: a scalar or a 0-d numpy array
+        raise DimensionMismatch(f"expected {ndim} nested levels of entries") from None
+    if exact is None:
+        exact = decide_mode(entries)
+    elif any(isinstance(v, _LEVEL) for v in entries):
+        raise DimensionMismatch("expected scalar entries, got a sequence")
+    else:
+        entries = [coerce(v, exact) for v in entries]
+    return to_array(entries, exact).reshape((n,) * ndim)
 
 
 def eye(n, exact):

@@ -335,7 +335,7 @@ def test_criterion_7_two_step_family():
         for _ in range(5):
             phi, psi = random_invertible(), random_invertible()
             conjugated = linalg.mat_mul(
-                linalg.mat_mul(linalg.inverse(scalars.matrix(psi, None, True)).tuples(), phi), psi
+                linalg.mat_mul(linalg.inverse(scalars.read(psi, 2)).tuples(), phi), psi
             )
             inv_a = similarity_invariants(phi)
             inv_b = similarity_invariants(conjugated)

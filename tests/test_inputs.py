@@ -661,12 +661,73 @@ def test_form_and_table_entries_that_are_sequences_are_dimension_mismatches(call
         call()
 
 
+def _oscillator_model():
+    L, k = quadlie.build_oscillator((1,))
+    P = levi_civita(L, k)
+    return L, k, P
+
+
+_NESTED = [[1], 0, 0, 0]  # a list where the first scalar belongs
+_ID = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+_NESTED_ID = [_NESTED, *_ID[1:]]
+
+
+_NESTED_ENTRY_CALLS = {
+    "as_iso": lambda L, k, P: quadlie.forms.as_iso([[[1]]], 1),
+    "SymmetricIso": lambda L, k, P: quadlie.SymmetricIso(4, _NESTED_ID),
+    "SymmetricIso-exact": lambda L, k, P: quadlie.SymmetricIso(4, _NESTED_ID, True),
+    "metric_from_iso": lambda L, k, P: metric_from_iso(k, _NESTED_ID),
+    "build_double_extension-theta": lambda L, k, P: quadlie.build_double_extension(
+        2, [[1, 0], [0, 1]], [[[0], -1], [1, 0]]
+    ),
+    "build_two_step-theta": lambda L, k, P: quadlie.build_two_step(
+        quadlie.TwoStepSpec(3, [[[[0]] * 3] * 3] * 3)
+    ),
+    "two_step_metric-phi": lambda L, k, P: quadlie.two_step_metric(
+        quadlie.TwoStepSpec(3, "volume", [[[1], 0, 0], [0, 1, 0], [0, 0, 1]])
+    ),
+    "similarity_invariants": lambda L, k, P: quadlie.similarity_invariants([[[1]]]),
+    "build_oscillator": lambda L, k, P: quadlie.build_oscillator(([1],)),
+    "bracket-x": lambda L, k, P: quadlie.bracket(L, _NESTED, [1, 0, 0, 0]),
+    "bracket-y": lambda L, k, P: quadlie.bracket(L, [1, 0, 0, 0], _NESTED),
+    "LieAlgebra.ad": lambda L, k, P: L.ad(_NESTED),
+    "ProductTensor.mult": lambda L, k, P: P.mult(_NESTED, [1, 0, 0, 0]),
+    "ProductTensor.left_mult": lambda L, k, P: P.left_mult(_NESTED),
+    "ProductTensor.mult-binary64": lambda L, k, P: P.to_float().mult([1.0, 0.0, 0.0, 0.0], _NESTED),
+    "SymBilinearForm.apply": lambda L, k, P: k.apply(_NESTED, [1, 0, 0, 0]),
+    "CurvatureTensor.apply": lambda L, k, P: quadlie.curvature(P).apply(
+        [1, 0, 0, 0], [0, 1, 0, 0], _NESTED
+    ),
+    "quadratic_euler_field": lambda L, k, P: dynamics.quadratic_euler_field(L, _ID)[1](_NESTED),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NESTED_ENTRY_CALLS))
+def test_a_list_where_a_scalar_belongs_is_a_dimension_mismatch_at_every_intake(name):
+    L, k, P = _oscillator_model()
+    with pytest.raises(DimensionMismatch):
+        _NESTED_ENTRY_CALLS[name](L, k, P)
+
+
+@pytest.mark.parametrize("call", [
+    lambda L, k, P: L.ad([1, 2]),
+    lambda L, k, P: P.left_mult([1, 2]),
+    lambda L, k, P: k.apply([1, 2], [1, 0, 0, 0]),
+    lambda L, k, P: quadlie.SymmetricIso(4, _ID).apply([1, 2]),
+    lambda L, k, P: quadlie.curvature(P).apply([1, 2], [1, 0, 0, 0], [1, 0, 0, 0]),
+    lambda L, k, P: dynamics.quadratic_euler_field(L, _ID)[1]([1, 2]),
+], ids=["ad", "left_mult", "form-apply", "iso-apply", "curvature-apply", "quadratic_euler_field"])
+def test_a_vector_of_another_length_is_a_dimension_mismatch(call):
+    with pytest.raises(DimensionMismatch):
+        call(*_oscillator_model())
+
+
 @pytest.mark.parametrize("exact", [True, False])
 @pytest.mark.parametrize("name", ["rank", "inverse", "det", "nullspace", "signature"])
 def test_linalg_reads_ragged_rows_as_a_dimension_mismatch(name, exact):
     rows = [[1, 2], [3]] if exact else [[1.0, 2.0], [3.0]]
     with pytest.raises(DimensionMismatch):
-        getattr(quadlie.linalg, name)(quadlie.scalars.matrix(rows, None, exact))
+        getattr(quadlie.linalg, name)(quadlie.scalars.read(rows, 2, exact=exact))
 
 
 def test_two_step_metrics_and_family_sweep_leave_sympy_out():

@@ -515,7 +515,7 @@ def _float_each(nested):
 
 
 def _negative_zeros(nested):
-    return [v for v in scalars.flatten(nested) if v == 0 and math.copysign(1.0, v) < 0]
+    return [v for v in np.ravel(nested) if v == 0 and math.copysign(1.0, v) < 0]
 
 
 @pytest.mark.parametrize("family, examples", FAMILIES)

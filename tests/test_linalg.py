@@ -144,10 +144,10 @@ def test_exact_det_and_singular():
 
 
 def test_det_of_empty_matrix_is_one():
-    assert linalg.det(scalars.matrix([], None, True)) == 1
-    assert isinstance(linalg.det(scalars.matrix([], None, True)), Fraction)
-    assert linalg.det(scalars.matrix([], None, False)) == 1.0
-    assert isinstance(linalg.det(scalars.matrix([], None, False)), float)
+    assert linalg.det(scalars.read([], 2)) == 1
+    assert isinstance(linalg.det(scalars.read([], 2)), Fraction)
+    assert linalg.det(scalars.read([], 2, exact=False)) == 1.0
+    assert isinstance(linalg.det(scalars.read([], 2, exact=False)), float)
 
 
 def test_float_inverse_and_singular_guard():

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from quadlie import scalars
-from quadlie.errors import InvalidValue, MixedModeError
+from quadlie import bracket, build_oscillator, levi_civita, linalg, scalars
+from quadlie.errors import DimensionMismatch, InvalidValue, MixedModeError
 
 
 def test_decide_mode_exact_for_integers_and_fractions():
@@ -66,17 +66,58 @@ def test_scalar_to_json_types():
     assert scalars.scalar_to_json(0.25) == 0.25
 
 
-def test_flatten():
-    nested = [[Fraction(1, 2), Fraction(-3)], [Fraction(0), Fraction(2)]]
-    flat = sorted(scalars.flatten(nested))
-    assert flat == [Fraction(-3), Fraction(0), Fraction(1, 2), Fraction(2)]
-
-
-def test_coerce_matrix_mode():
-    m = scalars.coerce_matrix([[1, 2], [3, 4]], True)
+def test_read_in_a_given_mode_coerces_each_entry():
+    m = scalars.read([[1, 2], [3, 4]], 2, exact=True).tuples()
     assert all(isinstance(v, Fraction) for row in m for v in row)
-    mf = scalars.coerce_matrix([[1, 2], [3, 4]], False)
+    mf = scalars.read([[1, 2], [3, 4]], 2, exact=False).tuples()
     assert all(isinstance(v, float) for row in mf for v in row)
+    # binary64 takes Fractions, rounded, as the vector intakes always have
+    assert scalars.read([Fraction(1, 3), 2.5], 1, exact=False) == scalars.read([1 / 3, 2.5], 1)
+    with pytest.raises(MixedModeError):
+        scalars.read([1, 0.5], 1, exact=True)
+
+
+def test_read_decides_the_mode_from_the_entries():
+    exact = scalars.read([[1, Fraction(1, 2)], [0, 3]], 2)
+    assert exact.exact and exact.tuples() == ((1, Fraction(1, 2)), (0, 3))
+    assert not scalars.read([[1, 0.5], [0, 3]], 2).exact
+    with pytest.raises(InvalidValue):
+        scalars.read([1.0, math.nan], 1)
+    with pytest.raises(MixedModeError):
+        scalars.read([Fraction(1, 2), 0.5], 1)
+
+
+@pytest.mark.parametrize("value, ndim, n", [
+    ([[1, 2], [3]], 2, None),  # ragged
+    ([[1, 2], [3, 4, 5]], 2, None),
+    ([[1, 2], [3, 4]], 2, 3),  # another length than asked for
+    ([[[1], 2], [3, 4]], 2, None),  # too deep
+    ([[1, [2]], [3, 4]], 2, None),
+    ([[1, 2], [3, 4]], 3, None),  # too shallow
+    ([1, 2], 2, None),
+    (5, 1, None),
+    ("ab", 1, None),
+    (np.array(1.0), 1, None),  # a 0-d array has no length
+])
+@pytest.mark.parametrize("exact", [None, True, False])
+def test_read_types_any_other_nesting_as_a_dimension_mismatch(value, ndim, n, exact):
+    with pytest.raises(DimensionMismatch):
+        scalars.read(value, ndim, n, exact)
+
+
+def test_read_of_no_rows_is_a_0_by_0_matrix_with_determinant_one():
+    empty = scalars.read([], 2)
+    assert empty.num.shape == (0, 0) and empty.exact
+    assert linalg.det(empty) == 1
+
+
+def test_binary64_numpy_vectors_still_feed_the_vector_intakes():
+    L, k = build_oscillator((1,))
+    Pf = levi_civita(L, k).to_float()
+    x, y = np.array([1.0, 0.5, 0.0, 2.0]), np.array([0.0, 1.0, 1.0, -1.0])
+    assert Pf.mult(x, y) == Pf.mult(tuple(x.tolist()), tuple(y.tolist()))
+    Lf = L.to_float()
+    assert bracket(Lf, x, y) == bracket(Lf, tuple(x.tolist()), tuple(y.tolist()))
 
 
 # ---------------------------------------------------------------------------
