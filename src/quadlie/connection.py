@@ -137,7 +137,7 @@ def levi_civita(L, g):
         - scalars.contract("jmk,ki->ijm", C, G)
         + scalars.contract("mik,kj->ijm", C, G)
     )
-    inv = linalg.inverse(scalars.ScaledArray(2 * G.num))
+    inv = linalg.inverse(G + G)
     return ProductTensor(L, scalars.contract("mk,ijk->ijm", inv, rhs), form)
 
 

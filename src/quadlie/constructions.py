@@ -106,7 +106,7 @@ def build_double_extension(w_dim, k0, theta):
     k0f = as_form(k0, _size(w_dim, "w_dim"))
     TH = scalars.read(theta, 2, w_dim)
     k0f, TH = scalars.common_mode(k0f, TH)
-    exact, K0 = TH.exact, k0f.array
+    exact, K0 = TH.exact, k0f.array.wide()
 
     k0th = scalars.contract("ij,jk->ik", K0, TH)
     tol = scalars.tolerance(exact, max(1.0, K0.scale() * TH.scale()))
@@ -117,8 +117,9 @@ def build_double_extension(w_dim, k0, theta):
 
     n = w_dim + 2
     # [w_i, w_j] = omega[i][j] e0 for i < j, omega = theta^T k0; its
-    # denominator is a multiple of theta's
-    omega = scalars.contract("ji,jk->ik", TH, K0)
+    # denominator is a multiple of theta's.  The tables are filled and
+    # scaled entry by entry, so omega and k0 are read as Python ints.
+    omega = scalars.contract("ji,jk->ik", TH, K0).wide()
     c = np.zeros((n, n, n), dtype=TH.num.dtype)
     c[0, 2:, 2:] = TH.num.T * (omega.den // TH.den)  # [e-1, w_j] = theta w_j
     i, j = np.triu_indices(w_dim, 1)
@@ -392,7 +393,7 @@ def build_cotangent_double(L):
     two-step quadratic class at doubled dimension.
     """
     n = as_algebra(L).dim
-    C = L.array
+    C = L.array.wide()
     c = np.zeros((2 * n,) * 3, dtype=C.num.dtype)
     # A occupies indices n..2n-1, the duals 0..n-1
     c[n:, n:, n:] = C.num

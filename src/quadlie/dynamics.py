@@ -783,18 +783,20 @@ class ProbeReport:
 
 def _probe_window(t_max):
     """(back, fwd) of a probe horizon T, meaning (-T, T), or of a pair
-    (a, b) with a < 0 < b; each end is read by _check_span as a span from
-    0, so it is a finite real no more than MAX_SPAN from 0."""
+    (a, b) with a < 0 < b.  The signs of finite real ends are read first,
+    so a pair with an end at 0 fails as one that does not straddle 0; then
+    each end is read by _check_span as a span from 0, so it is a finite
+    real no more than MAX_SPAN from 0."""
     pair = isinstance(t_max, (tuple, list))
     if pair and len(t_max) != 2:
         raise InvalidSpan(f"probe window must be a pair (a, b), got {t_max!r}")
-    ends = [_check_span((0.0, end))[1] for end in (t_max if pair else (t_max,))]
-    back, fwd = ends if pair else (-ends[0], ends[0])
-    if not back < 0 < fwd:
+    ends = t_max if pair else (t_max,)
+    if all(map(_finite_real, ends)) and not (ends[0] < 0 < ends[1] if pair else ends[0] > 0):
         raise InvalidSpan(
             "probe window must straddle 0" if pair else "probe horizon must be positive"
         )
-    return back, fwd
+    ends = [_check_span((0.0, end))[1] for end in ends]
+    return tuple(ends) if pair else (-ends[0], ends[0])
 
 
 def _seed_block(seeds, dim):

@@ -6,25 +6,34 @@ once, and ScaledArray.to_float is the one crossing from exact to binary64.
 Ints are welcome in either mode and promote to the tensor's type.
 
 A tensor is stored as a ScaledArray, and this module owns that choice: in
-exact mode an object-dtype numpy array of Python ints over one common
-denominator, in binary64 a float64 array over 1.  Every tensor kernel is
+exact mode an array of integer numerators over one common denominator,
+in binary64 a float64 array over 1.  Every tensor kernel is
 one np.einsum contraction over these arrays, the same expression in both
 modes, and tuples() builds the read-only nested tuples of Fraction or
 float that the tensor classes show as their c, matrix, gamma and r.
 
-An exact contraction runs its einsum on int64 copies of the numerators
-when the result provably fits: (number of summed terms) times the product
-of each operand's largest |numerator| is at most 2**63 - 1, so no partial
-sum can overflow.  The result comes back as Python ints.  The casts cost
-about as much per entry as an object multiply-add, so the int64 path runs
-only when the multiply-adds reach INT64_WORK_FLOOR plus
-INT64_WORK_PER_ENTRY per entry converted (operands and result); smaller
-contractions, a matrix times a vector for one, and any whose bound fails
-stay on the object-dtype einsum, one Python-int operation per
-multiply-add, which takes numerators of any size.  Exact verdicts take no
-slack, so they never need a binary64 scale of their entries (see
-ScaledArray.scale); converting an exact entry beyond binary64 raises
-InvalidValue.
+An exact tensor lives on one of two lanes: int64 numerators whose size
+has been proved to fit, or an object-dtype array of Python ints, which
+takes numerators of any size; binary64 is the third lane, float64.
+Every operation proves its bound before it runs on int64.  A
+contraction keeps an int64 result when (number of summed terms) times
+the product of each operand's largest |numerator| is at most 2**63 - 1,
+so no partial sum can overflow; + and - stay on int64 when both
+operands are on it and the sum of each one's largest |numerator| times
+its factor to the common denominator is at most 2**63 - 1 too.  An
+operation whose bound fails runs on Python ints.
+Object operands enter int64 only in a contraction, and only when its
+multiply-adds reach INT64_WORK_FLOOR plus INT64_WORK_PER_ENTRY per entry
+converted (object operands and result), since a cast costs about as much
+per entry as an object multiply-add; an operand already on int64 pays no
+cast.  Smaller contractions, a matrix times a vector for one, stay on
+the object-dtype einsum, one Python-int operation per multiply-add.
+Every value handed out, by peak, scalar, tuples and to_float, is read
+as Python ints, so no numpy integer reaches a Fraction; code outside
+this module that computes with exact numerators reads them through wide,
+so none wraps.  Exact verdicts take no slack, so they never need a
+binary64 scale of their entries (see ScaledArray.scale); converting an
+exact entry beyond binary64 raises InvalidValue.
 
 Nested input of every kind, a structure table, a form, an operator, a
 builder's theta or phi and the vectors of the tensor methods, is read by
@@ -160,15 +169,47 @@ _ZERO = Fraction(0)
 _BEYOND = "exact entry beyond the binary64 range"
 
 
+_FLOAT = np.dtype(float)
+_INT64 = np.dtype(np.int64)
+_OBJECT = np.dtype(object)
+_INT64_MAX = 2**63 - 1
+
+
+def _top(num):
+    """Largest |entry| of an integer numerator array, as a Python int; no
+    int64 entry is -2**63, so abs cannot wrap."""
+    return int(np.abs(num).max()) if num.size else 0
+
+
+def _aligned(x, y):
+    """The numerators of two ScaledArrays of one mode over their common
+    denominator, and that denominator.  Exact numerators stay on int64
+    when both are and max(largest |numerator|, 1) times the factor to the
+    common denominator, summed over the two, fits, so neither a factor nor
+    a scaled entry nor a sum or difference of two can wrap; else they are
+    Python ints."""
+    a, b = x.num, y.num
+    if a.dtype == _FLOAT:  # binary64, over 1
+        return a, b, 1
+    den = math.lcm(x.den, y.den)
+    fa, fb = den // x.den, den // y.den
+    if (a.dtype == _INT64 or b.dtype == _INT64) and not (
+        a.dtype == b.dtype and max(_top(a), 1) * fa + max(_top(b), 1) * fb <= _INT64_MAX
+    ):
+        a, b = x.wide().num, y.wide().num
+    return (a if fa == 1 else a * fa), (b if fb == 1 else b * fb), den
+
+
 @dataclass(frozen=True, eq=False)
 class ScaledArray:
     """A tensor as it is stored: entry = num / den.
 
-    Exact: num is an object array of Python ints and den a positive int.
+    Exact: num is an int64 array, whose entries an operation has proved
+    to fit, or an object array of Python ints, and den a positive int.
     Binary64: num is a float64 array and den is 1.  Instances are never
     modified; arithmetic returns new ones.  Equality is by value and mode:
-    the same tensor over two denominators is equal, and an exact tensor
-    never equals a binary64 one.
+    the same tensor over two denominators or on two lanes is equal, and an
+    exact tensor never equals a binary64 one.
     """
 
     num: np.ndarray
@@ -176,13 +217,19 @@ class ScaledArray:
 
     @property
     def exact(self):
-        return self.num.dtype == object
+        return self.num.dtype != _FLOAT
+
+    def wide(self):
+        """The same tensor with exact numerators as Python ints, safe for
+        any arithmetic; a tensor already on Python ints or in binary64 as
+        it is."""
+        return ScaledArray(self.num.astype(object), self.den) if self.num.dtype == _INT64 else self
 
     def __eq__(self, other):
-        return isinstance(other, ScaledArray) and self.exact == other.exact and (
-            self.num.shape == other.num.shape
-            and bool(np.all(self.num * other.den == other.num * self.den))
-        )
+        if not (isinstance(other, ScaledArray) and self.exact == other.exact):
+            return False
+        a, b = self.wide().num, other.wide().num
+        return a.shape == b.shape and bool(np.all(a * other.den == b * self.den))
 
     def __hash__(self):
         return hash((self.exact, self.tuples()))
@@ -190,8 +237,10 @@ class ScaledArray:
     def to_float(self):
         """Each entry num / den correctly rounded, the float of its
         Fraction; InvalidValue when one lies beyond binary64."""
+        if not self.exact:
+            return self
         try:
-            return ScaledArray((self.num / self.den).astype(float)) if self.exact else self
+            return ScaledArray((self.wide().num / self.den).astype(float))
         except OverflowError:
             raise InvalidValue(_BEYOND) from None
 
@@ -199,16 +248,13 @@ class ScaledArray:
         """The tensor over 2, exactly in both modes."""
         return ScaledArray(self.num, 2 * self.den) if self.exact else ScaledArray(self.num / 2)
 
-    def _over(self, den):
-        factor = den // self.den
-        return self.num if factor == 1 else self.num * factor
-
     def __add__(self, other):
-        den = math.lcm(self.den, other.den)
-        return ScaledArray(self._over(den) + other._over(den), den)
+        a, b, den = _aligned(self, other)
+        return ScaledArray(a + b, den)
 
     def __sub__(self, other):
-        return self + ScaledArray(-other.num, other.den)
+        a, b, den = _aligned(self, other)
+        return ScaledArray(a - b, den)
 
     def transpose(self, *axes):
         return ScaledArray(self.num.transpose(*axes), self.den)
@@ -222,7 +268,7 @@ class ScaledArray:
     def scalar(self, v):
         """Entry value of the numerator v; binary64 reads -0.0 as 0.0, as
         the sums of plain loops give."""
-        return Fraction(v, self.den) if self.exact else float(v) + 0.0
+        return Fraction(int(v), self.den) if self.exact else float(v) + 0.0
 
     def tuples(self):
         """Nested tuples of Fraction or float; a bare value when 0-d.  The
@@ -232,13 +278,14 @@ class ScaledArray:
             return _tupled((self.num + 0.0).tolist())
         vals = np.full(self.num.shape, _ZERO, dtype=object)
         nonzero = self.num != 0
+        # the object ufunc reads int64 entries as Python ints
         vals[nonzero] = _fractions(self.num[nonzero], self.den)
         return _tupled(vals.tolist())
 
     def peak(self):
         """Largest |entry| in the entries' own type, integer 0 when every
         entry vanishes."""
-        top = np.max(np.abs(self.num)) if self.num.size else 0
+        top = np.abs(self.num).max() if self.num.size else 0
         return self.scalar(top) if top else 0
 
     def scale(self):
@@ -304,49 +351,53 @@ def eye(n, exact):
 
 def stack(arrays):
     """The rows of ScaledArrays of one mode, one after another, over their
-    common denominator."""
+    common denominator; exact rows as Python ints."""
     den = math.lcm(*(a.den for a in arrays))
-    return ScaledArray(np.concatenate([a._over(den) for a in arrays]), den)
+    nums = [(a.wide().num, den // a.den) for a in arrays]
+    return ScaledArray(np.concatenate([num if f == 1 else num * f for num, f in nums]), den)
 
 
-# int64 pays once the multiply-adds reach INT64_WORK_FLOOR plus
-# INT64_WORK_PER_ENTRY per entry it converts (the operands to int64, the
-# result back), since a cast costs about an object multiply-add; fitted to
-# per-spec, per-size timings from tools/contract_crossover.py
+# object operands enter int64 once the multiply-adds reach
+# INT64_WORK_FLOOR plus INT64_WORK_PER_ENTRY per entry converted (the
+# object operands and the result), since a cast costs about an object
+# multiply-add; fitted to per-spec, per-size timings from
+# tools/contract_crossover.py
 INT64_WORK_FLOOR = 256
 INT64_WORK_PER_ENTRY = 1.5
-_INT64_MAX = 2**63 - 1
 
 
 def _fits_int64(spec, nums):
     """Whether the einsum of an explicit "in,in->out" spec over the exact
-    numerators nums is worth running on int64 and provably fits it."""
+    numerators nums provably fits int64 and, when an operand is on Python
+    ints, is worth converting."""
     inputs, output = spec.split("->")
     sizes = {}
     for labels, num in zip(inputs.split(","), nums):
         sizes.update(zip(labels, num.shape))
-    work = math.prod(sizes.values())
+    bound = math.prod(n for c, n in sizes.items() if c not in output)  # summed terms
     out = math.prod(sizes[c] for c in output)
-    entries = sum(num.size for num in nums) + out
-    if work < INT64_WORK_FLOOR + INT64_WORK_PER_ENTRY * entries:
+    objects = [num.size for num in nums if num.dtype != _INT64]
+    if objects and bound * out < INT64_WORK_FLOOR + INT64_WORK_PER_ENTRY * (sum(objects) + out):
         return False
-    bound = work // out  # the number of summed terms
     for num in nums:
         # at least 1, so the bound also covers each operand's own entries
-        bound *= max(num.max(), -num.min(), 1)
+        bound *= max(_top(num), 1)
     return bound <= _INT64_MAX
 
 
 def contract(spec, *arrays):
-    """np.einsum over the numerators, on int64 copies when an exact result
-    provably fits and the work repays the casts; the denominators multiply.
-    A binary64 result reads -0.0 as 0.0, as the sums of plain loops give."""
+    """np.einsum over the numerators; the denominators multiply.  An exact
+    result stays on int64 when it provably fits and every operand is on
+    int64 or the work repays converting those that are not; else it runs
+    on Python ints.  A binary64 result reads -0.0 as 0.0, as the sums of
+    plain loops give."""
     nums = [a.num for a in arrays]
-    dtype = nums[0].dtype
-    if dtype == object and _fits_int64(spec, nums):
-        nums = [n.astype(np.int64) for n in nums]
-    num = np.asarray(np.einsum(spec, *nums)).astype(dtype, copy=False)
-    return ScaledArray(num if dtype == object else num + 0.0, math.prod(a.den for a in arrays))
+    den = math.prod(a.den for a in arrays)
+    if nums[0].dtype == _FLOAT:
+        return ScaledArray(np.asarray(np.einsum(spec, *nums)) + 0.0, den)
+    lane = _INT64 if _fits_int64(spec, nums) else _OBJECT
+    nums = [n if n.dtype == lane else n.astype(lane) for n in nums]
+    return ScaledArray(np.asarray(np.einsum(spec, *nums)).astype(lane, copy=False), den)
 
 
 def left_mult(table, x):

@@ -507,6 +507,16 @@ def test_probe_rejects_malformed_windows(e2_product, t_max):
         dynamics.completeness_probe(e2_product, [SEED], t_max=t_max)
 
 
+@pytest.mark.parametrize("t_max", [(0, 3), (-3, 0), (0.0, 3.0)])
+def test_a_probe_window_with_an_end_at_0_must_straddle_0(e2_product, t_max):
+    with pytest.raises(InvalidSpan, match="probe window must straddle 0"):
+        dynamics.completeness_probe(e2_product, [SEED], t_max=t_max)
+    span = ":".join(map(str, t_max))
+    code, rep = run("probe", "--catalog", "e2-motion", "--span", span)
+    assert code == 1
+    assert rep["error"] == {"type": "InvalidSpan", "message": "probe window must straddle 0"}
+
+
 @pytest.mark.parametrize("bad, error", [
     ((0.7, "a", 1.3), InvalidValue),
     ((0.7, 10**400, 1.3), InvalidValue),

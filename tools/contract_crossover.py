@@ -1,15 +1,19 @@
-"""Time exact scalars.contract on its int64 path against its object path.
+"""Time exact scalars.contract entering int64 against its object path.
 
-For each spec the library contracts and each size n (every label of
-length n) the script times the same contraction twice: once with
-scalars.INT64_WORK_FLOOR and scalars.INT64_WORK_PER_ENTRY at 0, so any
-contraction whose bound fits runs on int64 (the bound check and both casts
-included), and once with the floor out of reach, so it runs on objects.
+The work rule of scalars._fits_int64 decides only when object operands
+enter int64: an operand already on int64 pays no cast and skips it.  For
+each spec the library contracts and each size n (every label of length n)
+the script times the same contraction of object operands twice: once
+with scalars.INT64_WORK_FLOOR and scalars.INT64_WORK_PER_ENTRY at 0, so
+any contraction whose bound fits converts its operands and runs on int64
+(the bound check and the operand casts included; the result stays on
+int64), and once with the floor out of reach, so it runs on objects.
 Numerators are drawn from -9..9, as small as the certificates' own.  It
 prints one JSON line per (spec, n) with the multiply-add count ("work"),
-the entries the int64 path converts (operands and result), the best of
-five medians in microseconds for each path, and their ratio.  The rule in
-scalars._fits_int64 was fitted to these lines: int64 where
+the entries the rule counts (operands and result), the best of five
+medians in microseconds for each path, and their ratio.  The rule was
+fitted to these lines when the result was still cast back to Python
+ints, so it errs towards objects: int64 where
 work >= INT64_WORK_FLOOR + INT64_WORK_PER_ENTRY * entries.
 
     PYTHONPATH=src python3 tools/contract_crossover.py
