@@ -166,8 +166,16 @@ def brackets(L, X, Y):
 
 
 def _bracket_span(L, left, right):
-    """Canonical basis of span{[v, w]} over the rows of left and right."""
-    return linalg.span_basis(brackets(L, left, right).reshape(-1, L.dim))
+    """Canonical basis of span{[v, w]} over the rows of left and right.  A
+    binary64 bracket entry within 1e-9 * max(1, |c|) of zero is zero, so
+    the rounding of a vanishing bracket spans nothing; span_basis's own
+    threshold is relative to the brackets' largest singular value, which
+    such rounding sets."""
+    B = brackets(L, left, right).reshape(-1, L.dim)
+    if not L.exact:
+        tol = scalars.tolerance(False, max(1.0, L.array.scale()))
+        B = scalars.ScaledArray(np.where(B.beyond(tol), B.num, 0.0))
+    return linalg.span_basis(B)
 
 
 def structure_report(L):

@@ -19,8 +19,6 @@ A square matrix is singular exactly when rank(A) < n: in exact mode a
 missing pivot, in binary64 a singular value at or below that threshold.
 solve and inverse raise Singular on that one test; they and det raise
 DimensionMismatch for a matrix that is not square.
-
-mat_vec, mat_mul, transpose and identity are helpers on nested rows.
 """
 
 import math
@@ -33,10 +31,6 @@ from .errors import DimensionMismatch, Singular
 from .scalars import ScaledArray
 
 __all__ = [
-    "mat_vec",
-    "mat_mul",
-    "transpose",
-    "identity",
     "rank",
     "nullspace",
     "solve",
@@ -51,25 +45,6 @@ __all__ = [
 ]
 
 FLOAT_RTOL = 1e-9
-
-
-# ---------------------------------------------------------------------------
-# helpers on nested rows (entries support +, *, comparison with 0)
-
-def mat_vec(a, x):
-    return tuple(sum(row[j] * x[j] for j in range(len(x))) for row in a)
-
-
-def mat_mul(a, b):
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
-
-
-def transpose(a):
-    return tuple(tuple(row[j] for row in a) for j in range(len(a[0])))
-
-
-def identity(n, exact=True):
-    return scalars.eye(n, exact).tuples()
 
 
 # ---------------------------------------------------------------------------

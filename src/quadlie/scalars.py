@@ -7,27 +7,39 @@ Ints are welcome in either mode and promote to the tensor's type.
 
 A tensor is stored as a ScaledArray, and this module owns that choice: in
 exact mode an array of integer numerators over one common denominator,
-in binary64 a float64 array over 1.  Every tensor kernel is
-one np.einsum contraction over these arrays, the same expression in both
-modes, and tuples() builds the read-only nested tuples of Fraction or
-float that the tensor classes show as their c, matrix, gamma and r.
+in binary64 a float64 array over 1.  Every tensor kernel is one call of
+contract, the same expression in both modes, and tuples() builds the
+read-only nested tuples of Fraction or float that the tensor classes
+show as their c, matrix, gamma and r.
+
+contract plans each (spec, shapes) once.  Two operands with a summed
+label and no trace, batch or one-sided summed label run as one matrix
+product when the product of all index sizes reaches LOWERING_FLOOR, one
+constant for both modes fitted with tools/contract_crossover.py; every
+other contraction is one np.einsum.
 
 An exact tensor lives on one of two lanes: int64 numerators whose size
 has been proved to fit, or an object-dtype array of Python ints, which
 takes numerators of any size; binary64 is the third lane, float64.
-Every operation proves its bound before it runs on int64.  A
-contraction keeps an int64 result when (number of summed terms) times
-the product of each operand's largest |numerator| is at most 2**63 - 1,
-so no partial sum can overflow; + and - stay on int64 when both
-operands are on it and the sum of each one's largest |numerator| times
-its factor to the common denominator is at most 2**63 - 1 too.  An
-operation whose bound fails runs on Python ints.
+Every operation proves its bound, read from each operand's largest
+|numerator| (ScaledArray.top, read once), before it runs on machine
+numbers.  A contraction's bound is (number of summed terms) times the
+product of each operand's max(largest |numerator|, 1).  A lowered one
+runs on float64 and returns int64 when the bound is at most 2**53, so
+every product and partial sum is an integer float64 holds exactly, in
+any order of summation; otherwise a contraction keeps an int64 result
+when the bound is at most 2**63 - 1, so no partial sum can overflow.
++ and - stay on int64 when both operands are on it and the sum of each
+one's largest |numerator| times its factor to the common denominator is
+at most 2**63 - 1 too.  An operation whose bound fails runs on Python
+ints.
 Object operands enter int64 only in a contraction, and only when its
 multiply-adds reach INT64_WORK_FLOOR plus INT64_WORK_PER_ENTRY per entry
 converted (object operands and result), since a cast costs about as much
 per entry as an object multiply-add; an operand already on int64 pays no
-cast.  Smaller contractions, a matrix times a vector for one, stay on
-the object-dtype einsum, one Python-int operation per multiply-add.
+cast.  Smaller contractions that are not lowered, a matrix times a
+vector for one, stay on the object-dtype einsum, one Python-int
+operation per multiply-add.
 Every value handed out, by peak, scalar, tuples and to_float, is read
 as Python ints, so no numpy integer reaches a Fraction; code outside
 this module that computes with exact numerators reads them through wide,
@@ -46,6 +58,8 @@ rows that library code has built in a known mode.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -173,12 +187,8 @@ _FLOAT = np.dtype(float)
 _INT64 = np.dtype(np.int64)
 _OBJECT = np.dtype(object)
 _INT64_MAX = 2**63 - 1
-
-
-def _top(num):
-    """Largest |entry| of an integer numerator array, as a Python int; no
-    int64 entry is -2**63, so abs cannot wrap."""
-    return int(np.abs(num).max()) if num.size else 0
+# float64 holds every integer of magnitude at most 2**53 exactly
+_FLOAT_EXACT = 2**53
 
 
 def _aligned(x, y):
@@ -194,10 +204,24 @@ def _aligned(x, y):
     den = math.lcm(x.den, y.den)
     fa, fb = den // x.den, den // y.den
     if (a.dtype == _INT64 or b.dtype == _INT64) and not (
-        a.dtype == b.dtype and max(_top(a), 1) * fa + max(_top(b), 1) * fb <= _INT64_MAX
+        a.dtype == b.dtype and max(x.top, 1) * fa + max(y.top, 1) * fb <= _INT64_MAX
     ):
         a, b = x.wide().num, y.wide().num
     return (a if fa == 1 else a * fa), (b if fb == 1 else b * fb), den
+
+
+class _kept:
+    """functools.cached_property without its lock, which on Python 3.11
+    costs about a third of a small tensor's largest-entry read."""
+
+    def __init__(self, read):
+        self.read = read
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.read.__name__] = self.read(obj)
+        return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,6 +242,15 @@ class ScaledArray:
     @property
     def exact(self):
         return self.num.dtype != _FLOAT
+
+    @_kept
+    def top(self):
+        """Largest |numerator|, read once: a Python int in exact mode, a
+        float in binary64, 0 with no entry.  No int64 entry is -2**63, so
+        abs cannot wrap."""
+        num = self.num
+        top = np.maximum.reduce(np.abs(num), axis=None) if num.size else 0
+        return float(top) if num.dtype == _FLOAT else int(top)
 
     def wide(self):
         """The same tensor with exact numerators as Python ints, safe for
@@ -285,14 +318,13 @@ class ScaledArray:
     def peak(self):
         """Largest |entry| in the entries' own type, integer 0 when every
         entry vanishes."""
-        top = np.abs(self.num).max() if self.num.size else 0
-        return self.scalar(top) if top else 0
+        return self.scalar(self.top) if self.top else 0
 
     def scale(self):
         """Largest |entry| as the binary64 scale of a tolerance; 0.0 in
         exact mode, whose verdicts take no slack and whose entries may lie
         beyond binary64."""
-        return 0.0 if self.exact else float(self.peak())
+        return 0.0 if self.exact else self.top
 
     def beyond(self, tol):
         """Boolean mask of the entries with |entry| > tol."""
@@ -364,39 +396,123 @@ def stack(arrays):
 # tools/contract_crossover.py
 INT64_WORK_FLOOR = 256
 INT64_WORK_PER_ENTRY = 1.5
+# a lowerable contraction whose index sizes multiply to at least this runs
+# as one matrix product, in both modes; fitted with the same tool
+LOWERING_FLOOR = 625
 
 
-def _fits_int64(spec, nums):
-    """Whether the einsum of an explicit "in,in->out" spec over the exact
-    numerators nums provably fits int64 and, when an operand is on Python
-    ints, is worth converting."""
+def _lowering(inputs, output, sizes):
+    """The contraction of two operands as one matrix product, a function of
+    their numerator arrays; None for other than two operands, a trace, a
+    batch label, a label summed in one operand only, or no summed label.
+    The left operand is the one that copies fewer entries, then the one
+    whose result needs no transpose back."""
+    if len(inputs) != 2:
+        return None
+    a, b = inputs
+    if not (
+        set(a) & set(b)
+        and len(set(a)) == len(a)
+        and len(set(b)) == len(b)
+        and len(set(output)) == len(output)
+        and set(output) == set(a) ^ set(b)
+    ):
+        return None
+
+    def size(labels):
+        return math.prod(sizes[c] for c in labels)
+
+    def layout(x, y):
+        """x's free labels, the summed ones in x's order, y's free labels."""
+        return (
+            "".join(c for c in x if c not in y),
+            "".join(c for c in x if c in y),
+            "".join(c for c in y if c not in x),
+        )
+
+    def cost(x, y):  # with x on the left
+        left, summed, right = layout(x, y)
+        copied = (x != left + summed) * size(x) + (y != summed + right) * size(y)
+        return copied, output != left + right
+
+    swap = cost(b, a) < cost(a, b)
+    x, y = (b, a) if swap else (a, b)
+    left, summed, right = layout(x, y)
+    to_left = [x.index(c) for c in left + summed]
+    to_right = [y.index(c) for c in summed + right]
+    back = [(left + right).index(c) for c in output]
+    rows, inner, cols = size(left), size(summed), size(right)
+    shape = [sizes[c] for c in left + right]
+
+    def lower(x, y):
+        if swap:
+            x, y = y, x
+        z = x.transpose(to_left).reshape(rows, inner) @ y.transpose(to_right).reshape(inner, cols)
+        return z.reshape(shape).transpose(back)
+
+    return lower
+
+
+class _Plan(NamedTuple):
+    """How contract runs a spec on operands of given shapes."""
+
+    lower: object  # the matrix product of _lowering, or None
+    terms: int  # summed terms per result entry
+    work: int  # multiply-adds
+    out: int  # result entries
+
+
+@lru_cache(maxsize=1024)
+def _plan(spec, *shapes):
+    """The _Plan of an explicit "in,in->out" spec on operands of these
+    shapes, worked out once; no lowering below LOWERING_FLOOR."""
     inputs, output = spec.split("->")
+    inputs = inputs.split(",")
     sizes = {}
-    for labels, num in zip(inputs.split(","), nums):
-        sizes.update(zip(labels, num.shape))
-    bound = math.prod(n for c, n in sizes.items() if c not in output)  # summed terms
+    for labels, shape in zip(inputs, shapes):
+        sizes.update(zip(labels, shape))
+    work = math.prod(sizes.values())
     out = math.prod(sizes[c] for c in output)
-    objects = [num.size for num in nums if num.dtype != _INT64]
-    if objects and bound * out < INT64_WORK_FLOOR + INT64_WORK_PER_ENTRY * (sum(objects) + out):
-        return False
-    for num in nums:
-        # at least 1, so the bound also covers each operand's own entries
-        bound *= max(_top(num), 1)
-    return bound <= _INT64_MAX
+    lower = _lowering(inputs, output, sizes) if work >= LOWERING_FLOOR else None
+    return _Plan(lower, math.prod(n for c, n in sizes.items() if c not in output), work, out)
+
+
+def _lane(plan, arrays):
+    """The dtype an exact contraction runs on: float64 (lowered, bound at
+    most 2**53), int64 (bound at most 2**63 - 1, work repays casting any
+    object operand) or object."""
+    lower, terms, work, out = plan
+    objects = sum(a.num.size for a in arrays if a.num.dtype != _INT64)
+    worth = not objects or work >= INT64_WORK_FLOOR + INT64_WORK_PER_ENTRY * (objects + out)
+    if not (worth or lower):
+        return _OBJECT
+    # max(.., 1), so the bound also covers each operand's own entries
+    bound = terms * math.prod(max(a.top, 1) for a in arrays)
+    if lower and bound <= _FLOAT_EXACT:
+        return _FLOAT
+    return _INT64 if worth and bound <= _INT64_MAX else _OBJECT
 
 
 def contract(spec, *arrays):
-    """np.einsum over the numerators; the denominators multiply.  An exact
-    result stays on int64 when it provably fits and every operand is on
-    int64 or the work repays converting those that are not; else it runs
-    on Python ints.  A binary64 result reads -0.0 as 0.0, as the sums of
-    plain loops give."""
-    nums = [a.num for a in arrays]
-    den = math.prod(a.den for a in arrays)
+    """np.einsum(spec) over the numerators, or the same contraction as one
+    matrix product where _plan lowers it; the denominators multiply.  A
+    binary64 result reads -0.0 as 0.0, as the sums of plain loops give.  An
+    exact one runs on the lane _lane picks and is int64 from the float64
+    and int64 lanes, Python ints from the object lane."""
+    if len(arrays) == 2:  # most contractions: the plan's key needs no list
+        nums = arrays[0].num, arrays[1].num
+        plan = _plan(spec, nums[0].shape, nums[1].shape)
+    else:
+        nums = [a.num for a in arrays]
+        plan = _plan(spec, *[num.shape for num in nums])
     if nums[0].dtype == _FLOAT:
-        return ScaledArray(np.asarray(np.einsum(spec, *nums)) + 0.0, den)
-    lane = _INT64 if _fits_int64(spec, nums) else _OBJECT
+        lower = plan.lower
+        return ScaledArray(np.asarray(lower(*nums) if lower else np.einsum(spec, *nums)) + 0.0)
+    den = math.prod(a.den for a in arrays)
+    lane = _lane(plan, arrays)
     nums = [n if n.dtype == lane else n.astype(lane) for n in nums]
+    if lane == _FLOAT:
+        return ScaledArray(plan.lower(*nums).astype(_INT64), den)
     return ScaledArray(np.asarray(np.einsum(spec, *nums)).astype(lane, copy=False), den)
 
 

@@ -12,6 +12,7 @@ from fractions import Fraction
 from time import perf_counter
 
 import _acclog
+import _rowmath
 
 from quadlie import (
     TwoStepSpec,
@@ -334,8 +335,8 @@ def test_criterion_7_two_step_family():
 
         for _ in range(5):
             phi, psi = random_invertible(), random_invertible()
-            conjugated = linalg.mat_mul(
-                linalg.mat_mul(linalg.inverse(scalars.read(psi, 2)).tuples(), phi), psi
+            conjugated = _rowmath.mat_mul(
+                _rowmath.mat_mul(linalg.inverse(scalars.read(psi, 2)).tuples(), phi), psi
             )
             inv_a = similarity_invariants(phi)
             inv_b = similarity_invariants(conjugated)

@@ -19,6 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _rowmath
+
 from quadlie import linalg, scalars
 from quadlie.errors import DimensionMismatch, Singular
 
@@ -46,7 +48,7 @@ def matrices(draw, max_dim=5, square=False):
     if draw(st.booleans()):
         return _rows(draw, nrows, ncols)
     inner = draw(st.integers(1, max(1, min(nrows, ncols) - 1)))
-    product = linalg.mat_mul(_rows(draw, nrows, inner), _rows(draw, inner, ncols))
+    product = _rowmath.mat_mul(_rows(draw, nrows, inner), _rows(draw, inner, ncols))
     return [list(row) for row in product]
 
 
@@ -128,8 +130,8 @@ def test_exact_solve_known_system():
 def test_exact_inverse_roundtrip():
     a = [[F(2), F(1), F(0)], [F(1), F(3), F(1)], [F(0), F(1), F(4)]]
     inv = linalg.inverse(exact(a)).tuples()
-    prod = linalg.mat_mul(a, inv)
-    ident = linalg.identity(3, True)
+    prod = _rowmath.mat_mul(a, inv)
+    ident = _rowmath.identity(3, True)
     assert prod == ident
     assert all(isinstance(v, Fraction) for row in inv for v in row)
 
@@ -305,9 +307,9 @@ def test_solve_is_exact_and_singular_exactly_when_det_vanishes(a, data):
                 call()
         return
     sols = linalg.solve(A, B).transpose().tuples()
-    assert [linalg.mat_vec(a, x) for x in sols] == [tuple(c) for c in cols]
+    assert [_rowmath.mat_vec(a, x) for x in sols] == [tuple(c) for c in cols]
     assert linalg.solve(A, B[:, 0]).tuples() == sols[0]
-    assert linalg.mat_mul(a, linalg.inverse(A).tuples()) == linalg.identity(n, True)
+    assert _rowmath.mat_mul(a, linalg.inverse(A).tuples()) == _rowmath.identity(n, True)
 
 
 def _stored_form(result):

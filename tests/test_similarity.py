@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _rowmath
+
 from quadlie import linalg, scalars, similarity_invariants
 
 sympy = pytest.importorskip("sympy")
@@ -75,8 +77,8 @@ def jordan_conjugates(draw):
     ints = st.integers(-2, 2)
     lower = [[F(i == j) if j >= i else F(draw(ints)) for j in range(m)] for i in range(m)]
     upper = [[F(i == j) if j <= i else F(draw(ints)) for j in range(m)] for i in range(m)]
-    P = linalg.mat_mul(lower, upper)
-    return [list(row) for row in linalg.mat_mul(linalg.mat_mul(P, J), linalg.inverse(scalars.to_array(P, True)).tuples())]
+    P = _rowmath.mat_mul(lower, upper)
+    return [list(row) for row in _rowmath.mat_mul(_rowmath.mat_mul(P, J), linalg.inverse(scalars.to_array(P, True)).tuples())]
 
 
 @st.composite

@@ -1,25 +1,35 @@
-"""Time exact scalars.contract entering int64 against its object path.
+"""Time the routes of scalars.contract and fit the constants that pick them.
 
-The work rule of scalars._fits_int64 decides only when object operands
-enter int64: an operand already on int64 pays no cast and skips it.  For
-each spec the library contracts and each size n (every label of length n)
-the script times the same contraction of object operands twice: once
-with scalars.INT64_WORK_FLOOR and scalars.INT64_WORK_PER_ENTRY at 0, so
-any contraction whose bound fits converts its operands and runs on int64
-(the bound check and the operand casts included; the result stays on
-int64), and once with the floor out of reach, so it runs on objects.
-Numerators are drawn from -9..9, as small as the certificates' own.  It
-prints one JSON line per (spec, n) with the multiply-add count ("work"),
-the entries the rule counts (operands and result), the best of five
-medians in microseconds for each path, and their ratio.  The rule was
-fitted to these lines when the result was still cast back to Python
-ints, so it errs towards objects: int64 where
-work >= INT64_WORK_FLOOR + INT64_WORK_PER_ENTRY * entries.
+For each spec the library contracts and each size n (every label of
+length n) the script times the same contraction on each route it can
+take, and prints one JSON line per (spec, n) with the multiply-add count
+("work"), the entries the int64 work rule counts (operands and result),
+and the best of five medians in microseconds:
+
+- object_us and int64_us: exact operands on Python ints, once with
+  scalars.INT64_WORK_FLOOR and scalars.INT64_WORK_PER_ENTRY at 0, so
+  every contraction whose bound fits converts its operands and runs on
+  int64, and once with the floor out of reach, so it runs on objects.
+  The work rule was fitted to these when the result was still cast back
+  to Python ints, so it errs towards objects: int64 where
+  work >= INT64_WORK_FLOOR + INT64_WORK_PER_ENTRY * entries.
+- for the specs _plan can lower to one matrix product, einsum_us and
+  matmul_us in binary64 (float64 operands) and exact_einsum_us and
+  exact_matmul_us in exact mode (int64 operands, so the float64 lane
+  and the int64 einsum meet with no cast of objects), once with
+  scalars.LOWERING_FLOOR out of reach and once at 0.
+
+Numerators are drawn from -9..9, as small as the certificates' own, so
+every lowered exact contraction fits 2**53.  The last line is the fitted
+lowering floor: of the measured work counts, the one that minimises the
+summed log time over both modes when every contraction from that work up
+is lowered, beside the LOWERING_FLOOR in force.
 
     PYTHONPATH=src python3 tools/contract_crossover.py
 """
 
 import json
+import math
 import random
 import re
 import statistics
@@ -39,14 +49,15 @@ SPECS = sorted(
         for spec in re.findall(r'contract\(\s*"([^"]+)"', path.read_text())
     }
 )
-SIZES = range(2, 13)
+SIZES = range(2, 17)
+MAX_WORK = 120_000
 
 
-def _operands(spec, n, rng):
+def _operands(spec, n, rng, dtype):
     labels = spec.split("->")[0].split(",")
     return [
         scalars.ScaledArray(
-            np.array([rng.randint(-9, 9) for _ in range(n ** len(lab))], dtype=object).reshape(
+            np.array([rng.randint(-9, 9) for _ in range(n ** len(lab))], dtype=dtype).reshape(
                 (n,) * len(lab)
             ),
             1,
@@ -55,8 +66,10 @@ def _operands(spec, n, rng):
     ]
 
 
-def _time_us(spec, ops, floor):
-    scalars.INT64_WORK_FLOOR, scalars.INT64_WORK_PER_ENTRY = floor, 0
+def _time_us(spec, ops, work_floor=0, lowering_floor=sys.maxsize):
+    scalars.INT64_WORK_FLOOR, scalars.INT64_WORK_PER_ENTRY = work_floor, 0
+    scalars.LOWERING_FLOOR = lowering_floor
+    scalars._plan.cache_clear()
     reps = max(1, 2000 // (1 + ops[0].num.size))
     best = float("inf")
     for _ in range(5):
@@ -69,26 +82,63 @@ def _time_us(spec, ops, floor):
     return best * 1e6
 
 
+def _lowerable(spec):
+    inputs, output = spec.split("->")
+    shapes = [(2,) * len(lab) for lab in inputs.split(",")]
+    scalars.LOWERING_FLOOR = 0
+    scalars._plan.cache_clear()
+    return scalars._plan(spec, *shapes).lower is not None
+
+
+def _fit(rows):
+    """The floor among the measured work counts (or none reached) that
+    minimises the summed log time of the lowered rows, both modes."""
+    pairs = [
+        (row["work"], row[einsum], row[matmul])
+        for row in rows
+        for einsum, matmul in (("einsum_us", "matmul_us"), ("exact_einsum_us", "exact_matmul_us"))
+    ]
+
+    def cost(floor):
+        return sum(math.log(m if w >= floor else e) for w, e, m in pairs)
+
+    candidates = sorted({w for w, _, _ in pairs}) + [sys.maxsize]
+    return min(candidates, key=cost)
+
+
 def main():
     rng = random.Random(0)
-    saved = scalars.INT64_WORK_FLOOR, scalars.INT64_WORK_PER_ENTRY
+    saved = scalars.INT64_WORK_FLOOR, scalars.INT64_WORK_PER_ENTRY, scalars.LOWERING_FLOOR
+    lowered = []
     try:
         for spec in SPECS:
             chars = set(spec.split("->")[0]) - {","}
+            lowerable = _lowerable(spec)
             for n in SIZES:
                 work = n ** len(chars)
-                if work > 120_000:
+                if work > MAX_WORK:
                     break
-                ops = _operands(spec, n, rng)
-                obj = _time_us(spec, ops, sys.maxsize)
-                i64 = _time_us(spec, ops, 0)
+                ops = _operands(spec, n, rng, object)
+                obj = _time_us(spec, ops, work_floor=sys.maxsize)
+                i64 = _time_us(spec, ops)
                 entries = sum(op.num.size for op in ops) + n ** len(spec.split("->")[1])
                 row = {"spec": spec, "n": n, "work": work, "entries": entries,
-                       "object_us": round(obj, 2),
-                       "int64_us": round(i64, 2), "object_over_int64": round(obj / i64, 3)}
+                       "object_us": round(obj, 2), "int64_us": round(i64, 2),
+                       "object_over_int64": round(obj / i64, 3)}
+                if lowerable:
+                    floats = [a.to_float() for a in ops]
+                    ints = [scalars.ScaledArray(a.num.astype(np.int64), 1) for a in ops]
+                    for prefix, args in (("", floats), ("exact_", ints)):
+                        row[prefix + "einsum_us"] = round(_time_us(spec, args), 2)
+                        row[prefix + "matmul_us"] = round(_time_us(spec, args, lowering_floor=0), 2)
+                    lowered.append(row)
                 print(json.dumps(row), flush=True)
     finally:
-        scalars.INT64_WORK_FLOOR, scalars.INT64_WORK_PER_ENTRY = saved
+        scalars.INT64_WORK_FLOOR, scalars.INT64_WORK_PER_ENTRY, scalars.LOWERING_FLOOR = saved
+        scalars._plan.cache_clear()
+    floor = _fit(lowered)
+    print(json.dumps({"fitted_lowering_floor": None if floor == sys.maxsize else floor,
+                      "LOWERING_FLOOR": scalars.LOWERING_FLOOR}), flush=True)
 
 
 if __name__ == "__main__":
