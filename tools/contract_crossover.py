@@ -53,11 +53,11 @@ SIZES = range(2, 17)
 MAX_WORK = 120_000
 
 
-def _operands(spec, n, rng, dtype):
+def _operands(spec, n, rng):
     labels = spec.split("->")[0].split(",")
     return [
         scalars.ScaledArray(
-            np.array([rng.randint(-9, 9) for _ in range(n ** len(lab))], dtype=dtype).reshape(
+            np.array([rng.randint(-9, 9) for _ in range(n ** len(lab))], dtype=object).reshape(
                 (n,) * len(lab)
             ),
             1,
@@ -118,7 +118,7 @@ def main():
                 work = n ** len(chars)
                 if work > MAX_WORK:
                     break
-                ops = _operands(spec, n, rng, object)
+                ops = _operands(spec, n, rng)
                 obj = _time_us(spec, ops, work_floor=sys.maxsize)
                 i64 = _time_us(spec, ops)
                 entries = sum(op.num.size for op in ops) + n ** len(spec.split("->")[1])
