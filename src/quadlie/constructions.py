@@ -106,7 +106,7 @@ def build_double_extension(w_dim, k0, theta):
     k0f = as_form(k0, _size(w_dim, "w_dim"))
     TH = scalars.read(theta, 2, w_dim)
     k0f, TH = scalars.common_mode(k0f, TH)
-    exact, K0 = TH.exact, k0f.array.wide()
+    exact, K0 = TH.exact, k0f.array
 
     k0th = scalars.contract("ij,jk->ik", K0, TH)
     tol = scalars.tolerance(exact, max(1.0, K0.scale() * TH.scale()))
@@ -118,8 +118,9 @@ def build_double_extension(w_dim, k0, theta):
     n = w_dim + 2
     # [w_i, w_j] = omega[i][j] e0 for i < j, omega = theta^T k0; its
     # denominator is a multiple of theta's.  The tables are filled and
-    # scaled entry by entry, so omega and k0 are read as Python ints.
+    # scaled entry by entry, so theta, omega and k0 are read as Python ints.
     omega = scalars.contract("ji,jk->ik", TH, K0).wide()
+    TH, K0 = TH.wide(), K0.wide()
     c = np.zeros((n, n, n), dtype=TH.num.dtype)
     c[0, 2:, 2:] = TH.num.T * (omega.den // TH.den)  # [e-1, w_j] = theta w_j
     i, j = np.triu_indices(w_dim, 1)
@@ -200,7 +201,7 @@ def _alternating_theta(m, theta):
 
 def _pairing(m, exact):
     """Duality pairing of V and V*, dim V = m, as a 2m x 2m ScaledArray."""
-    kmat = np.zeros((2 * m, 2 * m), dtype=object if exact else float)
+    kmat = np.zeros((2 * m, 2 * m), dtype=np.int64 if exact else float)
     i = np.arange(m)
     kmat[i, m + i] = kmat[m + i, i] = 1
     return scalars.ScaledArray(kmat)
@@ -393,12 +394,13 @@ def build_cotangent_double(L):
     two-step quadratic class at doubled dimension.
     """
     n = as_algebra(L).dim
-    C = L.array.wide()
+    C = L.array
     c = np.zeros((2 * n,) * 3, dtype=C.num.dtype)
     # A occupies indices n..2n-1, the duals 0..n-1
     c[n:, n:, n:] = C.num
     # [x, delta^m] = - sum_j c[x][j][m] delta^j, and [delta^m, x] its
-    # negative; 0 - x keeps a binary64 zero at +0.0
+    # negative; 0 - x keeps a binary64 zero at +0.0, and an int64 one
+    # cannot wrap, since no stored int64 numerator is -2**63
     c[n:, :n, :n] = 0 - C.num.transpose(0, 2, 1)
     c[:n, n:] = 0 - c[n:, :n].transpose(1, 0, 2)
     labels = tuple([f"d{l}" for l in L.labels] + list(L.labels))

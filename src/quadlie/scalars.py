@@ -18,28 +18,23 @@ product when the product of all index sizes reaches LOWERING_FLOOR, one
 constant for both modes fitted with tools/contract_crossover.py; every
 other contraction is one np.einsum.
 
-An exact tensor lives on one of two lanes: int64 numerators whose size
-has been proved to fit, or an object-dtype array of Python ints, which
-takes numerators of any size; binary64 is the third lane, float64.
-Every operation proves its bound, read from each operand's largest
-|numerator| (ScaledArray.top, read once), before it runs on machine
-numbers.  A contraction's bound is (number of summed terms) times the
-product of each operand's max(largest |numerator|, 1).  A lowered one
-runs on float64 and returns int64 when the bound is at most 2**53, so
-every product and partial sum is an integer float64 holds exactly, in
-any order of summation; otherwise a contraction keeps an int64 result
-when the bound is at most 2**63 - 1, so no partial sum can overflow.
-+ and - stay on int64 when both operands are on it and the sum of each
-one's largest |numerator| times its factor to the common denominator is
-at most 2**63 - 1 too.  An operation whose bound fails runs on Python
-ints.
-Object operands enter int64 only in a contraction, and only when its
-multiply-adds reach INT64_WORK_FLOOR plus INT64_WORK_PER_ENTRY per entry
-converted (object operands and result), since a cast costs about as much
-per entry as an object multiply-add; an operand already on int64 pays no
-cast.  Smaller contractions that are not lowered, a matrix times a
-vector for one, stay on the object-dtype einsum, one Python-int
-operation per multiply-add.
+An exact tensor lives on one of two lanes, by one rule its constructor
+keeps: int64 numerators exactly when every one fits (largest |numerator|
+at most 2**63 - 1, so -2**63 stays off int64 and abs cannot wrap), else
+an object-dtype array of Python ints of any size; ScaledArray.wide alone
+holds fitting numerators as Python ints.  Binary64 is the third lane,
+float64.  Every operation proves its bound from each operand's largest
+|numerator| (ScaledArray.top, read once) before it runs on machine
+numbers.  A contraction's bound is max(summed terms, 1) times the
+product of each operand's max(top, 1), so it covers every operand entry
+as well as every partial sum; lowered, it runs on float64 when the bound
+is at most 2**53, so every product and partial sum is an integer float64
+holds exactly, in any order, else on int64 when it is at most 2**63 - 1,
+so no partial sum can overflow.  + and - stay on int64 when each
+operand's max(top, 1) times its factor to the common denominator,
+summed, fits too; an operand on Python ints fails that bound unread.  An
+operation whose bound fails runs on Python ints; its result returns to
+int64 when it fits.
 Every value handed out, by peak, scalar, tuples and to_float, is read
 as Python ints, so no numpy integer reaches a Fraction; code outside
 this module that computes with exact numerators reads them through wide,
@@ -194,18 +189,16 @@ _FLOAT_EXACT = 2**53
 def _aligned(x, y):
     """The numerators of two ScaledArrays of one mode over their common
     denominator, and that denominator.  Exact numerators stay on int64
-    when both are and max(largest |numerator|, 1) times the factor to the
-    common denominator, summed over the two, fits, so neither a factor nor
-    a scaled entry nor a sum or difference of two can wrap; else they are
-    Python ints."""
+    when max(largest |numerator|, 1) times the factor to the common
+    denominator, summed over the two, fits, so neither a factor nor a
+    scaled entry nor a sum or difference of two can wrap; else, and at
+    once when either is on Python ints, they are Python ints."""
     a, b = x.num, y.num
     if a.dtype == _FLOAT:  # binary64, over 1
         return a, b, 1
     den = math.lcm(x.den, y.den)
     fa, fb = den // x.den, den // y.den
-    if (a.dtype == _INT64 or b.dtype == _INT64) and not (
-        a.dtype == b.dtype and max(x.top, 1) * fa + max(y.top, 1) * fb <= _INT64_MAX
-    ):
+    if _OBJECT in (a.dtype, b.dtype) or max(x.top, 1) * fa + max(y.top, 1) * fb > _INT64_MAX:
         a, b = x.wide().num, y.wide().num
     return (a if fa == 1 else a * fa), (b if fb == 1 else b * fb), den
 
@@ -224,12 +217,12 @@ class _kept:
         return value
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class ScaledArray:
     """A tensor as it is stored: entry = num / den.
 
-    Exact: num is an int64 array, whose entries an operation has proved
-    to fit, or an object array of Python ints, and den a positive int.
+    Exact: num is int64 exactly when every numerator fits (the constructor
+    narrows object arrays), else Python ints, and den a positive int.
     Binary64: num is a float64 array and den is 1.  Instances are never
     modified; arithmetic returns new ones.  Equality is by value and mode:
     the same tensor over two denominators or on two lanes is equal, and an
@@ -238,6 +231,16 @@ class ScaledArray:
 
     num: np.ndarray
     den: int = 1
+
+    def __init__(self, num, den=1):
+        if num.dtype == _OBJECT:  # Python ints: on int64 when all fit
+            try:
+                small = num.astype(_INT64)
+                num = small if not small.size or small.min() >= -_INT64_MAX else num
+            except OverflowError:  # one beyond int64
+                pass
+        # frozen: the fields are set once, past the dataclass's __setattr__
+        self.__dict__.update(num=num, den=den)
 
     @property
     def exact(self):
@@ -252,11 +255,19 @@ class ScaledArray:
         top = np.maximum.reduce(np.abs(num), axis=None) if num.size else 0
         return float(top) if num.dtype == _FLOAT else int(top)
 
+    def _as(self, num):
+        """These numerators as num, rearranged or as Python ints, held as
+        given (not narrowed), with this denominator and any top read."""
+        out = object.__new__(ScaledArray)
+        out.__dict__.update(self.__dict__, num=num)
+        return out
+
     def wide(self):
         """The same tensor with exact numerators as Python ints, safe for
         any arithmetic; a tensor already on Python ints or in binary64 as
-        it is."""
-        return ScaledArray(self.num.astype(object), self.den) if self.num.dtype == _INT64 else self
+        it is.  The one way to hold numerators that fit int64 as Python
+        ints."""
+        return self._as(self.num.astype(object)) if self.num.dtype == _INT64 else self
 
     def __eq__(self, other):
         if not (isinstance(other, ScaledArray) and self.exact == other.exact):
@@ -290,10 +301,10 @@ class ScaledArray:
         return ScaledArray(a - b, den)
 
     def transpose(self, *axes):
-        return ScaledArray(self.num.transpose(*axes), self.den)
+        return self._as(self.num.transpose(*axes))
 
     def reshape(self, *shape):
-        return ScaledArray(self.num.reshape(*shape), self.den)
+        return self._as(self.num.reshape(*shape))
 
     def __getitem__(self, key):
         return ScaledArray(self.num[key], self.den)
@@ -337,14 +348,14 @@ def to_array(nested, exact):
         entries = np.array(nested, dtype=object)
         den = math.lcm(*(v.denominator for v in entries.flat))
         ints = [v.numerator * (den // v.denominator) for v in entries.flat]
-        num = np.array(ints, dtype=object).reshape(entries.shape)
+        out = ScaledArray(np.array(ints, dtype=object).reshape(entries.shape), den)
     else:
         try:
-            num, den = np.array(nested, dtype=float), 1
+            out = ScaledArray(np.array(nested, dtype=float))
         except OverflowError:  # an int beyond binary64
             raise InvalidValue(_BEYOND) from None
-    num.flags.writeable = False
-    return ScaledArray(num, den)
+    out.num.flags.writeable = False
+    return out
 
 
 def read(value, ndim, n=None, exact=None):
@@ -378,26 +389,20 @@ def read(value, ndim, n=None, exact=None):
 
 def eye(n, exact):
     """The n x n identity as a ScaledArray."""
-    return ScaledArray(np.eye(n, dtype=object if exact else float))
+    return ScaledArray(np.eye(n, dtype=_INT64 if exact else _FLOAT))
 
 
 def stack(arrays):
     """The rows of ScaledArrays of one mode, one after another, over their
-    common denominator; exact rows as Python ints."""
+    common denominator."""
     den = math.lcm(*(a.den for a in arrays))
-    nums = [(a.wide().num, den // a.den) for a in arrays]
-    return ScaledArray(np.concatenate([num if f == 1 else num * f for num, f in nums]), den)
+    rows = [a if a.den == den else ScaledArray(a.wide().num * (den // a.den), den) for a in arrays]
+    return ScaledArray(np.concatenate([a.num for a in rows]), den)
 
 
-# object operands enter int64 once the multiply-adds reach
-# INT64_WORK_FLOOR plus INT64_WORK_PER_ENTRY per entry converted (the
-# object operands and the result), since a cast costs about an object
-# multiply-add; fitted to per-spec, per-size timings from
-# tools/contract_crossover.py
-INT64_WORK_FLOOR = 256
-INT64_WORK_PER_ENTRY = 1.5
 # a lowerable contraction whose index sizes multiply to at least this runs
-# as one matrix product, in both modes; fitted with the same tool
+# as one matrix product, in both modes; fitted with
+# tools/contract_crossover.py
 LOWERING_FLOOR = 625
 
 
@@ -458,8 +463,6 @@ class _Plan(NamedTuple):
 
     lower: object  # the matrix product of _lowering, or None
     terms: int  # summed terms per result entry
-    work: int  # multiply-adds
-    out: int  # result entries
 
 
 @lru_cache(maxsize=1024)
@@ -472,25 +475,19 @@ def _plan(spec, *shapes):
     for labels, shape in zip(inputs, shapes):
         sizes.update(zip(labels, shape))
     work = math.prod(sizes.values())
-    out = math.prod(sizes[c] for c in output)
     lower = _lowering(inputs, output, sizes) if work >= LOWERING_FLOOR else None
-    return _Plan(lower, math.prod(n for c, n in sizes.items() if c not in output), work, out)
+    return _Plan(lower, math.prod(n for c, n in sizes.items() if c not in output))
 
 
 def _lane(plan, arrays):
     """The dtype an exact contraction runs on: float64 (lowered, bound at
-    most 2**53), int64 (bound at most 2**63 - 1, work repays casting any
-    object operand) or object."""
-    lower, terms, work, out = plan
-    objects = sum(a.num.size for a in arrays if a.num.dtype != _INT64)
-    worth = not objects or work >= INT64_WORK_FLOOR + INT64_WORK_PER_ENTRY * (objects + out)
-    if not (worth or lower):
-        return _OBJECT
-    # max(.., 1), so the bound also covers each operand's own entries
-    bound = terms * math.prod(max(a.top, 1) for a in arrays)
-    if lower and bound <= _FLOAT_EXACT:
+    most 2**53), int64 (bound at most 2**63 - 1) or object."""
+    # max(.., 1), so the bound also covers each operand's own entries,
+    # even with no summed term
+    bound = max(plan.terms, 1) * math.prod(max(a.top, 1) for a in arrays)
+    if plan.lower and bound <= _FLOAT_EXACT:
         return _FLOAT
-    return _INT64 if worth and bound <= _INT64_MAX else _OBJECT
+    return _INT64 if bound <= _INT64_MAX else _OBJECT
 
 
 def contract(spec, *arrays):
@@ -498,7 +495,7 @@ def contract(spec, *arrays):
     matrix product where _plan lowers it; the denominators multiply.  A
     binary64 result reads -0.0 as 0.0, as the sums of plain loops give.  An
     exact one runs on the lane _lane picks and is int64 from the float64
-    and int64 lanes, Python ints from the object lane."""
+    and int64 lanes; from the object lane it is stored by the lane rule."""
     if len(arrays) == 2:  # most contractions: the plan's key needs no list
         nums = arrays[0].num, arrays[1].num
         plan = _plan(spec, nums[0].shape, nums[1].shape)

@@ -70,6 +70,41 @@ def test_oscillator_matches_double_extension():
     assert K_ext.matrix == K_osc.matrix
 
 
+def _double_extension_by_fractions(k0, theta):
+    """The double extension's table and form, entry by entry in Fraction."""
+    w = len(k0)
+    n = w + 2
+    c = [[[F(0)] * n for _ in range(n)] for _ in range(n)]
+    for p in range(w):
+        for q in range(w):
+            c[0][2 + p][2 + q] = theta[q][p]  # [e-1, w_p] = theta w_p
+            c[2 + p][0][2 + q] = -theta[q][p]
+    for i in range(w):
+        for j in range(i + 1, w):
+            omega = sum(theta[l][i] * k0[l][j] for l in range(w))  # theta^T k0
+            c[2 + i][2 + j][1], c[2 + j][2 + i][1] = omega, -omega
+    k = [[F(0)] * n for _ in range(n)]
+    k[0][1] = k[1][0] = F(1)
+    for i in range(w):
+        k[2 + i][2:] = k0[i]
+    return c, k
+
+
+def test_double_extension_of_numerators_near_int64_matches_fractions():
+    # theta's numerators fit int64 and are stored there, but scaled to
+    # omega's denominator 21 they would wrap
+    z, big = F(0), F(2**61)
+    k0 = [[F(1, 7) if i == j else z for j in range(3)] for i in range(3)]
+    theta = [[z, big, z], [-big, z, F(1, 3)], [z, F(-1, 3), z]]
+    L, k = build_double_extension(3, k0, theta)
+    c, kmat = _double_extension_by_fractions(k0, theta)
+    assert L.c == _tupled(c) and k.matrix == _tupled(kmat)
+
+
+def _tupled(rows):
+    return tuple(_tupled(r) for r in rows) if isinstance(rows, list) else rows
+
+
 def test_double_extension_rejects_non_skew_theta():
     k0 = ((F(1), F(0)), (F(0), F(1)))
     theta = ((F(0), F(1)), (F(1), F(0)))

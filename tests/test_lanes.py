@@ -1,13 +1,14 @@
-"""The two exact lanes of a ScaledArray agree: int64 numerators, which an
-operation keeps only while its bound proves they fit, and Python ints,
-which take numerators of any size.
+"""The two exact lanes of a ScaledArray agree: int64 numerators, which a
+tensor holds exactly when every one fits, and Python ints, which take
+numerators of any size (and, through wide(), fitting ones too).
 
 Each operation must give the same tensor on either lane, Fraction for
 Fraction, for numerators up to the int64 edge and denominators beyond
-int64; every Fraction handed out must hold Python ints; and to_float must
-round once.
+int64, and store it on the lane its numerators fit; every Fraction handed
+out must hold Python ints; and to_float must round once.
 """
 
+import dataclasses
 import math
 import operator
 from fractions import Fraction
@@ -17,7 +18,26 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from quadlie import catalog, curvature, levi_civita, product_report, scalars, validate_algebra
+import quadlie
+from quadlie import (
+    ProductTensor,
+    build_cotangent_double,
+    build_double_extension,
+    build_oscillator,
+    build_two_step,
+    catalog,
+    check_ad_invariance,
+    curvature,
+    flatness_report,
+    levi_civita,
+    polynomial_geodesic_check,
+    product_report,
+    scalars,
+    similarity_invariants,
+    structure_report,
+    two_step_metric,
+    validate_algebra,
+)
 from quadlie.errors import AntisymmetryViolation, JacobiViolation
 
 PROFILE = settings(derandomize=True, database=None, deadline=None, max_examples=80,
@@ -33,11 +53,10 @@ _DEN = st.one_of(st.integers(1, 6), st.integers(2**63, 2**70))
 
 
 def _lanes(values, shape, den):
-    """The same exact tensor on the int64 lane and on Python ints."""
-    return (
-        scalars.ScaledArray(np.array(values, dtype=np.int64).reshape(shape), den),
-        scalars.ScaledArray(np.array(values, dtype=object).reshape(shape), den),
-    )
+    """The same exact tensor on the int64 lane and, through wide(), on
+    Python ints."""
+    small = scalars.ScaledArray(np.array(values, dtype=np.int64).reshape(shape), den)
+    return small, small.wide()
 
 
 @st.composite
@@ -63,28 +82,30 @@ def _top(a):
     return max((abs(int(v)) for v in a.num.flat), default=0)
 
 
+def _on_its_lane(a):
+    """a holds its numerators on int64 exactly when every one fits."""
+    assert (a.num.dtype == INT64) == (_top(a) <= INT64_MAX)
+
+
 def _same(got, want):
-    """got equals the Python-int result want numerator for numerator over
-    the same denominator, so nothing wrapped, and by value and hash."""
-    assert got.den == want.den and list(map(int, got.num.flat)) == list(want.num.flat)
+    """got equals the result want, computed on Python ints, numerator for
+    numerator over the same denominator, so nothing wrapped, and by value
+    and hash; both lie on the lane their numerators fit."""
+    assert got.den == want.den and list(map(int, got.num.flat)) == list(map(int, want.num.flat))
     assert got == want and hash(got) == hash(want)
     assert got.tuples() == want.tuples() and _python_ints(got.tuples())
+    _on_its_lane(got)
+    _on_its_lane(want)
 
 
 @PROFILE
 @given(tensors(), tensors())
 def test_sums_and_differences_agree_on_both_lanes(a, b):
     (ai, ao), (bi, bo) = a, b
-    den = math.lcm(ai.den, bi.den)
-    fits = max(_top(ai), 1) * (den // ai.den) + max(_top(bi), 1) * (den // bi.den) <= INT64_MAX
     for op in (operator.add, operator.sub):
         want = op(ao, bo)
-        assert want.num.dtype == object
         for x, y in ((ai, bi), (ai, bo), (ao, bi)):
-            got = op(x, y)
-            _same(got, want)
-            # int64 only when both operands are and the bound fits
-            assert (got.num.dtype == INT64) == (x is ai and y is bi and fits)
+            _same(op(x, y), want)
 
 
 _CONTRACTIONS = [
@@ -109,9 +130,8 @@ def test_contractions_agree_on_both_lanes(spec, left, right):
         for x, y in ((ai, bi), (ai, bo), (ao, bi)):
             got = scalars.contract(spec, x, y)
             _same(got, want)
-            # operands already on int64 stay there while the bound fits;
-            # too little work here for an object operand to enter int64
-            assert (got.num.dtype == INT64) == (x is ai and y is bi and fits)
+            # int64 whenever the bound fits, on either lane of the operands
+            assert got.num.dtype == INT64 or not fits
 
     check()
 
@@ -184,3 +204,118 @@ def test_violations_on_the_int64_lane_report_python_ints(scale):
         validate_algebra(scalars.ScaledArray(skewed, 5))
     assert err.value.residual == Fraction(2 * scale, 5)
     assert _python_ints([err.value.residual])
+
+
+# ---------------------------------------------------------------------------
+# stored tensors: int64 exactly when every numerator fits
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_to_array_stores_numerators_to_the_int64_edge_on_int64(sign):
+    # over the lcm denominator 7, (2**63 - 1) / 7 becomes 2**63 - 1
+    entries = [sign * Fraction(INT64_MAX // 7), Fraction(1, 7)]
+    edge = scalars.to_array(entries, True)
+    assert edge.den == 7 and edge.num.dtype == INT64
+    assert int(edge.num[0]) == sign * INT64_MAX and edge.tuples() == tuple(entries)
+    # over 2, 2**62 becomes 2**63: beyond int64, and so is -2**63 here
+    entries = [sign * Fraction(2**62), Fraction(1, 2)]
+    beyond = scalars.to_array(entries, True)
+    assert beyond.den == 2 and beyond.num.dtype == object
+    assert beyond.num[0] == sign * 2**63 and beyond.tuples() == tuple(entries)
+    assert scalars.read(entries, 1) == beyond and scalars.read(entries, 1).num.dtype == object
+
+
+def test_the_constructor_narrows_and_wide_alone_keeps_python_ints():
+    fits = np.array([INT64_MAX, -INT64_MAX, 0], dtype=object)
+    a = scalars.ScaledArray(fits, 3)
+    assert a.num.dtype == INT64 and a.wide().num.dtype == object and a.wide() == a
+    for beyond in (2**63, -(2**63), 2**70):
+        b = scalars.ScaledArray(np.array([beyond, 1], dtype=object))
+        assert b.num.dtype == object and b.num[0] == beyond
+    assert scalars.ScaledArray(np.zeros((0, 3), dtype=object)).num.dtype == INT64
+
+
+@pytest.mark.parametrize("n", [0, 1, 4])
+def test_eye_is_int64(n):
+    identity = scalars.eye(n, True)
+    assert identity.num.dtype == INT64 and identity.den == 1
+    assert identity == scalars.to_array(np.eye(n, dtype=int).astype(object), True)
+
+
+_CATALOG = ["e2-motion", "oscillator(1,2)", "oscillator(1/2,3)", "dim4-b", "dim5-nilpotent",
+            "two-step-volume", "a-d(1)", "a-d-double(1)", "a-d-double(-3)"]
+
+
+@pytest.mark.parametrize("name", _CATALOG)
+def test_catalog_tensors_are_int64(name):
+    entry = catalog(name)
+    stored = [entry.algebra, entry.quad_form, entry.metric, entry.iso]
+    stored += [v for v in entry.oracles.values() if isinstance(v, ProductTensor)]
+    for form in (entry.quad_form, entry.metric):
+        if form is not None:
+            P = levi_civita(entry.algebra, form)
+            stored += [P, curvature(P)]
+    for tensor in filter(None, stored):
+        assert tensor.array.num.dtype == INT64, type(tensor).__name__
+
+
+def test_builder_tensors_are_int64():
+    volume = catalog("two-step-volume")
+    built = [*build_oscillator((1, 2)), *build_two_step(quadlie.TwoStepSpec(3, "volume")),
+             *build_cotangent_double(catalog("a-d(1)").algebra),
+             *catalog("dim5-nilpotent").oracles["flat_structure"]()[1:]]
+    phi = [[1, 2, 0], [0, 1, 0], [3, 0, 1]]
+    built += two_step_metric(quadlie.TwoStepSpec(dim_v=3, theta="volume", phi=phi))[:2]
+    built += volume.oracles["metric_family"](phi)[:2]
+    for tensor in built:
+        assert tensor.array.num.dtype == INT64, type(tensor).__name__
+
+
+def _handed_out(x):
+    """Every scalar in a result: the fields of a report, certificate or
+    tensor class, the entries of sequences, dict values and the entries
+    of each stored tensor."""
+    if isinstance(x, scalars.ScaledArray):
+        yield from _handed_out(x.tuples())
+    elif dataclasses.is_dataclass(x):
+        for field in dataclasses.fields(x):
+            yield from _handed_out(getattr(x, field.name))
+    elif isinstance(x, (tuple, list)):
+        for v in x:
+            yield from _handed_out(v)
+    elif isinstance(x, dict):
+        for v in x.values():
+            yield from _handed_out(v)
+    else:
+        yield x
+
+
+def test_results_hand_out_no_numpy_integer():
+    dim5 = catalog("dim5-nilpotent")
+    L = dim5.algebra
+    spec, flat, metric = dim5.oracles["flat_structure"]()
+    results = [spec, flat, metric, structure_report(L), check_ad_invariance(L, dim5.quad_form),
+               polynomial_geodesic_check(L, quadlie.iso_from_metric(dim5.quad_form, metric)),
+               similarity_invariants([[1, 2], [3, 4]])]
+    for name in _CATALOG:
+        entry = catalog(name)
+        results.append(structure_report(entry.algebra))
+        for form in (entry.quad_form, entry.metric):
+            if form is not None:
+                P = levi_civita(entry.algebra, form)
+                R = curvature(P)
+                results += [P, R, product_report(P), flatness_report(entry.algebra, form),
+                            R.max_abs(), quadlie.signature(form)]
+    handed = list(_handed_out(results))
+    assert not [v for v in handed if isinstance(v, np.generic)]
+    assert _python_ints(handed) and any(isinstance(v, Fraction) for v in handed)
+
+
+def test_a_contraction_with_no_summed_term_beside_entries_beyond_int64_stays_exact():
+    # an empty summed label makes every result entry an empty sum, 0, but
+    # the bound must still cover the third operand's own entries
+    left = scalars.ScaledArray(np.zeros((0, 2), dtype=np.int64))
+    mid = scalars.ScaledArray(np.zeros((0, 2, 2), dtype=np.int64))
+    right = scalars.ScaledArray(np.array([[2**70, 1], [-(2**63), 1]], dtype=object))
+    got = scalars.contract("ip,ijk,lk->pjl", left, mid, right)
+    assert got.num.shape == (2, 2, 2) and got.num.dtype == INT64 and not got.num.any()

@@ -313,15 +313,15 @@ def test_solve_is_exact_and_singular_exactly_when_det_vanishes(a, data):
 
 
 def _stored_form(result):
-    """An exact kernel result is in its stored form: equal in num and den
-    to what to_array builds from its entries, lowest terms over the
-    positive lcm denominator."""
+    """An exact kernel result is in its stored form: equal in num, lane
+    and den to what to_array builds from its entries, lowest terms over
+    the positive lcm denominator."""
     nested = result.tuples()
     if nested:  # to_array of an empty tuple has no columns to compare
         ref = scalars.to_array(nested, True)
         assert result.den == ref.den
         assert result.num.shape == ref.num.shape
-        assert all(type(v) is int for v in result.num.flat)
+        assert result.num.dtype == ref.num.dtype
         assert np.array_equal(result.num, ref.num)
 
 

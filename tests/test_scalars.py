@@ -149,7 +149,8 @@ _ABOVE = [(2**k, [2] * (63 - k)) for k in (3, 6, 11)]
 
 
 def _reference(spec, nums):
-    """The contraction by plain loops over every index assignment."""
+    """The contraction by plain loops over every index assignment, on
+    Python ints."""
     inputs, output = spec.split("->")
     labels = inputs.split(",")
     sizes = {c: n for lab, num in zip(labels, nums) for c, n in zip(lab, num.shape)}
@@ -159,37 +160,41 @@ def _reference(spec, nums):
         at = dict(zip(order, values))
         term = 1
         for lab, num in zip(labels, nums):
-            term *= num[tuple(at[c] for c in lab)]
+            term *= int(num[tuple(at[c] for c in lab)])
         key = tuple(at[c] for c in output)
         out[key] = out.get(key, 0) + term
     shape = tuple(sizes[c] for c in output)
     return [out.get(idx, 0) for idx in itertools.product(*(range(n) for n in shape))]
 
 
-def _worth_int64(spec, shapes):
-    """The work rule of scalars.contract, restated: the multiply-adds reach
-    INT64_WORK_FLOOR plus INT64_WORK_PER_ENTRY per operand and result entry."""
-    inputs, output = spec.split("->")
-    sizes = {c: n for lab, shape in zip(inputs.split(","), shapes) for c, n in zip(lab, shape)}
-    work = math.prod(sizes.values())
-    entries = sum(map(math.prod, shapes)) + math.prod(sizes[c] for c in output)
-    return work >= scalars.INT64_WORK_FLOOR + scalars.INT64_WORK_PER_ENTRY * entries
+def _spied(spec, arrays):
+    """contract(spec, *arrays), the dtypes of each np.einsum call's
+    operands and what each call returned."""
+    calls = []
+    einsum = np.einsum
+
+    def spy(s, *ops):
+        out = einsum(s, *ops)
+        calls.append(({op.dtype for op in ops}, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "einsum", spy)
+        out = scalars.contract(spec, *arrays)
+    return out, calls
 
 
-def _reaches_int64(spec):
-    """Whether growing the result makes int64 worth it: every operand misses
-    an output label, so its entries are each used many times.  A matrix
-    times a vector, a trace and a dot product never do."""
-    inputs, output = spec.split("->")
-    return all(set(output) - set(lab) for lab in inputs.split(","))
+def _on_its_lane(out):
+    """out holds its numerators on int64 exactly when every one fits."""
+    fits = max((abs(int(v)) for v in out.num.flat), default=0) <= 2**63 - 1
+    assert out.num.dtype == np.dtype(np.int64 if fits else object)
 
 
 @st.composite
 def _operands(draw, spec, case):
     """Operands of spec whose numerator bound is at 2**63 - 1 ("at-bound"),
-    on 2**63 ("above"), or at 2**63 - 1 with too little work for int64
-    ("small"); at-bound and above grow the result until int64 is worth it,
-    where the spec can reach that."""
+    on 2**63 ("above"), or at 2**63 - 1 with every free label of size 1
+    ("small")."""
     inputs, output = spec.split("->")
     labels = inputs.split(",")
     summed = sorted(set(inputs) - set(output) - {","})
@@ -202,10 +207,6 @@ def _operands(draw, spec, case):
     sizes = dict.fromkeys(summed, 1) | {summed[0]: terms}
     sizes |= dict.fromkeys(output, 1 if case == "small" else 2)
     rng = random.Random(draw(st.integers(0, 2**32)))
-    while case != "small" and _reaches_int64(spec) and not _worth_int64(
-        spec, [tuple(sizes[c] for c in lab) for lab in labels]
-    ):
-        sizes[rng.choice(output)] += 1
     # split the bound's factors among the operands' largest |numerator|
     owners = [rng.randrange(len(labels)) for _ in factors]
     peaks = [math.prod(p for p, o in zip(factors, owners) if o == a) for a in range(len(labels))]
@@ -231,48 +232,43 @@ def test_contract_matches_plain_loops_on_both_paths(spec, case):
               suppress_health_check=[HealthCheck.too_slow])
     @given(_operands(spec, case))
     def check(arrays):
-        dtypes = []
-        einsum = np.einsum
-
-        def spy(s, *ops):
-            dtypes.append({op.dtype for op in ops})
-            return einsum(s, *ops)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(np, "einsum", spy)
-            out = scalars.contract(spec, *arrays)
-        worth = _worth_int64(spec, [a.num.shape for a in arrays])
-        assert worth == (case != "small" and _reaches_int64(spec))
-        on_int64 = case == "at-bound" and worth
-        assert dtypes == [{np.dtype(np.int64 if on_int64 else object)}]
+        out, calls = _spied(spec, arrays)
+        # int64 whenever the bound fits
+        on_int64 = case != "above"
+        assert [dtypes for dtypes, _ in calls] == [{np.dtype(np.int64 if on_int64 else object)}]
         assert out.exact and out.den == math.prod(a.den for a in arrays)
-        flat = list(out.num.flat)
-        assert out.num.dtype == np.dtype(np.int64 if on_int64 else object)
-        assert flat == _reference(spec, [a.num for a in arrays])
+        _on_its_lane(out)
+        assert list(out.num.flat) == _reference(spec, [a.num for a in arrays])
 
     check()
 
 
 @pytest.mark.parametrize("spec", _SPECS)
 def test_contract_keeps_objects_when_a_zero_operand_meets_entries_beyond_int64(spec):
-    # the zero operand's peak is 0; the bound must still see 2**63 in the others
+    # the zero operand's peak is 0; the bound must still see 2**63 in the
+    # others, each of which holds at least one entry of that size
     labels = spec.split("->")[0].split(",")
-    size = 2
-    while _reaches_int64(spec) and not _worth_int64(spec, [(size,) * len(lab) for lab in labels]):
-        size += 1
     rng = random.Random(spec)
     arrays = []
     for a, lab in enumerate(labels):
-        shape = (size,) * len(lab)
+        count = 2 ** len(lab)
         if a == 0 and len(labels) > 1:
-            entries = [0] * math.prod(shape)
+            entries = [0] * count
         else:
-            entries = [rng.choice((2**63, -(2**63), rng.randint(-9, 9))) for _ in range(math.prod(shape))]
-        arrays.append(scalars.ScaledArray(np.array(entries, dtype=object).reshape(shape), 1))
-    out = scalars.contract(spec, *arrays)
-    flat = list(out.num.flat)
-    assert all(type(v) is int for v in flat)
-    assert flat == _reference(spec, [a.num for a in arrays])
+            entries = [rng.choice((2**63, -(2**63), rng.randint(-9, 9))) for _ in range(count)]
+            entries[rng.randrange(count)] = rng.choice((2**63, -(2**63)))
+        num = np.array(entries, dtype=object).reshape((2,) * len(lab))
+        arrays.append(scalars.ScaledArray(num, 1))
+    assert all(a.num.dtype == object for a in arrays[len(labels) > 1:])
+    out, calls = _spied(spec, arrays)
+    # the contraction ran on Python ints; its result is stored by the lane
+    # rule, on int64 when it fits (a zero operand's product is zero)
+    [(dtypes, computed)] = calls
+    assert dtypes == {np.dtype(object)}
+    # a bare Python int when the result has no index
+    assert all(type(v) is int for v in np.asarray(computed, dtype=object).flat)
+    _on_its_lane(out)
+    assert list(out.num.flat) == _reference(spec, [a.num for a in arrays])
 
 
 def test_contract_covers_the_specs_of_every_kernel():

@@ -1,23 +1,13 @@
-"""Time the routes of scalars.contract and fit the constants that pick them.
+"""Time the two routes of scalars.contract and fit the floor that picks them.
 
-For each spec the library contracts and each size n (every label of
-length n) the script times the same contraction on each route it can
-take, and prints one JSON line per (spec, n) with the multiply-add count
-("work"), the entries the int64 work rule counts (operands and result),
-and the best of five medians in microseconds:
-
-- object_us and int64_us: exact operands on Python ints, once with
-  scalars.INT64_WORK_FLOOR and scalars.INT64_WORK_PER_ENTRY at 0, so
-  every contraction whose bound fits converts its operands and runs on
-  int64, and once with the floor out of reach, so it runs on objects.
-  The work rule was fitted to these when the result was still cast back
-  to Python ints, so it errs towards objects: int64 where
-  work >= INT64_WORK_FLOOR + INT64_WORK_PER_ENTRY * entries.
-- for the specs _plan can lower to one matrix product, einsum_us and
-  matmul_us in binary64 (float64 operands) and exact_einsum_us and
-  exact_matmul_us in exact mode (int64 operands, so the float64 lane
-  and the int64 einsum meet with no cast of objects), once with
-  scalars.LOWERING_FLOOR out of reach and once at 0.
+For each spec the library contracts that _plan can lower to one matrix
+product, and each size n (every label of length n), the script times the
+same contraction on both routes and prints one JSON line per (spec, n)
+with the multiply-add count ("work") and the best of five medians in
+microseconds: einsum_us and matmul_us in binary64 (float64 operands) and
+exact_einsum_us and exact_matmul_us in exact mode (int64 operands, where
+the float64 lane and the int64 einsum meet), once with
+scalars.LOWERING_FLOOR out of reach and once at 0.
 
 Numerators are drawn from -9..9, as small as the certificates' own, so
 every lowered exact contraction fits 2**53.  The last line is the fitted
@@ -57,7 +47,7 @@ def _operands(spec, n, rng):
     labels = spec.split("->")[0].split(",")
     return [
         scalars.ScaledArray(
-            np.array([rng.randint(-9, 9) for _ in range(n ** len(lab))], dtype=object).reshape(
+            np.array([rng.randint(-9, 9) for _ in range(n ** len(lab))], dtype=np.int64).reshape(
                 (n,) * len(lab)
             ),
             1,
@@ -66,8 +56,7 @@ def _operands(spec, n, rng):
     ]
 
 
-def _time_us(spec, ops, work_floor=0, lowering_floor=sys.maxsize):
-    scalars.INT64_WORK_FLOOR, scalars.INT64_WORK_PER_ENTRY = work_floor, 0
+def _time_us(spec, ops, lowering_floor=sys.maxsize):
     scalars.LOWERING_FLOOR = lowering_floor
     scalars._plan.cache_clear()
     reps = max(1, 2000 // (1 + ops[0].num.size))
@@ -108,35 +97,27 @@ def _fit(rows):
 
 def main():
     rng = random.Random(0)
-    saved = scalars.INT64_WORK_FLOOR, scalars.INT64_WORK_PER_ENTRY, scalars.LOWERING_FLOOR
-    lowered = []
+    saved = scalars.LOWERING_FLOOR
+    rows = []
     try:
-        for spec in SPECS:
+        for spec in filter(_lowerable, SPECS):
             chars = set(spec.split("->")[0]) - {","}
-            lowerable = _lowerable(spec)
             for n in SIZES:
                 work = n ** len(chars)
                 if work > MAX_WORK:
                     break
-                ops = _operands(spec, n, rng)
-                obj = _time_us(spec, ops, work_floor=sys.maxsize)
-                i64 = _time_us(spec, ops)
-                entries = sum(op.num.size for op in ops) + n ** len(spec.split("->")[1])
-                row = {"spec": spec, "n": n, "work": work, "entries": entries,
-                       "object_us": round(obj, 2), "int64_us": round(i64, 2),
-                       "object_over_int64": round(obj / i64, 3)}
-                if lowerable:
-                    floats = [a.to_float() for a in ops]
-                    ints = [scalars.ScaledArray(a.num.astype(np.int64), 1) for a in ops]
-                    for prefix, args in (("", floats), ("exact_", ints)):
-                        row[prefix + "einsum_us"] = round(_time_us(spec, args), 2)
-                        row[prefix + "matmul_us"] = round(_time_us(spec, args, lowering_floor=0), 2)
-                    lowered.append(row)
+                ints = _operands(spec, n, rng)
+                floats = [a.to_float() for a in ints]
+                row = {"spec": spec, "n": n, "work": work}
+                for prefix, args in (("", floats), ("exact_", ints)):
+                    row[prefix + "einsum_us"] = round(_time_us(spec, args), 2)
+                    row[prefix + "matmul_us"] = round(_time_us(spec, args, lowering_floor=0), 2)
+                rows.append(row)
                 print(json.dumps(row), flush=True)
     finally:
-        scalars.INT64_WORK_FLOOR, scalars.INT64_WORK_PER_ENTRY, scalars.LOWERING_FLOOR = saved
+        scalars.LOWERING_FLOOR = saved
         scalars._plan.cache_clear()
-    floor = _fit(lowered)
+    floor = _fit(rows)
     print(json.dumps({"fitted_lowering_floor": None if floor == sys.maxsize else floor,
                       "LOWERING_FLOOR": scalars.LOWERING_FLOOR}), flush=True)
 
