@@ -83,7 +83,7 @@ def _with_alias(seed):
 def _table(n, brackets, labels):
     """The exact algebra with [e_i, e_j] = vec, the integer coefficient
     vector of brackets[(i, j)], and zero brackets elsewhere."""
-    c = np.zeros((n, n, n), dtype=np.int64)
+    c = np.zeros((n, n, n), dtype=object)
     for (i, j), vec in brackets.items():
         c[i, j] = vec
         c[j, i] = -c[i, j]
@@ -273,7 +273,7 @@ def _dim4_metric_family(L, k):
 
 def _dim4_printed_product(L):
     """Left-symmetric product compatible with the bracket, metric-free."""
-    gamma = np.zeros((4, 4, 4), dtype=np.int64)  # over the denominator 2
+    gamma = np.zeros((4, 4, 4), dtype=object)  # over the denominator 2
     gamma[0, 2, 3] = 2  # e-1 e1 = e2
     gamma[0, 3, 2] = 2  # e-1 e2 = e1
     gamma[2, 3, 1] = -1  # e1 e2 = -e0/2

@@ -201,7 +201,7 @@ def _alternating_theta(m, theta):
 
 def _pairing(m, exact):
     """Duality pairing of V and V*, dim V = m, as a 2m x 2m ScaledArray."""
-    kmat = np.zeros((2 * m, 2 * m), dtype=np.int64 if exact else float)
+    kmat = np.zeros((2 * m, 2 * m), dtype=object if exact else float)
     i = np.arange(m)
     kmat[i, m + i] = kmat[m + i, i] = 1
     return scalars.ScaledArray(kmat)
@@ -394,13 +394,12 @@ def build_cotangent_double(L):
     two-step quadratic class at doubled dimension.
     """
     n = as_algebra(L).dim
-    C = L.array
+    C = L.array.wide()
     c = np.zeros((2 * n,) * 3, dtype=C.num.dtype)
     # A occupies indices n..2n-1, the duals 0..n-1
     c[n:, n:, n:] = C.num
     # [x, delta^m] = - sum_j c[x][j][m] delta^j, and [delta^m, x] its
-    # negative; 0 - x keeps a binary64 zero at +0.0, and an int64 one
-    # cannot wrap, since no stored int64 numerator is -2**63
+    # negative; 0 - x keeps a binary64 zero at +0.0
     c[n:, :n, :n] = 0 - C.num.transpose(0, 2, 1)
     c[:n, n:] = 0 - c[n:, :n].transpose(1, 0, 2)
     labels = tuple([f"d{l}" for l in L.labels] + list(L.labels))

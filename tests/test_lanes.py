@@ -271,6 +271,45 @@ def test_builder_tensors_are_int64():
         assert tensor.array.num.dtype == INT64, type(tensor).__name__
 
 
+def _a_d_by_fractions(d):
+    """The a-d(d) table, entry by entry in Fraction."""
+    c = [[[Fraction(0)] * 6 for _ in range(6)] for _ in range(6)]
+    for (i, j, k), v in {(0, 1, 5): 1, (2, 3, 5): 1, (0, 2, 4): 1, (1, 3, 5): d}.items():
+        c[i][j][k], c[j][i][k] = Fraction(v), Fraction(-v)
+    return c
+
+
+def _cotangent_double_by_fractions(c):
+    """The cotangent double's table of the table c, duals first."""
+    n = len(c)
+    cd = [[[Fraction(0)] * (2 * n) for _ in range(2 * n)] for _ in range(2 * n)]
+    for x in range(n):
+        for j in range(n):
+            for m in range(n):
+                cd[n + x][n + j][n + m] = c[x][j][m]
+                cd[n + x][m][j], cd[m][n + x][j] = -c[x][j][m], c[x][j][m]
+    return cd
+
+
+def _tupled(nested):
+    return tuple(map(_tupled, nested)) if isinstance(nested, list) else nested
+
+
+@pytest.mark.parametrize("d", [INT64_MAX, -INT64_MAX, 2**63, -(2**63), 2**70])
+def test_catalog_parameters_at_the_int64_edge_match_fractions(d):
+    # the parameter comes from a name, so it may lie beyond int64; -2**63
+    # must stay off int64, where its negation and abs would wrap
+    base = catalog(f"a-d({d})")
+    want = _a_d_by_fractions(d)
+    assert base.algebra.array.tuples() == _tupled(want)
+    double = catalog(f"a-d-double({d})")
+    assert double.algebra.array.tuples() == _tupled(_cotangent_double_by_fractions(want))
+    assert check_ad_invariance(double.algebra, double.quad_form).invariant
+    for tensor in (base.algebra, double.algebra, double.quad_form):
+        _on_its_lane(tensor.array)
+    assert (base.algebra.array.num.dtype == INT64) == (abs(d) <= INT64_MAX)
+
+
 def _handed_out(x):
     """Every scalar in a result: the fields of a report, certificate or
     tensor class, the entries of sequences, dict values and the entries
