@@ -7,11 +7,12 @@ formula, which for left-invariant data collapses to
     2 <x y, z> = <[x, y], z> - <[y, z], x> + <[z, x], y>.
 
 All n^2 right-hand sides are solved against the single matrix 2 G: one
-inverse of 2 G, in both modes, and one contraction of it against the
-right-hand sides give the whole tensor.  The right-hand sides, gamma,
-curvature and the torsion, skew and left-symmetry residuals are einsum
-contractions over the ScaledArrays that store c, gamma and G, one
-expression per quantity for both arithmetic modes.
+inverse of 2 G (in exact mode the one the form holds, halved) and one
+contraction of it against the right-hand sides give the whole tensor.
+The right-hand sides, gamma, curvature and the torsion, skew and
+left-symmetry residuals are einsum contractions over the ScaledArrays
+that store c, gamma and G, one expression per quantity for both
+arithmetic modes.
 
 Curvature uses the fixed sign convention
 
@@ -137,7 +138,9 @@ def levi_civita(L, g):
         - scalars.contract("jmk,ki->ijm", C, G)
         + scalars.contract("mik,kj->ijm", C, G)
     )
-    inv = linalg.inverse(G + G)
+    # inverse(2 G) for G's numerators: an exact form holds G's inverse, so
+    # that over 2 and G's denominator; binary64 inverts 2 G as it stands
+    inv = linalg.divided(form.inverse, 2 * form.array.den) if form.exact else linalg.inverse(G + G)
     return ProductTensor(L, scalars.contract("mk,ijk->ijm", inv, rhs), form)
 
 

@@ -41,7 +41,7 @@ from .errors import (
     WrongClass,
     ZeroXMinusOne,
 )
-from .forms import SymmetricIso, as_form, check_ad_invariance, validate_form
+from .forms import SymBilinearForm, SymmetricIso, as_form, check_ad_invariance, validate_form
 
 __all__ = [
     "OscillatorSpec",
@@ -248,7 +248,9 @@ def two_step_metric(spec):
     # G = K u for the pairing K, which swaps V and V*: u with the two
     # halves of its rows swapped, in binary64 when either phi or theta is
     _, G = scalars.common_mode(T, scalars.ScaledArray(np.roll(umat, m, axis=0), PHI.den))
-    metric = validate_form(G)
+    # G = [[0, phi^T], [phi, 0]] is symmetric, and nondegenerate as phi
+    # is: in binary64 its singular values are phi's, each twice
+    metric = SymBilinearForm(G)
     iso = SymmetricIso(2 * m, scalars.ScaledArray(umat, PHI.den))
     return iso, metric, _invariants(PHI)
 

@@ -9,9 +9,11 @@ and the metric <-> operator translations.
 A form and an operator are each stored as one ScaledArray, with the
 nested matrix built only when read.  Signatures, ranks and inverses are
 linalg kernels over those arrays, and G = K U, U^T K and K^{-1} G are
-contractions.  Every function reads a form through as_form and an
-operator through as_iso, nested or not; each raises DimensionMismatch for
-an argument of another kind or size.
+contractions.  An exact form is eliminated once, as [M | I] by
+validate_form, which keeps the inverse on the form.  Every function
+reads a form through as_form and an operator through as_iso, nested or
+not; each raises DimensionMismatch for an argument of another kind or
+size.
 """
 
 from dataclasses import dataclass
@@ -55,6 +57,11 @@ class SymBilinearForm:
     @cached_property
     def matrix(self):
         return self.array.tuples()
+
+    @cached_property
+    def inverse(self):
+        """The inverse matrix as a ScaledArray, computed once."""
+        return linalg.inverse(self.array)
 
     def apply(self, x, y):
         my = scalars.contract("ij,j->i", self.array, scalars.read(y, 1, self.dim, self.exact))
@@ -156,9 +163,10 @@ def validate_form(g):
     decide its mode, or a ScaledArray that library code has assembled; an
     empty matrix is a DimensionMismatch.  Exact mode demands literal symmetry;
     binary64 mode allows symmetry slack 1e-9 relative to the largest
-    entry.  The form is degenerate when its rank is below its size, with
-    linalg's rank in either mode (in binary64 the singular values cut at
-    1e-9 of the largest), and the Degenerate report carries a kernel basis.
+    entry.  The form is degenerate when its rank is below its size, and
+    the Degenerate report carries a kernel basis: exact, when [M | I],
+    eliminated once for the form's inverse, lacks a pivot in M; binary64,
+    with the singular values cut at 1e-9 of the largest.
     """
     M = g if isinstance(g, scalars.ScaledArray) else scalars.read(g, 2)
     n, exact = M.num.shape[0], M.exact
@@ -171,9 +179,15 @@ def validate_form(g):
     if len(bad):
         i, j = bad[0].tolist()
         raise NotSymmetric(f"entries ({i},{j}) and ({j},{i}) differ")
-    if linalg.rank(M) < n:
-        raise Degenerate(linalg.nullspace(M).tuples())
-    return SymBilinearForm(M)
+    form = SymBilinearForm(M)
+    try:
+        if exact:  # one elimination of [M | I] tests M and inverts it
+            form.__dict__["inverse"] = linalg.inverse(M)
+        elif linalg.rank(M) < n:
+            raise Singular
+    except Singular:
+        raise Degenerate(linalg.nullspace(M).tuples()) from None
+    return form
 
 
 def signature(g):
@@ -220,5 +234,4 @@ def iso_from_metric(k, g):
     """Recover u = K^{-1} G; the round trip with metric_from_iso is exact."""
     form = as_form(k)
     form, metric = scalars.common_mode(form, as_form(g, form.dim))
-    kinv = linalg.inverse(form.array)
-    return SymmetricIso(form.dim, scalars.contract("ij,jk->ik", kinv, metric.array))
+    return SymmetricIso(form.dim, scalars.contract("ij,jk->ik", form.inverse, metric.array))

@@ -10,10 +10,13 @@ determinants.  It ends with every pivot equal to one integer d, so an
 exact result is an integer matrix over d, returned in lowest terms over
 its positive lcm denominator (what scalars.to_array builds from its
 entries) with no Fraction built per entry.  The signature's congruence
-sweep stays on integers the same way.  Sizes here are tiny (dimension
-<= 16 or so), so clarity wins over asymptotics.  The float path defers to
-numpy with the rank/kernel threshold fixed at 1e-9 relative to the
-largest singular value.
+sweep stays on integers the same way.  From ELIMINATION_FLOOR int64
+numerators in nonzero rows, the elimination takes its first steps on
+int64, as many as a bound read once allows: after k steps each entry is
+a minor of order at most k + 1, so by Hadamard's inequality each product
+in step k is at most the product of the k + 1 largest squared row norms.
+The float path defers to numpy with the rank/kernel threshold fixed at
+1e-9 relative to the largest singular value.
 
 A square matrix is singular exactly when rank(A) < n: in exact mode a
 missing pivot, in binary64 a singular value at or below that threshold.
@@ -35,6 +38,7 @@ __all__ = [
     "nullspace",
     "solve",
     "inverse",
+    "divided",
     "det",
     "rref",
     "span_basis",
@@ -45,10 +49,32 @@ __all__ = [
 ]
 
 FLOAT_RTOL = 1e-9
+_INT64 = np.dtype(np.int64)
+_INT64_MAX = 2**63 - 1
 
 
 # ---------------------------------------------------------------------------
 # exact path
+
+# _eliminate takes int64 steps from this many nonzero-row int64 entries;
+# fitted with tools/elimination_crossover.py
+ELIMINATION_FLOOR = 49
+
+
+def _int64_steps(m, top):
+    """The leading steps k of _eliminate on the nonzero int64 rows m, of
+    largest |entry| top, for which twice the Hadamard bound fits int64."""
+    # squared norms, on Python ints when one might not fit; no more steps
+    # than columns
+    rows = m if top * top * m.shape[1] <= _INT64_MAX else m.astype(object)
+    bound, steps = 2, 0
+    for sq in sorted((rows * rows).sum(axis=1).tolist(), reverse=True)[: m.shape[1]]:
+        bound *= sq
+        if bound > _INT64_MAX:
+            break
+        steps += 1
+    return steps
+
 
 def _eliminate(A):
     """Fraction-free Gauss-Jordan elimination of an exact matrix ScaledArray.
@@ -62,33 +88,52 @@ def _eliminate(A):
     to the last one, d.  Returns (R, pivots, d): the nonzero rows as an
     object array of ints, their pivot columns, and d (1 with no pivot).
     R / d is the reduced row echelon form of the matrix, and d is the
-    determinant of the numerators of a square matrix of full rank.
+    determinant of the numerators of a square matrix of full rank.  A step
+    on int64 is one update, (piv m - outer(f, prow)) // d, then prow again.
     """
     m = [row for row in A.num.tolist() if any(row)]
-    ncols = A.num.shape[1]
+    ncols, steps = A.num.shape[1], 0
+    if len(m) * ncols >= ELIMINATION_FLOOR and A.num.dtype == _INT64:
+        rows = A.num[A.num.any(axis=1)]
+        steps = _int64_steps(rows, A.top)
+        m = rows if steps else m
     pivots, d = [], 1
     for c in range(ncols):
         r = len(pivots)
-        p = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if p is None:
-            continue
-        if p != r:
-            m[r], m[p] = [-v for v in m[p]], m[r]
-        piv, prow = m[r][c], m[r]
-        for i in range(len(m)):
-            if i != r:
-                f = m[i][c]
-                m[i] = [(piv * x - f * y) // d for x, y in zip(m[i], prow)]
-        d = piv
-        pivots.append(c)
-        if r + 1 == len(m):
+        if r == len(m):
             break
+        if r < steps:
+            nonzero = m[r:, c].nonzero()[0]
+            if not nonzero.size:
+                continue
+            p = r + int(nonzero[0])
+            if p != r:
+                m[r], m[p] = -m[p], m[r].copy()
+            piv, prow = m[r, c], m[r].copy()
+            m = (piv * m - m[:, c, None] * prow) // d
+            m[r] = prow
+            d = int(piv)
+        else:
+            p = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+            if p is None:
+                continue
+            if p != r:
+                m[r], m[p] = [-v for v in m[p]], m[r]
+            piv, prow = m[r][c], m[r]
+            for i in range(len(m)):
+                if i != r:
+                    f = m[i][c]
+                    m[i] = [(piv * x - f * y) // d for x, y in zip(m[i], prow)]
+            d = piv
+        pivots.append(c)
+        if len(pivots) == steps:  # the bound allows no more int64 steps
+            m = m.tolist()
     return np.array(m[: len(pivots)], dtype=object).reshape(len(pivots), ncols), pivots, d
 
 
 def _reduced(N, d):
-    """The exact ScaledArray N / d, for an object array N of ints and an
-    int d != 0, in lowest terms over its positive lcm denominator."""
+    """The exact ScaledArray N / d, for an array N of ints and an int
+    d != 0, in lowest terms over its positive lcm denominator."""
     g = math.gcd(d, *N.flat)
     g = g if d > 0 else -g
     return ScaledArray(N // g, d // g)
@@ -153,6 +198,11 @@ def solve(A, B):
 def inverse(A):
     """solve(A, I), raising as solve."""
     return solve(A, scalars.eye(_square(A), A.exact))
+
+
+def divided(A, k):
+    """The exact A / k for a positive int k, in lowest terms."""
+    return _reduced(A.num, k * A.den)
 
 
 def det(A):

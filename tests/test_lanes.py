@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import _rowmath
 import quadlie
 from quadlie import (
     ProductTensor,
@@ -30,6 +31,7 @@ from quadlie import (
     curvature,
     flatness_report,
     levi_civita,
+    linalg,
     polynomial_geodesic_check,
     product_report,
     scalars,
@@ -37,8 +39,9 @@ from quadlie import (
     structure_report,
     two_step_metric,
     validate_algebra,
+    validate_form,
 )
-from quadlie.errors import AntisymmetryViolation, JacobiViolation
+from quadlie.errors import AntisymmetryViolation, Degenerate, JacobiViolation
 
 PROFILE = settings(derandomize=True, database=None, deadline=None, max_examples=80,
                    suppress_health_check=[HealthCheck.too_slow])
@@ -358,3 +361,170 @@ def test_a_contraction_with_no_summed_term_beside_entries_beyond_int64_stays_exa
     right = scalars.ScaledArray(np.array([[2**70, 1], [-(2**63), 1]], dtype=object))
     got = scalars.contract("ip,ijk,lk->pjl", left, mid, right)
     assert got.num.shape == (2, 2, 2) and got.num.dtype == INT64 and not got.num.any()
+
+
+# ---------------------------------------------------------------------------
+# the exact elimination: int64 steps and Python ints agree
+
+
+def _eliminations(num, monkeypatch):
+    """_eliminate of the int numerators num on Python ints (through wide())
+    and with every elimination let onto int64, as far as the bound
+    allows."""
+    small = scalars.ScaledArray(np.array(num, dtype=object))
+    monkeypatch.setattr(linalg, "ELIMINATION_FLOOR", 0)
+    return linalg._eliminate(small.wide()), linalg._eliminate(small)
+
+
+def _same_elimination(got, want):
+    (R, pivots, d), (R0, pivots0, d0) = got, want
+    assert pivots == pivots0 and d == d0 and type(d) is int
+    assert R.shape == R0.shape and R.dtype == object and R.tolist() == R0.tolist()
+    assert all(type(v) is int for v in R.flat)
+
+
+# entries of one matrix: small with many zeros, so pivots swap, middling
+# ones, which stop the int64 steps partway, those of _NUM, and small ones
+# beside entries beyond int64
+_ENTRIES = [st.sampled_from([0, 0, 0, 1, -1, 2]), st.integers(-9, 9), st.integers(-(2**20), 2**20),
+            _NUM, st.one_of(st.integers(-9, 9), st.integers(-(2**70), -(2**63)))]
+
+
+@st.composite
+def matrices(draw):
+    """An object array of ints of any shape from 0 x 1 up: tall, wide,
+    one column, with zero rows, and of lower rank as a product of two
+    factors."""
+    rows, cols = draw(st.integers(0, 9)), draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        num = draw(st.sampled_from(_ENTRIES))
+        return np.array([[draw(num) for _ in range(cols)] for _ in range(rows)],
+                        dtype=object).reshape(rows, cols)
+    rank = draw(st.integers(0, min(rows, cols)))
+    left = np.array(draw(st.lists(st.integers(-3, 3), min_size=rows * rank, max_size=rows * rank)),
+                    dtype=object).reshape(rows, rank)
+    right = np.array([[draw(st.integers(-9, 9)) for _ in range(cols)] for _ in range(rank)],
+                     dtype=object).reshape(rank, cols)
+    return (left @ right).reshape(rows, cols)
+
+
+@PROFILE
+@given(matrices())
+def test_eliminations_agree_on_both_lanes(num):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        python, lanes = _eliminations(num, monkeypatch)
+    _same_elimination(lanes, python)
+
+
+@pytest.mark.parametrize("rows, cols", [(4, 4), (6, 12), (12, 4), (9, 9)])
+def test_sparse_eliminations_swap_rows_alike_on_both_lanes(rows, cols, monkeypatch):
+    # mostly zero entries, so most steps swap the pivot row up and negate it
+    rng = np.random.default_rng(rows * cols)
+    swaps = 0
+    for _ in range(40):
+        num = rng.choice([0, 0, 0, 0, 1, -1, 3], size=(rows, cols)).astype(object)
+        swaps += num[0, 0] == 0 and num[:, 0].any()
+        python, lanes = _eliminations(num, monkeypatch)
+        _same_elimination(lanes, python)
+    assert swaps
+
+
+# (2**31 - 1)**2 + 65535**2 + 362**2 + 5**2 = 2**62 - 1
+_EDGE_ROW = [2**31 - 1, 65535, 362, 5]
+
+
+@pytest.mark.parametrize("num, steps", [
+    ([_EDGE_ROW], 1),  # twice the bound 2**63 - 2
+    ([[2**31, 0, 0, 0]], 0),  # 2**63
+    ([[0, 0, 0, 1], _EDGE_ROW], 2),  # 2**63 - 2 again
+    ([[0, 0, 1, 1], _EDGE_ROW], 1),  # 2**64 - 4 at the second step
+    ([[-INT64_MAX, 1], [1, 1]], 0),
+])
+def test_the_int64_steps_stop_at_the_hadamard_edge(num, steps, monkeypatch):
+    A = scalars.ScaledArray(np.array(num, dtype=np.int64))
+    monkeypatch.setattr(linalg, "ELIMINATION_FLOOR", 0)
+    assert linalg._int64_steps(A.num, A.top) == steps
+    python, lanes = _eliminations(num, monkeypatch)
+    _same_elimination(lanes, python)
+
+
+@pytest.mark.parametrize("entry", [INT64_MAX, -INT64_MAX, 2**63, -(2**63), 2**70])
+def test_eliminations_beside_entries_to_and_beyond_the_int64_edge_agree(entry, monkeypatch):
+    rng = np.random.default_rng(abs(entry) % 97)
+    for rows, cols in ((3, 3), (6, 12), (12, 4)):
+        num = rng.integers(-9, 10, size=(rows, cols)).astype(object)
+        num[rows // 2, cols // 2] = entry
+        python, lanes = _eliminations(num, monkeypatch)
+        _same_elimination(lanes, python)
+
+
+# ---------------------------------------------------------------------------
+# one elimination per exact form
+
+
+def _symmetric(n, rank, scale, rng):
+    """A symmetric n x n matrix of the given rank, B^T D B with small
+    integer B and D = diag(+-1), times the Fraction scale."""
+    B = rng.integers(-2, 3, size=(rank, n)).astype(object)
+    D = np.diag(rng.choice([-1, 1], size=rank)).astype(object)
+    return [[Fraction(v) * scale for v in row] for row in (B.T @ D @ B).reshape(n, n).tolist()]
+
+
+_SCALES = [Fraction(1), Fraction(3, 5), Fraction(2**70, 7)]
+
+
+@pytest.mark.parametrize("scale", _SCALES)
+@pytest.mark.parametrize("n", [2, 5, 8, 12])
+def test_a_validated_form_holds_its_inverse(n, scale):
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        M = _symmetric(n, n, scale, rng)
+        try:
+            form = validate_form(M)
+        except Degenerate:  # B may be singular
+            continue
+        inverse = form.inverse
+        assert inverse.tuples() == linalg.inverse(form.array).tuples()
+        assert _python_ints(inverse.tuples())
+        assert _rowmath.mat_mul(M, inverse.tuples()) == _rowmath.identity(n)
+        # the binary64 form inverts when asked, as linalg does
+        floats = form.to_float()
+        assert floats.inverse.num.tobytes() == linalg.inverse(floats.array).num.tobytes()
+
+
+@pytest.mark.parametrize("scale", _SCALES)
+@pytest.mark.parametrize("n", [3, 5, 8, 12])
+def test_the_degenerate_payload_is_the_nullspace(n, scale):
+    rng = np.random.default_rng(n)
+    for rank in (0, 1, n - 1):
+        M = _symmetric(n, rank, scale, rng)
+        with pytest.raises(Degenerate) as err:
+            validate_form(M)
+        kernel = err.value.kernel
+        assert kernel == linalg.nullspace(scalars.read(M, 2)).tuples() and _python_ints(kernel)
+        assert len(kernel) >= n - rank
+        assert all(not any(_rowmath.mat_vec(M, v)) for v in kernel)
+
+
+def test_a_metric_scaled_beyond_int64_certifies_identically():
+    # the Levi-Civita product is unchanged when the metric is scaled
+    entry = catalog("dim5-nilpotent")
+    G = entry.metric.matrix
+    scaled = [[v * Fraction(2**70, 7) for v in row] for row in G]
+    P, big = levi_civita(entry.algebra, G), levi_civita(entry.algebra, scaled)
+    assert big.metric.array.num.dtype == object
+    assert big.gamma == P.gamma and _python_ints(big.gamma)
+    assert product_report(big) == product_report(P)
+    assert big.metric.inverse.tuples() == tuple(
+        tuple(v * Fraction(7, 2**70) for v in row) for row in P.metric.inverse.tuples())
+
+
+def test_two_step_metrics_are_the_forms_validate_form_accepts():
+    spec = quadlie.TwoStepSpec(dim_v=3, theta="volume", phi=[[1, 2, 0], [0, 1, 0], [3, 0, 1]])
+    # the volume form in binary64: the sign of the permutation (i, j, k)
+    volume = [[[(i - j) * (j - k) * (k - i) / 2 for k in range(3)] for j in range(3)]
+              for i in range(3)]
+    for theta in ("volume", volume):
+        _, metric, _ = two_step_metric(dataclasses.replace(spec, theta=theta))
+        checked = validate_form(metric.array)
+        assert metric == checked and metric.inverse.tuples() == checked.inverse.tuples()
