@@ -178,6 +178,18 @@ def _bracket_span(L, left, right):
     return linalg.span_basis(B)
 
 
+def _series(full, derived, step):
+    """full, derived, then step of each last term, up to the first
+    stationary or empty term."""
+    terms, nxt = [full], derived
+    while not linalg.same_span(nxt, terms[-1]):
+        terms.append(nxt)
+        if not len(nxt.num):
+            break
+        nxt = step(nxt)
+    return terms
+
+
 def structure_report(L):
     """Center, derived algebra, lower central series and global flags.
 
@@ -185,33 +197,21 @@ def structure_report(L):
     stationary term, so a nilpotent algebra of class m contributes m+1
     entries with an empty basis last.  Every basis is span_basis's, so in
     exact mode two terms span the same space exactly when they are equal.
+    The whole algebra's basis is the identity, span_basis's own, and one
+    span of [g, g] is the derived algebra and both series' second term.
     """
     n = as_algebra(L).dim
     exact = L.exact
     C = L.array
-    full = linalg.span_basis(scalars.eye(n, exact))
+    full = scalars.eye(n, exact)
 
     # row (j, k) holds c[i][j][k] over i
     center = linalg.nullspace(C.transpose(1, 2, 0).reshape(n * n, n))
 
     derived = _bracket_span(L, full, full)
-
-    series = [full]
-    while True:
-        nxt = _bracket_span(L, full, series[-1])
-        if linalg.same_span(nxt, series[-1]):
-            break
-        series.append(nxt)
-        if not len(nxt.num):
-            break
+    series = _series(full, derived, lambda term: _bracket_span(L, full, term))
     nil_class = len(series) - 1 if not len(series[-1].num) else None
-
-    dseries = [full]
-    while len(dseries[-1].num):
-        nxt = _bracket_span(L, dseries[-1], dseries[-1])
-        if linalg.same_span(nxt, dseries[-1]):
-            break
-        dseries.append(nxt)
+    dseries = _series(full, derived, lambda term: _bracket_span(L, term, term))
     solvable = not len(dseries[-1].num)
 
     traces = scalars.contract("ikk->i", C)

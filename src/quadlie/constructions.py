@@ -15,11 +15,12 @@ flat products on three-step nilpotent algebras.
 
 Tables and form matrices are assembled as numerator arrays over one
 denominator (Python ints in exact mode, float64 in binary64) and handed to
-the validators as ScaledArrays, the same code in both modes.  Each
-identity is checked by one contraction over the ScaledArrays and one
-np.argwhere, whose first hit in row-major order is the first violation in
-index order; every product of the derivation pairs (brackets,
-B diag B^{-1}, the product d^{-1}[f x, d y]) is one scalars.contract.
+the validators as ScaledArrays, the same code in both modes, unless the
+build itself proves them valid.  Each identity is checked by one
+contraction over the ScaledArrays and one np.argwhere, whose first hit in
+row-major order is the first violation in index order; every product of
+the derivation pairs (brackets, B diag B^{-1}, the product
+d^{-1}[f x, d y]) is one scalars.contract.
 """
 
 import math
@@ -29,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg, scalars
-from .algebra import as_algebra, brackets, structure_report, validate_algebra
+from .algebra import LieAlgebra, as_algebra, brackets, structure_report, validate_algebra
 from .connection import ProductTensor
 from .errors import (
     DimensionMismatch,
@@ -212,7 +213,11 @@ def build_two_step(spec):
 
     The duality pairing is the invariant form.  Corank-zero demands that
     theta has no kernel vector in V and that the bracket image spans V*;
-    otherwise RankDeficientTheta.
+    otherwise RankDeficientTheta.  The table and the pairing are not
+    validated again: the table is antisymmetric as theta passed its
+    alternation test, at validate_algebra's own tolerance, and every
+    Jacobi term is exactly 0, as every bracket lands in the central V*;
+    the pairing is symmetric and nondegenerate as built.
     """
     if not isinstance(spec, TwoStepSpec):
         spec = TwoStepSpec(dim_v=len(scalars.read(spec, 3).num), theta=spec)
@@ -221,8 +226,7 @@ def build_two_step(spec):
     c = np.zeros((2 * m,) * 3, dtype=T.num.dtype)
     c[:m, :m, m:] = T.num
     labels = tuple([f"v{i+1}" for i in range(m)] + [f"d{i+1}" for i in range(m)])
-    L = validate_algebra(scalars.ScaledArray(c, T.den), labels=labels)
-    return L, validate_form(_pairing(m, T.exact))
+    return LieAlgebra(scalars.ScaledArray(c, T.den), labels), SymBilinearForm(_pairing(m, T.exact))
 
 
 def two_step_metric(spec):
@@ -393,7 +397,8 @@ def build_cotangent_double(L):
     """Coadjoint semidirect sum A* + A with the duality form.
 
     For a two-step A with corank-zero center this lands back in the
-    two-step quadratic class at doubled dimension.
+    two-step quadratic class at doubled dimension.  The pairing, symmetric
+    and nondegenerate as built, is not validated again.
     """
     n = as_algebra(L).dim
     C = L.array.wide()
@@ -406,7 +411,7 @@ def build_cotangent_double(L):
     c[:n, n:] = 0 - c[n:, :n].transpose(1, 0, 2)
     labels = tuple([f"d{l}" for l in L.labels] + list(L.labels))
     Ld = validate_algebra(scalars.ScaledArray(c, C.den), labels=labels)
-    kf = validate_form(_pairing(n, L.exact))
+    kf = SymBilinearForm(_pairing(n, L.exact))
     rep = check_ad_invariance(Ld, kf)
     if not rep.invariant:
         raise NoSolution("duality pairing failed ad-invariance")

@@ -96,12 +96,13 @@ def decide_mode(values):
     saw_float = False
     saw_frac = False
     for v in values:
-        if isinstance(v, Fraction):
-            saw_frac = True
-        elif isinstance(v, float):
+        # float first: isinstance(v, Fraction) runs ABCMeta's check on others
+        if isinstance(v, float):
             if not math.isfinite(v):
                 raise InvalidValue(f"non-finite entry {v!r}")
             saw_float = True
+        elif isinstance(v, Fraction):
+            saw_frac = True
         elif isinstance(v, _LEVEL):
             raise DimensionMismatch(f"expected a scalar, got {v!r}")
         elif not _is_int(v):
@@ -169,8 +170,13 @@ def common_mode(*tensors):
     return tuple(t.to_float() for t in tensors)
 
 
-def _tupled(x):
-    return tuple(map(_tupled, x)) if isinstance(x, list) else x
+def _nested(flat, shape):
+    """Row-major values as nested tuples of this shape, built level by
+    level from the innermost; a bare value when 0-d."""
+    for k in range(len(shape) - 1, 0, -1):
+        size = shape[k]
+        flat = list(zip(*[iter(flat)] * size)) if size else [()] * math.prod(shape[:k])
+    return tuple(flat) if shape else flat[0]
 
 
 _fractions = np.frompyfunc(Fraction, 2, 1)
@@ -319,12 +325,13 @@ class ScaledArray:
         exact zero entries share one Fraction, so a sparse tensor does not
         cost a Fraction per entry."""
         if not self.exact:
-            return _tupled((self.num + 0.0).tolist())
-        vals = np.full(self.num.shape, _ZERO, dtype=object)
-        nonzero = self.num != 0
+            return _nested((self.num + 0.0).ravel().tolist(), self.num.shape)
+        flat = self.num.ravel()
+        vals = np.full(flat.size, _ZERO, dtype=object)
+        nonzero = flat != 0
         # the object ufunc reads int64 entries as Python ints
-        vals[nonzero] = _fractions(self.num[nonzero], self.den)
-        return _tupled(vals.tolist())
+        vals[nonzero] = _fractions(flat[nonzero], self.den)
+        return _nested(vals.tolist(), self.num.shape)
 
     def peak(self):
         """Largest |entry| in the entries' own type, integer 0 when every
@@ -343,12 +350,15 @@ class ScaledArray:
 
 
 def to_array(nested, exact):
-    """ScaledArray of a nested container of one mode's scalars."""
+    """ScaledArray of a nested container of one mode's scalars; exact ones,
+    ints and Fractions, are read once each, and read's flat list as it is."""
     if exact:
-        entries = np.array(nested, dtype=object)
-        den = math.lcm(*(v.denominator for v in entries.flat))
-        ints = [v.numerator * (den // v.denominator) for v in entries.flat]
-        out = ScaledArray(np.array(ints, dtype=object).reshape(entries.shape), den)
+        flat = isinstance(nested, list) and not (nested and isinstance(nested[0], _LEVEL))
+        entries = nested if flat else np.array(nested, dtype=object)
+        ratios = [v.as_integer_ratio() for v in (entries if flat else entries.flat)]
+        den = math.lcm(*{d for _, d in ratios})
+        ints = [n for n, _ in ratios] if den == 1 else [n * (den // d) for n, d in ratios]
+        out = ScaledArray(np.array(ints, dtype=object).reshape(-1 if flat else entries.shape), den)
     else:
         try:
             out = ScaledArray(np.array(nested, dtype=float))

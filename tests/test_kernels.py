@@ -41,10 +41,12 @@ from quadlie import (
     validate_algebra,
     validate_form,
 )
+from quadlie.algebra import StructureReport, _bracket_span
 from quadlie.errors import (
     AntisymmetryViolation,
     Degenerate,
     JacobiViolation,
+    NotAntisymmetric,
     RankDeficientTheta,
 )
 
@@ -75,19 +77,26 @@ def double_extensions(draw):
     return build_double_extension(w, k0, theta)
 
 
-@st.composite
-def two_step_algebras(draw, with_phi=False):
-    m = draw(st.sampled_from((3, 5)))
+def alternating(draw, m, entries):
+    """An alternating theta on V of dimension m, one draw from entries per
+    triple i < j < k."""
     theta = [[[F(0)] * m for _ in range(m)] for _ in range(m)]
     for i in range(m):
         for j in range(i + 1, m):
             for k in range(j + 1, m):
-                v = F(draw(small))
+                v = draw(entries)
                 for (a, b, c), s in (
                     ((i, j, k), 1), ((j, k, i), 1), ((k, i, j), 1),
                     ((j, i, k), -1), ((i, k, j), -1), ((k, j, i), -1),
                 ):
                     theta[a][b][c] = s * v
+    return theta
+
+
+@st.composite
+def two_step_algebras(draw, with_phi=False):
+    m = draw(st.sampled_from((3, 5)))
+    theta = alternating(draw, m, small.map(F))
     try:
         L, k = build_two_step(TwoStepSpec(m, theta))
     except RankDeficientTheta:
@@ -592,3 +601,120 @@ def test_equal_tensors_over_different_denominators_are_equal_and_hash_equal():
     L2, k2 = build_two_step(TwoStepSpec(3, "volume"))
     for obj in (L, k, L2, k2, P):
         assert obj != obj.to_float()
+
+
+# --- builders that trust their own construction ------------------------------
+
+
+def _same_array(a, b):
+    """Equal values, lane and denominator."""
+    return a.num.dtype == b.num.dtype and a.den == b.den and np.array_equal(a.num, b.num)
+
+
+@st.composite
+def alternating_thetas(draw):
+    """(m, theta) for m = 3..5, exact with denominators up to 3 or binary64;
+    a binary64 theta may depart from alternation by up to twice the 1e-9
+    relative tolerance, which the builder and validate_algebra judge
+    alike."""
+    m = draw(st.integers(3, 5))
+    exact = draw(st.booleans())
+    theta = alternating(draw, m, st.builds(F, small, st.integers(1, 3)))
+    if exact:
+        return m, theta
+    theta = [[[float(v) for v in row] for row in plane] for plane in theta]
+    scale = max(1.0, max(abs(v) for plane in theta for row in plane for v in row))
+    theta[0][1][2] += draw(st.sampled_from((0.0, 1e-12, 0.9e-9, 2e-9))) * scale
+    return m, theta
+
+
+def test_two_step_builds_equal_their_validation():
+    @settings(PROFILE, max_examples=60)
+    @given(alternating_thetas())
+    def check(drawn):
+        m, theta = drawn
+        try:
+            L, k = build_two_step(TwoStepSpec(m, theta))
+        except (RankDeficientTheta, NotAntisymmetric):
+            assume(False)
+        again = validate_algebra(L.array, L.labels)
+        assert again == L and _same_array(again.array, L.array)
+        read = validate_algebra(L.c, L.labels)
+        assert read == L and read.array.den == L.array.den
+        assert read.array.num.dtype == L.array.num.dtype
+        pairing = validate_form(k.array)
+        assert pairing == k and _same_array(pairing.array, k.array)
+        assert _same_array(pairing.inverse, k.inverse)
+        assert check_ad_invariance(L, k).invariant
+
+    check()
+
+
+def test_cotangent_double_pairings_equal_their_validation():
+    for base in [catalog(f"a-d({d})").algebra for d in (1, 2, -3)] + [catalog("dim4-b").algebra]:
+        for A in (base, base.to_float()):
+            _, k = build_cotangent_double(A)
+            pairing = validate_form(k.array)
+            assert pairing == k and _same_array(pairing.array, k.array)
+            assert _same_array(pairing.inverse, k.inverse)
+
+
+# --- structure reports against the series computed term by term ------------
+
+
+def reference_report(L):
+    """structure_report as it was computed before [g, g] was shared: the
+    whole algebra through span_basis, and every term of both series
+    spanned anew, the derived algebra included."""
+    n, exact, C = L.dim, L.exact, L.array
+    full = linalg.span_basis(scalars.eye(n, exact))
+    center = linalg.nullspace(C.transpose(1, 2, 0).reshape(n * n, n))
+    derived = _bracket_span(L, full, full)
+    series = [full]
+    while True:
+        nxt = _bracket_span(L, full, series[-1])
+        if linalg.same_span(nxt, series[-1]):
+            break
+        series.append(nxt)
+        if not len(nxt.num):
+            break
+    dseries = [full]
+    while len(dseries[-1].num):
+        nxt = _bracket_span(L, dseries[-1], dseries[-1])
+        if linalg.same_span(nxt, dseries[-1]):
+            break
+        dseries.append(nxt)
+    traces = scalars.contract("ikk->i", C)
+    tol = scalars.tolerance(exact, max(1.0, C.scale()))
+    return StructureReport(
+        center=center.tuples(),
+        derived=derived.tuples(),
+        lower_central=tuple(term.tuples() for term in series),
+        nilpotency_class=len(series) - 1 if not len(series[-1].num) else None,
+        solvable=not len(dseries[-1].num),
+        unimodular=not traces.beyond(tol).any(),
+        abelian=not np.count_nonzero(C.num),
+    )
+
+
+REPORTED = ["e2-motion", "oscillator(1)", "oscillator(1,2)", "oscillator(1/2,3)", "dim4-b",
+            "dim5-nilpotent", "two-step-volume", "a-d(1)", "a-d(-2)", "a-d-double(1)"]
+
+
+@pytest.mark.parametrize("name", REPORTED)
+def test_structure_report_equals_the_term_by_term_series_on_the_catalog(name):
+    L = catalog(name).algebra
+    for A in (L, L.to_float()):
+        assert structure_report(A) == reference_report(A)
+
+
+@pytest.mark.parametrize("family, examples", FAMILIES)
+def test_structure_report_equals_the_term_by_term_series_on_the_families(family, examples):
+    @settings(PROFILE, max_examples=examples)
+    @given(family)
+    def check(pair):
+        L = pair[0]
+        for A in (L, L.to_float()):
+            assert structure_report(A) == reference_report(A)
+
+    check()

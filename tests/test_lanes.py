@@ -228,6 +228,33 @@ def test_to_array_stores_numerators_to_the_int64_edge_on_int64(sign):
     assert scalars.read(entries, 1) == beyond and scalars.read(entries, 1).num.dtype == object
 
 
+@pytest.mark.parametrize("entries", [
+    [Fraction(1, 2), Fraction(-1, 3), 5, Fraction(0)],
+    [Fraction(2**70), Fraction(1, 3), -1],
+    [Fraction(-(2**63)), 1],
+    [Fraction(-(2**63) + 1), 1],
+    [Fraction(-(2**63), 3), Fraction(1, 3)],
+    [Fraction(INT64_MAX, 5), Fraction(-INT64_MAX, 5), Fraction(2, 5)],
+    [Fraction(2**62, 3), Fraction(1, 2)],
+    [0, 0, 0],
+    [],
+])
+def test_to_array_reads_flat_and_nested_entries_alike(entries):
+    # the reference: numerators over the lcm denominator, on int64 exactly
+    # when every one is within +-(2**63 - 1)
+    den = math.lcm(*(Fraction(v).denominator for v in entries))
+    nums = [int(v * den) for v in entries]
+    lane = INT64 if all(abs(v) <= INT64_MAX for v in nums) else np.dtype(object)
+    n = len(entries)
+    for nested, shape in ((entries, (n,)), (tuple(entries), (n,)), ([entries], (1, n)),
+                          ([tuple(entries)] * 2, (2, n)), (np.array(entries, dtype=object), (n,))):
+        got = scalars.to_array(nested, True)
+        assert got.den == den and got.num.dtype == lane and got.num.shape == shape
+        assert [int(v) for v in got.num.flat] == nums * (len(got.num.flat) // max(n, 1))
+        assert not got.num.flags.writeable
+    assert scalars.read(entries, 1, n) == got
+
+
 def test_the_constructor_narrows_and_wide_alone_keeps_python_ints():
     fits = np.array([INT64_MAX, -INT64_MAX, 0], dtype=object)
     a = scalars.ScaledArray(fits, 3)

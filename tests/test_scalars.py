@@ -31,6 +31,25 @@ def test_decide_mode_rejects_fraction_float_mix():
         scalars.decide_mode([Fraction(1, 2), 0.5])
 
 
+@pytest.mark.parametrize("values, error", [
+    ([math.nan, [1]], InvalidValue),
+    ([[1], math.nan], DimensionMismatch),
+    ([Fraction(1, 2), 0.5, math.inf], InvalidValue),
+    ([Fraction(1, 2), 0.5, (1,)], DimensionMismatch),
+    ([Fraction(1, 2), 0.5, np.array(1.0)], DimensionMismatch),
+    ([Fraction(1, 2), 0.5, "x"], MixedModeError),
+    ([0.5, True, math.nan], MixedModeError),
+    ([np.float64(math.nan), "x"], InvalidValue),
+    ([1, np.int64(1), [1]], MixedModeError),
+    ([0.5, Fraction(1, 2)], MixedModeError),
+])
+def test_decide_mode_raises_for_the_first_bad_entry_then_for_the_mix(values, error):
+    # each entry is typed on its own, in order; the Fraction-float mix is
+    # judged only after every entry passed
+    with pytest.raises(error):
+        scalars.decide_mode(values)
+
+
 def test_coerce_keeps_exact_values_exact():
     v = scalars.coerce(Fraction(2, 3), True)
     assert v == Fraction(2, 3) and isinstance(v, Fraction)
@@ -288,3 +307,26 @@ def test_scaled_arrays_compare_by_value_and_mode():
     assert a.to_float().half() == a.half().to_float()
     with pytest.raises(InvalidValue):
         scalars.ScaledArray(np.array([10**400], dtype=object)).to_float()
+
+
+def _tupled(x):
+    """tolist()'s nesting as tuples, one level per recursion."""
+    return tuple(map(_tupled, x)) if isinstance(x, list) else x
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (1,), (4,), (0, 3), (3, 0), (2, 0, 3), (2, 3, 0),
+                                   (2, 3, 4), (1, 2, 1, 3)])
+def test_tuples_nest_as_tolist_does_in_both_modes(shape):
+    size = math.prod(shape)
+    ints = np.arange(size).reshape(shape) - size // 2
+    exact = scalars.ScaledArray(ints, 3)
+    fractions = np.array([Fraction(int(v), 3) for v in ints.flat], dtype=object)
+    assert exact.tuples() == _tupled(fractions.reshape(shape).tolist())
+    # binary64 -0.0 reads as 0.0
+    floats = np.where(ints % 3 == 0, -0.0, ints * 0.5)
+    approx = scalars.ScaledArray(floats).tuples()
+    assert approx == _tupled(floats.tolist())
+    flat = [approx] if not shape else list(np.array(approx, dtype=float).flat)
+    assert all(math.copysign(1.0, v) == 1.0 for v in flat if v == 0)
+    if not shape:
+        assert isinstance(exact.tuples(), Fraction) and isinstance(approx, float)
