@@ -9,6 +9,8 @@ graded-derivation flat structures) together with a catalog of worked
 models that double as test oracles.
 """
 
+import importlib
+
 from .algebra import LieAlgebra, StructureReport, bracket, structure_report, validate_algebra
 from .connection import (
     CurvatureTensor,
@@ -39,27 +41,6 @@ from .constructions import (
     volume_theta,
 )
 from .catalog import CatalogEntry, available, catalog
-from .dynamics import (
-    ConjugateReport,
-    JacobiTrajectory,
-    PolynomialCertificate,
-    ProbeReport,
-    TerminationStatus,
-    Trajectory,
-    annotate_candidates,
-    biinvariant_jacobi,
-    completeness_probe,
-    conjugate_scan,
-    energy_drift,
-    euler_field,
-    integrate_geodesic,
-    integrate_jacobi,
-    jacobi_route_gap,
-    polynomial_geodesic_check,
-    quadratic_euler_field,
-    reflection_equation_residual,
-    right_invariant_reflection,
-)
 from .errors import EngineError, MixedModeError, ParseError, ValidationError
 from .forms import (
     AdInvarianceReport,
@@ -72,7 +53,34 @@ from .forms import (
     signature,
     validate_form,
 )
-from .fileio import parse_algebra_file, serialize_algebra, write_algebra_file
+
+# Modules imported when one of their names is first read: most commands
+# integrate nothing, and a cold start need not pay for the integrator.
+_DEFERRED = {
+    "dynamics": (
+        "ConjugateReport",
+        "JacobiTrajectory",
+        "PolynomialCertificate",
+        "ProbeReport",
+        "TerminationStatus",
+        "Trajectory",
+        "annotate_candidates",
+        "biinvariant_jacobi",
+        "completeness_probe",
+        "conjugate_scan",
+        "energy_drift",
+        "euler_field",
+        "integrate_geodesic",
+        "integrate_jacobi",
+        "jacobi_route_gap",
+        "polynomial_geodesic_check",
+        "quadratic_euler_field",
+        "reflection_equation_residual",
+        "right_invariant_reflection",
+    ),
+    "fileio": ("parse_algebra_file", "serialize_algebra", "write_algebra_file"),
+}
+_HOME = {name: module for module, names in _DEFERRED.items() for name in names}
 
 __version__ = "0.1.0"
 
@@ -145,3 +153,18 @@ __all__ = [
     "serialize_algebra",
     "write_algebra_file",
 ]
+
+
+def __getattr__(name):
+    """A deferred module or one of its names, imported on first read and
+    kept in the package from then on."""
+    module = name if name in _DEFERRED else _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    loaded = importlib.import_module(f"{__name__}.{module}")
+    value = globals()[name] = loaded if module == name else getattr(loaded, name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_DEFERRED})

@@ -10,7 +10,8 @@ Each command takes only the flags its _COMMANDS row names: --tol is the
 integrator tolerance of geodesic, jacobi, conjugate and probe, and --out
 the artifact directory of the commands that write one.  Certificate
 verdicts take the library's tolerances: none in exact mode, scale-aware
-in binary64.
+in binary64.  Only the commands that integrate import the integrator
+(dynamics), so the others start without it.
 
 Files follow the format in fileio: when a document carries both a form
 and an iso, the form is the invariant pairing and the studied metric is
@@ -34,14 +35,6 @@ from .algebra import structure_report
 from .catalog import available, catalog
 from .connection import curvature, curvature_tolerance, flatness_report, levi_civita, product_report
 from .constructions import TwoStepSpec, build_two_step, two_step_metric
-from .dynamics import (
-    annotate_candidates,
-    completeness_probe,
-    conjugate_scan,
-    energy_drift,
-    integrate_geodesic,
-    integrate_jacobi,
-)
 from .errors import EngineError, ParseError, ValidationError, ZeroXMinusOne
 from .forms import check_ad_invariance, metric_from_iso, signature
 from .linalg import det
@@ -394,6 +387,8 @@ def _cmd_flat(args):
 
 
 def _cmd_geodesic(args):
+    from .dynamics import energy_drift, integrate_geodesic
+
     model = _resolve_model(args, need_metric=True)
     if args.span is None:
         raise ParseError("geodesic needs --span A:B")
@@ -421,6 +416,8 @@ def _cmd_geodesic(args):
 
 
 def _cmd_jacobi(args):
+    from .dynamics import integrate_jacobi
+
     model = _resolve_model(args, need_metric=True)
     if args.span is None:
         raise ParseError("jacobi needs --span A:B")
@@ -453,6 +450,8 @@ def _cmd_jacobi(args):
 
 
 def _cmd_conjugate(args):
+    from .dynamics import annotate_candidates, conjugate_scan
+
     model = _resolve_model(args, need_metric=True)
     window = _parse_pair(args.window, "--window")
     x0 = _initial_vector(args, model)
@@ -518,6 +517,8 @@ def _cmd_conjugate(args):
 
 
 def _cmd_probe(args):
+    from .dynamics import completeness_probe
+
     model = _resolve_model(args, need_metric=True)
     x0 = _initial_vector(args, model)
     t_max = _parse_pair(args.span, "--span") if args.span else 1e3

@@ -3,24 +3,28 @@
 Everything here runs in binary64; exact tensors are converted on entry.
 The workhorse is DOP853, the eighth-order Dormand-Prince method as coded
 by Hairer, Norsett and Wanner (Solving ODEs I, II.10): twelve stages, the
-field at the new state reused as the first stage of the next step, the
-combined fifth/third-order error estimate and the plain step controller of
-that code, with an escape radius for blow-up detection and a minimal step
-for collapse detection.  A run marches from t0 to t1 on its own mesh and
-clamps only its last step, onto t1.  Every state off that mesh (requested
-trajectory rows, the grids of the route gap and of the divided
-differences, the times of a conjugate scan) is read off the seventh-order
-continuous extension of the method, whose three extra stages are
-evaluated only for the steps that are read.  A read takes one time or a
-1-D array of times and serves all of them at once, each row bit for bit
-the read of its time alone; so a scan runs every bisection bracket, then
-every golden-section candidate, in lockstep, one read and one stacked
-determinant per round.  It polishes every grid minimum of |det Y / t^n|
-but the flat ones above its 1e-12 acceptance level: three samples that
-agree to 100 times the tolerance (at most 1e-6) of their size show no dip
-the solve resolves.  That is a rule on the samples, not a bound on det Y
-between them.  A scan on a flat metric, where det Y / t^n is constant up
-to the solve's error, is one read of its grid.
+field at the new state reused as the first stage of the next step and the
+combined fifth/third-order error estimate of that code.  The step
+controller is the elementary one: the next step is 0.9 err^(-1/8) times
+the last, the ratio kept in [0.2, 10] (the defaults of Hairer's DOPRI5
+code; his DOP853 code keeps [1/3, 6]), no growth on the step after a
+rejection and a tenfold cut after a non-finite estimate.  An escape
+radius detects blow-up and a minimal step detects collapse.  A run
+marches from t0 to t1 on its own mesh and clamps only its last step, onto
+t1.  Every state off that mesh (requested trajectory rows, the grids of
+the route gap and of the divided differences, the times of a conjugate
+scan) is read off the seventh-order continuous extension of the method,
+whose three extra stages are evaluated only for the steps that are read.
+A read takes one time or a 1-D array of times and serves all of them at
+once, each row bit for bit the read of its time alone; so a scan runs
+every bisection bracket, then every golden-section candidate, in
+lockstep, one read and one stacked determinant per round.  It polishes
+every grid minimum of |det Y / t^n| but the flat ones above its 1e-12
+acceptance level: three samples that agree to 100 times the tolerance (at
+most 1e-6) of their size show no dip the solve resolves.  That is a rule
+on the samples, not a bound on det Y between them.  A scan on a flat
+metric, where det Y / t^n is constant up to the solve's error, is one
+read of its grid.
 
 One _solve serves a single run and a block of runs alike.  Given a (B, n)
 block with one end per row, it runs every row in one step loop: each row

@@ -1,7 +1,11 @@
-"""Command-line interface tests, driven in-process through main()."""
+"""Command-line interface tests, driven in-process through main(), and
+in fresh interpreters where the modules a command imports are tested."""
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -304,3 +308,113 @@ def test_family_sweep_reports_the_tolerance_its_samples_took(tmp_path):
     tol = flatness_report(L, metric).tolerance
     assert code == 0 and tol > 1e-9
     assert rep["verdicts"]["all_flat"] == {"value": True, "mode": "binary64", "tolerance": tol}
+
+
+def fresh(code, *argv):
+    """stdout of a fresh interpreter that runs code on this quadlie."""
+    src = str(Path(fileio.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+_QUIET = """
+import contextlib, io, sys
+from quadlie.cli import main
+def quiet(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main(list(argv))
+"""
+
+
+def test_a_bare_import_loads_neither_the_integrator_nor_the_file_format():
+    out = fresh("import sys, quadlie; print([m for m in sys.modules if m in "
+                "('quadlie.dynamics', 'quadlie.fileio')])")
+    assert out == "[]\n"
+
+
+def test_commands_that_integrate_nothing_never_import_dynamics():
+    out = fresh(_QUIET + """
+codes = [quiet("flat", "--catalog", "e2-motion"), quiet("catalog"),
+         quiet("analyze", "--catalog", "dim5-nilpotent"), quiet("validate", "--catalog", "dim4-b"),
+         quiet("connection", "--catalog", "e2-motion"), quiet("curvature", "--catalog", "e2-motion"),
+         quiet("build", "--catalog", "oscillator(1)"), quiet("family-sweep", "--trials", "1")]
+print(codes, "quadlie.dynamics" in sys.modules)
+""")
+    assert out == "[0, 0, 0, 0, 0, 0, 0, 0] False\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("geodesic", "--span=0:1"),
+    ("jacobi", "--span=0:1", "--y", "e1:1"),
+    ("conjugate", "--window=0:2", "--grid", "8"),
+    ("probe", "--span=-1:1"),
+])
+def test_a_command_that_integrates_imports_dynamics(argv):
+    cmd, *flags = argv
+    out = fresh(_QUIET + f"""
+before = "quadlie.dynamics" in sys.modules
+code = quiet({cmd!r}, "--catalog", "e2-motion", *{flags!r})
+print(before, code, "quadlie.dynamics" in sys.modules)
+""")
+    assert out == "False 0 True\n"
+
+
+# `import quadlie` defers dynamics and fileio until one of their names is
+# first read; every public name must still resolve to its defining
+# module's object, whichever of the package's modules a process imported
+# first
+_CHECK = """
+import sys
+import quadlie
+
+
+def check():
+    # before the loop below binds every name in the package
+    assert set(quadlie.__all__) <= set(dir(quadlie))
+    for name in quadlie.__all__:
+        obj = getattr(quadlie, name)
+        home = sys.modules[obj.__module__]
+        assert home.__name__.startswith("quadlie.") and getattr(home, name) is obj, name
+        scope = {}
+        exec(f"from quadlie import {name}", scope)
+        assert scope[name] is obj, name
+    assert callable(quadlie.catalog)
+    from quadlie import dynamics, fileio
+    assert quadlie.dynamics is dynamics is sys.modules["quadlie.dynamics"]
+    assert quadlie.fileio is fileio is sys.modules["quadlie.fileio"]
+    assert quadlie.integrate_geodesic is dynamics.integrate_geodesic
+    assert quadlie.parse_algebra_file is fileio.parse_algebra_file
+    try:
+        quadlie.no_such_name
+    except AttributeError:
+        pass
+    else:
+        raise AssertionError("quadlie.no_such_name resolved")
+    try:
+        from quadlie import no_such_name
+    except ImportError:
+        pass
+    else:
+        raise AssertionError("from quadlie import no_such_name resolved")
+
+
+for step in sys.argv[1:]:
+    check() if step == "check" else exec(step)
+print("ok")
+"""
+
+_ORDERS = [
+    ("check", "import quadlie.cli", "import quadlie.catalog", "check"),
+    ("import quadlie.cli", "import quadlie.catalog", "check"),
+    ("import quadlie.catalog", "import quadlie.cli", "check"),
+    ("import quadlie.dynamics", "import quadlie.fileio", "check"),
+    ("from quadlie import *", "check"),
+]
+
+
+@pytest.mark.parametrize("steps", _ORDERS, ids=" / ".join)
+def test_every_public_name_resolves_to_its_defining_modules_object(steps):
+    assert fresh(_CHECK, *steps) == "ok\n"
