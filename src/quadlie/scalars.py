@@ -96,14 +96,11 @@ def decide_mode(values):
     saw_float = False
     saw_frac = False
     for v in values:
-        # float and int first: isinstance(v, Fraction) runs ABCMeta's
-        # check on every other type; subclasses of int take the last test
+        # float first: isinstance(v, Fraction) runs ABCMeta's check on others
         if isinstance(v, float):
             if not math.isfinite(v):
                 raise InvalidValue(f"non-finite entry {v!r}")
             saw_float = True
-        elif type(v) is int:
-            pass
         elif isinstance(v, Fraction):
             saw_frac = True
         elif isinstance(v, _LEVEL):
