@@ -24,6 +24,7 @@ that is not finite as null.
 import argparse
 import hashlib
 import json
+import os
 import random
 import sys
 from dataclasses import asdict, dataclass
@@ -613,6 +614,8 @@ def _cmd_family_sweep(args):
         rng = random.Random(args.rng_seed)
         phis = [_random_phi(rng, m) for _ in range(args.trials)]
         source = {"generated": {"trials": args.trials, "rng_seed": args.rng_seed}}
+    if not phis:  # an empty table would certify nothing
+        raise ParseError("family-sweep needs at least one phi sample, from --trials or the file")
 
     rows = []
     all_flat = True
@@ -666,6 +669,21 @@ _COMMANDS = {
 }
 
 
+def _emit(report):
+    """Print report as JSON on stdout and flush it; False when the reader
+    closed the pipe, after pointing stdout at devnull so that the flush at
+    exit does not fail again."""
+    try:
+        print(json.dumps(fileio.to_jsonable(report), indent=2))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return False
+    return True
+
+
 def main(argv=None):
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = _parser()
@@ -680,12 +698,11 @@ def main(argv=None):
             "command": ["quadlie", *argv],
             "error": {"type": type(e).__name__, "message": str(e)},
         }
-        print(json.dumps(fileio.to_jsonable(report), indent=2))
+        _emit(report)
         print(f"error: {e}", file=sys.stderr)
         return 1
     report = {"command": ["quadlie", *argv], **payload, "artifacts": artifacts}
-    print(json.dumps(fileio.to_jsonable(report), indent=2))
-    return code
+    return code if _emit(report) else 1
 
 
 if __name__ == "__main__":

@@ -26,16 +26,18 @@ on the samples, not a bound on det Y between them.  A scan on a flat
 metric, where det Y / t^n is constant up to the solve's error, is one
 read of its grid.
 
-One _solve serves a single run and a block of runs alike.  Given a (B, n)
-block with one end per row, it runs every row in one step loop: each row
-keeps its own time, step size, accept/reject decision and status and
-leaves the block when it stops, while the stages, the field calls and the
-error norms are each one array operation across the rows.  So a field
-callable maps (..., n) states to (..., n), and the variation systems do
-too, each row as its 1-D call; a read of the continuous extension calls
-the field on the block of the steps it reads.  completeness_probe runs
-all its seeds, both ways, as one block; every other entry point is a
-single run with a 1-D state.
+One _solve serves a single run and a block of runs alike and returns one
+record per row, a _Run: how the row stopped, its step counts and, when
+kept, its mesh and continuous extension.  Given a (B, n) block with one
+end per row, it runs every row in one step loop: each row keeps its own
+time, step size, accept/reject decision and status and leaves the block
+when it stops, while the stages, the field calls and the error norms are
+each one array operation across the rows.  So a field callable maps
+(..., n) states to (..., n), and the variation systems do too, each row
+as its 1-D call; a read of the continuous extension calls the field on
+the block of the steps it reads.  completeness_probe runs all its seeds,
+both ways, as one block and polynomial_geodesic_check its trials as one
+kept block; every other entry point is a single run with a 1-D state.
 
 Each integrator field is one bilinear table, contracted once when the
 field is built: the geodesic field, its invariant-form route, the
@@ -426,10 +428,13 @@ def _initial_step(f, y0, f0, directions, tol, spans):
     return steps
 
 
-class _Dense:
-    """The continuous extension of one _solve run, to seventh order in the
-    step.  _solve hands over its field and records each accepted step with
-    its stages; reads come after the run.
+class _Run:
+    """One row of a _solve call: how it stopped (status, None while it
+    runs), its accepted and rejected step counts and, when the call keeps
+    its runs, its mesh (times in step order and the state at each, never
+    written in place) and its continuous extension, to seventh order in
+    the step.  _solve records each accepted step with its stages; reads
+    come after the run.
 
     A read takes one time t, giving the (N,) state, or a 1-D array of m
     times, giving (m, N) rows, and each row is bit for bit the read of its
@@ -441,8 +446,11 @@ class _Dense:
     powers against its step's coefficients gives the rows.
     """
 
-    def __init__(self):
-        self.field = None  # handed over by _solve
+    def __init__(self, field, t0, y0, keep):
+        self.field = field
+        self.status = None
+        self.accepted = self.rejected = 0
+        self.times, self.states = ([t0], [y0]) if keep else ([], [])
         self.keys = []  # start of each accepted step, times the direction
         # (start, signed step, start state, end state, stage array) per step
         self.steps = []
@@ -496,28 +504,28 @@ class _Dense:
         self.read[fresh] = True
 
 
-def _solve(f, y0, t0, t1, tol, *, escape=ESCAPE_RADIUS, hmin=MIN_STEP, dense=None, stats=None):
+def _solve(f, y0, t0, t1, tol, keep=False):
     """March from t0 to t1: one run for a 1-D y0, or one run per row of a
-    (B, n) block y0 with per-row ends t1, a sequence of B times.
+    (B, n) block y0 with per-row ends t1, a sequence of B times.  Returns
+    one _Run per row, in row order: a list of one for a 1-D y0.
 
     The controller sizes every step, and only the last is clamped, onto
-    the end; a run that blows up or whose step collapses stops early.
-    Each row keeps its own time, step size, accept/reject decision, step
-    budget and status, and leaves the block when it stops; across the rows
-    the stages, field calls, finiteness test and error norms are each one
+    the end; a run stops early when it blows up (a state not finite or
+    past ESCAPE_RADIUS) or when its step falls below MIN_STEP.  Each row
+    keeps its own time, step size, accept/reject decision, step budget and
+    status, and leaves the block when it stops; across the rows the
+    stages, field calls, finiteness test and error norms are each one
     array operation, so f maps (..., n) states to (..., n).  Every other
     operation acts on each row as it would on that row alone; with a field
     that does too, as _quadratic's does, a row ends exactly as its own 1-D
-    run would.
+    run would, with the same mesh and the same continuous extension.  A
+    1-D y0 runs without a row axis, which would cost every numpy call.
 
-    A 1-D run returns (times, states, status) in step order; a block keeps
-    no states and returns the list of its rows' statuses.  A _Dense passed
-    as dense (1-D runs only) is handed the field and records every
-    accepted step, so that states between mesh points can be read off it
-    afterwards.  A list passed as stats receives one (accepted, rejected)
-    pair of step counts per row.  Raises InvalidValue for a tolerance that
-    is not positive and finite or a non-finite initial state, and
-    StepBudgetExhausted when a row reaches STEP_BUDGET attempted steps.
+    With keep, each run records its mesh and every accepted step, so that
+    states between mesh points can be read off it afterwards.  Raises
+    InvalidValue for a tolerance that is not positive and finite or a
+    non-finite initial state, and StepBudgetExhausted when a row reaches
+    STEP_BUDGET attempted steps.
     """
     if not (_finite_real(tol) and tol > 0):
         raise InvalidValue(f"tolerance must be positive and finite, got {tol!r}")
@@ -527,31 +535,28 @@ def _solve(f, y0, t0, t1, tol, *, escape=ESCAPE_RADIUS, hmin=MIN_STEP, dense=Non
     single = y.ndim == 1
     ends = [t1] if single else list(t1)
     n = y.shape[-1]
-    # per row: time, step size, whether its last attempt was rejected, the
-    # step counts and how it stopped
+
+    def by_row(a):
+        """a as a sequence of its rows, a 1-D run's a being its one row;
+        by_row(a.tolist()) gives one Python value per row"""
+        return [a] if single else a
+
+    runs = [_Run(f, t0, row, keep) for row in by_row(y)]
+    # per row: time, step size and whether its last attempt was rejected
     t = [t0] * len(ends)
     directions = [1.0 if end > t0 else -1.0 for end in ends]
     retry = [False] * len(ends)
-    accepted = [0] * len(ends)
-    rejected = [0] * len(ends)
-    status = [None] * len(ends)
-    times = [t0]
-    states = [y]  # each state is a fresh array, never written in place
-
-    def per_row(a):
-        """a reduced over its last axes, as one Python value per row"""
-        return [a.tolist()] if single else a.tolist()
 
     # a start state or a stage past a blow-up may overflow; the start's
     # finiteness test and the one test per attempt catch it
     with np.errstate(over="ignore", invalid="ignore"):
         f0 = f(y)
         live = []  # the rows still running, in block order
-        for i, ok in enumerate(per_row(np.isfinite(f0).all(axis=-1))):
+        for i, ok in enumerate(by_row(np.isfinite(f0).all(axis=-1).tolist())):
             if ok:
                 live.append(i)
             else:
-                status[i] = TerminationStatus("blowup", t0)
+                runs[i].status = TerminationStatus("blowup", t0)
         if len(live) < len(ends) and not single:
             y, f0 = y[live], f0[live]
         h = [0.0] * len(ends)
@@ -560,29 +565,28 @@ def _solve(f, y0, t0, t1, tol, *, escape=ESCAPE_RADIUS, hmin=MIN_STEP, dense=Non
             steps = _initial_step(f, y, f0, [directions[i] for i in live], tol, spans)
             for i, step in zip(live, steps):
                 h[i] = step
-        if dense is not None:
-            dense.field = f
 
         k1 = f0
         while True:
             # stops before an attempt, then each moving row's signed step;
             # rows that stopped stay in the block until here
             moving, h_use, last = [], [], []
-            for i in live:
-                if status[i] is not None:
+            for j, i in enumerate(live):
+                run = runs[i]
+                if run.status is not None:
                     continue
                 ti, end = t[i], ends[i]
-                if accepted[i] + rejected[i] >= STEP_BUDGET:
+                if run.accepted + run.rejected >= STEP_BUDGET:
                     raise StepBudgetExhausted(f"no end after {STEP_BUDGET} steps, at t={ti}")
-                hmin_eff = max(hmin, 10 * _EPS * max(1.0, abs(ti)))
-                if h[i] < hmin_eff:
-                    status[i] = TerminationStatus("step-collapse", ti)
-                elif abs(end - ti) <= hmin_eff:
+                hmin = max(MIN_STEP, 10 * _EPS * max(1.0, abs(ti)))
+                if h[i] < hmin:
+                    run.status = TerminationStatus("step-collapse", ti)
+                elif abs(end - ti) <= hmin:
                     # close enough that a step would underflow; snap to the end
-                    status[i] = TerminationStatus("completed", end)
-                    if single:
-                        times.append(end)
-                        states.append(y)
+                    run.status = TerminationStatus("completed", end)
+                    if keep:
+                        run.times.append(end)
+                        run.states.append(by_row(y)[j])
                 else:
                     d = directions[i]
                     lst = (ti + d * h[i] - end) * d >= 0
@@ -592,8 +596,8 @@ def _solve(f, y0, t0, t1, tol, *, escape=ESCAPE_RADIUS, hmin=MIN_STEP, dense=Non
             if not moving:
                 break
             if len(moving) < len(live):
-                keep = [j for j, i in enumerate(live) if status[i] is None]
-                y, k1, live = y[keep], k1[keep], moving
+                rows = [j for j, i in enumerate(live) if runs[i].status is None]
+                y, k1, live = y[rows], k1[rows], moving
 
             # the stages, then the start state; rows not yet evaluated stay
             # zero, so each stage state is one product with the whole of K
@@ -607,13 +611,13 @@ def _solve(f, y0, t0, t1, tol, *, escape=ESCAPE_RADIUS, hmin=MIN_STEP, dense=Non
                 y_new = np.vecmat(hA[s], K)
                 K[..., s, :] = f(y_new)
             stages = K[..., :_STAGES, :]
-            finite = per_row(np.isfinite(stages).all(axis=(-2, -1)))
+            finite = by_row(np.isfinite(stages).all(axis=(-2, -1)).tolist())
             # the combined estimate of DOP853: the fifth-order error, damped
             # where the third-order one is large against it
             sc = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
             norms = np.square((_ERR @ stages) / sc[..., None, :]).sum(axis=-1)
             taken = []
-            for j, ((e5, e3), ok) in enumerate(zip(per_row(norms), finite)):
+            for j, ((e5, e3), ok) in enumerate(zip(by_row(norms.tolist()), finite)):
                 i, hu = live[j], h_use[j]
                 err = math.nan
                 if ok:
@@ -626,44 +630,42 @@ def _solve(f, y0, t0, t1, tol, *, escape=ESCAPE_RADIUS, hmin=MIN_STEP, dense=Non
                 fac = max(0.2, 0.9 * err ** (-1 / 8)) if math.isfinite(err) else 0.1
                 h[i] = abs(hu) * fac
                 retry[i] = True
-                rejected[i] += 1
+                runs[i].rejected += 1
             if not taken:
                 continue
 
-            if dense is not None:
-                dense.record(t[0], h_use[0], y, y_new, K)
+            peaks = by_row(np.abs(y_new).max(axis=-1).tolist())
+            if keep:
+                ys, ys_new, Ks = by_row(y), by_row(y_new), by_row(K)
+            for j, err in taken:
+                i, hu = live[j], h_use[j]
+                run = runs[i]
+                t_prev = t[i]
+                t[i] = ends[i] if last[j] else t_prev + hu
+                run.accepted += 1
+                if not math.isfinite(peaks[j]):
+                    run.status = TerminationStatus("blowup", t_prev)
+                    continue
+                if keep:
+                    state = ys_new[j]
+                    run.record(t_prev, hu, ys[j], state, Ks[j])
+                    run.times.append(t[i])
+                    run.states.append(state)
+                if peaks[j] > ESCAPE_RADIUS:
+                    run.status = TerminationStatus("blowup", t[i])
+                elif last[j]:
+                    run.status = TerminationStatus("completed", ends[i])
+                else:
+                    fac = 0.9 * err ** (-1 / 8) if err > 0 else 10.0
+                    h[i] = abs(hu) * min(1.0 if retry[i] else 10.0, max(0.2, fac))
+                    retry[i] = False
             if len(taken) == len(live):
                 y, k1 = y_new, K[..., 12, :]  # FSAL: stage 12 is f at the new state
             else:
                 rows = [j for j, _ in taken]
                 y, k1 = y.copy(), k1.copy()
                 y[rows], k1[rows] = y_new[rows], K[rows, 12]
-            peaks = per_row(np.abs(y_new).max(axis=-1))
-            for j, err in taken:
-                i, hu = live[j], h_use[j]
-                t_prev = t[i]
-                t[i] = ends[i] if last[j] else t_prev + hu
-                accepted[i] += 1
-                if not math.isfinite(peaks[j]):
-                    status[i] = TerminationStatus("blowup", t_prev)
-                    continue
-                if single:
-                    times.append(t[i])
-                    states.append(y)
-                if peaks[j] > escape:
-                    status[i] = TerminationStatus("blowup", t[i])
-                elif last[j]:
-                    status[i] = TerminationStatus("completed", ends[i])
-                else:
-                    fac = 0.9 * err ** (-1 / 8) if err > 0 else 10.0
-                    h[i] = abs(hu) * min(1.0 if retry[i] else 10.0, max(0.2, fac))
-                    retry[i] = False
-
-    if stats is not None:
-        stats.extend(zip(accepted, rejected))
-    if single:
-        return times, states, status[0]
-    return status
+    return runs
 
 
 def _quadratic(table):
@@ -726,22 +728,23 @@ def quadratic_euler_field(L, u):
 
 
 def _sampled(f, y0, t0, t1, tol, t_eval=()):
-    """One _solve run as rows in increasing time: its mesh, plus each time
-    of t_eval that the run covered and that is not a mesh time, read off
-    the continuous extension."""
+    """One kept _solve run as rows in increasing time: its mesh, plus each
+    time of t_eval that the run covered and that is not a mesh time, read
+    off the continuous extension.  Returns the times, the (rows, N) array
+    of states and the status."""
     wanted = set()
     for t in t_eval:
         if not _finite_real(t):
             raise InvalidSpan(f"sample times must be finite reals, got {t!r}")
         wanted.add(float(t))
-    dense = _Dense() if wanted else None
-    times, states, status = _solve(f, y0, t0, t1, tol, dense=dense)
+    (run,) = _solve(f, y0, t0, t1, tol, keep=True)
     # a run that snapped onto t1 at once has no step to read
-    lo, hi = sorted((t0, times[-1])) if dense and dense.steps else (t0, t0)
-    extra = [t for t in wanted.difference(times) if lo <= t <= hi]
-    read = list(dense(np.array(extra))) if extra else []
-    rows = sorted(zip(times + extra, states + read), key=lambda r: r[0])
-    return [t for t, _ in rows], [z for _, z in rows], status
+    lo, hi = sorted((t0, run.times[-1])) if run.steps else (t0, t0)
+    extra = [t for t in wanted.difference(run.times) if lo <= t <= hi]
+    times = run.times + extra
+    states = np.concatenate([run.states, run(np.array(extra))]) if extra else np.array(run.states)
+    order = sorted(range(len(times)), key=times.__getitem__)
+    return [times[k] for k in order], states[order], run.status
 
 
 def integrate_geodesic(P, x0, t_span, tol=1e-10, t_eval=()):
@@ -758,11 +761,7 @@ def integrate_geodesic(P, x0, t_span, tol=1e-10, t_eval=()):
     t0, t1 = _check_span(t_span)
     fld, dim = _field_from(P)
     times, states, status = _sampled(fld, _seed_block([x0], dim)[0], t0, t1, tol, t_eval)
-    return Trajectory(
-        times=tuple(times),
-        states=tuple(tuple(float(v) for v in s) for s in states),
-        status=status,
-    )
+    return Trajectory(times=tuple(times), states=tuple(map(tuple, states.tolist())), status=status)
 
 
 @dataclass(frozen=True)
@@ -843,11 +842,11 @@ def completeness_probe(P, seeds, t_max=1e3, tol=1e-10):
     back, fwd = _probe_window(t_max)
     fld, dim = _field_from(P)
     block = _seed_block(seeds, dim)
-    statuses = []
+    runs = []
     if len(block):
-        statuses = _solve(fld, np.repeat(block, 2, axis=0), 0.0, [fwd, back] * len(block), tol)
+        runs = _solve(fld, np.repeat(block, 2, axis=0), 0.0, [fwd, back] * len(block), tol)
     results = tuple(
-        ProbeResult(seed=tuple(seed), forward=statuses[2 * k], backward=statuses[2 * k + 1])
+        ProbeResult(seed=tuple(seed), forward=runs[2 * k].status, backward=runs[2 * k + 1].status)
         for k, seed in enumerate(block.tolist())
     )
     return ProbeReport(results=results, span=(back, fwd), tol=tol)
@@ -917,10 +916,10 @@ def integrate_jacobi(P, x0, y0, ydot0, t_span, tol=1e-10, t_eval=()):
     times, zs, status = _sampled(rhs, z0, t0, t1, tol, t_eval)
     return JacobiTrajectory(
         times=tuple(times),
-        states=tuple(tuple(float(v) for v in z[n : 2 * n]) for z in zs),
+        states=tuple(map(tuple, zs[:, n : 2 * n].tolist())),
         status=status,
-        base_states=tuple(tuple(float(v) for v in z[:n]) for z in zs),
-        derivative_states=tuple(tuple(float(v) for v in z[2 * n :]) for z in zs),
+        base_states=tuple(map(tuple, zs[:, :n].tolist())),
+        derivative_states=tuple(map(tuple, zs[:, 2 * n :].tolist())),
     )
 
 
@@ -943,10 +942,10 @@ def biinvariant_jacobi(L, x0, y0, ydot0, t_span, tol=1e-10):
     times, zs, status = _sampled(rhs, np.concatenate([y0a, ydot0a]), t0, t1, tol)
     return JacobiTrajectory(
         times=tuple(times),
-        states=tuple(tuple(float(v) for v in z[:n]) for z in zs),
+        states=tuple(map(tuple, zs[:, :n].tolist())),
         status=status,
-        base_states=tuple(tuple(float(v) for v in x0a) for _ in zs),
-        derivative_states=tuple(tuple(float(v) for v in z[n:]) for z in zs),
+        base_states=(tuple(x0a.tolist()),) * len(times),
+        derivative_states=tuple(map(tuple, zs[:, n:].tolist())),
     )
 
 
@@ -964,11 +963,11 @@ def right_invariant_reflection(L, P, x0, y0, t_span, tol=1e-10):
     times, zs, status = _sampled(rhs, z0, t0, t1, tol)
     return JacobiTrajectory(
         times=tuple(times),
-        states=tuple(tuple(float(v) for v in z[n:]) for z in zs),
+        states=tuple(map(tuple, zs[:, n:].tolist())),
         status=status,
-        base_states=tuple(tuple(float(v) for v in z[:n]) for z in zs),
+        base_states=tuple(map(tuple, zs[:, :n].tolist())),
         # y' = -[x, y] is the second half of the field
-        derivative_states=tuple(tuple(float(v) for v in rhs(z)[n:]) for z in zs),
+        derivative_states=tuple(map(tuple, rhs(zs)[:, n:].tolist())),
     )
 
 
@@ -992,20 +991,18 @@ def jacobi_route_gap(L, P, x0, y0, t_span, tol=1e-10, samples=101):
     carr = _bracket_table(L, n)
     z0 = _seed_block([x0, y0], n).reshape(-1)
     rhs_a = _reflection_rhs(gam, carr)
-    dense_a = _Dense()
-    _, _, status_a = _solve(rhs_a, z0, t0, t1, tol, dense=dense_a)
+    (run_a,) = _solve(rhs_a, z0, t0, t1, tol, keep=True)
 
     # the matched start: y'(0) = -[x0, y0], the second half of the field
     z0b = np.concatenate([z0, rhs_a(z0)[n:]])
-    dense_b = _Dense()
-    _, _, status_b = _solve(_jacobi_rhs(gam, carr), z0b, t0, t1, tol, dense=dense_b)
+    (run_b,) = _solve(_jacobi_rhs(gam, carr), z0b, t0, t1, tol, keep=True)
 
-    if not (status_a.completed and status_b.completed):
+    if not (run_a.status.completed and run_b.status.completed):
         return math.inf
-    if not dense_a.steps:
+    if not run_a.steps:
         raise InvalidSpan(f"span end {t1} is within the minimal step of {t0}")
     grid = np.array(grid)
-    return float(np.max(np.abs(dense_a(grid)[:, n:] - dense_b(grid)[:, n : 2 * n])))
+    return float(np.max(np.abs(run_a(grid)[:, n:] - run_b(grid)[:, n : 2 * n])))
 
 
 def reflection_equation_residual(L, P, traj):
@@ -1134,16 +1131,16 @@ def conjugate_scan(P, x0, t_window, grid=200, tol=1e-10):
     ts = [a + (b - a) * i / grid for i in range(grid)] + [b]
     ts = [t for t in ts if t > 0]
     z0 = np.concatenate([_seed_block([x0], n)[0], np.zeros(n * n), np.eye(n).reshape(-1)])
-    dense = _Dense()
-    _, _, status = _solve(rhs, z0, 0.0, b, tol, dense=dense)
+    (run,) = _solve(rhs, z0, 0.0, b, tol, keep=True)
+    status = run.status
     if not status.completed:
         raise InvalidSpan(f"variation system left the window: {status.kind} at t={status.t}")
-    if not dense.steps:
+    if not run.steps:
         raise InvalidSpan(f"scan window end {b} is within the minimal step of 0")
 
     def y_matrices(times):
         """Y at each of times, one read"""
-        return dense(np.array(times))[:, n : n + n * n].reshape(-1, n, n)
+        return run(np.array(times))[:, n : n + n * n].reshape(-1, n, n)
 
     def f_at(times):
         """det Y and det Y / t^n at each of times: one read and one det, or
@@ -1323,15 +1320,14 @@ def polynomial_geodesic_check(L, u, trials=3, seed=0, tol=1e-7):
     h = span_t / (npts - 1)
     grid = [i * h for i in range(1, npts - 1)] + [span_t]
     rng = random.Random(seed)
+    seeds = np.array([[rng.uniform(-1, 1) for _ in range(n)] for _ in range(trials)])
     worst = 0.0
-    for _ in range(trials):
-        x0 = [rng.uniform(-1, 1) for _ in range(n)]
-        dense = _Dense()
-        _, _, status = _solve(field, x0, 0.0, span_t, 1e-12, dense=dense)
-        if not status.completed:
+    runs = _solve(field, seeds, 0.0, [span_t] * len(seeds), 1e-12, keep=True) if len(seeds) else []
+    for x0, run in zip(seeds, runs):
+        if not run.status.completed:
             worst = math.inf
             continue
-        diff = [np.asarray(x0, dtype=float), *dense(np.array(grid))]
+        diff = [x0, *run(np.array(grid))]
         for _k in range(order):
             diff = [diff[i + 1] - diff[i] for i in range(len(diff) - 1)]
         dd = max(float(np.max(np.abs(d))) for d in diff) / (

@@ -205,6 +205,12 @@ def test_family_sweep_reads_a_sample_with_one_float_in_binary64(tmp_path):
     assert rep["table"][0]["char_poly"] == rep["table"][1]["char_poly"]
 
 
+def test_an_empty_sample_file_is_a_parse_error(tmp_path):
+    # a sweep of no samples would certify all_flat on an empty table
+    code, rep = _sweep_file(tmp_path, [])
+    assert code == 1 and rep["error"]["type"] == "ParseError"
+
+
 @pytest.mark.parametrize("flag", ["--catalog", "--lambda"])
 def test_family_sweep_takes_no_model_flags(flag):
     code, rep = run("family-sweep", "--trials", "1", flag, "1")
@@ -318,6 +324,21 @@ def fresh(code, *argv):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def test_a_reader_that_closed_stdout_ends_the_command_quietly():
+    # the reader goes before the child writes its report: exit 1, and no
+    # traceback, neither from the write nor from the flush at exit
+    src = str(Path(fileio.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.Popen([sys.executable, "-m", "quadlie.cli", "catalog"],
+                            env=dict(os.environ, PYTHONPATH=path),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""
 
 
 _QUIET = """

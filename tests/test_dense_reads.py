@@ -59,10 +59,9 @@ def _system(name):
 
 
 def _run(field, z0, t1):
-    dense = dynamics._Dense()
-    times, _, status = dynamics._solve(field, z0, 0.0, t1, 1e-10, dense=dense)
-    assert status.completed
-    return times, dense
+    (run,) = dynamics._solve(field, z0, 0.0, t1, 1e-10, keep=True)
+    assert run.status.completed
+    return run.times, run
 
 
 @pytest.mark.parametrize("t1", [6.0, -6.0])
@@ -156,13 +155,13 @@ def test_a_scan_reads_its_refinements_in_lockstep(monkeypatch):
     # iterate
     osc = catalog("oscillator(1)")
     P = levi_civita(osc.algebra, osc.quad_form)
-    read, calls = dynamics._Dense.__call__, []
+    read, calls = dynamics._Run.__call__, []
 
     def counted(self, t):
         calls.append(np.size(t))
         return read(self, t)
 
-    monkeypatch.setattr(dynamics._Dense, "__call__", counted)
+    monkeypatch.setattr(dynamics._Run, "__call__", counted)
     rep = dynamics.conjugate_scan(P, (1.02, 0.3, -0.2, 0.1), (0, 16), grid=64)
     assert len(rep.roots) == 2
     bisection_rounds = math.ceil(math.log2(0.25 / 1e-10))

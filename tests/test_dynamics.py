@@ -82,9 +82,9 @@ def test_dense_output_matches_closed_form_off_the_mesh(t1):
     x0 = (0.7, -0.3, 1.3)
     closed = entry.oracles["geodesic"](x0)
     field, _ = dynamics._field_from(P)
-    dense = dynamics._Dense()
-    times, _, status = dynamics._solve(field, x0, 0.0, t1, 1e-10, dense=dense)
-    assert status.completed
+    (dense,) = dynamics._solve(field, x0, 0.0, t1, 1e-10, keep=True)
+    times = dense.times
+    assert dense.status.completed
     # midpoints and thirds of every step sit strictly between mesh points
     probes = [a + f * (b - a) for a, b in zip(times, times[1:]) for f in (1 / 3, 0.5)]
     assert not set(probes) & set(times)
@@ -374,8 +374,9 @@ def test_step_count_gate_on_the_e2_geodesic():
     # evaluations on this run
     _entry, P = plane_motion_product()
     field, calls = _counted(dynamics._field_from(P)[0])
-    times, _, status = dynamics._solve(field, (0.3, -0.5, 1.0), 0.0, 30.0, 1e-10)
-    assert status.completed
+    (run,) = dynamics._solve(field, (0.3, -0.5, 1.0), 0.0, 30.0, 1e-10, keep=True)
+    times = run.times
+    assert run.status.completed
     assert len(times) - 1 <= 150
     # two evaluations for the initial step, then twelve per attempted step
     assert len(calls) <= 2 + 12 * 150
@@ -390,8 +391,9 @@ def test_step_count_gate_on_a_flat_phi_geodesic():
     P = levi_civita(L, metric)
     field, calls = _counted(dynamics._field_from(P)[0])
     x0 = (0.3, -0.5, 1.0, 0.2, 0.7, -0.4)
-    times, states, status = dynamics._solve(field, x0, 0.0, 50.0, 1e-10)
-    assert status.completed
+    (run,) = dynamics._solve(field, x0, 0.0, 50.0, 1e-10, keep=True)
+    times, states = run.times, run.states
+    assert run.status.completed
     assert len(times) - 1 <= 8
     assert len(calls) <= 2 + 12 * 8
     # and the line x0 + t x'(x0) is followed

@@ -143,6 +143,8 @@ def test_step_budget_is_an_engine_error(e2_product, monkeypatch):
         (["conjugate", "--catalog", "e2-motion", "--window", "0:5", "--grid", "-3"], "InvalidSpan"),
         (["family-sweep", "--dimv", "0"], "ParseError"),
         (["family-sweep", "--dimv", "-2"], "ParseError"),
+        (["family-sweep", "--trials", "0"], "ParseError"),
+        (["family-sweep", "--trials", "-5"], "ParseError"),
     ],
 )
 def test_cli_bad_numbers_give_json_errors(argv, kind):

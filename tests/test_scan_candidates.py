@@ -111,13 +111,13 @@ def test_every_minimum_of_a_varying_f_is_kept(r, step, depth, width):
 
 
 def _count_reads(monkeypatch):
-    read, calls = dynamics._Dense.__call__, []
+    read, calls = dynamics._Run.__call__, []
 
     def counted(self, t):
         calls.append(np.size(t))
         return read(self, t)
 
-    monkeypatch.setattr(dynamics._Dense, "__call__", counted)
+    monkeypatch.setattr(dynamics._Run, "__call__", counted)
     return calls
 
 

@@ -1,7 +1,9 @@
 """One _solve over a block of rows: every row ends as its own 1-D run does,
-in status kind, stop time and accepted and rejected step counts."""
+in status kind, stop time and accepted and rejected step counts, and a kept
+row has that run's mesh and continuous extension."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +11,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from quadlie import catalog, completeness_probe, levi_civita, quadratic_euler_field
+from quadlie import catalog, completeness_probe, iso_from_metric, levi_civita
+from quadlie import polynomial_geodesic_check, quadratic_euler_field, structure_report
 from quadlie import validate_algebra, validate_form
 from quadlie import dynamics
 
@@ -20,10 +23,9 @@ def _single_runs(field, seeds, ends, tol):
     """Each row as its own 1-D run: (statuses, [(accepted, rejected)])."""
     statuses, counts = [], []
     for seed, end in zip(seeds, ends):
-        stats = []
-        _, _, status = dynamics._solve(field, seed, 0.0, end, tol, stats=stats)
-        statuses.append(status)
-        counts.extend(stats)
+        (run,) = dynamics._solve(field, seed, 0.0, end, tol)
+        statuses.append(run.status)
+        counts.append((run.accepted, run.rejected))
     return statuses, counts
 
 
@@ -31,8 +33,9 @@ def _assert_rows_match(field, seeds, ends, tol=1e-10):
     """Run the block, compare each row with its single run, and return the
     block's statuses."""
     seeds = [tuple(float(v) for v in s) for s in seeds]
-    counts = []
-    statuses = dynamics._solve(field, np.array(seeds), 0.0, ends, tol, stats=counts)
+    runs = dynamics._solve(field, np.array(seeds), 0.0, ends, tol)
+    statuses = [run.status for run in runs]
+    counts = [(run.accepted, run.rejected) for run in runs]
     single, single_counts = _single_runs(field, seeds, ends, tol)
     assert len(statuses) == len(seeds)
     for row, (a, b) in enumerate(zip(statuses, single)):
@@ -135,13 +138,12 @@ def test_a_row_non_finite_at_the_start_stops_there_alone():
     field = _field(_aff())
     seeds = [(0.5, 0.5), (1e200, 0.0), (-1.0, 0.3)]
     ends = [3.0, 3.0, -3.0]
-    counts = []
-    statuses = dynamics._solve(field, np.array(seeds), 0.0, ends, 1e-10, stats=counts)
-    assert statuses[1] == dynamics.TerminationStatus("blowup", 0.0)
-    assert counts[1] == (0, 0)
+    runs = dynamics._solve(field, np.array(seeds), 0.0, ends, 1e-10)
+    assert runs[1].status == dynamics.TerminationStatus("blowup", 0.0)
+    assert (runs[1].accepted, runs[1].rejected) == (0, 0)
     _assert_rows_match(field, seeds, ends)
-    times, states, status = dynamics._solve(field, seeds[1], 0.0, 3.0, 1e-10)
-    assert (times, status) == ([0.0], statuses[1]) and len(states) == 1
+    (run,) = dynamics._solve(field, seeds[1], 0.0, 3.0, 1e-10, keep=True)
+    assert (run.times, run.status) == ([0.0], runs[1].status) and len(run.states) == 1
 
 
 def test_an_empty_seed_list_gives_an_empty_report():
@@ -159,10 +161,9 @@ def test_single_run_counts_match_its_mesh():
     field = _field(_product("e2-motion"))
     x0 = (0.7, -0.3, 1.3)
     for end in (1e3, -1e3):
-        stats = []
-        times, _, status = dynamics._solve(field, x0, 0.0, end, 1e-8, stats=stats)
-        assert status.completed
-        assert stats[0][0] == len(times) - 1
+        (run,) = dynamics._solve(field, x0, 0.0, end, 1e-8, keep=True)
+        assert run.status.completed
+        assert run.accepted == len(run.times) - 1
     _assert_rows_match(field, [x0, x0], [1e3, -1e3], tol=1e-8)
 
 
@@ -202,3 +203,80 @@ def test_random_aff_seeds_match_their_single_runs(seeds):
             assert not fwd.completed and math.isclose(fwd.t, 1 / x1, abs_tol=1e-3)
         if x1 >= 0:
             assert back.completed
+
+
+def _assert_kept_rows_match(field, seeds, ends, tol=1e-10):
+    """Each row of a kept block has its own 1-D run's mesh, states, step
+    counts and continuous extension, bit for bit."""
+    block = np.array(seeds, dtype=float)
+    runs = dynamics._solve(field, block, 0.0, ends, tol, keep=True)
+    assert len(runs) == len(block)
+    for row, (seed, end, run) in enumerate(zip(block, ends, runs)):
+        (lone,) = dynamics._solve(field, seed, 0.0, end, tol, keep=True)
+        assert (run.status, run.accepted, run.rejected) == (
+            lone.status, lone.accepted, lone.rejected,
+        ), f"row {row}"
+        assert run.times == lone.times
+        assert np.array_equal(np.array(run.states), np.array(lone.states))
+        # reads off the mesh: a third and a half of the way through each step
+        ts = [a + f * (b - a) for a, b in zip(lone.times, lone.times[1:]) for f in (1 / 3, 0.5)]
+        if ts:
+            assert np.array_equal(run(np.array(ts)), lone(np.array(ts)), equal_nan=True)
+            assert np.array_equal(run(ts[-1]), lone(ts[-1]), equal_nan=True)
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.lists(
+        st.tuples(*[st.floats(-2.0, 2.0, allow_nan=False)] * 5), min_size=1, max_size=5
+    ),
+    st.floats(0.5, 4.0),
+)
+def test_kept_dim5_rows_match_their_single_runs(seeds, horizon):
+    entry = catalog("dim5-nilpotent")
+    field, _ = quadratic_euler_field(entry.algebra, entry.iso)
+    block, ends = _both_ways(seeds, -horizon, horizon)
+    _assert_kept_rows_match(field, block, ends)
+
+
+def test_kept_aff_mixed_block_matches_its_single_runs():
+    field = _field(_aff())
+    seeds, ends = _both_ways([(1.0, 0.0), (0.5, 0.5), (-1.0, 0.3), (0.0, 0.0)], -3.0, 3.0)
+    _assert_kept_rows_match(field, seeds, ends)
+
+
+def _lone_divided_difference(L, iso, trials, seed):
+    """polynomial_geodesic_check's divided-difference maximum with each
+    trial run alone: seeds drawn in turn, one 1-D kept run per seed."""
+    field, _ = quadratic_euler_field(L, iso)
+    order = structure_report(L).nilpotency_class + 1
+    h = 2.0 / order
+    grid = [i * h for i in range(1, order)] + [2.0]
+    rng = random.Random(seed)
+    worst = 0.0
+    for _ in range(trials):
+        x0 = [rng.uniform(-1, 1) for _ in range(L.dim)]
+        (run,) = dynamics._solve(field, x0, 0.0, 2.0, 1e-12, keep=True)
+        if not run.status.completed:
+            worst = math.inf
+            continue
+        diff = [np.asarray(x0, dtype=float), *run(np.array(grid))]
+        for _k in range(order):
+            diff = [diff[i + 1] - diff[i] for i in range(len(diff) - 1)]
+        dd = max(float(np.max(np.abs(d))) for d in diff) / (h**order * math.factorial(order))
+        worst = max(worst, dd)
+    return worst
+
+
+@pytest.mark.parametrize("trials", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", ["two-step-volume", "dim5-nilpotent"])
+def test_polynomial_check_trials_block_matches_lone_runs(name, trials):
+    entry = catalog(name)
+    if name == "two-step-volume":
+        phi = ((F(1), F(2), F(0)), (F(0), F(1), F(0)), (F(3), F(0), F(1)))
+        iso, _metric, _ = entry.oracles["metric_family"](phi)
+    else:
+        iso = iso_from_metric(entry.quad_form, entry.oracles["flat_structure"]()[2])
+    for seed in (0, 5):
+        cert = polynomial_geodesic_check(entry.algebra, iso, trials=trials, seed=seed)
+        assert cert.divided_diff_max == _lone_divided_difference(entry.algebra, iso, trials, seed)

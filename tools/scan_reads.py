@@ -8,8 +8,7 @@ e2-motion on (0, 8] and a flat phi metric on V + V* of dimension 6 on
 
 - conjugate_scan at tol 1e-10;
 - the bare _solve of the same variation system from 0 to the window's
-  end, recording its continuous extension as the scan's run does, and
-  reading nothing.
+  end, kept as the scan's run is, and reading nothing.
 
 The difference is what the scan spends reading the continuous extension,
 taking determinants and refining its brackets.  Seeds come from a fixed
@@ -19,11 +18,7 @@ on [0.95, 1.05] and the rest on [-0.5, 0.5]; e2: x1, x2 uniform on
 JSON line per kind: the best of five medians of each wall time in
 milliseconds, averaged over the seeds, their difference, and the calls
 of the continuous extension and the roots found per scan, so a change in
-how a scan reads shows beside the roots it must keep.  It uses only what
-every quadlie tree since the stored-form tensors has (conjugate_scan,
-_solve, _Dense, _as_product, _jacobi_rhs, the catalog and the two-step
-builders), so the same script measures an older tree by pointing
-PYTHONPATH at it:
+how a scan reads shows beside the roots it must keep:
 
     PYTHONPATH=src python3 tools/scan_reads.py
 """
@@ -114,20 +109,20 @@ def main():
             return dynamics.conjugate_scan(P, x0, window, grid=grid, tol=TOL)
 
         def solve(z0):
-            return dynamics._solve(rhs, z0, 0.0, float(window[1]), TOL, dense=dynamics._Dense())
+            return dynamics._solve(rhs, z0, 0.0, float(window[1]), TOL, keep=True)
 
-        read, calls, roots = dynamics._Dense.__call__, [0], 0
+        read, calls, roots = dynamics._Run.__call__, [0], 0
 
         def counted(self, t):
             calls[0] += 1
             return read(self, t)
 
-        dynamics._Dense.__call__ = counted
+        dynamics._Run.__call__ = counted
         try:
             for x0 in seeds:
                 roots += len(scan(x0).roots)
         finally:
-            dynamics._Dense.__call__ = read
+            dynamics._Run.__call__ = read
         scan_s = statistics.fmean(_best(lambda x0=x0: scan(x0), 10) for x0 in seeds)
         solve_s = statistics.fmean(_best(lambda z0=z0: solve(z0), 10) for z0 in starts)
         print(json.dumps({

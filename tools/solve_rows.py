@@ -2,22 +2,18 @@
 
 For each field (the e2-motion geodesic field, and the invariant-form field
 of a flat phi metric on V + V* of dimension 6) and each row count B, the
-script times B runs that start together:
+script times one _solve call of B runs that start together:
 
 - B = 1 is one 1-D run, forward from the first seed;
-- B >= 2 is completeness_probe over B/2 seeds, each run forward and
-  backward, which is 2 x seeds solver runs whether they run one after the
-  other or as one block.
+- B >= 2 is the block of completeness_probe over B/2 seeds, each run
+  forward and backward.
 
 Seeds are uniform on [-1, 1] from a fixed generator; tol is 1e-10; e2
 runs to |t| = 30 and phi to |t| = 50.  It prints one JSON line per (field,
-B): the steps per row (the mesh intervals of each row's own 1-D run), the
-field calls and the row evaluations per row (a call on a (B, n) block
-evaluates B rows), and the best of five medians of the wall time in
-microseconds, per accepted step over all rows.  It uses only what every
-quadlie tree since DOP853 has (completeness_probe, a 1-D _solve and the
-fields), so the same script measures an older tree by pointing PYTHONPATH
-at it:
+B): the accepted and rejected steps per row, read off the call's per-row
+records, the field calls and the row evaluations per row (a call on a
+(B, n) block evaluates B rows), and the best of five medians of the wall
+time in microseconds, per accepted step over all rows:
 
     PYTHONPATH=src python3 tools/solve_rows.py
 """
@@ -30,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from quadlie import catalog, completeness_probe, levi_civita, quadratic_euler_field
+from quadlie import catalog, levi_civita, quadratic_euler_field
 from quadlie import dynamics
 
 ROWS = (1, 2, 8, 32, 64)
@@ -57,18 +53,11 @@ def _counted(field, tally):
 
 
 def _job(field, seeds, horizon, rows):
+    """The _solve call of B rows: one 1-D run, or each seed both ways."""
     if rows == 1:
-        return lambda: dynamics._solve(field, seeds[0], 0.0, horizon, TOL)
-    return lambda: completeness_probe(field, seeds, t_max=horizon, tol=TOL)
-
-
-def _steps(field, seeds, horizon, rows):
-    ends = [horizon] if rows == 1 else [horizon, -horizon]
-    return sum(
-        len(dynamics._solve(field, seed, 0.0, end, TOL)[0]) - 1
-        for seed in seeds
-        for end in ends
-    )
+        return lambda: dynamics._solve(field, np.array(seeds[0]), 0.0, horizon, TOL)
+    block, ends = np.repeat(seeds, 2, axis=0), [horizon, -horizon] * len(seeds)
+    return lambda: dynamics._solve(field, block, 0.0, ends, TOL)
 
 
 def main():
@@ -77,9 +66,10 @@ def main():
         pool = [[rng.uniform(-1, 1) for _ in range(n)] for _ in range(max(ROWS) // 2)]
         for rows in ROWS:
             seeds = pool[: max(1, rows // 2)]
-            steps = _steps(field, seeds, horizon, rows)
             tally = [0, 0]
-            _job(_counted(field, tally), seeds, horizon, rows)()
+            runs = _job(_counted(field, tally), seeds, horizon, rows)()
+            steps = sum(run.accepted for run in runs)
+            rejected = sum(run.rejected for run in runs)
             job = _job(field, seeds, horizon, rows)
             reps = max(3, 400 // steps)
             best = float("inf")
@@ -92,6 +82,7 @@ def main():
                 best = min(best, statistics.median(samples))
             print(json.dumps({
                 "field": name, "rows": rows, "steps_per_row": round(steps / rows, 2),
+                "rejected_per_row": round(rejected / rows, 2),
                 "calls_per_row": round(tally[0] / rows, 2),
                 "row_evals_per_row": round(tally[1] / rows, 2),
                 "us_per_step": round(best * 1e6 / steps, 2),
