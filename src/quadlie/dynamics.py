@@ -16,15 +16,11 @@ the route gap and of the divided differences, the times of a conjugate
 scan) is read off the seventh-order continuous extension of the method,
 whose three extra stages are evaluated only for the steps that are read.
 A read takes one time or a 1-D array of times and serves all of them at
-once, each row bit for bit the read of its time alone; so a scan runs
-every bisection bracket, then every golden-section candidate, in
-lockstep, one read and one stacked determinant per round.  It polishes
-every grid minimum of |det Y / t^n| but the flat ones above its 1e-12
-acceptance level: three samples that agree to 100 times the tolerance (at
-most 1e-6) of their size show no dip the solve resolves.  That is a rule
-on the samples, not a bound on det Y between them.  A scan on a flat
-metric, where det Y / t^n is constant up to the solve's error, is one
-read of its grid.
+once, each row bit for bit the read of its time alone; so a conjugate
+scan runs all its root searches, bisections and golden sections alike,
+in lockstep, one read and one stacked determinant per round, and settles
+every root from one last read.  A scan on a flat metric, where
+det Y / t^n is constant up to the solve's error, is one read of its grid.
 
 One _solve serves a single run and a block of runs alike and returns one
 record per row, a _Run: how the row stopped, its step counts and, when
@@ -372,6 +368,13 @@ def _finite_real(v):
         return False
 
 
+def _positive(value, what):
+    """InvalidValue unless value is a positive real, not a bool, that is
+    finite in binary64."""
+    if not (_finite_real(value) and value > 0):
+        raise InvalidValue(f"{what} must be positive and finite, got {value!r}")
+
+
 def _check_span(t_span):
     """(t0, t1) as floats of a pair of finite reals, not bools, that differ
     by at most MAX_SPAN.  Every span, scan window and probe horizon a
@@ -527,8 +530,7 @@ def _solve(f, y0, t0, t1, tol, keep=False):
     non-finite initial state, and StepBudgetExhausted when a row reaches
     STEP_BUDGET attempted steps.
     """
-    if not (_finite_real(tol) and tol > 0):
-        raise InvalidValue(f"tolerance must be positive and finite, got {tol!r}")
+    _positive(tol, "tolerance")
     y = np.array(y0, dtype=float)
     if not np.all(np.isfinite(y)):
         raise InvalidValue("initial state must be finite")
@@ -1091,29 +1093,78 @@ def _touch_candidates(ts, fs, scale, tol):
     return brackets
 
 
+def _bisect(lo, hi, f_lo):
+    """Bisect a sign change of f on [lo, hi], where f(lo) = f_lo, to width
+    1e-10, as a _lockstep search; returns the last bracket's midpoint."""
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        (f_mid,) = yield (mid,)
+        if f_mid == 0.0:
+            lo = hi = mid
+        elif f_lo * f_mid < 0:
+            hi = mid
+        else:
+            lo, f_lo = mid, f_mid
+    return 0.5 * (lo + hi)
+
+
+def _golden(lo, hi):
+    """Golden-section search for the minimum of |f| on [lo, hi], to width
+    1e-10 or for 60 rounds past the first two points; as _bisect."""
+    invphi = (math.sqrt(5.0) - 1) / 2
+    c1, c2 = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
+    f1, f2 = yield c1, c2
+    for _ in range(60):
+        if hi - lo <= 1e-10:
+            break
+        if abs(f1) < abs(f2):
+            hi, c2, f2 = c2, c1, f1
+            c1 = hi - invphi * (hi - lo)
+            (f1,) = yield (c1,)
+        else:
+            lo, c1, f1 = c1, c2, f2
+            c2 = lo + invphi * (hi - lo)
+            (f2,) = yield (c2,)
+    return 0.5 * (lo + hi)
+
+
+def _lockstep(searches, f):
+    """Run generator searches to their ends together and return the value
+    each returns, in order.  A search yields the tuple of times it needs
+    next and is sent the list of f at them; f takes a list of times, and
+    each round calls it once, on the times of every search still open."""
+    ends = [None] * len(searches)
+    sends = [(i, search, None) for i, search in enumerate(searches)]
+    while sends:
+        asks = []  # (index, search, times asked) of each search still open
+        for i, search, values in sends:
+            try:
+                asks.append((i, search, search.send(values)))
+            except StopIteration as stop:
+                ends[i] = stop.value
+        values = iter(f([t for *_, times in asks for t in times]) if asks else ())
+        sends = [(i, search, [next(values) for _ in times]) for i, search, times in asks]
+    return ends
+
+
 def conjugate_scan(P, x0, t_window, grid=200, tol=1e-10):
     """Hunt zeros of t -> det Y(t) / t^n for the fundamental variation
     columns started as Y(0) = 0, Y'(0) = I.
 
     The variation system is integrated once, from 0 to the window's end,
-    and every value below is read off the continuous extension of that
-    run: the grid samples, the bisection of each grid sign change to
-    width 1e-10, and the golden-section polish of the grid minima of |det|
-    that do not change sign, kept when the minimum sits at 1e-12 of the
-    grid scale, which is how even-multiplicity crossings are caught.  A
-    minimum is skipped only when its three samples agree to 100 tol of
-    their size and it sits above that level: a constant det Y / t^n comes
-    out of the solve varying by about 8 tol, and such a minimum shows no
-    dip the solve resolves (_touch_candidates states the rule and what it
-    assumes).  The grid is one read, which is the whole scan on a flat
-    metric, where det Y / t^n is constant.  Every bisection bracket, then
-    every polished candidate, is refined in lockstep: a round reads the
-    next time of each one still open in one call and takes one stacked
-    determinant, and each keeps the iterates it would have alone.  The
-    roots' kernels and determinants come from one more read.  Raises
-    InvalidSpan for a window that is not a pair of finite reals
-    0 <= a < b, b at most MAX_SPAN, or a grid that is not an integer from
-    1 to MAX_GRID.
+    and every value is read off the continuous extension of that run: one
+    read for the grid, then one per round of the searches, run in
+    lockstep: a bisection of each grid sign change to width 1e-10 and a
+    golden section of each grid minimum of |det| that does not change
+    sign, which is how even-multiplicity crossings are caught
+    (_touch_candidates says which minima it skips).  One last read at
+    every search's end settles the roots: a polished minimum is one when
+    it sits at 1e-12 of the grid scale, a root within 1e-8 of an earlier
+    one (sign changes first) is dropped, and each root's determinant and
+    kernel come from that read.  On a flat metric, where det Y / t^n is
+    constant, the scan is one read of its grid.  Raises InvalidSpan for a
+    window that is not a pair of finite reals 0 <= a < b, b at most
+    MAX_SPAN, or a grid that is not an integer from 1 to MAX_GRID.
     """
     a, b = _check_span(t_window)
     if not a < b:
@@ -1138,95 +1189,38 @@ def conjugate_scan(P, x0, t_window, grid=200, tol=1e-10):
     if not run.steps:
         raise InvalidSpan(f"scan window end {b} is within the minimal step of 0")
 
-    def y_matrices(times):
-        """Y at each of times, one read"""
-        return run(np.array(times))[:, n : n + n * n].reshape(-1, n, n)
+    def read(times):
+        """Y, det Y and det Y / t^n at each of times, from one read"""
+        Ys = run(np.array(times))[:, n : n + n * n].reshape(-1, n, n)
+        dets = np.linalg.det(Ys)
+        return Ys, dets, [float(d) / t**n for d, t in zip(dets, times)]
 
-    def f_at(times):
-        """det Y and det Y / t^n at each of times: one read and one det, or
-        none for no times"""
-        if not times:
-            return np.empty(0), []
-        dets = np.linalg.det(y_matrices(times))
-        return dets, [float(d) / t**n for d, t in zip(dets, times)]
-
-    dets, fs = f_at(ts)
+    _, dets, fs = read(ts)
     scale = max(abs(v) for v in fs) or 1.0
     det_scale = float(np.max(np.abs(dets))) or 1.0
 
-    found = []  # (t, via) of each root, none within 1e-8 of an earlier one
-
-    def add_root(t_star, via):
-        if all(abs(t - t_star) > 1e-8 * max(1.0, b) for t, _ in found):
-            found.append((t_star, via))
-
-    # [lo, hi, f(lo)] of each grid zero, as a bracket of width 0, and of
-    # each grid sign change, in grid order
-    brackets = []
-    for i in range(len(ts) - 1):
-        f0, f1 = fs[i], fs[i + 1]
-        if f0 == 0.0:
-            brackets.append([ts[i], ts[i], f0])
-        elif f0 * f1 < 0:
-            brackets.append([ts[i], ts[i + 1], f0])
-    live = [br for br in brackets if br[1] - br[0] > 1e-10]
-    while live:
-        mids = [0.5 * (lo + hi) for lo, hi, _ in live]
-        for br, mid, fmid in zip(live, mids, f_at(mids)[1]):
-            if fmid == 0.0:
-                br[0] = br[1] = mid
-            elif br[2] * fmid < 0:
-                br[1] = mid
-            else:
-                br[0], br[2] = mid, fmid
-        live = [br for br in live if br[1] - br[0] > 1e-10]
-    for lo, hi, _ in brackets:
-        add_root(0.5 * (lo + hi), "sign-change")
-
-    # [lo, hi, c1, c2, |f(c1)|, |f(c2)|, iterations] of each candidate
-    invphi = (math.sqrt(5.0) - 1) / 2
-    polish = [
-        [lo, hi, hi - invphi * (hi - lo), lo + invphi * (hi - lo)]
-        for lo, hi in _touch_candidates(ts, fs, scale, tol)
+    # a bisection of each grid zero and each grid sign change, in grid
+    # order, then a golden section of each touch candidate
+    signs = [
+        _bisect(ts[i], ts[i] if fs[i] == 0.0 else ts[i + 1], fs[i])
+        for i in range(len(ts) - 1)
+        if fs[i] == 0.0 or fs[i] * fs[i + 1] < 0
     ]
-    fc = f_at([c for p in polish for c in p[2:]])[1]
-    for p, fc1, fc2 in zip(polish, fc[::2], fc[1::2]):
-        p += [abs(fc1), abs(fc2), 0]
-    live = [p for p in polish if p[1] - p[0] > 1e-10]
-    while live:
-        slots, times = [], []
-        for p in live:
-            lo, hi, c1, c2, fc1, fc2, k = p
-            if fc1 < fc2:
-                hi, c2, fc2 = c2, c1, fc1
-                c1 = hi - invphi * (hi - lo)
-                slots.append(4)
-                times.append(c1)
-            else:
-                lo, c1, fc1 = c1, c2, fc2
-                c2 = lo + invphi * (hi - lo)
-                slots.append(5)
-                times.append(c2)
-            p[:] = lo, hi, c1, c2, fc1, fc2, k + 1
-        for p, slot, v in zip(live, slots, f_at(times)[1]):
-            p[slot] = abs(v)
-        live = [p for p in live if p[6] < 60 and p[1] - p[0] > 1e-10]
-    stars = [0.5 * (p[0] + p[1]) for p in polish]
-    for t_star, v in zip(stars, f_at(stars)[1]):
-        if abs(v) <= 1e-12 * scale:
-            add_root(t_star, "touch")
+    touches = [_golden(lo, hi) for lo, hi in _touch_candidates(ts, fs, scale, tol)]
+    ends = _lockstep(signs + touches, lambda times: read(times)[2])
 
     roots = []
-    if found:
-        Ys = y_matrices([t for t, _ in found])
+    if ends:
+        Ys, dets, fs_end = read(ends)
         _, sings, vts = np.linalg.svd(Ys)
-        for (t_star, via), sing, vt, det in zip(found, sings, vts, np.linalg.det(Ys)):
+        for k, (t_star, f, det, sing, vt) in enumerate(zip(ends, fs_end, dets, sings, vts)):
+            via = "sign-change" if k < len(signs) else "touch"
+            if via == "touch" and abs(f) > 1e-12 * scale:
+                continue
+            if any(abs(r.t - t_star) <= 1e-8 * max(1.0, b) for r in roots):
+                continue
             cut = 1e-8 * (sing[0] if sing.size else 0.0)
-            kern = tuple(
-                tuple(float(v) for v in vt[i])
-                for i in range(n)
-                if sing[i] <= cut
-            )
+            kern = tuple(tuple(vt[i].tolist()) for i in range(n) if sing[i] <= cut)
             roots.append(ConjugateRoot(t=t_star, kernel=kern, det_value=float(det), via=via))
     roots.sort(key=lambda r: r.t)
     return ConjugateReport(
@@ -1244,10 +1238,13 @@ def annotate_candidates(report, primary, alternate=(), match_tol=1e-6):
     primary carries the expected conjugate times, alternate the times a
     competing closed form would predict; the annotation shows the former
     matched and the latter rejected, or exposes a genuine disagreement.
-    Both are read as a seed is, each a vector of finite reals.
+    Both are read as a seed is, each a vector of finite reals, and
+    match_tol, the relative distance of a match, must be positive and
+    finite (InvalidValue).
     """
     if not isinstance(report, ConjugateReport):
         raise DimensionMismatch("expected a conjugate scan report")
+    _positive(match_tol, "match_tol")
     found = report.times
 
     def match(c):
@@ -1281,8 +1278,16 @@ def polynomial_geodesic_check(L, u, trials=3, seed=0, tol=1e-7):
     the (p+1)-st lower central term, and the first empty X_m bounds the
     coordinate degree by m - 1.  Numeric half: divided differences of
     order m+1 on integrated trajectories of x' = u^{-1}[u x, x] must
-    vanish to 1e-7.
+    vanish to tol.  trials, the number of trajectories, is an integer from
+    1 to MAX_GRID (InvalidSpan); tol must be positive and finite and seed
+    one that random.Random takes (InvalidValue).
     """
+    trials = _count(trials, 1, "trials")
+    _positive(tol, "tol")
+    try:
+        rng = random.Random(seed)
+    except TypeError:
+        raise InvalidValue(f"seed {seed!r} is not one random.Random takes") from None
     rep = structure_report(L)
     if rep.nilpotency_class is None:
         raise NotNilpotent("lower central series does not reach zero")
@@ -1319,10 +1324,9 @@ def polynomial_geodesic_check(L, u, trials=3, seed=0, tol=1e-7):
     span_t = 2.0
     h = span_t / (npts - 1)
     grid = [i * h for i in range(1, npts - 1)] + [span_t]
-    rng = random.Random(seed)
     seeds = np.array([[rng.uniform(-1, 1) for _ in range(n)] for _ in range(trials)])
     worst = 0.0
-    runs = _solve(field, seeds, 0.0, [span_t] * len(seeds), 1e-12, keep=True) if len(seeds) else []
+    runs = _solve(field, seeds, 0.0, [span_t] * trials, 1e-12, keep=True)
     for x0, run in zip(seeds, runs):
         if not run.status.completed:
             worst = math.inf

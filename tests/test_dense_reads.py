@@ -149,10 +149,11 @@ def test_the_biinvariant_field_maps_a_block_to_the_rows_of_its_single_calls(monk
 
 
 def test_a_scan_reads_its_refinements_in_lockstep(monkeypatch):
-    # one read for the grid, one per bisection round, one for the first
-    # two golden-section points, one per golden-section round, one for the
-    # final check and one for all the roots: far fewer than one read per
-    # iterate
+    # one read for the grid, one per round of the searches, which run in
+    # lockstep (a golden section reads its first two points in one round),
+    # and one at every search's end: far fewer than one read per iterate.
+    # The bound below is looser: it has room for the bisections and the
+    # golden sections one after the other, and for two more reads
     osc = catalog("oscillator(1)")
     P = levi_civita(osc.algebra, osc.quad_form)
     read, calls = dynamics._Run.__call__, []

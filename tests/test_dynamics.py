@@ -30,6 +30,8 @@ from quadlie import (
     reflection_equation_residual,
     right_invariant_reflection,
     two_step_metric,
+    validate_algebra,
+    validate_form,
     volume_theta,
 )
 from quadlie import dynamics
@@ -161,18 +163,21 @@ def test_integrate_jacobi_zero_data_stays_zero():
 
 
 def test_integrate_jacobi_matches_closed_forms():
-    entry = catalog("oscillator(1)")
-    P = levi_civita(entry.algebra, entry.metric)
-    x0 = (1.0, 0.5, 0.3, -0.4)
-    forms = entry.oracles["jacobi_forms"](x0, (0.8,))
-    traj = integrate_jacobi(
-        P, x0, (0.0,) * 4, forms.ydot0, (0.0, 10.0), tol=1e-12
-    )
-    worst = max(
-        max(abs(a - b) for a, b in zip(forms(t), s))
-        for t, s in zip(traj.times, traj.states)
-    )
-    assert worst <= 1e-8
+    for name, x0, r in (
+        ("oscillator(1)", (1.0, 0.5, 0.3, -0.4), (0.8,)),
+        ("oscillator(1,2)", (1.0, 0.5, 0.3, -0.2, -0.4, 0.1), (0.8, -0.6)),
+    ):
+        entry = catalog(name)
+        P = levi_civita(entry.algebra, entry.metric)
+        forms = entry.oracles["jacobi_forms"](x0, r)
+        traj = integrate_jacobi(P, x0, (0.0,) * len(x0), forms.ydot0, (0.0, 10.0), tol=1e-12)
+        # y against the closed form, y' against its derivative
+        for closed, states in ((forms, traj.states), (forms.derivative, traj.derivative_states)):
+            worst = max(
+                max(abs(a - b) for a, b in zip(closed(t), s))
+                for t, s in zip(traj.times, states)
+            )
+            assert worst <= 1e-8
 
 
 def test_conjugate_scan_finds_double_touches():
@@ -223,6 +228,61 @@ def test_conjugate_scan_flat_model_has_no_roots():
     _entry, P = plane_motion_product()
     scan = conjugate_scan(P, (0.7, -0.3, 1.3), (0.0, 50.0), grid=200, tol=1e-10)
     assert scan.times == ()
+
+
+def so3_copies_product(diagonal):
+    """The Levi-Civita product of k copies of so(3), [e1, e2] = e3 and
+    cyclically in each, under the diagonal metric of the 3k given entries."""
+    n = len(diagonal)
+    c = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for off in range(0, n, 3):
+        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            c[off + i][off + j][off + k], c[off + j][off + i][off + k] = 1, -1
+    metric = [[diagonal[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    return levi_civita(validate_algebra(c), validate_form(metric))
+
+
+@pytest.mark.parametrize("s", [0.7, 1.0, 1.3])
+def test_conjugate_scan_bisects_the_sign_changes_of_a_berger_sphere(s):
+    # the seed (s, 0, 0) is a fixed point of x' = -x x, a one-parameter
+    # subgroup, whose conjugate times include 2 pi k / s in closed form
+    P = so3_copies_product((1, 1, 2))
+    scan = conjugate_scan(P, (s, 0.0, 0.0), (0.0, 20.0), grid=200)
+    assert all(r.via == "sign-change" and len(r.kernel) == 1 for r in scan.roots)
+    periods = [2 * math.pi * k / s for k in range(1, math.floor(20.0 * s / (2 * math.pi)) + 1)]
+    assert periods
+    for t in periods:
+        assert min(abs(r - t) for r in scan.times) <= 1e-8
+
+
+def test_conjugate_scan_settles_touches_and_sign_changes_in_one_window(monkeypatch):
+    # a bi-invariant so(3) turning at 0.8, whose conjugate times are double
+    # roots, beside the Berger sphere above turning at 1
+    P = so3_copies_product((1, 1, 1, 1, 1, 2))
+    read, calls = dynamics._Run.__call__, []
+
+    def counted(self, t):
+        calls.append(np.size(t))
+        return read(self, t)
+
+    monkeypatch.setattr(dynamics._Run, "__call__", counted)
+    scan = conjugate_scan(P, (0, 0, 0.8, 1, 0, 0), (0.0, 20.0), grid=200)
+    expected = sorted(
+        [(2 * math.pi * k / 0.8, "touch", 2) for k in (1, 2)]
+        + [(t, "sign-change", 1) for t in (2 * math.pi, 4 * math.pi, 6 * math.pi)]
+        + [(t, "sign-change", 1) for t in (8.5495645434, 15.193092040)]
+    )
+    assert [(r.via, len(r.kernel)) for r in scan.roots] == [e[1:] for e in expected]
+    for root, (t, _, _) in zip(scan.roots, expected):
+        assert abs(root.t - t) <= 1e-8
+    # one read for the grid, one per round of the longest search (grid
+    # step h: a bisection of width h, a golden section of width 2 h after
+    # its first two points) and one for the searches' ends
+    h = 20.0 / 200
+    bisection = math.ceil(math.log2(h / 1e-10))
+    golden = 1 + min(60, math.ceil(math.log(2 * h / 1e-10) / math.log((1 + math.sqrt(5)) / 2)))
+    assert calls[0] == 200
+    assert len(calls) <= 1 + max(bisection, golden) + 1
 
 
 def test_conjugate_scan_rejects_bad_window():

@@ -48,6 +48,14 @@ def e2_product():
 SEED = (0.7, -0.3, 1.3)
 
 
+@pytest.fixture(scope="module")
+def nilpotent_iso():
+    """two-step-volume with the identity operator, which certifies"""
+    L = catalog("two-step-volume").algebra
+    identity = [[float(i == j) for j in range(L.dim)] for i in range(L.dim)]
+    return L, quadlie.SymmetricIso(L.dim, identity, False)
+
+
 def test_conjugate_scan_last_grid_time_is_window_end(e2_product):
     # a + (b - a) * grid / grid rounds above b for this window
     b = 17.918079144195904
@@ -71,10 +79,13 @@ def test_conjugate_scan_rejects_bad_grid(e2_product, grid):
 
 
 @pytest.mark.parametrize("tol", [0, 0.0, -1, -1e-10, math.nan, math.inf, "1e-8", None])
-def test_every_integrator_rejects_bad_tolerance(e2_product, tol):
+def test_every_integrator_rejects_bad_tolerance(e2_product, nilpotent_iso, tol):
     P = e2_product
     L = P.algebra
+    rep = dynamics.conjugate_scan(P, SEED, (0.0, 1.0), grid=4)
     calls = [
+        lambda: dynamics.polynomial_geodesic_check(*nilpotent_iso, trials=1, tol=tol),
+        lambda: dynamics.annotate_candidates(rep, (0.5,), match_tol=tol),
         lambda: dynamics.integrate_geodesic(P, SEED, (0.0, 1.0), tol=tol),
         lambda: dynamics.completeness_probe(P, [SEED], t_max=1.0, tol=tol),
         lambda: dynamics.integrate_jacobi(P, SEED, SEED, SEED, (0.0, 1.0), tol=tol),
@@ -183,6 +194,19 @@ def test_route_gap_rejects_bad_samples(e2_product, samples):
     P = e2_product
     with pytest.raises(InvalidSpan):
         dynamics.jacobi_route_gap(P.algebra, P, SEED, SEED, (0.0, 1.0), samples=samples)
+
+
+@pytest.mark.parametrize("kwargs, error", [
+    ({"trials": 0}, InvalidSpan),
+    ({"trials": -3}, InvalidSpan),
+    ({"trials": 2.5}, InvalidSpan),
+    ({"trials": "3"}, InvalidSpan),
+    ({"seed": [1]}, InvalidValue),
+])
+def test_polynomial_check_rejects_bad_trials_and_seeds(nilpotent_iso, kwargs, error):
+    # no trial certifies nothing: trials counts the runs, from 1
+    with pytest.raises(error):
+        dynamics.polynomial_geodesic_check(*nilpotent_iso, **kwargs)
 
 
 def test_route_gap_rejects_a_span_below_the_minimal_step(e2_product):
@@ -801,9 +825,12 @@ def test_a_scan_window_of_numbers_of_any_real_type_reads_as_floats(e2_product):
 
 
 @pytest.mark.parametrize("tol", [10**400, Fraction(10**400), True], ids=["int", "Fraction", "True"])
-def test_tolerances_beyond_binary64_or_bool_are_invalid(e2_product, tol):
+def test_tolerances_beyond_binary64_or_bool_are_invalid(e2_product, nilpotent_iso, tol):
     P, L = e2_product, e2_product.algebra
+    rep = dynamics.conjugate_scan(P, SEED, (0.0, 1.0), grid=4)
     for call in (
+        lambda: dynamics.polynomial_geodesic_check(*nilpotent_iso, trials=1, tol=tol),
+        lambda: dynamics.annotate_candidates(rep, (0.5,), match_tol=tol),
         lambda: dynamics.integrate_geodesic(P, SEED, (0.0, 1.0), tol=tol),
         lambda: dynamics.completeness_probe(P, [SEED], t_max=1.0, tol=tol),
         lambda: dynamics.integrate_jacobi(P, SEED, SEED, SEED, (0.0, 1.0), tol=tol),

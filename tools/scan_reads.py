@@ -3,8 +3,11 @@
 For each scan kind of the benchmark's flows workload (oscillator(1) on
 (0, 16] with grid 64, oscillator(1,2) on (0, 14] with grid 128,
 e2-motion on (0, 8] and a flat phi metric on V + V* of dimension 6 on
-(0, 4], both with grid 32) and a flat phi metric of dimension 10 on
-(0, 4] with grid 32, the script times, on the same seeds:
+(0, 4], both with grid 32), a flat phi metric of dimension 10 on (0, 4]
+with grid 32, and two kinds whose scans bisect sign changes, which no
+benchmark window has (the Berger sphere, so(3) under diag(1, 1, 2), and
+so(3) + so(3) under diag(1, 1, 1, 1, 1, 2), both on (0, 20] with grid
+200), the script times, on the same seeds:
 
 - conjugate_scan at tol 1e-10;
 - the bare _solve of the same variation system from 0 to the window's
@@ -14,7 +17,11 @@ The difference is what the scan spends reading the continuous extension,
 taking determinants and refining its brackets.  Seeds come from a fixed
 generator, drawn as the benchmark draws them (oscillators: x_-1 uniform
 on [0.95, 1.05] and the rest on [-0.5, 0.5]; e2: x1, x2 uniform on
-[-1, 1] and x3 in +-[0.9, 1.1]; phi: uniform on [-1, 1]).  It prints one
+[-1, 1] and x3 in +-[0.9, 1.1]; phi: uniform on [-1, 1]; Berger:
+(s, 0, 0) with s uniform on [0.7, 1.3], a one-parameter subgroup, whose
+roots are all sign changes; so(3) + so(3): (0, 0, u, v, 0, 0) with u on
+[0.75, 0.85] and v on [0.95, 1.05], whose roots are sign changes of the
+Berger factor and double roots of the bi-invariant one).  It prints one
 JSON line per kind: the best of five medians of each wall time in
 milliseconds, averaged over the seeds, their difference, and the calls
 of the continuous extension and the roots found per scan, so a change in
@@ -31,7 +38,7 @@ import time
 
 import numpy as np
 
-from quadlie import catalog, dynamics, levi_civita
+from quadlie import catalog, dynamics, levi_civita, validate_algebra, validate_form
 from quadlie.constructions import TwoStepSpec, build_two_step, two_step_metric
 from quadlie.errors import RankDeficientTheta
 
@@ -63,6 +70,18 @@ of entries +-1."""
     return levi_civita(L, metric)
 
 
+def _so3_copies(diagonal):
+    """The Levi-Civita product of k copies of so(3), [e1, e2] = e3 and
+    cyclically in each, under the diagonal metric of the 3k given entries."""
+    n = len(diagonal)
+    c = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for off in range(0, n, 3):
+        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            c[off + i][off + j][off + k], c[off + j][off + i][off + k] = 1, -1
+    metric = [[diagonal[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    return levi_civita(validate_algebra(c), validate_form(metric))
+
+
 def _kinds(rng):
     def oscillator(n):
         return [rng.uniform(0.95, 1.05)] + [rng.uniform(-0.5, 0.5) for _ in range(n - 1)]
@@ -83,6 +102,10 @@ def _kinds(rng):
     for m in (3, 5):
         P = _phi_product(rng, m)
         yield f"phi{2 * m}", P, (0, 4), 32, [uniform(2 * m) for _ in range(SEEDS)]
+    yield "berger", _so3_copies((1, 1, 2)), (0, 20), 200, [
+        [rng.uniform(0.7, 1.3), 0, 0] for _ in range(SEEDS)]
+    yield "so3+berger", _so3_copies((1, 1, 1, 1, 1, 2)), (0, 20), 200, [
+        [0, 0, rng.uniform(0.75, 0.85), rng.uniform(0.95, 1.05), 0, 0] for _ in range(SEEDS)]
 
 
 def _best(job, reps):
