@@ -13,7 +13,6 @@ nested bases only at the end.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -37,39 +36,24 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class LieAlgebra:
+class LieAlgebra(scalars.StoredTensor, view="c"):
     """A structure table stored as its ScaledArray; c is a read-only view."""
 
     array: scalars.ScaledArray  # c[i, j, k]: coefficient of e_k in [e_i, e_j]
     labels: tuple = ()
-
-    @property
-    def dim(self):
-        return self.array.num.shape[0]
-
-    @property
-    def exact(self):
-        return self.array.exact
-
-    @cached_property
-    def c(self):
-        return self.array.tuples()
 
     def bracket(self, x, y):
         return bracket(self, x, y)
 
     def ad(self, x):
         """Matrix of ad_x acting on coordinate columns: rows k, columns j."""
-        return scalars.left_mult(self.array, scalars.read(x, 1, self.dim, self.exact)).tuples()
+        return scalars.left_mult(self.array, self.vector(x)).tuples()
 
     def basis_vector(self, i):
         return scalars.eye(self.dim, self.exact)[i].tuples()
 
     def label_index(self, name):
         return label_index(self.labels, name)
-
-    def to_float(self):
-        return self if not self.exact else LieAlgebra(self.array.to_float(), self.labels)
 
 
 def as_algebra(L):
@@ -144,8 +128,8 @@ def validate_algebra(c, labels=None):
 
 def bracket(L, x, y):
     L = as_algebra(L)
-    xs, ys = (scalars.read(v, 1, L.dim, L.exact) for v in (x, y))
-    return scalars.contract("kj,j->k", scalars.left_mult(L.array, xs), ys).tuples()
+    lx = scalars.left_mult(L.array, L.vector(x))
+    return scalars.contract("kj,j->k", lx, L.vector(y)).tuples()
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ and flatness in binary64 accepts a maximal entry of R up to
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from . import linalg, scalars
 from .algebra import LieAlgebra, as_algebra
@@ -48,32 +47,20 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ProductTensor:
+class ProductTensor(scalars.StoredTensor, view="gamma"):
     """A product stored as its ScaledArray; gamma is a read-only view."""
 
     algebra: LieAlgebra
     array: scalars.ScaledArray  # gamma[i, j, k]: coefficient of e_k in e_i e_j
     metric: SymBilinearForm | None
 
-    @property
-    def dim(self):
-        return self.algebra.dim
-
-    @property
-    def exact(self):
-        return self.array.exact
-
-    @cached_property
-    def gamma(self):
-        return self.array.tuples()
-
     def mult(self, x, y):
-        lx = scalars.left_mult(self.array, scalars.read(x, 1, self.dim, self.exact))
-        return scalars.contract("kj,j->k", lx, scalars.read(y, 1, self.dim, self.exact)).tuples()
+        lx = scalars.left_mult(self.array, self.vector(x))
+        return scalars.contract("kj,j->k", lx, self.vector(y)).tuples()
 
     def left_mult(self, x):
         """Matrix of y -> x y on coordinate columns (rows k, columns j)."""
-        return scalars.left_mult(self.array, scalars.read(x, 1, self.dim, self.exact)).tuples()
+        return scalars.left_mult(self.array, self.vector(x)).tuples()
 
     def to_float(self):
         if not self.exact:
@@ -83,25 +70,16 @@ class ProductTensor:
 
 
 @dataclass(frozen=True)
-class CurvatureTensor:
-    """R as the ScaledArray it is computed as; the nested tuples r are
-    built only when read, once per tensor."""
+class CurvatureTensor(scalars.StoredTensor, view="r"):
+    """R stored as the ScaledArray it is computed as; r is a read-only view."""
 
     array: scalars.ScaledArray  # R[i, j, k, l]: coefficient of e_l in R(e_i, e_j) e_k
-
-    @property
-    def exact(self):
-        return self.array.exact
-
-    @cached_property
-    def r(self):
-        return self.array.tuples()
 
     def max_abs(self):
         return self.array.peak()
 
     def apply(self, x, y, z):
-        x, y, z = (scalars.read(v, 1, len(self.array.num), self.exact) for v in (x, y, z))
+        x, y, z = map(self.vector, (x, y, z))
         r = scalars.contract("i,ijkl->jkl", x, self.array)
         r = scalars.contract("j,jkl->kl", y, r)
         return scalars.contract("k,kl->l", z, r).tuples()

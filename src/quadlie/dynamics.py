@@ -32,8 +32,9 @@ each one array operation across the rows.  So a field callable maps
 (..., n) states to (..., n), and the variation systems do too, each row
 as its 1-D call; a read of the continuous extension calls the field on
 the block of the steps it reads.  completeness_probe runs all its seeds,
-both ways, as one block and polynomial_geodesic_check its trials as one
-kept block; every other entry point is a single run with a 1-D state.
+both ways, as one block and polynomial_geodesic_check its trials as kept
+blocks of TRIAL_BLOCK rows; every other entry point is a single run with
+a 1-D state.
 
 Each integrator field is one bilinear table, contracted once when the
 field is built: the geodesic field, its invariant-form route, the
@@ -90,13 +91,22 @@ __all__ = [
 
 ESCAPE_RADIUS = 1e8
 MIN_STEP = 1e-12
-STEP_BUDGET = 5_000_000
+# attempted steps per row: the most that any run of the tests, the
+# benchmark workloads or the CLI corpus takes is 34,868, a MAX_SPAN run on
+# e2-motion at tol 1e-10 from the seed (0.7, -0.3, 1.3); with 43% margin, a
+# row that the escape radius does not end stops within a few seconds (3.5 s
+# for a dimension-12 field on a 2-core x86-64 host)
+STEP_BUDGET = 50_000
 # the longest run, in time units: ten times the CLI's default probe
 # horizon; e2-motion takes about 27k DOP853 steps for it at tol 1e-10
 MAX_SPAN = 1e4
 # the most sample times of a scan grid or a route-gap comparison, each one
 # read of the continuous extension
 MAX_GRID = 10**5
+# polynomial_geodesic_check integrates its trials in blocks of this many
+# rows and drops a block's kept runs, about 11 kB a row, once read: any
+# number of trials holds one block's runs at a time
+TRIAL_BLOCK = 1000
 
 # DOP853 (Hairer, Norsett and Wanner, Solving ODEs I, II.10; the
 # coefficients of their DOP853 code).  _A[s] combines the stages before s,
@@ -723,7 +733,7 @@ def quadratic_euler_field(L, u):
     table = scalars.contract("ip,ijk,lk->pjl", iso.array, L.array, iso.inverse)
 
     def evaluate(x):
-        xs = scalars.read(x, 1, iso.dim, iso.exact)
+        xs = iso.vector(x)
         return scalars.contract("p,pjl,j->l", xs, table, xs).tuples()
 
     return _quadratic(table.to_float().num), evaluate
@@ -1326,18 +1336,20 @@ def polynomial_geodesic_check(L, u, trials=3, seed=0, tol=1e-7):
     grid = [i * h for i in range(1, npts - 1)] + [span_t]
     seeds = np.array([[rng.uniform(-1, 1) for _ in range(n)] for _ in range(trials)])
     worst = 0.0
-    runs = _solve(field, seeds, 0.0, [span_t] * trials, 1e-12, keep=True)
-    for x0, run in zip(seeds, runs):
-        if not run.status.completed:
-            worst = math.inf
-            continue
-        diff = [x0, *run(np.array(grid))]
-        for _k in range(order):
-            diff = [diff[i + 1] - diff[i] for i in range(len(diff) - 1)]
-        dd = max(float(np.max(np.abs(d))) for d in diff) / (
-            h**order * math.factorial(order)
-        )
-        worst = max(worst, dd)
+    # each block's kept records are dropped once its differences are read
+    for block in np.split(seeds, range(TRIAL_BLOCK, trials, TRIAL_BLOCK)):
+        ends = [span_t] * len(block)
+        for x0, run in zip(block, _solve(field, block, 0.0, ends, 1e-12, keep=True)):
+            if not run.status.completed:
+                worst = math.inf
+                continue
+            diff = [x0, *run(np.array(grid))]
+            for _k in range(order):
+                diff = [diff[i + 1] - diff[i] for i in range(len(diff) - 1)]
+            dd = max(float(np.max(np.abs(d))) for d in diff) / (
+                h**order * math.factorial(order)
+            )
+            worst = max(worst, dd)
     certified = in_series and worst <= tol and degree_bound <= m_class - 1
     return PolynomialCertificate(
         nilpotency_class=m_class,

@@ -40,39 +40,28 @@ __all__ = [
 ]
 
 
+class _Matrix(scalars.StoredTensor, view="matrix"):
+    """The form's and the operator's shared view and inverse."""
+
+    @cached_property
+    def inverse(self):
+        """The inverse as a ScaledArray, computed once; Singular if none."""
+        return linalg.inverse(self.array)
+
+
 @dataclass(frozen=True)
-class SymBilinearForm:
+class SymBilinearForm(_Matrix):
     """A form stored as its matrix's ScaledArray; matrix is a read-only view."""
 
     array: scalars.ScaledArray
 
-    @property
-    def dim(self):
-        return self.array.num.shape[0]
-
-    @property
-    def exact(self):
-        return self.array.exact
-
-    @cached_property
-    def matrix(self):
-        return self.array.tuples()
-
-    @cached_property
-    def inverse(self):
-        """The inverse matrix as a ScaledArray, computed once."""
-        return linalg.inverse(self.array)
-
     def apply(self, x, y):
-        my = scalars.contract("ij,j->i", self.array, scalars.read(y, 1, self.dim, self.exact))
-        return scalars.contract("i,i->", scalars.read(x, 1, self.dim, self.exact), my).tuples()
-
-    def to_float(self):
-        return self if not self.exact else SymBilinearForm(self.array.to_float())
+        my = scalars.contract("ij,j->i", self.array, self.vector(y))
+        return scalars.contract("i,i->", self.vector(x), my).tuples()
 
 
 @dataclass(frozen=True, init=False)
-class SymmetricIso:
+class SymmetricIso(_Matrix):
     """Invertible operator self-adjoint for the ambient invariant form,
     stored as its matrix's ScaledArray; matrix is a read-only view.
 
@@ -91,26 +80,8 @@ class SymmetricIso:
             matrix = scalars.read(matrix, 2, dim, exact)
         object.__setattr__(self, "array", matrix)
 
-    @property
-    def dim(self):
-        return self.array.num.shape[0]
-
-    @property
-    def exact(self):
-        return self.array.exact
-
-    @cached_property
-    def matrix(self):
-        return self.array.tuples()
-
-    @cached_property
-    def inverse(self):
-        """u^{-1} as a ScaledArray; Singular when u is not invertible."""
-        return linalg.inverse(self.array)
-
     def apply(self, x):
-        xs = scalars.read(x, 1, self.dim, self.exact)
-        return scalars.contract("ij,j->i", self.array, xs).tuples()
+        return scalars.contract("ij,j->i", self.array, self.vector(x)).tuples()
 
     def inverse_matrix(self):
         return self.inverse.tuples()

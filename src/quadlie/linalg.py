@@ -16,7 +16,7 @@ int64, as many as a bound read once allows: after k steps each entry is
 a minor of order at most k + 1, so by Hadamard's inequality each product
 in step k is at most the product of the k + 1 largest squared row norms.
 The float path defers to numpy with the rank/kernel threshold fixed at
-1e-9 relative to the largest singular value.
+scalars.FLOAT_RTOL (1e-9) relative to the largest singular value.
 
 A square matrix is singular exactly when rank(A) < n: in exact mode a
 missing pivot, in binary64 a singular value at or below that threshold.
@@ -31,7 +31,7 @@ import numpy as np
 
 from . import scalars
 from .errors import DimensionMismatch, Singular
-from .scalars import ScaledArray
+from .scalars import FLOAT_RTOL, ScaledArray
 
 __all__ = [
     "rank",
@@ -48,7 +48,6 @@ __all__ = [
     "FLOAT_RTOL",
 ]
 
-FLOAT_RTOL = 1e-9
 _INT64 = np.dtype(np.int64)
 _INT64_MAX = 2**63 - 1
 

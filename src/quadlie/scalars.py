@@ -9,8 +9,10 @@ A tensor is stored as a ScaledArray, and this module owns that choice: in
 exact mode an array of integer numerators over one common denominator,
 in binary64 a float64 array over 1.  Every tensor kernel is one call of
 contract, the same expression in both modes, and tuples() builds the
-read-only nested tuples of Fraction or float that the tensor classes
-show as their c, matrix, gamma and r.
+read-only nested tuples of Fraction or float.  Each tensor class is a
+frozen dataclass over StoredTensor, whose one ScaledArray field, array,
+gives its size, mode, nested view (c, matrix, gamma or r), vector reads
+and binary64 copy.
 
 contract plans each (spec, shapes) once.  Two operands with a summed
 label and no trace, batch or one-sided summed label run as one matrix
@@ -45,13 +47,14 @@ exact entry beyond binary64 raises InvalidValue.
 Nested input of every kind, a structure table, a form, an operator, a
 builder's theta or phi and the vectors of the tensor methods, is read by
 one function, read: it checks the shape level by level, types any other
-nesting as a DimensionMismatch, and takes the mode the caller gives or
-the one decide_mode finds in the entries.  to_array stays the reader of
-rows that library code has built in a known mode.
+nesting as a DimensionMismatch, checks each entry by decide_mode's rule
+and takes the mode the caller gives or the one decide_mode finds in the
+entries.  to_array stays the reader of rows that library code has built
+in a known mode.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -66,9 +69,11 @@ __all__ = [
     "coerce",
     "fmt",
     "scalar_to_json",
+    "FLOAT_RTOL",
     "tolerance",
     "common_mode",
     "ScaledArray",
+    "StoredTensor",
     "to_array",
     "read",
     "eye",
@@ -85,14 +90,10 @@ def _is_int(v):
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def decide_mode(values):
-    """True when every entry is exact (int or Fraction).
-
-    A single float forces binary64 mode; a float meeting a Fraction in the
-    same container is a hard error rather than a silent promotion, and a
-    NaN or infinite float is rejected with InvalidValue.  A list, tuple
-    or numpy array where a scalar belongs is a DimensionMismatch.
-    """
+def _kinds(values):
+    """Whether values hold a float and whether a Fraction.  A NaN or
+    infinite float is an InvalidValue, a list, tuple or numpy array a
+    DimensionMismatch, and a bool or any other non-number a MixedModeError."""
     saw_float = False
     saw_frac = False
     for v in values:
@@ -107,6 +108,15 @@ def decide_mode(values):
             raise DimensionMismatch(f"expected a scalar, got {v!r}")
         elif not _is_int(v):
             raise MixedModeError(f"unsupported scalar {v!r}")
+    return saw_float, saw_frac
+
+
+def decide_mode(values):
+    """True when every entry is exact (int or Fraction), each checked by
+    _kinds.  A single float forces binary64 mode; a float meeting a
+    Fraction in the same container is a hard error rather than a silent
+    promotion."""
+    saw_float, saw_frac = _kinds(values)
     if saw_float and saw_frac:
         raise MixedModeError("exact rationals mixed with binary64 values")
     return not saw_float
@@ -157,9 +167,13 @@ def scalar_to_json(v):
     return float(v)
 
 
+# the relative slack of every binary64 verdict and rank cut
+FLOAT_RTOL = 1e-9
+
+
 def tolerance(exact, scale):
-    """Slack of a verdict: none in exact mode, 1e-9 times scale in binary64."""
-    return 0 if exact else 1e-9 * scale
+    """Slack of a verdict: none in exact mode, FLOAT_RTOL * scale in binary64."""
+    return 0 if exact else FLOAT_RTOL * scale
 
 
 def common_mode(*tensors):
@@ -213,13 +227,14 @@ class _kept:
     """functools.cached_property without its lock, which on Python 3.11
     costs about a third of a small tensor's largest-entry read."""
 
-    def __init__(self, read):
+    def __init__(self, read, name=None):
         self.read = read
+        self.name = name or read.__name__
 
     def __get__(self, obj, cls=None):
         if obj is None:
             return self
-        value = obj.__dict__[self.read.__name__] = self.read(obj)
+        value = obj.__dict__[self.name] = self.read(obj)
         return value
 
 
@@ -349,6 +364,33 @@ class ScaledArray:
         return np.abs(self.num) > tol * self.den
 
 
+class StoredTensor:
+    """Base of a frozen dataclass storing a tensor as one ScaledArray field,
+    array.  A subclass names its nested view, array.tuples() built on first
+    read and kept, as in class LieAlgebra(StoredTensor, view="c")."""
+
+    def __init_subclass__(cls, view=None, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if view is not None:
+            setattr(cls, view, _kept(lambda self: self.array.tuples(), view))
+
+    @property
+    def dim(self):
+        return self.array.num.shape[0]
+
+    @property
+    def exact(self):
+        return self.array.exact
+
+    def vector(self, x):
+        """x read as a vector of this tensor's size, in its mode."""
+        return read(x, 1, self.dim, self.exact)
+
+    def to_float(self):
+        """array in binary64, every other field kept; self when binary64."""
+        return replace(self, array=self.array.to_float()) if self.exact else self
+
+
 def to_array(nested, exact):
     """ScaledArray of a nested container of one mode's scalars; exact ones,
     ints and Fractions, are read once each, and read's flat list as it is."""
@@ -375,9 +417,9 @@ def read(value, ndim, n=None, exact=None):
 
     A level is a list, tuple or numpy array, and any other nesting, a
     sequence among the entries included, is a DimensionMismatch.
-    With exact None, decide_mode picks the mode from the entries, which
-    to_array then takes as they are; with a mode given, each entry is
-    coerced to it first.
+    Each entry passes decide_mode's checks.  With exact None, decide_mode
+    picks the mode from the entries, which to_array then takes as they
+    are; with a mode given, each entry is coerced to it first.
     """
     try:
         n = len(value) if n is None else n
@@ -390,9 +432,8 @@ def read(value, ndim, n=None, exact=None):
         raise DimensionMismatch(f"expected {ndim} nested levels of entries") from None
     if exact is None:
         exact = decide_mode(entries)
-    elif any(isinstance(v, _LEVEL) for v in entries):
-        raise DimensionMismatch("expected scalar entries, got a sequence")
     else:
+        _kinds(entries)
         entries = [coerce(v, exact) for v in entries]
     return to_array(entries, exact).reshape((n,) * ndim)
 

@@ -2,10 +2,12 @@
 with exit code 1; plus the scan-grid and lazy-import regressions and a
 fuzzer over the CLI's argv."""
 
+import importlib.util
 import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -22,7 +24,7 @@ from quadlie import catalog, dynamics, fileio, levi_civita, metric_from_iso, val
 from quadlie import validate_form
 from quadlie.cli import main
 from quadlie.errors import EngineError, InvalidSpan, InvalidValue, StepBudgetExhausted
-from quadlie.errors import DimensionMismatch
+from quadlie.errors import DimensionMismatch, MixedModeError
 
 
 def _strict_json(text):
@@ -137,6 +139,46 @@ def test_step_budget_is_an_engine_error(e2_product, monkeypatch):
     with pytest.raises(StepBudgetExhausted) as info:
         dynamics.integrate_geodesic(e2_product, SEED, (0.0, 10.0))
     assert isinstance(info.value, EngineError)
+
+
+@pytest.mark.parametrize("argv", [
+    ["geodesic", "--catalog", "e2-motion", "--x", "e1:1,e2:1", "--span", "0:10"],
+    ["probe", "--catalog", "e2-motion", "--x", "e1:1,e2:1", "--span", "-10:10"],
+])
+def test_a_spent_step_budget_is_a_cli_json_error(argv, monkeypatch):
+    monkeypatch.setattr(dynamics, "STEP_BUDGET", 5)
+    code, rep = run(*argv)
+    assert code == 1
+    assert rep["error"]["type"] == "StepBudgetExhausted"
+
+
+def _load_bench_gen():
+    path = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("_bench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_a_probe_whose_geodesic_outruns_the_escape_radius_slowly_ends_at_the_budget():
+    """a-d-double(1) with a binary64 metric of signature (10, 2), the third
+    draw of bench/gen.congruent_metric from random.Random(0), and the seed
+    x_i = 0.3 + 0.1 i: the state grows about 13 times per half time unit
+    and the step shrinks as 1/|x|, so by T = 5 the run would take over a
+    million steps before the escape radius ends it."""
+    gen = _load_bench_gen()
+    rng = random.Random(0)
+    gen.congruent_metric(rng, 6, 1)
+    gen.congruent_metric(rng, 8, 1)
+    G, _ = gen.congruent_metric(rng, 12, 2)
+    G = validate_form([[float(v) for v in row] for row in G])
+    P = levi_civita(catalog("a-d-double(1)").algebra, G)
+    x = [0.3 + 0.1 * i for i in range(12)]
+    field, _ = dynamics._field_from(P)
+    (run,) = dynamics._solve(field, x, 0.0, 2.0, 1e-10)
+    assert run.accepted == 168
+    with pytest.raises(StepBudgetExhausted, match=f"no end after {dynamics.STEP_BUDGET} steps"):
+        dynamics.completeness_probe(P, [x], t_max=5.0)
 
 
 @pytest.mark.parametrize(
@@ -743,6 +785,47 @@ def test_a_list_where_a_scalar_belongs_is_a_dimension_mismatch_at_every_intake(n
     L, k, P = _oscillator_model()
     with pytest.raises(DimensionMismatch):
         _NESTED_ENTRY_CALLS[name](L, k, P)
+
+
+_VECTOR_CALLS = {
+    "bracket": lambda L, k, P, v: quadlie.bracket(L, v, [0, 1, 0, 0]),
+    "LieAlgebra.ad": lambda L, k, P, v: L.ad(v),
+    "ProductTensor.mult": lambda L, k, P, v: P.mult([0, 0, 1, 0], v),
+    "ProductTensor.left_mult": lambda L, k, P, v: P.left_mult(v),
+    "SymBilinearForm.apply": lambda L, k, P, v: k.apply(v, [1, 0, 0, 0]),
+    "SymmetricIso": lambda L, k, P, v: quadlie.SymmetricIso(4, [v, *_ID[1:]], k.exact),
+    "SymmetricIso.apply": lambda L, k, P, v: quadlie.SymmetricIso(4, _ID, k.exact).apply(v),
+    "CurvatureTensor.apply": lambda L, k, P, v: quadlie.curvature(P).apply(
+        [1, 0, 0, 0], [0, 1, 0, 0], v
+    ),
+    "quadratic_euler_field": lambda L, k, P, v: dynamics.quadratic_euler_field(L, _ID)[1](v),
+}
+
+
+@pytest.mark.parametrize("bad, error", [
+    (math.nan, InvalidValue),
+    (math.inf, InvalidValue),
+    (-math.inf, InvalidValue),
+    (True, MixedModeError),
+    ("1", MixedModeError),
+    (None, MixedModeError),
+], ids=["nan", "inf", "-inf", "True", "str", "None"])
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "binary64"])
+@pytest.mark.parametrize("name", sorted(_VECTOR_CALLS))
+def test_bad_vector_entries_are_typed_in_either_mode(name, exact, bad, error):
+    model = _oscillator_model()
+    if not exact:
+        model = [t.to_float() for t in model]
+    with pytest.raises(error):
+        _VECTOR_CALLS[name](*model, [bad, 0, 0, 0])
+
+
+def test_binary64_tensor_methods_reject_non_finite_entries():
+    e2 = catalog("e2-motion")
+    with pytest.raises(InvalidValue):
+        e2.algebra.to_float().bracket([math.nan, 0, 0], [0, 1, 0])
+    with pytest.raises(InvalidValue):
+        levi_civita(e2.algebra, e2.metric).to_float().mult([math.inf, 0, 0], [0, 0, 1])
 
 
 @pytest.mark.parametrize("call", [

@@ -268,15 +268,39 @@ def _lone_divided_difference(L, iso, trials, seed):
     return worst
 
 
-@pytest.mark.parametrize("trials", [1, 2, 3, 4])
-@pytest.mark.parametrize("name", ["two-step-volume", "dim5-nilpotent"])
-def test_polynomial_check_trials_block_matches_lone_runs(name, trials):
+def _check_iso(name):
+    """A series-preserving operator of the catalog entry name."""
     entry = catalog(name)
     if name == "two-step-volume":
         phi = ((F(1), F(2), F(0)), (F(0), F(1), F(0)), (F(3), F(0), F(1)))
         iso, _metric, _ = entry.oracles["metric_family"](phi)
     else:
         iso = iso_from_metric(entry.quad_form, entry.oracles["flat_structure"]()[2])
+    return entry.algebra, iso
+
+
+@pytest.mark.parametrize("trials", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", ["two-step-volume", "dim5-nilpotent"])
+def test_polynomial_check_trials_block_matches_lone_runs(name, trials):
+    L, iso = _check_iso(name)
     for seed in (0, 5):
-        cert = polynomial_geodesic_check(entry.algebra, iso, trials=trials, seed=seed)
-        assert cert.divided_diff_max == _lone_divided_difference(entry.algebra, iso, trials, seed)
+        cert = polynomial_geodesic_check(L, iso, trials=trials, seed=seed)
+        assert cert.divided_diff_max == _lone_divided_difference(L, iso, trials, seed)
+
+
+@pytest.mark.parametrize("name", ["two-step-volume", "dim5-nilpotent"])
+def test_polynomial_check_in_blocks_matches_one_block(name, monkeypatch):
+    L, iso = _check_iso(name)
+    whole = polynomial_geodesic_check(L, iso, trials=5, seed=3)
+    blocks = []
+    solve = dynamics._solve
+
+    def spy(f, y0, *args, **kwargs):
+        blocks.append(len(y0))
+        return solve(f, y0, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "TRIAL_BLOCK", 2)
+    monkeypatch.setattr(dynamics, "_solve", spy)
+    assert polynomial_geodesic_check(L, iso, trials=5, seed=3) == whole
+    assert blocks == [2, 2, 1]
+    assert whole.divided_diff_max == _lone_divided_difference(L, iso, 5, 3)
