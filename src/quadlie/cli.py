@@ -43,6 +43,9 @@ from .linalg import det
 # flags whose values may start with a minus sign; glued to --flag=value
 # before argparse sees them so "--span -0.99:5" parses
 _GLUE = {"--span", "--window", "--x", "--y", "--ydot", "--lambda", "--tol"}
+# the most phi samples of a family sweep, generated or read: about 0.8 ms
+# a sample, so a sweep at the cap ends in 3-4 s on a 2-core x86-64 host
+MAX_SAMPLES = 4000
 
 
 def _glue(argv):
@@ -597,6 +600,14 @@ def _sweep_csv(rows):
     return "\n".join(lines) + "\n"
 
 
+def _sample_count(count):
+    """count, a sweep's number of phi samples, checked against MAX_SAMPLES
+    before any sample is drawn or read; ParseError above it."""
+    if count > MAX_SAMPLES:
+        raise ParseError(f"family-sweep takes at most {MAX_SAMPLES} phi samples, got {count}")
+    return count
+
+
 def _cmd_family_sweep(args):
     m = args.dimv
     if m < 1:
@@ -608,11 +619,12 @@ def _cmd_family_sweep(args):
         doc = fileio.read_json(args.input)
         if not isinstance(doc, list):
             raise ParseError("phi sample file must be a JSON list of matrices")
+        _sample_count(len(doc))
         phis = [fileio.parse_matrix(rows, m, f"sample {idx}") for idx, rows in enumerate(doc)]
         source = {"path": str(args.input), "sha256": fileio.sha256_file(args.input)}
     else:
         rng = random.Random(args.rng_seed)
-        phis = [_random_phi(rng, m) for _ in range(args.trials)]
+        phis = [_random_phi(rng, m) for _ in range(_sample_count(args.trials))]
         source = {"generated": {"trials": args.trials, "rng_seed": args.rng_seed}}
     if not phis:  # an empty table would certify nothing
         raise ParseError("family-sweep needs at least one phi sample, from --trials or the file")

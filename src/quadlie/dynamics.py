@@ -47,7 +47,9 @@ obeys
     y'' + 2 x y' = [y, x] x + x [y, x] + [x x, y],
 
 and right-invariant reflections y' = -[x, y] solve it identically, which
-gives an integration-free oracle for the second-order route.
+gives an integration-free oracle for the second-order route: the
+reflection residual evaluates the variation table that the integrator
+runs on all the rows of a run at once, against the closed form of y''.
 """
 
 import bisect
@@ -361,11 +363,21 @@ def _bracket_table(L, n):
 
 
 def _trajectory(traj, n, kind=Trajectory):
-    """traj when it is a run of the given kind in dimension n;
-    DimensionMismatch otherwise."""
-    if not isinstance(traj, kind) or np.shape(traj.states)[1:] != (n,):
+    """[states], or [base_states, states] for a JacobiTrajectory, of a
+    nonempty run of the given kind in dimension n, each a (rows, n) float
+    array read by _seed_block; DimensionMismatch otherwise."""
+    if not isinstance(traj, kind):
         raise DimensionMismatch(f"expected a {kind.__name__} in dimension {n}")
-    return traj
+    fields = ("base_states", "states") if kind is JacobiTrajectory else ("states",)
+    rows = [_seed_block(getattr(traj, name), n) for name in fields]
+    if not len(rows[-1]) or len(rows[0]) != len(rows[-1]):
+        raise DimensionMismatch(f"expected a nonempty {kind.__name__}, its rows paired")
+    return rows
+
+
+def _rows(a):
+    """The rows of a 2-D array as a tuple of tuples of floats."""
+    return tuple(map(tuple, a.tolist()))
 
 
 def _finite_real(v):
@@ -773,7 +785,7 @@ def integrate_geodesic(P, x0, t_span, tol=1e-10, t_eval=()):
     t0, t1 = _check_span(t_span)
     fld, dim = _field_from(P)
     times, states, status = _sampled(fld, _seed_block([x0], dim)[0], t0, t1, tol, t_eval)
-    return Trajectory(times=tuple(times), states=tuple(map(tuple, states.tolist())), status=status)
+    return Trajectory(times=tuple(times), states=_rows(states), status=status)
 
 
 @dataclass(frozen=True)
@@ -815,26 +827,26 @@ def _probe_window(t_max):
 
 
 def _seed_block(seeds, dim):
-    """The seeds as one (B, n) block of floats, every seed checked before
-    any row runs: DimensionMismatch for a seed that is not a vector of the
-    field's dimension (or, for a bare field, of the first seed's length),
-    InvalidValue for an entry that is not a finite real."""
+    """The seeds (or a run's rows) as one (B, n) block of floats, every row
+    checked before any row runs: DimensionMismatch for a row that is not a
+    vector of the field's dimension (or, for a bare field, of the first
+    row's length), InvalidValue for an entry that is not a finite real."""
     try:
         seeds = list(seeds)
     except TypeError:
-        raise DimensionMismatch(f"seeds {seeds!r} are not a list of vectors") from None
+        raise DimensionMismatch(f"{seeds!r} is not a list of vectors") from None
     rows = []
     for seed in seeds:
         try:
             size = len(seed)
         except TypeError:
-            raise DimensionMismatch(f"seed {seed!r} is not a vector") from None
+            raise DimensionMismatch(f"{seed!r} is not a vector") from None
         if dim is None:  # a bare field takes the first seed's length
             dim = size
         if size != dim:
-            raise DimensionMismatch(f"seed of length {size} in dimension {dim}")
+            raise DimensionMismatch(f"vector of length {size} in dimension {dim}")
         if not all(map(_finite_real, seed)):
-            raise InvalidValue(f"seed entries must be finite reals, got {seed!r}")
+            raise InvalidValue(f"vector entries must be finite reals, got {seed!r}")
         rows.append([float(v) for v in seed])
     return np.array(rows, dtype=float).reshape(len(rows), dim or 0)
 
@@ -926,13 +938,9 @@ def integrate_jacobi(P, x0, y0, ydot0, t_span, tol=1e-10, t_eval=()):
     z0 = _seed_block([x0, y0, ydot0], n).reshape(-1)
     rhs = _jacobi_rhs(P.array.num, P.algebra.array.num)
     times, zs, status = _sampled(rhs, z0, t0, t1, tol, t_eval)
-    return JacobiTrajectory(
-        times=tuple(times),
-        states=tuple(map(tuple, zs[:, n : 2 * n].tolist())),
-        status=status,
-        base_states=tuple(map(tuple, zs[:, :n].tolist())),
-        derivative_states=tuple(map(tuple, zs[:, 2 * n :].tolist())),
-    )
+    x, y, yd = np.split(zs, 3, axis=1)
+    return JacobiTrajectory(times=tuple(times), states=_rows(y), status=status,
+                            base_states=_rows(x), derivative_states=_rows(yd))
 
 
 def biinvariant_jacobi(L, x0, y0, ydot0, t_span, tol=1e-10):
@@ -945,20 +953,16 @@ def biinvariant_jacobi(L, x0, y0, ydot0, t_span, tol=1e-10):
     Lf = as_algebra(L).to_float()
     n = Lf.dim
     x0a, y0a, ydot0a = _seed_block([x0, y0, ydot0], n)
-    minus_adx0 = -scalars.left_mult(Lf.array.num, x0a)
+    minus_adx0 = -np.einsum("ijk,i->kj", Lf.array.num, x0a)
 
     def rhs(z):
         yd = z[..., n:]
         return np.concatenate([yd, np.matvec(minus_adx0, yd)], -1)
 
     times, zs, status = _sampled(rhs, np.concatenate([y0a, ydot0a]), t0, t1, tol)
-    return JacobiTrajectory(
-        times=tuple(times),
-        states=tuple(map(tuple, zs[:, :n].tolist())),
-        status=status,
-        base_states=(tuple(x0a.tolist()),) * len(times),
-        derivative_states=tuple(map(tuple, zs[:, n:].tolist())),
-    )
+    y, yd = np.split(zs, 2, axis=1)
+    return JacobiTrajectory(times=tuple(times), states=_rows(y), status=status,
+                            base_states=_rows(x0a[None]) * len(times), derivative_states=_rows(yd))
 
 
 def right_invariant_reflection(L, P, x0, y0, t_span, tol=1e-10):
@@ -973,14 +977,10 @@ def right_invariant_reflection(L, P, x0, y0, t_span, tol=1e-10):
     z0 = _seed_block([x0, y0], n).reshape(-1)
     rhs = _reflection_rhs(P.array.num, _bracket_table(L, n))
     times, zs, status = _sampled(rhs, z0, t0, t1, tol)
-    return JacobiTrajectory(
-        times=tuple(times),
-        states=tuple(map(tuple, zs[:, n:].tolist())),
-        status=status,
-        base_states=tuple(map(tuple, zs[:, :n].tolist())),
-        # y' = -[x, y] is the second half of the field
-        derivative_states=tuple(map(tuple, rhs(zs)[:, n:].tolist())),
-    )
+    x, y = np.split(zs, 2, axis=1)
+    # y' = -[x, y] is the second half of the field
+    return JacobiTrajectory(times=tuple(times), states=_rows(y), status=status,
+                            base_states=_rows(x), derivative_states=_rows(rhs(zs)[:, n:]))
 
 
 def jacobi_route_gap(L, P, x0, y0, t_span, tol=1e-10, samples=101):
@@ -1021,28 +1021,20 @@ def reflection_equation_residual(L, P, traj):
     """Pointwise residual of the variation equation along a reflection.
 
     Uses the closed form of y'' available for transported fields, so the
-    value reflects algebraic cancellation, not integration error.
+    value reflects algebraic cancellation, not integration error: the
+    largest entry over all rows of y'' - (A y + B y'), with A and B those
+    of the integrator's own variation table.  Rows are read by _trajectory.
     """
     P = _as_product(P)
     n = P.dim
     gam = P.array.num
     carr = _bracket_table(L, n)
-    traj = _trajectory(traj, n, JacobiTrajectory)
-    worst = 0.0
-    for x, y in zip(traj.base_states, traj.states):
-        xa = np.asarray(x)
-        ya = np.asarray(y)
-        lx = scalars.left_mult(gam, xa)
-        rx = np.einsum("ijk,j->ki", gam, xa)
-        adx = scalars.left_mult(carr, xa)
-        xx = lx @ xa
-        adxx = scalars.left_mult(carr, xx)
-        yd = -(adx @ ya)
-        # y'' = [xx, y] + [x, [x, y]] from differentiating y' = -[x, y]
-        ydd = adxx @ ya + adx @ (adx @ ya)
-        res = ydd + 2.0 * (lx @ yd) + (rx + lx) @ (adx @ ya) - adxx @ ya
-        worst = max(worst, float(np.max(np.abs(res))))
-    return worst
+    x, y = _trajectory(traj, n, JacobiTrajectory)
+    xd, yd = np.split(_reflection_rhs(gam, carr)(np.concatenate([x, y], 1)), 2, axis=1)
+    # y'' = -[x', y] - [x, y'] from differentiating y' = -[x, y]
+    ydd = -np.einsum("rsi,rsj,ijk->rk", np.stack([xd, x], 1), np.stack([y, yd], 1), carr)
+    yddot = _jacobi_rhs(gam, carr)(np.concatenate([x, y, yd], 1))[:, 2 * n :]
+    return float(np.max(np.abs(ydd - yddot)))
 
 
 @dataclass(frozen=True)
@@ -1343,13 +1335,8 @@ def polynomial_geodesic_check(L, u, trials=3, seed=0, tol=1e-7):
             if not run.status.completed:
                 worst = math.inf
                 continue
-            diff = [x0, *run(np.array(grid))]
-            for _k in range(order):
-                diff = [diff[i + 1] - diff[i] for i in range(len(diff) - 1)]
-            dd = max(float(np.max(np.abs(d))) for d in diff) / (
-                h**order * math.factorial(order)
-            )
-            worst = max(worst, dd)
+            diff = np.diff(np.concatenate([x0[None], run(np.array(grid))]), n=order, axis=0)
+            worst = max(worst, float(np.max(np.abs(diff))) / (h**order * math.factorial(order)))
     certified = in_series and worst <= tol and degree_bound <= m_class - 1
     return PolynomialCertificate(
         nilpotency_class=m_class,
@@ -1362,11 +1349,12 @@ def polynomial_geodesic_check(L, u, trials=3, seed=0, tol=1e-7):
 
 
 def energy_drift(P, traj):
-    """Relative wander of <x, x> along a trajectory; needs a metric."""
+    """Relative wander of <x, x> along a trajectory, its rows read by
+    _trajectory; needs a metric."""
     if as_product(P).metric is None:
         raise DimensionMismatch("product has no metric to conserve")
     G = P.metric.to_float().array.num
-    xs = np.asarray(_trajectory(traj, P.dim).states, dtype=float)
+    (xs,) = _trajectory(traj, P.dim)
     energies = np.einsum("ti,ij,tj->t", xs, G, xs)
     e0 = energies[0]
     scale = max(abs(e0), float(np.max(np.abs(G))) * float(np.max(xs**2)), 1e-300)

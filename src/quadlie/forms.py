@@ -17,7 +17,6 @@ size.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -43,7 +42,7 @@ __all__ = [
 class _Matrix(scalars.StoredTensor, view="matrix"):
     """The form's and the operator's shared view and inverse."""
 
-    @cached_property
+    @scalars._kept
     def inverse(self):
         """The inverse as a ScaledArray, computed once; Singular if none."""
         return linalg.inverse(self.array)

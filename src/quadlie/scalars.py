@@ -230,6 +230,7 @@ class _kept:
     def __init__(self, read, name=None):
         self.read = read
         self.name = name or read.__name__
+        self.__doc__ = read.__doc__
 
     def __get__(self, obj, cls=None):
         if obj is None:
@@ -569,8 +570,6 @@ def left_mult(table, x):
     of e_k in e_i e_j), acting on coordinate columns: rows k, columns j.
 
     Serves ad_x (the bracket table) and L_x (a product tensor) alike, on
-    ScaledArrays or on bare float64 arrays.
+    ScaledArrays in either mode.
     """
-    if isinstance(table, ScaledArray):
-        return contract("ijk,i->kj", table, x)
-    return np.einsum("ijk,i->kj", table, x)
+    return contract("ijk,i->kj", table, x)

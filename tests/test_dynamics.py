@@ -7,8 +7,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadlie import (
+    ProductTensor,
     TwoStepSpec,
     annotate_candidates,
     biinvariant_connection,
@@ -34,7 +37,7 @@ from quadlie import (
     validate_form,
     volume_theta,
 )
-from quadlie import dynamics
+from quadlie import dynamics, scalars
 from quadlie.errors import InvalidSpan, SeriesNotPreserved
 
 F = Fraction
@@ -375,6 +378,53 @@ def test_reflection_routes_agree():
     refl = right_invariant_reflection(L, P, x0, y0, (0.0, 5.0), tol=1e-10)
     assert refl.status.completed
     assert reflection_equation_residual(L, P, refl) <= 1e-8
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    st.sampled_from(
+        ["e2-motion", "oscillator(1,2)", "dim4-b", "dim5-nilpotent", "two-step-volume"]
+    ),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+def test_reflection_residual_vanishes_exactly_when_the_product_is_torsion_free(name, seed, torsion):
+    # y' = -[x, y] solves the variation equation of every torsion-free
+    # product gamma = c / 2 + S, S symmetric in its first two indices, at
+    # every (x, y), with no integration involved; a random torsion breaks
+    # the identity (residuals 3.4 to 280 over 1,500 seeds per algebra).
+    # The residual reads the integrator's variation table, so this pins it,
+    # and the reference below writes the equation out term by term.
+    L = catalog(name).algebra.to_float()
+    n, c = L.dim, L.array.num
+    rng = np.random.default_rng(seed)
+    S = rng.uniform(-1, 1, (n, n, n))
+    gam = c / 2 + S + S.transpose(1, 0, 2)
+    if torsion:
+        gam = gam + rng.uniform(-2, 2, (n, n, n))
+    x, y = rng.uniform(-2, 2, (2, 8, n))
+    traj = dynamics.JacobiTrajectory(
+        times=tuple(range(8)), states=y.tolist(), base_states=x.tolist(),
+        status=dynamics.TerminationStatus("completed", 7.0),
+    )
+    res = reflection_equation_residual(L, ProductTensor(L, scalars.ScaledArray(gam), None), traj)
+
+    def mult(a, b, table):
+        return np.einsum("i,j,ijk->k", a, b, table)
+
+    ref = 0.0
+    for xr, yr in zip(x, y):
+        # y'' + 2 x y' - ([y, x] x + x [y, x] + [x x, y]), y'' = [x x, y] + [x, [x, y]]
+        xx, yx = mult(xr, xr, gam), mult(yr, xr, c)
+        ydd = mult(xx, yr, c) + mult(xr, mult(xr, yr, c), c)
+        rhs = mult(yx, xr, gam) + mult(xr, yx, gam) + mult(xx, yr, c)
+        ref = max(ref, np.abs(ydd + 2 * mult(xr, -mult(xr, yr, c), gam) - rhs).max())
+    scale = max(np.abs(c).max(), np.abs(gam).max()) ** 2 * np.abs(x).max() ** 2 * np.abs(y).max()
+    assert abs(res - ref) <= 1e-12 * scale
+    if torsion:
+        assert res > 1
+    else:
+        assert res <= 1e-10 * scale
 
 
 def test_biinvariant_jacobi_runs():

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 import quadlie
 from quadlie import catalog, dynamics, fileio, levi_civita, metric_from_iso, validate_algebra
 from quadlie import validate_form
-from quadlie.cli import main
+from quadlie.cli import MAX_SAMPLES, main
 from quadlie.errors import EngineError, InvalidSpan, InvalidValue, StepBudgetExhausted
 from quadlie.errors import DimensionMismatch, MixedModeError
 
@@ -198,6 +199,7 @@ def test_a_probe_whose_geodesic_outruns_the_escape_radius_slowly_ends_at_the_bud
         (["family-sweep", "--dimv", "-2"], "ParseError"),
         (["family-sweep", "--trials", "0"], "ParseError"),
         (["family-sweep", "--trials", "-5"], "ParseError"),
+        (["family-sweep", "--trials", str(MAX_SAMPLES + 1)], "ParseError"),
     ],
 )
 def test_cli_bad_numbers_give_json_errors(argv, kind):
@@ -321,6 +323,17 @@ def test_family_sweep_checks_the_dimension_before_drawing_samples():
     assert rep["error"]["type"] == "DimensionMismatch"
 
 
+def test_family_sweep_counts_a_sample_file_before_reading_its_samples(tmp_path):
+    # MAX_SAMPLES + 1 unreadable samples: the count is refused before any
+    # sample is parsed or certified
+    path = tmp_path / "phis.json"
+    path.write_text(json.dumps([[["abc"]]] * (MAX_SAMPLES + 1)))
+    code, rep = run("family-sweep", "--input", str(path))
+    assert code == 1
+    assert rep["error"]["type"] == "ParseError"
+    assert f"at most {MAX_SAMPLES} phi samples" in rep["error"]["message"]
+
+
 def test_reports_print_non_finite_floats_as_null():
     assert fileio.to_jsonable({"a": [math.nan, -math.inf, 1.5]}) == {"a": [None, None, 1.5]}
 
@@ -378,7 +391,7 @@ _VALUES = {
     "--window": _PAIR,
     "--grid": st.one_of(st.integers(-3, 64).map(str), st.sampled_from(["2.5", "", "x"])),
     "--dimv": st.sampled_from(["3", "2", "0", "-1", "x", "9" * 40]),
-    "--trials": st.sampled_from(["0", "1", "3", "-1", "x"]),
+    "--trials": st.sampled_from(["0", "1", "3", "-1", "x", "9" * 40]),
     "--rng-seed": st.sampled_from(["0", "7", "-5", "9" * 40, "x"]),
     "--tol": st.sampled_from(["1e-8", "1e-6", "0", "-1", "nan", "inf", "1e309", "", "x"]),
     "--format": st.sampled_from(["json", "csv", "xml"]),
@@ -966,6 +979,53 @@ def test_an_algebra_or_run_of_another_dimension_is_a_dimension_mismatch(e2_produ
     ):
         with pytest.raises(DimensionMismatch):
             call()
+
+
+# rows of a run as the caller may hand them in: (states, error)
+_BAD_ROWS = {
+    "string-entry": ((SEED, (0.7, "a", 1.3)), InvalidValue),
+    "string-row": ((SEED, "abc"), InvalidValue),
+    "nan-entry": ((SEED, (math.nan, 0.0, 1.0)), InvalidValue),
+    "none-entry": ((SEED, (None, 0.0, 1.0)), InvalidValue),
+    "bool-entry": ((SEED, (True, 0.0, 1.0)), InvalidValue),
+    "ragged": ((SEED, (0.7, -0.3)), DimensionMismatch),
+    "short-string-row": ((SEED, "ab"), DimensionMismatch),
+    "scalar-row": ((SEED, 0.7), DimensionMismatch),
+    "not-rows": (5, DimensionMismatch),
+    "empty": ((), DimensionMismatch),
+}
+
+
+@pytest.mark.parametrize("name", list(_BAD_ROWS))
+def test_energy_drift_reads_the_rows_of_its_run_checked(e2_product, name):
+    states, error = _BAD_ROWS[name]
+    geo = dynamics.integrate_geodesic(e2_product, SEED, (0.0, 1.0))
+    with pytest.raises(error):
+        dynamics.energy_drift(e2_product, replace(geo, states=states))
+
+
+@pytest.mark.parametrize("name", list(_BAD_ROWS))
+@pytest.mark.parametrize("field", ["states", "base_states"])
+def test_reflection_residual_reads_the_rows_of_its_run_checked(e2_product, name, field):
+    # a NaN run used to pass with residual 0.0, as max(0.0, nan) is 0.0
+    P, L = e2_product, e2_product.algebra
+    states, error = _BAD_ROWS[name]
+    good = (SEED,) * len(states) if isinstance(states, tuple) else (SEED,)
+    jac = replace(dynamics.right_invariant_reflection(L, P, SEED, SEED, (0.0, 1.0)),
+                  states=good, base_states=good)
+    with pytest.raises(error):
+        dynamics.reflection_equation_residual(L, P, replace(jac, **{field: states}))
+
+
+@pytest.mark.parametrize("base_states", [(), (SEED,), (SEED,) * 3], ids=["none", "fewer", "more"])
+def test_reflection_residual_needs_one_base_state_per_state(e2_product, base_states):
+    P, L = e2_product, e2_product.algebra
+    jac = dynamics.right_invariant_reflection(L, P, SEED, SEED, (0.0, 1.0))
+    assert dynamics.reflection_equation_residual(L, P, replace(jac, states=(SEED,) * 2,
+                                                               base_states=(SEED,) * 2)) <= 1e-14
+    with pytest.raises(DimensionMismatch):
+        dynamics.reflection_equation_residual(L, P, replace(jac, states=(SEED,) * 2,
+                                                            base_states=base_states))
 
 
 @pytest.mark.parametrize("ref", ["e3", "2", 2, "e2"])
