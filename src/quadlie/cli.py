@@ -31,14 +31,13 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from . import fileio, scalars
+from . import fileio, linalg, scalars
 from .algebra import structure_report
 from .catalog import available, catalog
 from .connection import curvature, curvature_tolerance, flatness_report, levi_civita, product_report
 from .constructions import TwoStepSpec, build_two_step, two_step_metric
 from .errors import EngineError, ParseError, ValidationError, ZeroXMinusOne
 from .forms import check_ad_invariance, metric_from_iso, signature
-from .linalg import det
 
 # flags whose values may start with a minus sign; glued to --flag=value
 # before argparse sees them so "--span -0.99:5" parses
@@ -163,6 +162,12 @@ def _resolve_model(args, need_metric=False):
     return _Model(L, metric, kform, iso, entry, source)
 
 
+def _product(args):
+    """The model, which must carry a metric, and its Levi-Civita product."""
+    model = _resolve_model(args, need_metric=True)
+    return model, levi_civita(model.L, model.metric)
+
+
 def _parse_scalar(text):
     try:
         return float(Fraction(text))
@@ -252,6 +257,15 @@ def _artifacts(args, stem, payload, write_csv=None):
     return [str(path)]
 
 
+def _placed(args, payload, stem, key, value, document=None):
+    """A handler's result that places value in payload under key, or, with
+    --out, writes document (value when None) as stem.json instead."""
+    artifacts = _artifacts(args, stem, value if document is None else document)
+    if not artifacts:
+        payload[key] = value
+    return payload, artifacts, 0
+
+
 def _verdict(value, mode, tolerance):
     return {"value": value, "mode": mode, "tolerance": tolerance}
 
@@ -276,6 +290,35 @@ def _traj_payload(traj):
         "states": [list(s) for s in traj.states],
         "status": _status_dict(traj.status),
     }
+
+
+def _run_report(args, run, final):
+    """A handler's result for one run over --span, which the command
+    needs: run(model, P, span) returns the payload's head fields, the
+    trajectory, whose last row goes under final, and the fields after the
+    verdicts.  The trajectory is the artifact, named after the command,
+    and an incomplete run exits 2."""
+    model, P = _product(args)
+    if args.span is None:
+        raise ParseError(f"{args.cmd} needs --span A:B")
+    span = _parse_pair(args.span, "--span")
+    head, traj, tail = run(model, P, span)
+    payload = {
+        "input": model.source,
+        **head,
+        "span": list(span),
+        "mode": "binary64",
+        "status": _status_dict(traj.status),
+        "steps": len(traj.times) - 1,
+        final: list(traj.states[-1]),
+        "verdicts": {
+            "completed": _verdict(traj.status.completed, "binary64", args.tol),
+        },
+        **tail,
+    }
+    artifacts = _artifacts(args, args.cmd, _traj_payload(traj),
+                           lambda path: fileio.write_trajectory_csv(path, traj))
+    return payload, artifacts, 0 if traj.status.completed else 2
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +377,7 @@ def _cmd_analyze(args):
 
 
 def _cmd_connection(args):
-    model = _resolve_model(args, need_metric=True)
-    P = levi_civita(model.L, model.metric)
+    model, P = _product(args)
     rep = product_report(P)
     payload = {
         "input": model.source,
@@ -345,15 +387,11 @@ def _cmd_connection(args):
             "metric_compatible": _verdict(rep.skew_ok, rep.mode, rep.tolerance),
         },
     }
-    artifacts = _artifacts(args, "product", {"gamma": P.gamma, "mode": rep.mode})
-    if not artifacts:
-        payload["gamma"] = P.gamma
-    return payload, artifacts, 0
+    return _placed(args, payload, "product", "gamma", P.gamma, {"gamma": P.gamma, "mode": rep.mode})
 
 
 def _cmd_curvature(args):
-    model = _resolve_model(args, need_metric=True)
-    P = levi_civita(model.L, model.metric)
+    model, P = _product(args)
     R = curvature(P)
     worst = R.max_abs()
     tol = curvature_tolerance(P)
@@ -361,16 +399,11 @@ def _cmd_curvature(args):
         "input": model.source,
         "mode": _mode(R.exact),
         "verdicts": {
-            "zero_curvature": _verdict(
-                bool(worst <= tol), _mode(R.exact), tol
-            ),
+            "zero_curvature": _verdict(bool(worst <= tol), _mode(R.exact), tol),
         },
         "residuals": {"max_abs_curvature": worst},
     }
-    artifacts = _artifacts(args, "curvature", {"r": R.r, "mode": _mode(R.exact)})
-    if not artifacts:
-        payload["r"] = R.r
-    return payload, artifacts, 0
+    return _placed(args, payload, "curvature", "r", R.r, {"r": R.r, "mode": _mode(R.exact)})
 
 
 def _cmd_flat(args):
@@ -393,73 +426,36 @@ def _cmd_flat(args):
 def _cmd_geodesic(args):
     from .dynamics import energy_drift, integrate_geodesic
 
-    model = _resolve_model(args, need_metric=True)
-    if args.span is None:
-        raise ParseError("geodesic needs --span A:B")
-    span = _parse_pair(args.span, "--span")
-    x0 = _initial_vector(args, model)
-    P = levi_civita(model.L, model.metric)
-    traj = integrate_geodesic(P, x0, span, tol=args.tol)
-    drift = energy_drift(P, traj)
-    payload = {
-        "input": model.source,
-        "x0": list(x0),
-        "span": list(span),
-        "mode": "binary64",
-        "status": _status_dict(traj.status),
-        "steps": len(traj.times) - 1,
-        "final_state": list(traj.states[-1]),
-        "verdicts": {
-            "completed": _verdict(traj.status.completed, "binary64", args.tol),
-        },
-        "residuals": {"energy_drift": drift},
-    }
-    artifacts = _artifacts(args, "geodesic", _traj_payload(traj),
-                           lambda path: fileio.write_trajectory_csv(path, traj))
-    return payload, artifacts, 0 if traj.status.completed else 2
+    def run(model, P, span):
+        x0 = _initial_vector(args, model)
+        traj = integrate_geodesic(P, x0, span, tol=args.tol)
+        return {"x0": list(x0)}, traj, {"residuals": {"energy_drift": energy_drift(P, traj)}}
+
+    return _run_report(args, run, "final_state")
 
 
 def _cmd_jacobi(args):
     from .dynamics import integrate_jacobi
 
-    model = _resolve_model(args, need_metric=True)
-    if args.span is None:
-        raise ParseError("jacobi needs --span A:B")
-    span = _parse_pair(args.span, "--span")
-    x0 = _initial_vector(args, model)
-    if args.y is None and args.ydot is None:
-        raise ParseError("jacobi needs --y or --ydot initial data")
-    zeros = tuple(0.0 for _ in range(model.L.dim))
-    y0 = _parse_vector(args.y, model.L, "--y") if args.y else zeros
-    ydot0 = _parse_vector(args.ydot, model.L, "--ydot") if args.ydot else zeros
-    P = levi_civita(model.L, model.metric)
-    traj = integrate_jacobi(P, x0, y0, ydot0, span, tol=args.tol)
-    payload = {
-        "input": model.source,
-        "x0": list(x0),
-        "y0": list(y0),
-        "ydot0": list(ydot0),
-        "span": list(span),
-        "mode": "binary64",
-        "status": _status_dict(traj.status),
-        "steps": len(traj.times) - 1,
-        "final_variation": list(traj.states[-1]),
-        "verdicts": {
-            "completed": _verdict(traj.status.completed, "binary64", args.tol),
-        },
-    }
-    artifacts = _artifacts(args, "jacobi", _traj_payload(traj),
-                           lambda path: fileio.write_trajectory_csv(path, traj))
-    return payload, artifacts, 0 if traj.status.completed else 2
+    def run(model, P, span):
+        x0 = _initial_vector(args, model)
+        if args.y is None and args.ydot is None:
+            raise ParseError("jacobi needs --y or --ydot initial data")
+        zeros = tuple(0.0 for _ in range(model.L.dim))
+        y0 = _parse_vector(args.y, model.L, "--y") if args.y else zeros
+        ydot0 = _parse_vector(args.ydot, model.L, "--ydot") if args.ydot else zeros
+        traj = integrate_jacobi(P, x0, y0, ydot0, span, tol=args.tol)
+        return {"x0": list(x0), "y0": list(y0), "ydot0": list(ydot0)}, traj, {}
+
+    return _run_report(args, run, "final_variation")
 
 
 def _cmd_conjugate(args):
     from .dynamics import annotate_candidates, conjugate_scan
 
-    model = _resolve_model(args, need_metric=True)
+    model, P = _product(args)
     window = _parse_pair(args.window, "--window")
     x0 = _initial_vector(args, model)
-    P = levi_civita(model.L, model.metric)
     rep = conjugate_scan(P, x0, window, grid=args.grid, tol=args.tol)
     payload = {
         "input": model.source,
@@ -482,29 +478,17 @@ def _cmd_conjugate(args):
     }
 
     # closed-form candidate lists ride along for oscillator models
-    entry = model.entry
-    forms = None
-    if entry is not None and "jacobi_forms" in entry.oracles:
-        m = len(entry.oracles["frequencies"])
-        try:
-            forms = entry.oracles["jacobi_forms"](x0, (1.0,) * m)
-        except ZeroXMinusOne:
-            forms = None
+    oracles = model.entry.oracles if model.entry is not None else {}
+    try:
+        forms = oracles["jacobi_forms"](x0, (1.0,) * len(oracles["frequencies"]))
+    except (KeyError, ZeroXMinusOne):
+        forms = None
     if forms is not None:
-        primary = forms.conjugate_times(window)
-        halved = forms.halved_times(window)
-        rep = annotate_candidates(rep, primary, alternate=halved, match_tol=1e-6)
-        primary_hits = [
-            {"candidate": c, "matched_root": hit}
-            for c, hit in rep.primary_matches
-        ]
-        halved_hits = [
-            {"candidate": c, "matched_root": hit}
-            for c, hit in rep.alternate_matches
-        ]
-        all_primary = all(h["matched_root"] is not None for h in primary_hits)
-        some_halved_rejected = any(
-            h["matched_root"] is None for h in halved_hits
+        rep = annotate_candidates(rep, forms.conjugate_times(window),
+                                  alternate=forms.halved_times(window), match_tol=1e-6)
+        primary_hits, halved_hits = (
+            [{"candidate": c, "matched_root": hit} for c, hit in matches]
+            for matches in (rep.primary_matches, rep.alternate_matches)
         )
         payload["candidates"] = {
             "full_period": primary_hits,
@@ -514,8 +498,8 @@ def _cmd_conjugate(args):
             # (with several frequencies a halved time of one frequency can
             # be a full period of another, so only the unmatched ones count)
             "halved_period_discrepancy": bool(halved_hits)
-            and some_halved_rejected
-            and all_primary,
+            and any(h["matched_root"] is None for h in halved_hits)
+            and all(h["matched_root"] is not None for h in primary_hits),
         }
     return payload, [], 0
 
@@ -523,25 +507,22 @@ def _cmd_conjugate(args):
 def _cmd_probe(args):
     from .dynamics import completeness_probe
 
-    model = _resolve_model(args, need_metric=True)
+    model, P = _product(args)
     x0 = _initial_vector(args, model)
     t_max = _parse_pair(args.span, "--span") if args.span else 1e3
-    P = levi_civita(model.L, model.metric)
     rep = completeness_probe(P, [x0], t_max=t_max, tol=args.tol)
-    results = []
-    for res in rep.results:
-        results.append(
+    payload = {
+        "input": model.source,
+        "span": list(rep.span),
+        "mode": "binary64",
+        "results": [
             {
                 "seed": list(res.seed),
                 "forward": _status_dict(res.forward),
                 "backward": _status_dict(res.backward),
             }
-        )
-    payload = {
-        "input": model.source,
-        "span": list(rep.span),
-        "mode": "binary64",
-        "results": results,
+            for res in rep.results
+        ],
         "verdicts": {
             "complete_on_span": _verdict(not rep.incomplete, "binary64", rep.tol),
         },
@@ -564,10 +545,7 @@ def _cmd_build(args):
         stem = "".join(
             ch if ch.isalnum() or ch in "._-" else "_" for ch in model.entry.name
         ).strip("_")
-    artifacts = _artifacts(args, stem, doc)
-    if not artifacts:
-        payload["document"] = doc
-    return payload, artifacts, 0
+    return _placed(args, payload, stem, "document", doc)
 
 
 def _cmd_catalog(args):
@@ -582,7 +560,7 @@ def _cmd_catalog(args):
 def _random_phi(rng, m):
     while True:
         cand = [[Fraction(rng.randint(-3, 3)) for _ in range(m)] for _ in range(m)]
-        if det(scalars.read(cand, 2)) != 0:
+        if linalg.rank(scalars.read(cand, 2)) == m:
             return tuple(tuple(row) for row in cand)
 
 

@@ -6,8 +6,8 @@ formula, which for left-invariant data collapses to
 
     2 <x y, z> = <[x, y], z> - <[y, z], x> + <[z, x], y>.
 
-All n^2 right-hand sides are solved against the single matrix 2 G: one
-inverse of 2 G (in exact mode the one the form holds, halved) and one
+All n^2 right-hand sides are solved against the single matrix 2 G: the
+inverse the form holds, halved (exactly, in both modes), and one
 contraction of it against the right-hand sides give the whole tensor.
 The right-hand sides, gamma, curvature and the torsion, skew and
 left-symmetry residuals are einsum contractions over the ScaledArrays
@@ -23,7 +23,6 @@ and flatness in binary64 accepts a maximal entry of R up to
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg, scalars
 from .algebra import LieAlgebra, as_algebra
@@ -116,9 +115,9 @@ def levi_civita(L, g):
         - scalars.contract("jmk,ki->ijm", C, G)
         + scalars.contract("mik,kj->ijm", C, G)
     )
-    # inverse(2 G) for G's numerators: an exact form holds G's inverse, so
-    # that over 2 and G's denominator; binary64 inverts 2 G as it stands
-    inv = linalg.divided(form.inverse, 2 * form.array.den) if form.exact else linalg.inverse(G + G)
+    # inverse(2 G) for G's numerators: the form's inverse over 2 and G's
+    # denominator, exact in both modes
+    inv = linalg.divided(form.inverse, 2 * form.array.den)
     return ProductTensor(L, scalars.contract("mk,ijk->ijm", inv, rhs), form)
 
 
@@ -225,10 +224,7 @@ def dim4_obstruction(a, b, d):
     the b = 0 slice.
     """
     exact = scalars.decide_mode([a, b, d])
-    if exact:
-        a, b, d = Fraction(a), Fraction(b), Fraction(d)
-    else:
-        a, b, d = float(a), float(b), float(d)
+    a, b, d = (scalars.coerce(v, exact) for v in (a, b, d))
     if b * b + a * d == 0 or a * d == 0:
         raise InvalidValue(f"need b^2 + a d != 0 and a d != 0, got a={a}, b={b}, d={d}")
     p1 = b * (-1 + a + d) / (b * b + a * d)

@@ -202,10 +202,7 @@ def _alternating_theta(m, theta):
 
 def _pairing(m, exact):
     """Duality pairing of V and V*, dim V = m, as a 2m x 2m ScaledArray."""
-    kmat = np.zeros((2 * m, 2 * m), dtype=object if exact else float)
-    i = np.arange(m)
-    kmat[i, m + i] = kmat[m + i, i] = 1
-    return scalars.ScaledArray(kmat)
+    return scalars.ScaledArray(np.roll(scalars.eye(2 * m, exact).num, m, axis=0))
 
 
 def build_two_step(spec):

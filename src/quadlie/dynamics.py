@@ -1355,7 +1355,9 @@ def energy_drift(P, traj):
         raise DimensionMismatch("product has no metric to conserve")
     G = P.metric.to_float().array.num
     (xs,) = _trajectory(traj, P.dim)
-    energies = np.einsum("ti,ij,tj->t", xs, G, xs)
-    e0 = energies[0]
-    scale = max(abs(e0), float(np.max(np.abs(G))) * float(np.max(xs**2)), 1e-300)
-    return float(np.max(np.abs(energies - e0))) / scale
+    # a run whose energy overflows binary64 drifts by nan, quietly
+    with np.errstate(over="ignore", invalid="ignore"):
+        energies = np.einsum("ti,ij,tj->t", xs, G, xs)
+        e0 = energies[0]
+        scale = max(abs(e0), float(np.max(np.abs(G))) * float(np.max(xs**2)), 1e-300)
+        return float(np.max(np.abs(energies - e0))) / scale

@@ -9,11 +9,12 @@ and the metric <-> operator translations.
 A form and an operator are each stored as one ScaledArray, with the
 nested matrix built only when read.  Signatures, ranks and inverses are
 linalg kernels over those arrays, and G = K U, U^T K and K^{-1} G are
-contractions.  An exact form is eliminated once, as [M | I] by
-validate_form, which keeps the inverse on the form.  Every function
-reads a form through as_form and an operator through as_iso, nested or
-not; each raises DimensionMismatch for an argument of another kind or
-size.
+contractions.  A form or operator is inverted once, in either mode:
+validate_form and metric_from_iso take linalg.inverse as their
+singularity test, and the form or operator keeps the inverse.  Every
+function reads a form through as_form and an operator through as_iso,
+nested or not; each raises DimensionMismatch for an argument of another
+kind or size.
 """
 
 from dataclasses import dataclass
@@ -68,8 +69,8 @@ class SymmetricIso(_Matrix):
     SymmetricIso(dim, matrix, exact=None) takes a nested dim x dim matrix,
     read by scalars.read in mode exact, or in the mode of its entries when
     exact is None (DimensionMismatch for any other shape), or a ScaledArray
-    that library code has assembled.  metric_from_iso checks the operator;
-    its inverse is computed once, when first used.
+    that library code has assembled.  Its inverse is computed once, when
+    first used; metric_from_iso uses it to check the operator.
     """
 
     array: scalars.ScaledArray
@@ -133,10 +134,10 @@ def validate_form(g):
     decide its mode, or a ScaledArray that library code has assembled; an
     empty matrix is a DimensionMismatch.  Exact mode demands literal symmetry;
     binary64 mode allows symmetry slack 1e-9 relative to the largest
-    entry.  The form is degenerate when its rank is below its size, and
-    the Degenerate report carries a kernel basis: exact, when [M | I],
-    eliminated once for the form's inverse, lacks a pivot in M; binary64,
-    with the singular values cut at 1e-9 of the largest.
+    entry.  The form is degenerate when linalg.inverse finds it singular,
+    its rank below its size, and otherwise keeps that inverse; the
+    Degenerate report carries a kernel basis, exact or, in binary64, with
+    the singular values cut at 1e-9 of the largest.
     """
     M = g if isinstance(g, scalars.ScaledArray) else scalars.read(g, 2)
     n, exact = M.num.shape[0], M.exact
@@ -150,11 +151,8 @@ def validate_form(g):
         i, j = bad[0].tolist()
         raise NotSymmetric(f"entries ({i},{j}) and ({j},{i}) differ")
     form = SymBilinearForm(M)
-    try:
-        if exact:  # one elimination of [M | I] tests M and inverts it
-            form.__dict__["inverse"] = linalg.inverse(M)
-        elif linalg.rank(M) < n:
-            raise Singular
+    try:  # the inverse tests M, and the form keeps it
+        form.inverse
     except Singular:
         raise Degenerate(linalg.nullspace(M).tuples()) from None
     return form
@@ -184,8 +182,9 @@ def check_ad_invariance(L, k):
 def metric_from_iso(k, u):
     """Metric matrix G = K U from a k-symmetric invertible operator.
 
-    Raises Singular when u is not invertible and NotKSymmetric when
-    U^T K differs from K U, i.e. when u fails self-adjointness.
+    Raises NotKSymmetric when U^T K differs from K U, i.e. when u fails
+    self-adjointness, and then Singular when u has no inverse; the
+    operator returned keeps its inverse.
     """
     form = as_form(k)
     form, iso = scalars.common_mode(form, as_iso(u, form.dim))
@@ -195,8 +194,10 @@ def metric_from_iso(k, u):
     tol = scalars.tolerance(iso.exact, max(1.0, K.scale() * U.scale()))
     if worst > tol:
         raise NotKSymmetric(f"operator is not self-adjoint, residual {worst}")
-    if linalg.rank(U) < form.dim:
-        raise Singular("operator is not invertible")
+    try:  # the inverse tests U, and the operator keeps it
+        iso.inverse
+    except Singular:
+        raise Singular("operator is not invertible") from None
     return iso, validate_form(ku)
 
 

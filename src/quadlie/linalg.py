@@ -200,8 +200,9 @@ def inverse(A):
 
 
 def divided(A, k):
-    """The exact A / k for a positive int k, in lowest terms."""
-    return _reduced(A.num, k * A.den)
+    """A / k for a positive int k: exact in lowest terms, binary64 entry by
+    entry, exactly so when k is a power of two."""
+    return _reduced(A.num, k * A.den) if A.exact else ScaledArray(A.num / k)
 
 
 def det(A):

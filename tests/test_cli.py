@@ -1,6 +1,7 @@
 """Command-line interface tests, driven in-process through main(), and
 in fresh interpreters where the modules a command imports are tested."""
 
+import hashlib
 import io
 import json
 import os
@@ -38,6 +39,88 @@ def test_catalog_listing():
     code, rep = run("catalog")
     assert code == 0 and len(rep["models"]) == 7
     assert rep["command"] == ["quadlie", "catalog"]
+
+
+# exit code and sha256 of stdout of each default report, per model in the
+# order of _REPORT_COMMANDS, so that no refactor moves a default report by
+# a byte.  Exact-mode reports and errors only, so no digest depends on the
+# platform's binary64 library.
+_REPORT_COMMANDS = ("validate", "analyze", "connection", "curvature", "flat", "build")
+_REPORT_DIGESTS = {
+    "e2-motion": (
+        (0, "128cc1a6e589967c658d36854ccb47fa473df2a06a2bac85eb9f67fed28ee87a"),
+        (0, "734788a6345cb8c3460283ab0ca610247612c95288d63afda584a3778eebd894"),
+        (0, "4058a09cfe85e271d005ea8c34a1bd43bb1612a7ce719837276c8380004479e1"),
+        (0, "300c03de91f7c4c7c1804d6937c1217dccac3e18aa94b8db98471e01978f1e47"),
+        (0, "6ebcaf95114bbea3fa0dda456c0d8687cf63c21829a05fe416f89b7382c6dcbc"),
+        (0, "e2e2e6941b3bdbcd9968f241af734d4b63d45a9a642b99256eeb4567ee620a61"),
+    ),
+    "oscillator(1,2)": (
+        (0, "b6be50ebc11419bbb3a210989c8f8700909a8c567d15bac5e30444ad92448cbf"),
+        (0, "15fb5909030cec39c8e2c0a7f8a83926c7f0fba90bbbe906df2e57ce3cc0dba3"),
+        (0, "64aa0d623d2b4b1945e14a8be57ded8644f3e4c3e4334e08e5268dfa6bb3952e"),
+        (0, "e23403b61a289adb8285c9151068d56a9436666b37eea60275545d024154a7f7"),
+        (2, "74bee8356f7321900dc5e99b83b952138a0ffca56886397b9265bd3fc5d3caca"),
+        (0, "fa8a1f20cc6da03bdb28bd94b72515d4f134ea56a6f2bf110c4e941259b63197"),
+    ),
+    "dim4-b": (
+        (0, "3cf4410c5749065dc2286d9c0dad46ad6474bb719392d173dfc44aa84b095908"),
+        (0, "a2920c8c8428a08a17ca0445572afc051f55e5275d5b29cbdfa338d6a09fcee3"),
+        (1, "ef78f2ea30967bea336e2e77b64086efb1b34124e20c6989e8a5e80a45e3a144"),
+        (1, "4bec18f9485c8ae2615a7c901dcdb9cb4cd316371cd35e9c9b588fc741364bb8"),
+        (1, "953392e02fac4c675a13865f88432413ef027f5430d32128bc47fc3582b7de6d"),
+        (0, "a30c18297d36150b209a546fb64d82cce42c6d307d35ae49347dad5941306174"),
+    ),
+    "dim5-nilpotent": (
+        (0, "afc995dae4976b7df13c0ad049e5f81e68c3897dd2ea7a41e12f7439ae9243f8"),
+        (0, "2a2f5e61dc37356e8ac472ec288c80de036bc0c1fa028575a4d801018eed5c43"),
+        (0, "fac2ce1e9a19880d79a1da0ad63d0e3270d4cd1a5213cabc69c91e6d53e13796"),
+        (0, "4631ca78acf6a76ddb1f75f13fbb0de5f81134a9338160e7d11ed21c20fbcb7e"),
+        (2, "08fdad5a4c0e5dc81811dcb56554806e0a8f807e09fa667828ba110a650f26d2"),
+        (0, "e4fb3808abae2b5c168010c485f33ff550a75600deb95f8faf0e723a370f182d"),
+    ),
+    "two-step-volume": (
+        (0, "267650a4e96990ca9582d2b86e3a5f14a3a3970422f36c9b3b8b8b489efd6748"),
+        (0, "d1b5a7f25d16b0c235b679e226b20b53554e298fbef32c1f749eaff7c9b71198"),
+        (0, "f44d0ae2e1cf4e6c571158e6f98a8ced1d8e7491d0a785828633c4d213eedb12"),
+        (0, "5eb3ff89f44eb86252ba26c358baf5ca734d8303c32c0d17287ebcdc5159d8a1"),
+        (0, "f412af2e5ca2b0d616cf41ad7424c63d5713a44937a3f3856bbcdbb181d8be90"),
+        (0, "b2ddc5a5c9daee53afa4c69746a89a940958e02684729922ab7fdc2027872291"),
+    ),
+    "a-d(2)": (
+        (0, "efe8be52b2e5fc33a5d09b2cc3ebcc015d13a96f5e1bdb6a178b877a1866cef8"),
+        (0, "19ffc1030bd37c4e01d9ed97aff021f372e34658631b20ab5640fd9ef1fe343b"),
+        (1, "81587c60ee1b2d68c4eec16d6c8664df45662282c83dd1b5bae141cf1ba6ca14"),
+        (1, "011765e8574972c48765851047fa8a598f7d81fdd468f66e720a19172fcb4619"),
+        (1, "e61e4ea2eaa51d6a16cc3d9246032194d5420e83b7f3f0fd48c512ec5df04dd1"),
+        (0, "5a685796f970eb274b3f0c733eabec219c4d90214f2710d386d60e97a6c43b73"),
+    ),
+    "a-d-double(1)": (
+        (0, "d72b4e42ffaf0f6ed3aefeb0ee7d547b549ac342d951f56026372be3f900e3c9"),
+        (0, "9f1a6d1fece2a147abb1bb2402cc06642a65dc38d129ea96e1cb0da8b13a9d42"),
+        (0, "5a88a69e916af3be3345ffb77a78513dcf7333e7cab79c295074354f3f95e167"),
+        (0, "a5629f3b45d601bc04b20d45aaa9281703f4dc0261fc72adf05b544a32105515"),
+        (0, "8439c24b397aa33be18c2be6df5d4d36667cb5e519f192423fc57fd7141e383b"),
+        (0, "5fedf8f4bb2d94bd43bc04a2cb7e8c36a1f1afefc4b135bd28a9f426b2aebccb"),
+    ),
+}
+_CATALOG_DIGEST = (0, "251b88466f4b778d8f6b734bd34ad07359c045a34f699f25c37e4afa1f0e2ee8")
+
+
+_DIGESTED = [
+    *(((cmd, "--catalog", model), pair)
+      for model, pairs in _REPORT_DIGESTS.items()
+      for cmd, pair in zip(_REPORT_COMMANDS, pairs, strict=True)),
+    (("catalog",), _CATALOG_DIGEST),
+]
+
+
+@pytest.mark.parametrize("argv, expected", _DIGESTED, ids=[" ".join(argv) for argv, _ in _DIGESTED])
+def test_default_reports_stay_byte_for_byte(argv, expected):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(list(argv))
+    assert (code, hashlib.sha256(buf.getvalue().encode()).hexdigest()) == expected
 
 
 def test_flat_certificate_from_file(e2_file):

@@ -17,7 +17,7 @@ from quadlie import (
     signature,
     validate_form,
 )
-from quadlie.errors import Degenerate, NotKSymmetric, NotSymmetric
+from quadlie.errors import Degenerate, NotKSymmetric, NotSymmetric, Singular
 
 F = Fraction
 
@@ -139,6 +139,21 @@ def test_metric_from_iso_rejects_non_self_adjoint_operator():
     u[0][1] = F(1)  # breaks K U = U^T K for the duality pairing
     with pytest.raises(NotKSymmetric):
         metric_from_iso(k, u)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_metric_from_iso_rejects_a_singular_self_adjoint_operator(exact):
+    # u = phi on V and phi^T on V* is self-adjoint for the duality pairing,
+    # and singular with phi; K U is then a symmetric degenerate matrix
+    entry = catalog("two-step-volume")
+    k = entry.quad_form if exact else entry.quad_form.to_float()
+    u = [[0] * 6 for _ in range(6)]
+    # phi = [[1, 2, 0], [2, 4, 0], [0, 0, 1]], of rank 2
+    for i, j, v in ((0, 0, 1), (0, 1, 2), (1, 0, 2), (1, 1, 4), (2, 2, 1)):
+        u[i][j] = u[3 + j][3 + i] = F(v) if exact else float(v)
+    with pytest.raises(Singular) as e:
+        metric_from_iso(k, u)
+    assert type(e.value) is Singular and str(e.value) == "operator is not invertible"
 
 
 def test_symmetric_iso_apply_and_inverse():

@@ -305,15 +305,15 @@ def test_runs_longer_than_max_span_are_invalid(e2_product):
             call()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("x, kind", [("e3:1e160,e1:1", "step-collapse"), ("e3:1e200", "blowup")])
 def test_cli_geodesic_with_an_overflowing_field_reports_strict_json(x, kind):
     # 1e160 overflows the norm of the field that sizes the first step,
-    # 1e200 the field itself and the energy
+    # 1e200 the field itself and the energy, whose drift is then no number
     code, rep = run("geodesic", "--catalog", "e2-motion", "--x", x, "--span", "0:1")
     assert code == 2
     assert rep["status"]["kind"] == kind
+    assert rep["residuals"]["energy_drift"] is None
 
 
 def test_family_sweep_checks_the_dimension_before_drawing_samples():

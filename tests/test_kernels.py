@@ -216,6 +216,34 @@ def test_curvature_matches_plain_loops(family, examples):
     check()
 
 
+def inverse_of_twice_g_route(L, g):
+    """gamma as levi_civita once took it in binary64: the three right-hand
+    sides, then the inverse of 2 G."""
+    C, G = L.array, g.array
+    rhs = (
+        scalars.contract("ijk,km->ijm", C, G)
+        - scalars.contract("jmk,ki->ijm", C, G)
+        + scalars.contract("mik,kj->ijm", C, G)
+    )
+    return scalars.contract("mk,ijk->ijm", linalg.inverse(G + G), rhs).tuples()
+
+
+@pytest.mark.parametrize("family, examples", FAMILIES)
+def test_binary64_gamma_halves_the_forms_inverse_bit_for_bit(family, examples):
+    # halving is exact in binary64 and LU with partial pivoting commutes
+    # with a power-of-two scale, so the form's kept inverse over 2 gives
+    # the route's gamma entry for entry, whatever the metric's scale
+    @settings(PROFILE, max_examples=examples)
+    @given(metric_pairs(family), st.sampled_from((1.0, 1e-3, 0.37, 7.1e2)))
+    def check(pair, scale):
+        L, g = pair
+        Lf = L.to_float()
+        gf = validate_form(scalars.ScaledArray(g.to_float().array.num * scale))
+        assert levi_civita(Lf, gf).gamma == inverse_of_twice_g_route(Lf, gf)
+
+    check()
+
+
 def reference_verdicts(c, gam):
     """(torsion-free, left-symmetric, max |R|) of a product by plain loops
     over Fractions: gamma_ij - gamma_ji = c_ij, and the associator
