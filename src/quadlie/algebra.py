@@ -12,8 +12,6 @@ hands the contractions to linalg's kernels as ScaledArrays and builds its
 nested bases only at the end.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import linalg, scalars
@@ -35,7 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@scalars.record
 class LieAlgebra(scalars.StoredTensor, view="c"):
     """A structure table stored as its ScaledArray; c is a read-only view."""
 
@@ -132,7 +130,7 @@ def bracket(L, x, y):
     return scalars.contract("kj,j->k", lx, L.vector(y)).tuples()
 
 
-@dataclass(frozen=True)
+@scalars.record
 class StructureReport:
     center: tuple
     derived: tuple

@@ -13,7 +13,6 @@ frequency pair (1, 2), ``a-d(3)`` picks the bracket parameter 3.  Bare
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -44,7 +43,7 @@ from .forms import (
 __all__ = ["CatalogEntry", "catalog", "available"]
 
 
-@dataclass(frozen=True)
+@scalars.record
 class CatalogEntry:
     name: str
     algebra: LieAlgebra

@@ -27,7 +27,7 @@ import json
 import os
 import random
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -111,7 +111,7 @@ def _parser():
 # input resolution
 
 
-@dataclass
+@scalars.record
 class _Model:
     L: object
     metric: object

@@ -22,7 +22,10 @@ and flatness in binary64 accepts a maximal entry of R up to
 1e-9 * (1 + |gamma|^2 + |c| |gamma|) in the max norm.
 """
 
-from dataclasses import dataclass
+import contextlib
+import math
+
+import numpy as np
 
 from . import linalg, scalars
 from .algebra import LieAlgebra, as_algebra
@@ -45,7 +48,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@scalars.record
 class ProductTensor(scalars.StoredTensor, view="gamma"):
     """A product stored as its ScaledArray; gamma is a read-only view."""
 
@@ -68,7 +71,7 @@ class ProductTensor(scalars.StoredTensor, view="gamma"):
         return ProductTensor(self.algebra.to_float(), self.array.to_float(), metric)
 
 
-@dataclass(frozen=True)
+@scalars.record
 class CurvatureTensor(scalars.StoredTensor, view="r"):
     """R stored as the ScaledArray it is computed as; r is a read-only view."""
 
@@ -84,7 +87,7 @@ class CurvatureTensor(scalars.StoredTensor, view="r"):
         return scalars.contract("k,kl->l", z, r).tuples()
 
 
-@dataclass(frozen=True)
+@scalars.record
 class FlatnessReport:
     flat: bool
     max_residual: object
@@ -103,22 +106,30 @@ def as_product(P):
 
 
 def levi_civita(L, g):
-    """Metric product tensor of a left-invariant metric on L."""
+    """Metric product tensor of a left-invariant metric on L; InvalidValue
+    when a binary64 entry of it overflows."""
     L = as_algebra(L)
     L, form = scalars.common_mode(L, as_form(g, L.dim))
     # the product is unchanged when G is scaled by a constant, so G's
     # numerators stand in for G
     C, G = L.array, scalars.ScaledArray(form.array.num)
-    # rhs[i][j][m] = <[e_i, e_j], e_m> - <[e_j, e_m], e_i> + <[e_m, e_i], e_j>
-    rhs = (
-        scalars.contract("ijk,km->ijm", C, G)
-        - scalars.contract("jmk,ki->ijm", C, G)
-        + scalars.contract("mik,kj->ijm", C, G)
-    )
-    # inverse(2 G) for G's numerators: the form's inverse over 2 and G's
-    # denominator, exact in both modes
-    inv = linalg.divided(form.inverse, 2 * form.array.den)
-    return ProductTensor(L, scalars.contract("mk,ijk->ijm", inv, rhs), form)
+    # in binary64 an entry beyond binary64 becomes inf, and inf - inf nan,
+    # with no numpy warning, for the check below; exact products skip the
+    # errstate, and an errstate per sum or kernel slows the certificates
+    with contextlib.nullcontext() if L.exact else np.errstate(invalid="ignore", over="ignore"):
+        # rhs[i][j][m] = <[e_i, e_j], e_m> - <[e_j, e_m], e_i> + <[e_m, e_i], e_j>
+        rhs = (
+            scalars.contract("ijk,km->ijm", C, G)
+            - scalars.contract("jmk,ki->ijm", C, G)
+            + scalars.contract("mik,kj->ijm", C, G)
+        )
+        # inverse(2 G) for G's numerators: the form's inverse over 2 and G's
+        # denominator, exact in both modes
+        inv = linalg.divided(form.inverse, 2 * form.array.den)
+        gamma = scalars.contract("mk,ijk->ijm", inv, rhs)
+    if not math.isfinite(gamma.scale()):
+        raise InvalidValue("the Levi-Civita product overflows binary64")
+    return ProductTensor(L, gamma, form)
 
 
 def product_from_iso(L, k, u):

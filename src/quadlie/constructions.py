@@ -24,7 +24,6 @@ d^{-1}[f x, d y]) is one scalars.contract.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -62,19 +61,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@scalars.record
 class OscillatorSpec:
     lams: tuple
 
 
-@dataclass(frozen=True)
+@scalars.record
 class TwoStepSpec:
     dim_v: int
     theta: tuple  # theta[i][j][k], fully antisymmetric
     phi: tuple | None = None
 
 
-@dataclass(frozen=True)
+@scalars.record
 class FDerivationSpec:
     grading: tuple  # three bases (G0, G1, G2)
     d_matrix: tuple
@@ -83,7 +82,7 @@ class FDerivationSpec:
     f_diagonal: tuple  # (a0, a1, a2)
 
 
-@dataclass(frozen=True)
+@scalars.record
 class SimilarityInvariants:
     char_poly: tuple  # monic, descending powers
     invariant_factor_degrees: tuple

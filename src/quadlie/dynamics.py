@@ -56,7 +56,7 @@ import bisect
 import math
 import numbers
 import random
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -309,7 +309,7 @@ _POWERS = np.arange(1, 8)
 _EPS = np.finfo(float).eps
 
 
-@dataclass(frozen=True)
+@scalars.record
 class TerminationStatus:
     kind: str  # "completed" | "blowup" | "step-collapse"
     t: float
@@ -319,7 +319,7 @@ class TerminationStatus:
         return self.kind == "completed"
 
 
-@dataclass(frozen=True)
+@scalars.record
 class Trajectory:
     times: tuple
     states: tuple
@@ -339,7 +339,7 @@ class Trajectory:
         raise KeyError(f"no recorded state at t={t}")
 
 
-@dataclass(frozen=True)
+@scalars.record
 class JacobiTrajectory(Trajectory):
     """states holds the variation vectors; the base point and the
     velocity of the variation ride along."""
@@ -788,14 +788,14 @@ def integrate_geodesic(P, x0, t_span, tol=1e-10, t_eval=()):
     return Trajectory(times=tuple(times), states=_rows(states), status=status)
 
 
-@dataclass(frozen=True)
+@scalars.record
 class ProbeResult:
     seed: tuple
     forward: TerminationStatus
     backward: TerminationStatus
 
 
-@dataclass(frozen=True)
+@scalars.record
 class ProbeReport:
     results: tuple
     span: tuple
@@ -1037,7 +1037,7 @@ def reflection_equation_residual(L, P, traj):
     return float(np.max(np.abs(ydd - yddot)))
 
 
-@dataclass(frozen=True)
+@scalars.record
 class ConjugateRoot:
     t: float
     kernel: tuple
@@ -1045,7 +1045,7 @@ class ConjugateRoot:
     via: str
 
 
-@dataclass(frozen=True)
+@scalars.record
 class ConjugateReport:
     roots: tuple
     window: tuple
@@ -1260,7 +1260,7 @@ def annotate_candidates(report, primary, alternate=(), match_tol=1e-6):
     return replace(report, primary_matches=prim, alternate_matches=alt)
 
 
-@dataclass(frozen=True)
+@scalars.record
 class PolynomialCertificate:
     nilpotency_class: int
     degree_bound: int

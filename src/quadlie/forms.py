@@ -17,8 +17,6 @@ nested or not; each raises DimensionMismatch for an argument of another
 kind or size.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import linalg, scalars
@@ -49,7 +47,7 @@ class _Matrix(scalars.StoredTensor, view="matrix"):
         return linalg.inverse(self.array)
 
 
-@dataclass(frozen=True)
+@scalars.record
 class SymBilinearForm(_Matrix):
     """A form stored as its matrix's ScaledArray; matrix is a read-only view."""
 
@@ -60,7 +58,7 @@ class SymBilinearForm(_Matrix):
         return scalars.contract("i,i->", self.vector(x), my).tuples()
 
 
-@dataclass(frozen=True, init=False)
+@scalars.record
 class SymmetricIso(_Matrix):
     """Invertible operator self-adjoint for the ambient invariant form,
     stored as its matrix's ScaledArray; matrix is a read-only view.
@@ -110,7 +108,7 @@ def as_iso(u, dim):
     return u
 
 
-@dataclass(frozen=True)
+@scalars.record
 class Signature:
     positive: int
     negative: int
@@ -121,7 +119,7 @@ class Signature:
         return self.negative
 
 
-@dataclass(frozen=True)
+@scalars.record
 class AdInvarianceReport:
     invariant: bool
     max_residual: object

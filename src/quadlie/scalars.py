@@ -10,9 +10,15 @@ exact mode an array of integer numerators over one common denominator,
 in binary64 a float64 array over 1.  Every tensor kernel is one call of
 contract, the same expression in both modes, and tuples() builds the
 read-only nested tuples of Fraction or float.  Each tensor class is a
-frozen dataclass over StoredTensor, whose one ScaledArray field, array,
-gives its size, mode, nested view (c, matrix, gamma or r), vector reads
-and binary64 copy.
+record over StoredTensor, whose one ScaledArray field, array, gives its
+size, mode, nested view (c, matrix, gamma or r), vector reads and
+binary64 copy.
+
+Every record of the package, tensors, reports, specs and results alike,
+is made by record: what dataclasses.dataclass(frozen=True) makes, its
+methods copies of template functions with the field names put in, so
+that a class costs no code generated at import and a call no more than
+dataclass's.
 
 contract plans each (spec, shapes) once.  Two operands with a summed
 label and no trace, batch or one-sided summed label run as one matrix
@@ -53,8 +59,9 @@ entries.  to_array stays the reader of rows that library code has built
 in a known mode.
 """
 
+import dataclasses
 import math
-from dataclasses import dataclass, replace
+import types
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -72,6 +79,7 @@ __all__ = [
     "FLOAT_RTOL",
     "tolerance",
     "common_mode",
+    "record",
     "ScaledArray",
     "StoredTensor",
     "to_array",
@@ -239,7 +247,231 @@ class _kept:
         return value
 
 
-@dataclass(frozen=True, eq=False, init=False)
+_set = object.__setattr__
+
+
+# Templates of a record's __init__, field tuple, __eq__ and __hash__ for one
+# to eight fields, the code dataclass generates but written over the names
+# a0, a1, ...; record gives each class copies of them with those names
+# replaced by its field names (see _renamed), so that __init__ binds
+# positions, keywords and defaults as any function does, and none of the
+# four costs more per call than dataclass's.
+def _init1(self, a0):
+    _set(self, "a0", a0)
+
+
+def _init2(self, a0, a1):
+    _set(self, "a0", a0)
+    _set(self, "a1", a1)
+
+
+def _init3(self, a0, a1, a2):
+    _set(self, "a0", a0)
+    _set(self, "a1", a1)
+    _set(self, "a2", a2)
+
+
+def _init4(self, a0, a1, a2, a3):
+    _set(self, "a0", a0)
+    _set(self, "a1", a1)
+    _set(self, "a2", a2)
+    _set(self, "a3", a3)
+
+
+def _init5(self, a0, a1, a2, a3, a4):
+    _set(self, "a0", a0)
+    _set(self, "a1", a1)
+    _set(self, "a2", a2)
+    _set(self, "a3", a3)
+    _set(self, "a4", a4)
+
+
+def _init6(self, a0, a1, a2, a3, a4, a5):
+    _set(self, "a0", a0)
+    _set(self, "a1", a1)
+    _set(self, "a2", a2)
+    _set(self, "a3", a3)
+    _set(self, "a4", a4)
+    _set(self, "a5", a5)
+
+
+def _init7(self, a0, a1, a2, a3, a4, a5, a6):
+    _set(self, "a0", a0)
+    _set(self, "a1", a1)
+    _set(self, "a2", a2)
+    _set(self, "a3", a3)
+    _set(self, "a4", a4)
+    _set(self, "a5", a5)
+    _set(self, "a6", a6)
+
+
+def _init8(self, a0, a1, a2, a3, a4, a5, a6, a7):
+    _set(self, "a0", a0)
+    _set(self, "a1", a1)
+    _set(self, "a2", a2)
+    _set(self, "a3", a3)
+    _set(self, "a4", a4)
+    _set(self, "a5", a5)
+    _set(self, "a6", a6)
+    _set(self, "a7", a7)
+
+
+_INITS = (_init1, _init2, _init3, _init4, _init5, _init6, _init7, _init8)
+_VALUES = (
+    lambda o: (o.a0,),
+    lambda o: (o.a0, o.a1),
+    lambda o: (o.a0, o.a1, o.a2),
+    lambda o: (o.a0, o.a1, o.a2, o.a3),
+    lambda o: (o.a0, o.a1, o.a2, o.a3, o.a4),
+    lambda o: (o.a0, o.a1, o.a2, o.a3, o.a4, o.a5),
+    lambda o: (o.a0, o.a1, o.a2, o.a3, o.a4, o.a5, o.a6),
+    lambda o: (o.a0, o.a1, o.a2, o.a3, o.a4, o.a5, o.a6, o.a7),
+)
+_EQS = (
+    lambda o, p: (o.a0,) == (p.a0,) if p.__class__ is o.__class__ else NotImplemented,
+    lambda o, p: (o.a0, o.a1) == (p.a0, p.a1) if p.__class__ is o.__class__ else NotImplemented,
+    lambda o, p: ((o.a0, o.a1, o.a2) == (p.a0, p.a1, p.a2)
+                  if p.__class__ is o.__class__ else NotImplemented),
+    lambda o, p: ((o.a0, o.a1, o.a2, o.a3) == (p.a0, p.a1, p.a2, p.a3)
+                  if p.__class__ is o.__class__ else NotImplemented),
+    lambda o, p: ((o.a0, o.a1, o.a2, o.a3, o.a4) == (p.a0, p.a1, p.a2, p.a3, p.a4)
+                  if p.__class__ is o.__class__ else NotImplemented),
+    lambda o, p: ((o.a0, o.a1, o.a2, o.a3, o.a4, o.a5) == (p.a0, p.a1, p.a2, p.a3, p.a4, p.a5)
+                  if p.__class__ is o.__class__ else NotImplemented),
+    lambda o, p: ((o.a0, o.a1, o.a2, o.a3, o.a4, o.a5, o.a6)
+                  == (p.a0, p.a1, p.a2, p.a3, p.a4, p.a5, p.a6)
+                  if p.__class__ is o.__class__ else NotImplemented),
+    lambda o, p: ((o.a0, o.a1, o.a2, o.a3, o.a4, o.a5, o.a6, o.a7)
+                  == (p.a0, p.a1, p.a2, p.a3, p.a4, p.a5, p.a6, p.a7)
+                  if p.__class__ is o.__class__ else NotImplemented),
+)
+_HASHES = (
+    lambda o: hash((o.a0,)),
+    lambda o: hash((o.a0, o.a1)),
+    lambda o: hash((o.a0, o.a1, o.a2)),
+    lambda o: hash((o.a0, o.a1, o.a2, o.a3)),
+    lambda o: hash((o.a0, o.a1, o.a2, o.a3, o.a4)),
+    lambda o: hash((o.a0, o.a1, o.a2, o.a3, o.a4, o.a5)),
+    lambda o: hash((o.a0, o.a1, o.a2, o.a3, o.a4, o.a5, o.a6)),
+    lambda o: hash((o.a0, o.a1, o.a2, o.a3, o.a4, o.a5, o.a6, o.a7)),
+)
+
+
+def _renamed(template, names, qualname, defaults=None):
+    """A copy of the function template with a0, a1, ... replaced by names
+    wherever they stand: parameters, attribute reads and strings."""
+    to = {f"a{k}": name for k, name in enumerate(names)}
+
+    def rename(items):
+        return tuple(to.get(x, x) if isinstance(x, str) else x for x in items)
+
+    code = template.__code__
+    code = code.replace(co_varnames=rename(code.co_varnames), co_names=rename(code.co_names),
+                        co_consts=rename(code.co_consts), co_name=qualname.rpartition(".")[2])
+    if hasattr(code, "co_qualname"):  # Python 3.11+, named in TypeErrors
+        code = code.replace(co_qualname=qualname)
+    return types.FunctionType(code, template.__globals__, code.co_name, defaults)
+
+
+def _refuse_assignment(self, name, value):
+    raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_deletion(self, name):
+    raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def record(cls):
+    """Class decorator: the record that dataclasses.dataclass(frozen=True)
+    makes of cls, but made with no code generated and run through exec,
+    which costs a class about 0.6-0.9 ms at import.
+
+    The fields are the annotated class attributes, after those of any
+    record base, a class attribute's value being the field's default; one
+    to eight fields, and no field without a default after one with.  cls
+    gains __init__, __repr__ as QualName(f=v, ...), __eq__ on the tuple of
+    the fields (NotImplemented against another class), a __hash__ of that
+    tuple, __match_args__, and a __setattr__ and __delattr__ raising
+    FrozenInstanceError.  __init__, __eq__, __hash__ and the field tuple
+    that __repr__ reads are the templates above _renamed to the fields.  A
+    method that cls defines itself is kept, as dataclass keeps it under
+    init=False or eq=False.
+
+    __dataclass_fields__ holds a dataclasses.field() per field, so that
+    dataclasses.fields, replace, asdict and is_dataclass read a record as
+    a dataclass.  That marks each field with dataclasses' private _FIELD
+    sentinel, which those functions check.
+    """
+    own = cls.__dict__
+    fields = {}
+    for base in cls.__mro__[-1:0:-1]:
+        fields.update(getattr(base, "__dataclass_fields__", {}))
+    # cls.__annotations__, not own["__annotations__"]: from Python 3.14 a
+    # class keeps its annotations behind __annotate__
+    for name, kind in cls.__annotations__.items():
+        f = dataclasses.field(default=own.get(name, dataclasses.MISSING))
+        f.name, f.type, f._field_type = name, kind, dataclasses._FIELD
+        fields[name] = f
+    names = tuple(fields)
+    if not 0 < len(names) <= len(_INITS):
+        raise TypeError(f"a record takes 1 to {len(_INITS)} fields, not {len(names)}")
+    required = [f.default is dataclasses.MISSING for f in fields.values()]
+    if required != sorted(required, reverse=True):
+        raise TypeError(f"{cls.__qualname__}: a field without a default follows one with")
+    defaults = tuple(f.default for f in fields.values() if f.default is not dataclasses.MISSING)
+    qualname, k = cls.__qualname__, len(names) - 1
+    values = _renamed(_VALUES[k], names, f"{qualname}._values")
+    template = ", ".join(f"{name}=%r" for name in names)
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}({template % values(self)})"
+
+    init = _renamed(_INITS[k], names, f"{qualname}.__init__", defaults)
+    init.__annotations__ = {**{name: f.type for name, f in fields.items()}, "return": None}
+    methods = {
+        "__init__": init,
+        "__eq__": _renamed(_EQS[k], names, f"{qualname}.__eq__"),
+        "__hash__": _renamed(_HASHES[k], names, f"{qualname}.__hash__"),
+        "__repr__": __repr__,
+        "__setattr__": _refuse_assignment,
+        "__delattr__": _refuse_deletion,
+        "__match_args__": names,
+    }
+    cls.__dataclass_fields__ = fields
+    for name, method in methods.items():
+        if name not in own:
+            setattr(cls, name, method)
+    return cls
+
+
+class StoredTensor:
+    """Base of a record (see record) storing a tensor as one ScaledArray
+    field, array.  A subclass names its nested view, array.tuples() built on first
+    read and kept, as in class LieAlgebra(StoredTensor, view="c")."""
+
+    def __init_subclass__(cls, view=None, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if view is not None:
+            setattr(cls, view, _kept(lambda self: self.array.tuples(), view))
+
+    @property
+    def dim(self):
+        return self.array.num.shape[0]
+
+    @property
+    def exact(self):
+        return self.array.exact
+
+    def vector(self, x):
+        """x read as a vector of this tensor's size, in its mode."""
+        return read(x, 1, self.dim, self.exact)
+
+    def to_float(self):
+        """array in binary64, every other field kept; self when binary64."""
+        return dataclasses.replace(self, array=self.array.to_float()) if self.exact else self
+
+
+@record
 class ScaledArray:
     """A tensor as it is stored: entry = num / den.
 
@@ -261,7 +493,7 @@ class ScaledArray:
                 num = small if not small.size or small.min() >= -_INT64_MAX else num
             except OverflowError:  # one beyond int64
                 pass
-        # frozen: the fields are set once, past the dataclass's __setattr__
+        # frozen: the fields are set once, past the record's __setattr__
         self.__dict__.update(num=num, den=den)
 
     @property
@@ -363,33 +595,6 @@ class ScaledArray:
     def beyond(self, tol):
         """Boolean mask of the entries with |entry| > tol."""
         return np.abs(self.num) > tol * self.den
-
-
-class StoredTensor:
-    """Base of a frozen dataclass storing a tensor as one ScaledArray field,
-    array.  A subclass names its nested view, array.tuples() built on first
-    read and kept, as in class LieAlgebra(StoredTensor, view="c")."""
-
-    def __init_subclass__(cls, view=None, **kwargs):
-        super().__init_subclass__(**kwargs)
-        if view is not None:
-            setattr(cls, view, _kept(lambda self: self.array.tuples(), view))
-
-    @property
-    def dim(self):
-        return self.array.num.shape[0]
-
-    @property
-    def exact(self):
-        return self.array.exact
-
-    def vector(self, x):
-        """x read as a vector of this tensor's size, in its mode."""
-        return read(x, 1, self.dim, self.exact)
-
-    def to_float(self):
-        """array in binary64, every other field kept; self when binary64."""
-        return replace(self, array=self.array.to_float()) if self.exact else self
 
 
 def to_array(nested, exact):

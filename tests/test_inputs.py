@@ -1058,3 +1058,38 @@ def test_common_mode_promotes_every_tensor_or_none():
     assert scalars.common_mode(L, g) == (L, g)
     Lf, gf = scalars.common_mode(L, g.to_float())
     assert not Lf.exact and not gf.exact and Lf.c == L.to_float().c
+
+
+def _scaled(name, c_scale, g_scale):
+    """A catalog model in binary64 with its brackets and its metric scaled."""
+    e = catalog(name)
+    L = validate_algebra((e.algebra.array.to_float().num * c_scale).tolist(), labels=e.algebra.labels)
+    return L, validate_form((e.metric.array.to_float().num * g_scale).tolist())
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, c_scale, g_scale", [
+    ("e2-motion", 1e100, 1e250),  # right-hand sides beyond binary64, inf - inf in their sum
+    ("oscillator(1,2)", 1e150, 1e200),  # large enough to run as matrix products
+])
+def test_a_binary64_product_beyond_binary64_is_an_invalid_value(name, c_scale, g_scale):
+    L, g = _scaled(name, c_scale, g_scale)
+    for call in (levi_civita, quadlie.flatness_report):
+        with pytest.raises(InvalidValue, match="overflows binary64"):
+            call(L, g)
+
+
+@pytest.mark.parametrize("argv", [["connection"], ["flat"], ["geodesic"]])
+def test_cli_on_a_product_beyond_binary64_reports_json_and_no_warning(tmp_path, argv):
+    path = tmp_path / "huge.json"
+    fileio.write_algebra_file(path, *_scaled("e2-motion", 1e100, 1e250))
+    src = str(Path(fileio.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "quadlie.cli", *argv, "--input", str(path)],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert _strict_json(proc.stdout)["error"]["type"] == "InvalidValue"
+    # only the command's own one-line error, which every rejected input prints
+    assert proc.stderr == "error: the Levi-Civita product overflows binary64\n"
