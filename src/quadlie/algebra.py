@@ -12,12 +12,16 @@ hands the contractions to linalg's kernels as ScaledArrays and builds its
 nested bases only at the end.
 """
 
+import contextlib
+import math
+
 import numpy as np
 
 from . import linalg, scalars
 from .errors import (
     AntisymmetryViolation,
     DimensionMismatch,
+    InvalidValue,
     JacobiViolation,
     ValidationError,
 )
@@ -92,7 +96,8 @@ def validate_algebra(c, labels=None):
     entries give an exact algebra, any float switches the whole table to
     binary64, and a mix of Fraction and float is rejected.  Also accepts
     a ScaledArray that library code has assembled.  An empty table is a
-    DimensionMismatch.
+    DimensionMismatch, and a binary64 table whose Jacobi terms overflow
+    binary64 an InvalidValue.
     """
     C = c if isinstance(c, scalars.ScaledArray) else scalars.read(c, 3)
     n, exact = C.num.shape[0], C.exact
@@ -109,11 +114,18 @@ def validate_algebra(c, labels=None):
         i, j, k = bad[0].tolist()
         raise AntisymmetryViolation(i, j, k, sym.scalar(sym.num[i, j, k]))
 
-    # jac[i, j, k, m]: component m of [[e_i, e_j], e_k] + cyclic
-    nested = scalars.contract("ija,akm->ijkm", C, C)
-    jac = nested + nested.transpose(2, 0, 1, 3) + nested.transpose(1, 2, 0, 3)
+    # jac[i, j, k, m]: component m of [[e_i, e_j], e_k] + cyclic; in
+    # binary64 an entry beyond binary64 becomes inf, and inf - inf nan, with
+    # no numpy warning, for the check below
+    with contextlib.nullcontext() if exact else np.errstate(over="ignore", invalid="ignore"):
+        nested = scalars.contract("ija,akm->ijkm", C, C)
+        jac = nested + nested.transpose(2, 0, 1, 3) + nested.transpose(1, 2, 0, 3)
+    if not math.isfinite(jac.scale()):
+        raise InvalidValue("the Jacobi identity's terms overflow binary64")
     i, j, k, _ = np.ogrid[:n, :n, :n, :n]
-    jac_tol = scalars.tolerance(exact, max(1.0, cmax) ** 2)
+    # max(1, |c|) squared as a product: ** 2 raises OverflowError beyond
+    # binary64, where the product is inf and every finite term passes
+    jac_tol = scalars.tolerance(exact, max(1.0, cmax) * max(1.0, cmax))
     bad = np.argwhere(jac.beyond(jac_tol) & (i < j) & (j < k))
     if len(bad):
         i, j, k, m = bad[0].tolist()

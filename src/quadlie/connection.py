@@ -112,7 +112,7 @@ def levi_civita(L, g):
     L, form = scalars.common_mode(L, as_form(g, L.dim))
     # the product is unchanged when G is scaled by a constant, so G's
     # numerators stand in for G
-    C, G = L.array, scalars.ScaledArray(form.array.num)
+    C, G = L.array, form.array.numerators()
     # in binary64 an entry beyond binary64 becomes inf, and inf - inf nan,
     # with no numpy warning, for the check below; exact products skip the
     # errstate, and an errstate per sum or kernel slows the certificates

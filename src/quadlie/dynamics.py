@@ -57,6 +57,7 @@ import math
 import numbers
 import random
 from dataclasses import replace
+from itertools import chain
 
 import numpy as np
 
@@ -830,11 +831,22 @@ def _seed_block(seeds, dim):
     """The seeds (or a run's rows) as one (B, n) block of floats, every row
     checked before any row runs: DimensionMismatch for a row that is not a
     vector of the field's dimension (or, for a bare field, of the first
-    row's length), InvalidValue for an entry that is not a finite real."""
+    row's length), InvalidValue for an entry that is not a finite real.
+    Rows whose entries are all finite Python floats, as a run's are, are
+    read in one step; any other rows one entry at a time, which names the
+    error."""
     try:
         seeds = list(seeds)
     except TypeError:
         raise DimensionMismatch(f"{seeds!r} is not a list of vectors") from None
+    try:
+        entries = list(chain.from_iterable(seeds))
+        if set(map(type, entries)) == {float} and all(map(math.isfinite, entries)):
+            block = np.array(seeds, dtype=float)
+            if block.ndim == 2 and block.shape[1] == (dim or block.shape[1]):
+                return block
+    except (TypeError, ValueError):  # not rows, or ragged ones: read below
+        pass
     rows = []
     for seed in seeds:
         try:

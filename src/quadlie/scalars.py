@@ -31,18 +31,25 @@ keeps: int64 numerators exactly when every one fits (largest |numerator|
 at most 2**63 - 1, so -2**63 stays off int64 and abs cannot wrap), else
 an object-dtype array of Python ints of any size; ScaledArray.wide alone
 holds fitting numerators as Python ints.  Binary64 is the third lane,
-float64.  Every operation proves its bound from each operand's largest
-|numerator| (ScaledArray.top, read once) before it runs on machine
-numbers.  A contraction's bound is max(summed terms, 1) times the
-product of each operand's max(top, 1), so it covers every operand entry
-as well as every partial sum; lowered, it runs on float64 when the bound
-is at most 2**53, so every product and partial sum is an integer float64
-holds exactly, in any order, else on int64 when it is at most 2**63 - 1,
-so no partial sum can overflow.  + and - stay on int64 when each
-operand's max(top, 1) times its factor to the common denominator,
-summed, fits too; an operand on Python ints fails that bound unread.  An
-operation whose bound fails runs on Python ints; its result returns to
-int64 when it fits.
+float64.  Every operation proves a bound on its result from each
+operand's largest |numerator| before it runs on machine numbers.  A
+contraction's bound is max(summed terms, 1) times the product of each
+operand's max(top, 1), so it covers every operand entry as well as every
+partial sum; lowered, it runs on float64 when the bound is at most
+2**53, so every product and partial sum is an integer float64 holds
+exactly, in any order, else on int64 when it is at most 2**63 - 1, so no
+partial sum can overflow.  + and - stay on int64 when each operand's
+max(top, 1) times its factor to the common denominator, summed, fits
+too; an operand on Python ints fails that bound unread.  An operation
+whose bound fails runs on Python ints; its result returns to int64 when
+it fits.
+An exact result keeps the bound its operation proved, beside its cached
+top and through transpose, reshape, wide and numerators, and the next
+operation takes that bound in place of the operand's top: the exact top
+(ScaledArray.top, an np.abs and a reduction, read once) is read only for
+an operand with no bound, or when the bounds miss the best lane the
+operation allows.  A bound never understates top, so every lane is the
+one the exact tops give.
 Every value handed out, by peak, scalar, tuples and to_float, is read
 as Python ints, so no numpy integer reaches a Fraction; code outside
 this module that computes with exact numerators reads them through wide,
@@ -214,21 +221,35 @@ _INT64_MAX = 2**63 - 1
 _FLOAT_EXACT = 2**53
 
 
-def _aligned(x, y):
-    """The numerators of two ScaledArrays of one mode over their common
-    denominator, and that denominator.  Exact numerators stay on int64
-    when max(largest |numerator|, 1) times the factor to the common
+def _aligned(x, y, op):
+    """op, np.add or np.subtract, of two ScaledArrays of one mode over
+    their common denominator.  Exact numerators stay on int64 when
+    max(largest |numerator|, 1) times the factor to the common
     denominator, summed over the two, fits, so neither a factor nor a
     scaled entry nor a sum or difference of two can wrap; else, and at
-    once when either is on Python ints, they are Python ints."""
+    once when either is on Python ints, they are Python ints.  The sum is
+    taken over the operands' bounds (ScaledArray.bound) and stored as the
+    result's; each operand's exact top is read only when that sum misses
+    int64, so the lane is the one the exact tops give."""
     a, b = x.num, y.num
     if a.dtype == _FLOAT:  # binary64, over 1
-        return a, b, 1
+        return ScaledArray(op(a, b))
     den = math.lcm(x.den, y.den)
     fa, fb = den // x.den, den // y.den
-    if _OBJECT in (a.dtype, b.dtype) or max(x.top, 1) * fa + max(y.top, 1) * fb > _INT64_MAX:
+    if _OBJECT in (a.dtype, b.dtype):  # Python ints; a bound only if stored
+        ta, tb = x.__dict__.get("bound"), y.__dict__.get("bound")
+        bound = None if ta is None or tb is None else max(ta, 1) * fa + max(tb, 1) * fb
         a, b = x.wide().num, y.wide().num
-    return (a if fa == 1 else a * fa), (b if fb == 1 else b * fb), den
+    else:
+        bound = max(x.bound, 1) * fa + max(y.bound, 1) * fb
+        if bound > _INT64_MAX:
+            bound = max(x.top, 1) * fa + max(y.top, 1) * fb
+            if bound > _INT64_MAX:
+                a, b = x.wide().num, y.wide().num
+    out = ScaledArray(op(a if fa == 1 else a * fa, b if fb == 1 else b * fb), den)
+    if bound is not None:
+        out.__dict__["bound"] = bound
+    return out
 
 
 class _kept:
@@ -481,6 +502,13 @@ class ScaledArray:
     modified; arithmetic returns new ones.  Equality is by value and mode:
     the same tensor over two denominators or on two lanes is equal, and an
     exact tensor never equals a binary64 one.
+
+    Beside the two fields, the instance dict holds top once read and
+    bound, an upper bound on top: on an exact result of +, - or contract
+    the one the operation proved, else top once read as bound.  Neither
+    enters repr, ==, hash or dataclasses.fields.  The next operation reads
+    bound in place of top (see _aligned and _lane), so only peak, scale
+    and the operations whose bounds miss read the exact top.
     """
 
     num: np.ndarray
@@ -509,12 +537,25 @@ class ScaledArray:
         top = np.maximum.reduce(np.abs(num), axis=None) if num.size else 0
         return float(top) if num.dtype == _FLOAT else int(top)
 
-    def _as(self, num):
+    @_kept
+    def bound(self):
+        """An upper bound on top: the one the operation that made this
+        tensor proved, which it stored, else top itself."""
+        return self.top
+
+    def _as(self, num, **fields):
         """These numerators as num, rearranged or as Python ints, held as
-        given (not narrowed), with this denominator and any top read."""
+        given (not narrowed), with this denominator unless fields give
+        another, and the top read or bound stored, if any, which the
+        numerators share, so no later operation reads them again."""
         out = object.__new__(ScaledArray)
-        out.__dict__.update(self.__dict__, num=num)
+        out.__dict__.update(self.__dict__, num=num, **fields)
         return out
+
+    def numerators(self):
+        """The numerators over 1, a positive multiple of this tensor, with
+        its top read or bound stored kept; self when over 1."""
+        return self if self.den == 1 else self._as(self.num, den=1)
 
     def wide(self):
         """The same tensor with exact numerators as Python ints, safe for
@@ -547,12 +588,10 @@ class ScaledArray:
         return ScaledArray(self.num, 2 * self.den) if self.exact else ScaledArray(self.num / 2)
 
     def __add__(self, other):
-        a, b, den = _aligned(self, other)
-        return ScaledArray(a + b, den)
+        return _aligned(self, other, np.add)
 
     def __sub__(self, other):
-        a, b, den = _aligned(self, other)
-        return ScaledArray(a - b, den)
+        return _aligned(self, other, np.subtract)
 
     def transpose(self, *axes):
         return self._as(self.num.transpose(*axes))
@@ -737,22 +776,35 @@ def _plan(spec, *shapes):
 
 
 def _lane(plan, arrays):
-    """The dtype an exact contraction runs on: float64 (lowered, bound at
-    most 2**53), int64 (bound at most 2**63 - 1) or object."""
+    """The dtype an exact contraction runs on, float64 (lowered, bound at
+    most 2**53), int64 (bound at most 2**63 - 1) or object, and that bound
+    on the result's largest |numerator|.  The bound is taken over the
+    operands' bounds (ScaledArray.bound) first; their exact tops are read
+    only when it misses the best lane the plan allows, so the lane is the
+    one the exact tops give."""
     # max(.., 1), so the bound also covers each operand's own entries,
-    # even with no summed term
-    bound = max(plan.terms, 1) * math.prod(max(a.top, 1) for a in arrays)
+    # even with no summed term; loops, as math.prod over a generator takes
+    # about a third longer here
+    bound = max(plan.terms, 1)
+    for a in arrays:
+        bound *= max(a.bound, 1)
+    if bound > (_FLOAT_EXACT if plan.lower else _INT64_MAX):
+        bound = max(plan.terms, 1)
+        for a in arrays:
+            bound *= max(a.top, 1)
     if plan.lower and bound <= _FLOAT_EXACT:
-        return _FLOAT
-    return _INT64 if bound <= _INT64_MAX else _OBJECT
+        return _FLOAT, bound
+    return (_INT64 if bound <= _INT64_MAX else _OBJECT), bound
 
 
 def contract(spec, *arrays):
     """np.einsum(spec) over the numerators, or the same contraction as one
     matrix product where _plan lowers it; the denominators multiply.  A
     binary64 result reads -0.0 as 0.0, as the sums of plain loops give.  An
-    exact one runs on the lane _lane picks and is int64 from the float64
-    and int64 lanes; from the object lane it is stored by the lane rule."""
+    exact one runs on the lane _lane picks, from the operands' stored
+    bounds where they suffice, and stores _lane's bound; it is int64 from
+    the float64 and int64 lanes, and from the object lane it is stored by
+    the lane rule."""
     if len(arrays) == 2:  # most contractions: the plan's key needs no list
         nums = arrays[0].num, arrays[1].num
         plan = _plan(spec, nums[0].shape, nums[1].shape)
@@ -763,11 +815,14 @@ def contract(spec, *arrays):
         lower = plan.lower
         return ScaledArray(np.asarray(lower(*nums) if lower else np.einsum(spec, *nums)) + 0.0)
     den = math.prod(a.den for a in arrays)
-    lane = _lane(plan, arrays)
+    lane, bound = _lane(plan, arrays)
     nums = [n if n.dtype == lane else n.astype(lane) for n in nums]
     if lane == _FLOAT:
-        return ScaledArray(plan.lower(*nums).astype(_INT64), den)
-    return ScaledArray(np.asarray(np.einsum(spec, *nums)).astype(lane, copy=False), den)
+        out = ScaledArray(plan.lower(*nums).astype(_INT64), den)
+    else:
+        out = ScaledArray(np.asarray(np.einsum(spec, *nums)).astype(lane, copy=False), den)
+    out.__dict__["bound"] = bound
+    return out
 
 
 def left_mult(table, x):
