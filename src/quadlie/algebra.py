@@ -2,8 +2,10 @@
 
 The table c[i][j] is the coefficient vector of [e_i, e_j], so the scalar
 c[i][j][k] multiplies e_k.  Validation checks antisymmetry entrywise and
-the Jacobi identity on basis triples; in binary64 mode both tests accept
-residuals up to 1e-9 relative to the largest structure constant.
+the Jacobi identity on basis triples.  In binary64 mode antisymmetry
+accepts residuals up to 1e-9 max(1, |c|), |c| the largest structure
+constant, and each Jacobi entry up to 1e-9 times the sum of the sizes of
+its own terms plus max(1, |c|), as its rounding grows with those terms.
 
 Every kernel here (bracket, ad, both validation tests, the spans of the
 structure report and the unimodular trace) is one contraction over the
@@ -106,27 +108,29 @@ def validate_algebra(c, labels=None):
     lbl = tuple(labels) if labels else tuple(f"e{i}" for i in range(n))
     cmax = C.scale()
 
-    # the residual is symmetric in (i, j), so the first violation in
-    # index order has i <= j
-    sym = C + C.transpose(1, 0, 2)
-    bad = np.argwhere(sym.beyond(scalars.tolerance(exact, max(1.0, cmax))))
-    if len(bad):
-        i, j, k = bad[0].tolist()
-        raise AntisymmetryViolation(i, j, k, sym.scalar(sym.num[i, j, k]))
-
-    # jac[i, j, k, m]: component m of [[e_i, e_j], e_k] + cyclic; in
-    # binary64 an entry beyond binary64 becomes inf, and inf - inf nan, with
-    # no numpy warning, for the check below
+    # in binary64 an entry beyond binary64 becomes inf, and inf - inf nan,
+    # with no numpy warning, for the checks below
     with contextlib.nullcontext() if exact else np.errstate(over="ignore", invalid="ignore"):
-        nested = scalars.contract("ija,akm->ijkm", C, C)
-        jac = nested + nested.transpose(2, 0, 1, 3) + nested.transpose(1, 2, 0, 3)
-    if not math.isfinite(jac.scale()):
-        raise InvalidValue("the Jacobi identity's terms overflow binary64")
-    i, j, k, _ = np.ogrid[:n, :n, :n, :n]
-    # max(1, |c|) squared as a product: ** 2 raises OverflowError beyond
-    # binary64, where the product is inf and every finite term passes
-    jac_tol = scalars.tolerance(exact, max(1.0, cmax) * max(1.0, cmax))
-    bad = np.argwhere(jac.beyond(jac_tol) & (i < j) & (j < k))
+        # the residual is symmetric in (i, j), so the first violation in
+        # index order has i <= j
+        sym = C + C.transpose(1, 0, 2)
+        bad = np.argwhere(sym.beyond(scalars.tolerance(exact, max(1.0, cmax))))
+        if len(bad):
+            i, j, k = bad[0].tolist()
+            raise AntisymmetryViolation(i, j, k, sym.scalar(sym.num[i, j, k]))
+
+        def cyclic(A):  # entry [i, j, k, m]: component m of [[e_i, e_j], e_k] + cyclic
+            nested = scalars.contract("ija,akm->ijkm", A, A)
+            return nested + nested.transpose(2, 0, 1, 3) + nested.transpose(1, 2, 0, 3)
+
+        jac = cyclic(C)
+        if not math.isfinite(jac.scale()):
+            raise InvalidValue("the Jacobi identity's terms overflow binary64")
+        # each entry's slack: the sizes of its terms, the sums over a of
+        # |c_ija| |c_akm| and cyclic, plus max(1, |c|)
+        sizes = 0 if exact else cyclic(scalars.ScaledArray(np.abs(C.num))).num + max(1.0, cmax)
+        i, j, k, _ = np.ogrid[:n, :n, :n, :n]
+        bad = np.argwhere(jac.beyond(scalars.tolerance(exact, sizes)) & (i < j) & (j < k))
     if len(bad):
         i, j, k, m = bad[0].tolist()
         raise JacobiViolation(i, j, k, m, jac.scalar(jac.num[i, j, k, m]))

@@ -1,7 +1,7 @@
 """Geodesic and Jacobi dynamics for left-invariant products.
 
-Everything here runs in binary64; exact tensors are converted on entry.
-The workhorse is DOP853, the eighth-order Dormand-Prince method as coded
+The integrators run in binary64, converting exact tensors on entry.  The
+workhorse is DOP853, the eighth-order Dormand-Prince method as coded
 by Hairer, Norsett and Wanner (Solving ODEs I, II.10): twelve stages, the
 field at the new state reused as the first stage of the next step and the
 combined fifth/third-order error estimate of that code.  The step
@@ -11,10 +11,10 @@ code; his DOP853 code keeps [1/3, 6]), no growth on the step after a
 rejection and a tenfold cut after a non-finite estimate.  An escape
 radius detects blow-up and a minimal step detects collapse.  A run
 marches from t0 to t1 on its own mesh and clamps only its last step, onto
-t1.  Every state off that mesh (requested trajectory rows, the grids of
-the route gap and of the divided differences, the times of a conjugate
-scan) is read off the seventh-order continuous extension of the method,
-whose three extra stages are evaluated only for the steps that are read.
+t1.  Every state off that mesh (requested trajectory rows, the grid of
+the route gap, the times of a conjugate scan) is read off the
+seventh-order continuous extension of the method, whose three extra
+stages are evaluated only for the steps that are read.
 A read takes one time or a 1-D array of times and serves all of them at
 once, each row bit for bit the read of its time alone; so a conjugate
 scan runs all its root searches, bisections and golden sections alike,
@@ -31,10 +31,9 @@ when it stops, while the stages, the field calls and the error norms are
 each one array operation across the rows.  So a field callable maps
 (..., n) states to (..., n), and the variation systems do too, each row
 as its 1-D call; a read of the continuous extension calls the field on
-the block of the steps it reads.  completeness_probe runs all its seeds,
-both ways, as one block and polynomial_geodesic_check its trials as kept
-blocks of TRIAL_BLOCK rows; every other entry point is a single run with
-a 1-D state.
+the block of the steps it reads.  The only block run is
+completeness_probe's, all its seeds both ways; every other entry point
+is a single run with a 1-D state, and polynomial_geodesic_check none.
 
 Each integrator field is one bilinear table, contracted once when the
 field is built: the geodesic field, its invariant-form route, the
@@ -62,7 +61,7 @@ from itertools import chain
 import numpy as np
 
 from . import linalg, scalars
-from .algebra import as_algebra, brackets, structure_report
+from .algebra import _bracket_span, as_algebra, structure_report
 from .connection import ProductTensor, as_product
 from .errors import DimensionMismatch, InvalidSpan, InvalidValue, NotNilpotent
 from .errors import SeriesNotPreserved, StepBudgetExhausted
@@ -106,10 +105,6 @@ MAX_SPAN = 1e4
 # the most sample times of a scan grid or a route-gap comparison, each one
 # read of the continuous extension
 MAX_GRID = 10**5
-# polynomial_geodesic_check integrates its trials in blocks of this many
-# rows and drops a block's kept runs, about 11 kB a row, once read: any
-# number of trials holds one block's runs at a time
-TRIAL_BLOCK = 1000
 
 # DOP853 (Hairer, Norsett and Wanner, Solving ODEs I, II.10; the
 # coefficients of their DOP853 code).  _A[s] combines the stages before s,
@@ -732,18 +727,23 @@ def euler_field(P, x):
     return tuple(float(v) for v in fld(_seed_block([x], None)[0]))
 
 
+def _euler_table(L, iso):
+    """t[p][j][l] = sum_ik u_ip c_ijk (u^{-1})_lk, the one table of the
+    bilinear field x' = u^{-1} [u x, x], for L and iso of one mode."""
+    return scalars.contract("ip,ijk,lk->pjl", iso.array, L.array, iso.inverse)
+
+
 def quadratic_euler_field(L, u):
     """The same field through the invariant-form route:
 
     x' = u^{-1} [u(x), x].
 
     Returned as a callable plus an evaluator for cross-checks, exact when
-    L and u are.  u^{-1} [u x, x] is bilinear in x, so both read one table
-    t[p][j][l] = sum_ik u_ip c_ijk (u^{-1})_lk, a single contraction.
+    L and u are; both read _euler_table's one table.
     """
     L = as_algebra(L)
     L, iso = scalars.common_mode(L, as_iso(u, L.dim))
-    table = scalars.contract("ip,ijk,lk->pjl", iso.array, L.array, iso.inverse)
+    table = _euler_table(L, iso)
 
     def evaluate(x):
         xs = iso.vector(x)
@@ -1277,24 +1277,31 @@ class PolynomialCertificate:
     nilpotency_class: int
     degree_bound: int
     derivative_spans_in_series: bool
-    divided_diff_order: int
-    divided_diff_max: float
+    taylor_order: int
+    taylor_max: object  # Fraction in exact mode, float in binary64
     certified: bool
 
 
 def polynomial_geodesic_check(L, u, trials=3, seed=0, tol=1e-7):
     """Certify polynomial geodesics for a nilpotent algebra with a
-    series-preserving operator.
+    series-preserving operator, in the mode of L and u.
 
     Symbolic half: the span X_p of p-th derivative values of the
     momentum-form field w' = [w, u^{-1} w] obeys the recursion
     X_p = sum over i+j=p-1 of [X_i, u^{-1} X_j]; each X_p must land in
     the (p+1)-st lower central term, and the first empty X_m bounds the
-    coordinate degree by m - 1.  Numeric half: divided differences of
-    order m+1 on integrated trajectories of x' = u^{-1}[u x, x] must
-    vanish to tol.  trials, the number of trajectories, is an integer from
-    1 to MAX_GRID (InvalidSpan); tol must be positive and finite and seed
-    one that random.Random takes (InvalidValue).
+    coordinate degree by m - 1.  Numeric half: the Taylor coefficients of
+    x' = T(x, x), T the _euler_table, obey x_{k+1} = (1/(k+1)) sum over
+    i+j=k of T(x_i, x_j), each one block of all trials.  With d the
+    nilpotency class, a geodesic has degree at most d exactly when
+    x_{d+1}, ..., x_{2d+1} vanish, as each later one pairs an index above
+    d; taylor_max is their largest |entry|.  Seeds z are integers from
+    S = [-2^20, 2^20]: exact mode needs taylor_max == 0 at z, binary64
+    taylor_max <= tol at z / 2^20.  A nonzero x_k, of degree k + 1 <= 2d + 2
+    in the seed, vanishes at a uniform draw from S^n with probability at
+    most (2d + 2) / |S| per trial (Schwartz 1980, Zippel 1979).  trials is
+    an integer from 1 to MAX_GRID (InvalidSpan); tol must be positive and
+    finite and seed one that random.Random takes (InvalidValue).
     """
     trials = _count(trials, 1, "trials")
     _positive(tol, "tol")
@@ -1309,53 +1316,45 @@ def polynomial_geodesic_check(L, u, trials=3, seed=0, tol=1e-7):
     L, iso = scalars.common_mode(L, as_iso(u, L.dim))
     n, exact = L.dim, iso.exact
     series = [scalars.to_array(term, exact).reshape(-1, n) for term in rep.lower_central]
-    for idx in range(1, len(series)):
-        basis = series[idx]
-        image = scalars.contract("ij,aj->ai", iso.array, basis)  # the rows u(v)
-        if not linalg.in_span(basis, image):
-            raise SeriesNotPreserved(idx + 1)
+    for idx, basis in enumerate(series[1:], 2):
+        # the rows u(v) of each term's basis stay in the term
+        if not linalg.in_span(basis, scalars.contract("ij,aj->ai", iso.array, basis)):
+            raise SeriesNotPreserved(idx)
 
     spans = [linalg.span_basis(scalars.eye(n, exact))]
     in_series = True
     while len(spans[-1].num):
-        p = len(spans)
-        # the brackets [v, u^{-1} w] over v in X_i and w in X_{p-1-i}
-        vecs = [
-            brackets(L, spans[i], scalars.contract("lk,bk->bl", iso.inverse, spans[p - 1 - i]))
-            for i in range(p)
-        ]
-        nxt = linalg.span_basis(scalars.stack([v.reshape(-1, n) for v in vecs]))
-        term = series[min(p, len(series) - 1)]  # the last term is empty
+        # X_p: the span of the brackets [v, u^{-1} w], v in X_i, w in X_{p-1-i}
+        nxt = linalg.span_basis(scalars.stack([
+            _bracket_span(L, v, scalars.contract("lk,bk->bl", iso.inverse, w))
+            for v, w in zip(spans, spans[::-1])
+        ]))
+        term = series[min(len(spans), len(series) - 1)]  # the last term is empty
         in_series = in_series and linalg.in_span(term, nxt)
         spans.append(nxt)
         if len(spans) > n + 2:
             break
     degree_bound = len(spans) - 2  # first empty span at index m means degree <= m-1
 
-    field, _ = quadratic_euler_field(L, iso)
-    order = m_class + 1
-    npts = order + 1
-    span_t = 2.0
-    h = span_t / (npts - 1)
-    grid = [i * h for i in range(1, npts - 1)] + [span_t]
-    seeds = np.array([[rng.uniform(-1, 1) for _ in range(n)] for _ in range(trials)])
-    worst = 0.0
-    # each block's kept records are dropped once its differences are read
-    for block in np.split(seeds, range(TRIAL_BLOCK, trials, TRIAL_BLOCK)):
-        ends = [span_t] * len(block)
-        for x0, run in zip(block, _solve(field, block, 0.0, ends, 1e-12, keep=True)):
-            if not run.status.completed:
-                worst = math.inf
-                continue
-            diff = np.diff(np.concatenate([x0[None], run(np.array(grid))]), n=order, axis=0)
-            worst = max(worst, float(np.max(np.abs(diff))) / (h**order * math.factorial(order)))
-    certified = in_series and worst <= tol and degree_bound <= m_class - 1
+    table = _euler_table(L, iso)
+    z = np.array([rng.randint(-(2**20), 2**20) for _ in range(trials * n)]).reshape(trials, n)
+    coeffs = [scalars.ScaledArray(z if exact else z / 2**20)]
+    # a binary64 coefficient beyond binary64 is inf or nan, and not certified
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(2 * m_class + 1):
+            past = scalars.stack([x.reshape(1, trials, n) for x in coeffs])  # x_0, ..., x_k
+            # sum over i + j = k of x_i (x) x_j, then T of it
+            outer = scalars.contract("ibp,ibj->bpj", past, past[::-1])
+            coeffs.append(linalg.divided(scalars.contract("bpj,pjl->bl", outer, table), k + 1))
+        tail = scalars.stack(coeffs[m_class + 1 :])
+        worst = tail.scalar(tail.top)
+    certified = in_series and worst <= (0 if exact else tol) and degree_bound <= m_class - 1
     return PolynomialCertificate(
         nilpotency_class=m_class,
         degree_bound=degree_bound,
         derivative_spans_in_series=in_series,
-        divided_diff_order=order,
-        divided_diff_max=worst,
+        taylor_order=2 * m_class + 1,
+        taylor_max=worst,
         certified=certified,
     )
 

@@ -345,7 +345,7 @@ def test_polynomial_geodesic_check_two_step():
     assert cert.nilpotency_class == 2
     assert cert.degree_bound == 1
     assert cert.derivative_spans_in_series
-    assert cert.divided_diff_max <= 1e-7
+    assert cert.taylor_max == 0
 
 
 def test_polynomial_geodesic_check_three_step_flat_iso():

@@ -118,7 +118,7 @@ FIELDS = {
     "ConjugateReport": ("roots", "window", "grid", "det_scale", "samples", "primary_matches",
                         "alternate_matches"),
     "PolynomialCertificate": ("nilpotency_class", "degree_bound", "derivative_spans_in_series",
-                              "divided_diff_order", "divided_diff_max", "certified"),
+                              "taylor_order", "taylor_max", "certified"),
     "_Model": ("L", "metric", "kform", "iso", "entry", "source"),
 }
 

@@ -3,7 +3,6 @@ in status kind, stop time and accepted and rejected step counts, and a kept
 row has that run's mesh and continuous extension."""
 
 import math
-import random
 from fractions import Fraction
 
 import numpy as np
@@ -11,8 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from quadlie import catalog, completeness_probe, iso_from_metric, levi_civita
-from quadlie import polynomial_geodesic_check, quadratic_euler_field, structure_report
+from quadlie import catalog, completeness_probe, levi_civita, quadratic_euler_field
 from quadlie import validate_algebra, validate_form
 from quadlie import dynamics
 
@@ -243,64 +241,3 @@ def test_kept_aff_mixed_block_matches_its_single_runs():
     field = _field(_aff())
     seeds, ends = _both_ways([(1.0, 0.0), (0.5, 0.5), (-1.0, 0.3), (0.0, 0.0)], -3.0, 3.0)
     _assert_kept_rows_match(field, seeds, ends)
-
-
-def _lone_divided_difference(L, iso, trials, seed):
-    """polynomial_geodesic_check's divided-difference maximum with each
-    trial run alone: seeds drawn in turn, one 1-D kept run per seed."""
-    field, _ = quadratic_euler_field(L, iso)
-    order = structure_report(L).nilpotency_class + 1
-    h = 2.0 / order
-    grid = [i * h for i in range(1, order)] + [2.0]
-    rng = random.Random(seed)
-    worst = 0.0
-    for _ in range(trials):
-        x0 = [rng.uniform(-1, 1) for _ in range(L.dim)]
-        (run,) = dynamics._solve(field, x0, 0.0, 2.0, 1e-12, keep=True)
-        if not run.status.completed:
-            worst = math.inf
-            continue
-        diff = [np.asarray(x0, dtype=float), *run(np.array(grid))]
-        for _k in range(order):
-            diff = [diff[i + 1] - diff[i] for i in range(len(diff) - 1)]
-        dd = max(float(np.max(np.abs(d))) for d in diff) / (h**order * math.factorial(order))
-        worst = max(worst, dd)
-    return worst
-
-
-def _check_iso(name):
-    """A series-preserving operator of the catalog entry name."""
-    entry = catalog(name)
-    if name == "two-step-volume":
-        phi = ((F(1), F(2), F(0)), (F(0), F(1), F(0)), (F(3), F(0), F(1)))
-        iso, _metric, _ = entry.oracles["metric_family"](phi)
-    else:
-        iso = iso_from_metric(entry.quad_form, entry.oracles["flat_structure"]()[2])
-    return entry.algebra, iso
-
-
-@pytest.mark.parametrize("trials", [1, 2, 3, 4])
-@pytest.mark.parametrize("name", ["two-step-volume", "dim5-nilpotent"])
-def test_polynomial_check_trials_block_matches_lone_runs(name, trials):
-    L, iso = _check_iso(name)
-    for seed in (0, 5):
-        cert = polynomial_geodesic_check(L, iso, trials=trials, seed=seed)
-        assert cert.divided_diff_max == _lone_divided_difference(L, iso, trials, seed)
-
-
-@pytest.mark.parametrize("name", ["two-step-volume", "dim5-nilpotent"])
-def test_polynomial_check_in_blocks_matches_one_block(name, monkeypatch):
-    L, iso = _check_iso(name)
-    whole = polynomial_geodesic_check(L, iso, trials=5, seed=3)
-    blocks = []
-    solve = dynamics._solve
-
-    def spy(f, y0, *args, **kwargs):
-        blocks.append(len(y0))
-        return solve(f, y0, *args, **kwargs)
-
-    monkeypatch.setattr(dynamics, "TRIAL_BLOCK", 2)
-    monkeypatch.setattr(dynamics, "_solve", spy)
-    assert polynomial_geodesic_check(L, iso, trials=5, seed=3) == whole
-    assert blocks == [2, 2, 1]
-    assert whole.divided_diff_max == _lone_divided_difference(L, iso, 5, 3)

@@ -1,4 +1,5 @@
-"""Binary64 structure tables near the top of the binary64 range, and the
+"""Binary64 structure tables near the top of the binary64 range, the
+Jacobi slack of each entry from the size of its own terms, and the
 one-step read of a run's rows of Python floats."""
 
 import json
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from quadlie import catalog, dynamics, fileio, levi_civita, validate_algebra
-from quadlie.errors import AntisymmetryViolation, InvalidValue
+from quadlie.errors import AntisymmetryViolation, InvalidValue, JacobiViolation
 from test_inputs import _BAD_ROWS, SEED
 
 
@@ -50,6 +51,48 @@ def test_a_huge_table_that_is_not_antisymmetric_is_still_refused():
     c[0][1][2] += 1e200  # [e0, e1] no longer minus [e1, e0]
     with pytest.raises(AntisymmetryViolation):
         validate_algebra(c)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_table_not_antisymmetric_beyond_binary64_warns_of_nothing(capfd):
+    c = np.zeros((3, 3, 3)).tolist()
+    c[0][1][2] = c[1][0][2] = 1.5e308  # their sum overflows
+    with pytest.raises(AntisymmetryViolation) as exc:
+        validate_algebra(c)
+    assert exc.value.residual == math.inf
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("big", [1e6, 1e10, 1e14])
+def test_a_jacobi_failure_linear_in_the_largest_constant_is_refused(big):
+    # [e0, e1] = big e2, [e0, e2] = e0: [[e2, e0], e1] = -big e2 is the
+    # one term at (0, 1, 2), so the residual is as large as its terms
+    c = np.zeros((3, 3, 3))
+    c[0, 1, 2], c[1, 0, 2] = big, -big
+    c[0, 2, 0], c[2, 0, 0] = 1.0, -1.0
+    with pytest.raises(JacobiViolation) as exc:
+        validate_algebra(c.tolist())
+    assert (exc.value.i, exc.value.j, exc.value.k, exc.value.component) == (0, 1, 2, 2)
+    assert exc.value.residual == -big
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e-3, 0.37, 1.0, 1e150])
+def test_catalog_tables_at_any_scale_pass_the_jacobi_slack(scale):
+    for name in ("e2-motion", "oscillator(1,2)", "dim4-b", "dim5-nilpotent", "two-step-volume",
+                 "a-d(2)", "a-d-double(1)"):
+        assert not validate_algebra(_scaled_table(name, scale)).exact
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e150])
+@pytest.mark.parametrize("name", ["oscillator(1,2)", "dim5-nilpotent"])
+def test_a_table_in_a_rounded_basis_passes_the_jacobi_slack(name, scale):
+    # the table in the basis P e_i, whose Jacobi sums round to nonzero
+    C = catalog(name).algebra.array.to_float().num
+    P = np.eye(len(C)) + 0.3 * np.random.default_rng(0).standard_normal(C.shape[:2])
+    rounded = np.einsum("ai,bj,abk,lk->ijl", P, P, C, np.linalg.inv(P)) * scale
+    assert not validate_algebra(rounded.tolist()).exact
 
 
 def test_exact_tables_of_any_size_are_unaffected():
