@@ -1316,17 +1316,19 @@ def polynomial_geodesic_check(L, u, trials=3, seed=0, tol=1e-7):
     L, iso = scalars.common_mode(L, as_iso(u, L.dim))
     n, exact = L.dim, iso.exact
     series = [scalars.to_array(term, exact).reshape(-1, n) for term in rep.lower_central]
-    for idx, basis in enumerate(series[1:], 2):
-        # the rows u(v) of each term's basis stay in the term
-        if not linalg.in_span(basis, scalars.contract("ij,aj->ai", iso.array, basis)):
-            raise SeriesNotPreserved(idx)
+    for idx in range(1, len(series)):
+        basis = series[idx]
+        # the span of the rows u(v), scale-free as the rank test needs
+        image = linalg.span_basis(scalars.contract("ij,aj->ai", iso.array, basis))
+        if not linalg.in_span(basis, image):
+            raise SeriesNotPreserved(idx + 1)
 
     spans = [linalg.span_basis(scalars.eye(n, exact))]
     in_series = True
     while len(spans[-1].num):
         # X_p: the span of the brackets [v, u^{-1} w], v in X_i, w in X_{p-1-i}
         nxt = linalg.span_basis(scalars.stack([
-            _bracket_span(L, v, scalars.contract("lk,bk->bl", iso.inverse, w))
+            _bracket_span(L, v, linalg.span_basis(scalars.contract("lk,bk->bl", iso.inverse, w)))
             for v, w in zip(spans, spans[::-1])
         ]))
         term = series[min(len(spans), len(series) - 1)]  # the last term is empty

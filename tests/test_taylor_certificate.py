@@ -70,7 +70,7 @@ def test_the_binary64_two_step_certificate_is_the_exact_one():
     assert cert.certified and cert.derivative_spans_in_series and cert.degree_bound == 1
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e-3, 1e3, 1e6])
+@pytest.mark.parametrize("scale", [1.0, 1e-9, 1e-3, 1e3, 1e6, 1e12])
 def test_a_scaled_binary64_operator_keeps_the_exact_verdict(scale):
     # u and s u give the same field and the same derivative spans
     L, iso = _two_step()
