@@ -152,13 +152,36 @@ def product_from_iso(L, k, u):
     return ProductTensor(L, twice.half(), metric)
 
 
+def _within(bound, what, residual):
+    """residual(), a ScaledArray no entry or partial sum of which exceeds
+    bound: computed plainly when 2 bound (a margin for rounding) is finite,
+    as in exact mode, whose scales are 0.0; else under np.errstate, and
+    InvalidValue when an entry lies beyond binary64.  An errstate on every
+    call would slow the binary64 certificates."""
+    if math.isfinite(2 * bound):
+        return residual()
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = residual()
+        finite = math.isfinite(out.scale())
+    if not finite:
+        raise InvalidValue(f"the {what} overflows binary64")
+    return out
+
+
 def curvature(P):
-    """R[i][j][k][l] under R(x,y) = L_[x,y] - L_x L_y + L_y L_x."""
+    """R[i][j][k][l] under R(x,y) = L_[x,y] - L_x L_y + L_y L_x;
+    InvalidValue when a binary64 entry of it overflows."""
     P = as_product(P)
     C, G = P.algebra.array, P.array
-    comp = scalars.contract("jkm,iml->ijkl", G, G)  # e_i (e_j e_k)
-    bracket = scalars.contract("ijm,mkl->ijkl", C, G)  # [e_i, e_j] e_k
-    return CurvatureTensor(bracket - comp + comp.transpose(1, 0, 2, 3))
+
+    def residual():
+        comp = scalars.contract("jkm,iml->ijkl", G, G)  # e_i (e_j e_k)
+        bracket = scalars.contract("ijm,mkl->ijkl", C, G)  # [e_i, e_j] e_k
+        return bracket - comp + comp.transpose(1, 0, 2, 3)
+
+    gmax = G.scale()
+    # n gmax^2 bounds each e_i (e_j e_k) and n cmax gmax each [e_i, e_j] e_k
+    return CurvatureTensor(_within(P.dim * gmax * (2 * gmax + C.scale()), "curvature", residual))
 
 
 def curvature_tolerance(P):
@@ -180,7 +203,7 @@ def product_report(P):
     C, G, exact = P.algebra.array, P.array, P.exact
     cmax, gmax = C.scale(), G.scale()
 
-    torsion = G - G.transpose(1, 0, 2) - C
+    torsion = _within(cmax + 2 * gmax, "torsion", lambda: G - G.transpose(1, 0, 2) - C)
     tpeak = torsion.peak()
     torsion_ok = tpeak <= scalars.tolerance(exact, max(1.0, cmax + 2 * gmax))
 
@@ -189,15 +212,18 @@ def product_report(P):
         K = P.metric.array
         kmax = K.scale()
         # <e_i e_j, e_l> + <e_j, e_i e_l>
-        skew = scalars.contract("ijm,ml->ijl", G, K) + scalars.contract("jm,ilm->ijl", K, G)
+        skew = _within(2 * P.dim * gmax * kmax, "metric skewness",
+                       lambda: scalars.contract("ijm,ml->ijl", G, K) + scalars.contract("jm,ilm->ijl", K, G))
         skew_ok = skew.peak() <= scalars.tolerance(exact, max(1.0, 2 * gmax * kmax))
 
     # the associator (e_i e_j) e_k - e_i (e_j e_k) is symmetric in i, j
     # exactly when R + T gamma vanishes, T the torsion; R itself when T
     # vanishes, as on every exact Levi-Civita product
     R = curvature(P).array
-    rmax = R.peak()
-    ls_res = (R + scalars.contract("ijm,mkl->ijkl", torsion, G)).peak() if tpeak else rmax
+    rmax = ls_res = R.peak()
+    if tpeak:  # |T| <= cmax + 2 gmax, so twice R's bound bounds R + T gamma
+        ls_res = _within(2 * P.dim * gmax * (2 * gmax + cmax), "left-symmetry residual",
+                         lambda: R + scalars.contract("ijm,mkl->ijkl", torsion, G)).peak()
     left_symmetric = ls_res <= scalars.tolerance(exact, max(1.0, 2 * gmax * gmax + cmax * gmax))
 
     tol_f = curvature_tolerance(P)

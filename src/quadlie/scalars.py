@@ -15,10 +15,10 @@ size, mode, nested view (c, matrix, gamma or r), vector reads and
 binary64 copy.
 
 Every record of the package, tensors, reports, specs and results alike,
-is made by record: what dataclasses.dataclass(frozen=True) makes, its
-methods copies of template functions with the field names put in, so
-that a class costs no code generated at import and a call no more than
-dataclass's.
+is made by record: what dataclasses.dataclass(frozen=True) makes, with no
+code generated at import.  Its __init__ is a template function renamed to
+the fields, as quick per call as dataclass's; its repr, == and hash read
+one operator.attrgetter, slower per call and on no timed path.
 
 contract plans each (spec, shapes) once.  Two operands with a summed
 label and no trace, batch or one-sided summed label run as one matrix
@@ -68,6 +68,7 @@ in a known mode.
 
 import dataclasses
 import math
+import operator
 import types
 from fractions import Fraction
 from functools import lru_cache
@@ -271,12 +272,11 @@ class _kept:
 _set = object.__setattr__
 
 
-# Templates of a record's __init__, field tuple, __eq__ and __hash__ for one
-# to eight fields, the code dataclass generates but written over the names
-# a0, a1, ...; record gives each class copies of them with those names
-# replaced by its field names (see _renamed), so that __init__ binds
-# positions, keywords and defaults as any function does, and none of the
-# four costs more per call than dataclass's.
+# Templates of a record's __init__ for one to eight fields, the code
+# dataclass generates but written over the names a0, a1, ...; record gives
+# each class a copy of one with those names replaced by its field names (see
+# _renamed), so that __init__ binds positions, keywords and defaults as any
+# function does, and costs no more per call than dataclass's.
 def _init1(self, a0):
     _set(self, "a0", a0)
 
@@ -338,57 +338,19 @@ def _init8(self, a0, a1, a2, a3, a4, a5, a6, a7):
 
 
 _INITS = (_init1, _init2, _init3, _init4, _init5, _init6, _init7, _init8)
-_VALUES = (
-    lambda o: (o.a0,),
-    lambda o: (o.a0, o.a1),
-    lambda o: (o.a0, o.a1, o.a2),
-    lambda o: (o.a0, o.a1, o.a2, o.a3),
-    lambda o: (o.a0, o.a1, o.a2, o.a3, o.a4),
-    lambda o: (o.a0, o.a1, o.a2, o.a3, o.a4, o.a5),
-    lambda o: (o.a0, o.a1, o.a2, o.a3, o.a4, o.a5, o.a6),
-    lambda o: (o.a0, o.a1, o.a2, o.a3, o.a4, o.a5, o.a6, o.a7),
-)
-_EQS = (
-    lambda o, p: (o.a0,) == (p.a0,) if p.__class__ is o.__class__ else NotImplemented,
-    lambda o, p: (o.a0, o.a1) == (p.a0, p.a1) if p.__class__ is o.__class__ else NotImplemented,
-    lambda o, p: ((o.a0, o.a1, o.a2) == (p.a0, p.a1, p.a2)
-                  if p.__class__ is o.__class__ else NotImplemented),
-    lambda o, p: ((o.a0, o.a1, o.a2, o.a3) == (p.a0, p.a1, p.a2, p.a3)
-                  if p.__class__ is o.__class__ else NotImplemented),
-    lambda o, p: ((o.a0, o.a1, o.a2, o.a3, o.a4) == (p.a0, p.a1, p.a2, p.a3, p.a4)
-                  if p.__class__ is o.__class__ else NotImplemented),
-    lambda o, p: ((o.a0, o.a1, o.a2, o.a3, o.a4, o.a5) == (p.a0, p.a1, p.a2, p.a3, p.a4, p.a5)
-                  if p.__class__ is o.__class__ else NotImplemented),
-    lambda o, p: ((o.a0, o.a1, o.a2, o.a3, o.a4, o.a5, o.a6)
-                  == (p.a0, p.a1, p.a2, p.a3, p.a4, p.a5, p.a6)
-                  if p.__class__ is o.__class__ else NotImplemented),
-    lambda o, p: ((o.a0, o.a1, o.a2, o.a3, o.a4, o.a5, o.a6, o.a7)
-                  == (p.a0, p.a1, p.a2, p.a3, p.a4, p.a5, p.a6, p.a7)
-                  if p.__class__ is o.__class__ else NotImplemented),
-)
-_HASHES = (
-    lambda o: hash((o.a0,)),
-    lambda o: hash((o.a0, o.a1)),
-    lambda o: hash((o.a0, o.a1, o.a2)),
-    lambda o: hash((o.a0, o.a1, o.a2, o.a3)),
-    lambda o: hash((o.a0, o.a1, o.a2, o.a3, o.a4)),
-    lambda o: hash((o.a0, o.a1, o.a2, o.a3, o.a4, o.a5)),
-    lambda o: hash((o.a0, o.a1, o.a2, o.a3, o.a4, o.a5, o.a6)),
-    lambda o: hash((o.a0, o.a1, o.a2, o.a3, o.a4, o.a5, o.a6, o.a7)),
-)
 
 
 def _renamed(template, names, qualname, defaults=None):
     """A copy of the function template with a0, a1, ... replaced by names
-    wherever they stand: parameters, attribute reads and strings."""
+    wherever they stand: parameters and strings."""
     to = {f"a{k}": name for k, name in enumerate(names)}
 
     def rename(items):
         return tuple(to.get(x, x) if isinstance(x, str) else x for x in items)
 
     code = template.__code__
-    code = code.replace(co_varnames=rename(code.co_varnames), co_names=rename(code.co_names),
-                        co_consts=rename(code.co_consts), co_name=qualname.rpartition(".")[2])
+    code = code.replace(co_varnames=rename(code.co_varnames), co_consts=rename(code.co_consts),
+                        co_name=qualname.rpartition(".")[2])
     if hasattr(code, "co_qualname"):  # Python 3.11+, named in TypeErrors
         code = code.replace(co_qualname=qualname)
     return types.FunctionType(code, template.__globals__, code.co_name, defaults)
@@ -413,10 +375,12 @@ def record(cls):
     gains __init__, __repr__ as QualName(f=v, ...), __eq__ on the tuple of
     the fields (NotImplemented against another class), a __hash__ of that
     tuple, __match_args__, and a __setattr__ and __delattr__ raising
-    FrozenInstanceError.  __init__, __eq__, __hash__ and the field tuple
-    that __repr__ reads are the templates above _renamed to the fields.  A
-    method that cls defines itself is kept, as dataclass keeps it under
-    init=False or eq=False.
+    FrozenInstanceError.  __init__ is the template above _renamed to the
+    fields, as quick per call as dataclass's; __repr__, __eq__ and __hash__
+    read the field tuple through one operator.attrgetter, slower per call
+    than dataclass's and on no timed path.  A method that cls defines
+    itself is kept (an __init__ then not built), as dataclass keeps it
+    under init=False or eq=False.
 
     __dataclass_fields__ holds a dataclasses.field() per field, so that
     dataclasses.fields, replace, asdict and is_dataclass read a record as
@@ -439,25 +403,34 @@ def record(cls):
     required = [f.default is dataclasses.MISSING for f in fields.values()]
     if required != sorted(required, reverse=True):
         raise TypeError(f"{cls.__qualname__}: a field without a default follows one with")
-    defaults = tuple(f.default for f in fields.values() if f.default is not dataclasses.MISSING)
-    qualname, k = cls.__qualname__, len(names) - 1
-    values = _renamed(_VALUES[k], names, f"{qualname}._values")
+    get = operator.attrgetter(*names)
+    values = get if len(names) > 1 else lambda self: (get(self),)
     template = ", ".join(f"{name}=%r" for name in names)
 
     def __repr__(self):
         return f"{self.__class__.__qualname__}({template % values(self)})"
 
-    init = _renamed(_INITS[k], names, f"{qualname}.__init__", defaults)
-    init.__annotations__ = {**{name: f.type for name, f in fields.items()}, "return": None}
+    def __eq__(self, other):
+        return values(self) == values(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(values(self))
+
+    for method in (__repr__, __eq__, __hash__):
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
     methods = {
-        "__init__": init,
-        "__eq__": _renamed(_EQS[k], names, f"{qualname}.__eq__"),
-        "__hash__": _renamed(_HASHES[k], names, f"{qualname}.__hash__"),
         "__repr__": __repr__,
+        "__eq__": __eq__,
+        "__hash__": __hash__,
         "__setattr__": _refuse_assignment,
         "__delattr__": _refuse_deletion,
         "__match_args__": names,
     }
+    if "__init__" not in own:
+        defaults = tuple(f.default for f in fields.values() if f.default is not dataclasses.MISSING)
+        init = _renamed(_INITS[len(names) - 1], names, f"{cls.__qualname__}.__init__", defaults)
+        init.__annotations__ = {**{name: f.type for name, f in fields.items()}, "return": None}
+        methods["__init__"] = init
     cls.__dataclass_fields__ = fields
     for name, method in methods.items():
         if name not in own:

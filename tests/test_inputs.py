@@ -1093,3 +1093,38 @@ def test_cli_on_a_product_beyond_binary64_reports_json_and_no_warning(tmp_path, 
     assert _strict_json(proc.stdout)["error"]["type"] == "InvalidValue"
     # only the command's own one-line error, which every rejected input prints
     assert proc.stderr == "error: the Levi-Civita product overflows binary64\n"
+
+
+# e2-motion's table scaled by 1e150 under diag(1, 1e8, -1): gamma stays
+# finite (5e157), its squares in the curvature do not
+BIG_CURVATURE = {
+    "dim": 3,
+    "brackets": [{"i": 2, "j": 0, "terms": [{"k": 1, "coef": 1e150}]},
+                 {"i": 2, "j": 1, "terms": [{"k": 0, "coef": -1e150}]}],
+    "form": [[1.0], [0, 1e8], [0, 0, -1.0]],
+}
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_binary64_curvature_beyond_binary64_is_an_invalid_value():
+    L, g, _ = fileio.parse_algebra_doc(BIG_CURVATURE)
+    P = levi_civita(L, g)
+    assert math.isfinite(P.array.scale())
+    for call in (quadlie.curvature, quadlie.product_report):
+        with pytest.raises(InvalidValue, match="the curvature overflows binary64"):
+            call(P)
+
+
+@pytest.mark.parametrize("cmd", ["flat", "curvature", "connection"])
+def test_cli_on_a_curvature_beyond_binary64_reports_json_and_no_warning(tmp_path, cmd):
+    path = tmp_path / "big-curvature.json"
+    path.write_text(json.dumps(BIG_CURVATURE))
+    src = str(Path(fileio.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "quadlie.cli", cmd, "--input", str(path)],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert _strict_json(proc.stdout)["error"]["type"] == "InvalidValue"
+    assert proc.stderr == "error: the curvature overflows binary64\n"

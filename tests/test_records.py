@@ -3,6 +3,7 @@ frozen dataclass it replaced.  One instance of each record class, built
 from catalog models and short runs, keeps its repr (pinned by sha256 in
 exact mode), equality, hash, field order, immutability and asdict."""
 
+import builtins
 import dataclasses
 import hashlib
 import importlib
@@ -177,6 +178,8 @@ def test_equality_and_hash_agree_with_a_rebuilt_copy(name):
     copy = _copy(rec)
     assert copy is not rec and copy == rec and not copy != rec
     assert _hash(copy) == _hash(rec)
+    if name != "ScaledArray":  # its own __hash__, over its values
+        assert _hash(rec) == _hash(tuple(getattr(rec, f.name) for f in dataclasses.fields(rec)))
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
@@ -210,6 +213,28 @@ def test_fields_are_the_annotations_of_the_class_and_its_record_bases(name):
     fields = dataclasses.fields(cls)
     assert tuple(declared) == tuple(f.name for f in fields) == FIELDS[name]
     assert [f.type for f in fields] == list(declared.values())
+
+
+def test_record_generates_no_code(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("code was generated")
+
+    # undone before pytest reports a failure, which compiles
+    with monkeypatch.context() as patch:
+        patch.setattr(builtins, "exec", refuse)
+        patch.setattr(builtins, "compile", refuse)
+
+        @scalars.record
+        class Point:
+            x: int
+            y: int
+            label: str = "p"
+
+        p = Point(1, y=2)
+        assert (p.x, p.y, p.label) == (1, 2, "p")
+        assert Point(1, 2, "p") == p and Point(1, 2, "q") != p and Point(x=1, y=2, label="p") == p
+        assert hash(p) == hash((1, 2, "p"))
+        assert repr(p) == "test_record_generates_no_code.<locals>.Point(x=1, y=2, label='p')"
 
 
 def test_record_refuses_field_lists_it_cannot_build():
