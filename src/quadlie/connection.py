@@ -113,10 +113,7 @@ def levi_civita(L, g):
     # the product is unchanged when G is scaled by a constant, so G's
     # numerators stand in for G
     C, G = L.array, form.array.numerators()
-    # in binary64 an entry beyond binary64 becomes inf, and inf - inf nan,
-    # with no numpy warning, for the check below; exact products skip the
-    # errstate, and an errstate per sum or kernel slows the certificates
-    with contextlib.nullcontext() if L.exact else np.errstate(invalid="ignore", over="ignore"):
+    with _quiet(L.exact):
         # rhs[i][j][m] = <[e_i, e_j], e_m> - <[e_j, e_m], e_i> + <[e_m, e_i], e_j>
         rhs = (
             scalars.contract("ijk,km->ijm", C, G)
@@ -127,8 +124,7 @@ def levi_civita(L, g):
         # denominator, exact in both modes
         inv = linalg.divided(form.inverse, 2 * form.array.den)
         gamma = scalars.contract("mk,ijk->ijm", inv, rhs)
-    if not math.isfinite(gamma.scale()):
-        raise InvalidValue("the Levi-Civita product overflows binary64")
+    _finite(gamma, "Levi-Civita product")
     return ProductTensor(L, gamma, form)
 
 
@@ -152,36 +148,34 @@ def product_from_iso(L, k, u):
     return ProductTensor(L, twice.half(), metric)
 
 
-def _within(bound, what, residual):
-    """residual(), a ScaledArray no entry or partial sum of which exceeds
-    bound: computed plainly when 2 bound (a margin for rounding) is finite,
-    as in exact mode, whose scales are 0.0; else under np.errstate, and
-    InvalidValue when an entry lies beyond binary64.  An errstate on every
-    call would slow the binary64 certificates."""
-    if math.isfinite(2 * bound):
-        return residual()
-    with np.errstate(invalid="ignore", over="ignore"):
-        out = residual()
-        finite = math.isfinite(out.scale())
-    if not finite:
+def _quiet(exact):
+    """np.errstate under which a binary64 entry beyond binary64 becomes inf,
+    and inf - inf nan, with no numpy warning, for _finite to refuse; exact
+    arithmetic skips it, and an errstate per sum or kernel slows the
+    certificates."""
+    return contextlib.nullcontext() if exact else np.errstate(invalid="ignore", over="ignore")
+
+
+def _finite(x, what):
+    """x, a ScaledArray; InvalidValue when a binary64 entry of it is not finite."""
+    if not math.isfinite(x.scale()):
         raise InvalidValue(f"the {what} overflows binary64")
-    return out
+    return x
+
+
+def _curvature(C, G):
+    comp = scalars.contract("jkm,iml->ijkl", G, G)  # e_i (e_j e_k)
+    bracket = scalars.contract("ijm,mkl->ijkl", C, G)  # [e_i, e_j] e_k
+    return bracket - comp + comp.transpose(1, 0, 2, 3)
 
 
 def curvature(P):
     """R[i][j][k][l] under R(x,y) = L_[x,y] - L_x L_y + L_y L_x;
     InvalidValue when a binary64 entry of it overflows."""
     P = as_product(P)
-    C, G = P.algebra.array, P.array
-
-    def residual():
-        comp = scalars.contract("jkm,iml->ijkl", G, G)  # e_i (e_j e_k)
-        bracket = scalars.contract("ijm,mkl->ijkl", C, G)  # [e_i, e_j] e_k
-        return bracket - comp + comp.transpose(1, 0, 2, 3)
-
-    gmax = G.scale()
-    # n gmax^2 bounds each e_i (e_j e_k) and n cmax gmax each [e_i, e_j] e_k
-    return CurvatureTensor(_within(P.dim * gmax * (2 * gmax + C.scale()), "curvature", residual))
+    with _quiet(P.exact):
+        R = _curvature(P.algebra.array, P.array)
+    return CurvatureTensor(_finite(R, "curvature"))
 
 
 def curvature_tolerance(P):
@@ -203,27 +197,28 @@ def product_report(P):
     C, G, exact = P.algebra.array, P.array, P.exact
     cmax, gmax = C.scale(), G.scale()
 
-    torsion = _within(cmax + 2 * gmax, "torsion", lambda: G - G.transpose(1, 0, 2) - C)
-    tpeak = torsion.peak()
+    K = P.metric.array if P.metric is not None else None
+    with _quiet(exact):
+        torsion = G - G.transpose(1, 0, 2) - C
+        skew = None
+        if K is not None:  # <e_i e_j, e_l> + <e_j, e_i e_l>
+            skew = scalars.contract("ijm,ml->ijl", G, K) + scalars.contract("jm,ilm->ijl", K, G)
+        R = _curvature(C, G)
+        # the associator (e_i e_j) e_k - e_i (e_j e_k) is symmetric in i, j
+        # exactly when R + T gamma vanishes, T the torsion; R itself when T
+        # vanishes, as on every exact Levi-Civita product
+        tpeak = torsion.peak()
+        ls = R + scalars.contract("ijm,mkl->ijkl", torsion, G) if tpeak else R
+    _finite(torsion, "torsion")
+    if skew is not None:
+        _finite(skew, "metric skewness")
+    rmax = _finite(R, "curvature").peak()
+    ls_res = _finite(ls, "left-symmetry residual").peak()
+
     torsion_ok = tpeak <= scalars.tolerance(exact, max(1.0, cmax + 2 * gmax))
-
     skew_ok = None
-    if P.metric is not None:
-        K = P.metric.array
-        kmax = K.scale()
-        # <e_i e_j, e_l> + <e_j, e_i e_l>
-        skew = _within(2 * P.dim * gmax * kmax, "metric skewness",
-                       lambda: scalars.contract("ijm,ml->ijl", G, K) + scalars.contract("jm,ilm->ijl", K, G))
-        skew_ok = skew.peak() <= scalars.tolerance(exact, max(1.0, 2 * gmax * kmax))
-
-    # the associator (e_i e_j) e_k - e_i (e_j e_k) is symmetric in i, j
-    # exactly when R + T gamma vanishes, T the torsion; R itself when T
-    # vanishes, as on every exact Levi-Civita product
-    R = curvature(P).array
-    rmax = ls_res = R.peak()
-    if tpeak:  # |T| <= cmax + 2 gmax, so twice R's bound bounds R + T gamma
-        ls_res = _within(2 * P.dim * gmax * (2 * gmax + cmax), "left-symmetry residual",
-                         lambda: R + scalars.contract("ijm,mkl->ijkl", torsion, G)).peak()
+    if skew is not None:
+        skew_ok = skew.peak() <= scalars.tolerance(exact, max(1.0, 2 * gmax * K.scale()))
     left_symmetric = ls_res <= scalars.tolerance(exact, max(1.0, 2 * gmax * gmax + cmax * gmax))
 
     tol_f = curvature_tolerance(P)

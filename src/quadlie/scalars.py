@@ -416,8 +416,6 @@ def record(cls):
     def __hash__(self):
         return hash(values(self))
 
-    for method in (__repr__, __eq__, __hash__):
-        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
     methods = {
         "__repr__": __repr__,
         "__eq__": __eq__,

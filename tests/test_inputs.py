@@ -16,13 +16,14 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import quadlie
 from quadlie import catalog, dynamics, fileio, levi_civita, metric_from_iso, validate_algebra
-from quadlie import validate_form
+from quadlie import LieAlgebra, ProductTensor, SymBilinearForm, scalars, validate_form
 from quadlie.cli import MAX_SAMPLES, main
 from quadlie.errors import EngineError, InvalidSpan, InvalidValue, StepBudgetExhausted
 from quadlie.errors import DimensionMismatch, MixedModeError
@@ -1113,6 +1114,34 @@ def test_a_binary64_curvature_beyond_binary64_is_an_invalid_value():
     for call in (quadlie.curvature, quadlie.product_report):
         with pytest.raises(InvalidValue, match="the curvature overflows binary64"):
             call(P)
+
+
+def _abelian_product(gamma, metric_scale=None):
+    """A binary64 product on the abelian algebra of dimension 3, gamma's
+    nonzero entries given by index, metric_scale times the identity its
+    metric if given."""
+    G = np.zeros((3, 3, 3))
+    for index, value in gamma.items():
+        G[index] = value
+    L = LieAlgebra(scalars.ScaledArray(np.zeros((3, 3, 3))))
+    K = None if metric_scale is None else SymBilinearForm(scalars.ScaledArray(metric_scale * np.eye(3)))
+    return ProductTensor(L, scalars.ScaledArray(G), K)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("what, gamma, metric_scale", [
+    # G - G^T doubles 1e308; e_i (e_j e_k) and [e_i, e_j] e_k vanish
+    ("torsion", {(0, 1, 2): 1e308, (1, 0, 2): -1e308}, None),
+    # <e_0 e_1, e_2> + <e_1, e_0 e_2> is 1e308 + 1e308; every other residual is at most 1
+    ("metric skewness", {(0, 1, 2): 1.0, (1, 0, 2): 1.0, (0, 2, 1): 1.0}, 1e308),
+    # R vanishes and T is at most 1e300, but T gamma reaches 1e300 * 1e10
+    ("left-symmetry residual", {(0, 1, 2): 1e300, (2, 0, 0): 1e10}, None),
+])
+def test_each_binary64_residual_beyond_binary64_is_an_invalid_value(what, gamma, metric_scale):
+    P = _abelian_product(gamma, metric_scale)
+    assert math.isfinite(quadlie.curvature(P).max_abs())
+    with pytest.raises(InvalidValue, match=f"^the {what} overflows binary64$"):
+        quadlie.product_report(P)
 
 
 @pytest.mark.parametrize("cmd", ["flat", "curvature", "connection"])
