@@ -22,9 +22,6 @@ and flatness in binary64 accepts a maximal entry of R up to
 1e-9 * (1 + |gamma|^2 + |c| |gamma|) in the max norm.
 """
 
-import contextlib
-import math
-
 import numpy as np
 
 from . import linalg, scalars
@@ -113,7 +110,7 @@ def levi_civita(L, g):
     # the product is unchanged when G is scaled by a constant, so G's
     # numerators stand in for G
     C, G = L.array, form.array.numerators()
-    with _quiet(L.exact):
+    with scalars._quiet(L.exact):
         # rhs[i][j][m] = <[e_i, e_j], e_m> - <[e_j, e_m], e_i> + <[e_m, e_i], e_j>
         rhs = (
             scalars.contract("ijk,km->ijm", C, G)
@@ -124,7 +121,7 @@ def levi_civita(L, g):
         # denominator, exact in both modes
         inv = linalg.divided(form.inverse, 2 * form.array.den)
         gamma = scalars.contract("mk,ijk->ijm", inv, rhs)
-    _finite(gamma, "Levi-Civita product")
+    scalars._finite(gamma, "Levi-Civita product")
     return ProductTensor(L, gamma, form)
 
 
@@ -136,31 +133,19 @@ def product_from_iso(L, k, u):
     The brackets [e_i, u e_j] are one contraction of the table against u,
     [e_j, u e_i] their transpose, and u^{-1} is applied by one more; the
     metric Gram matrix G is never inverted.  Kept separate from
-    levi_civita so the two can cross-check each other.
+    levi_civita so the two can cross-check each other.  InvalidValue when
+    a binary64 entry of the product or the metric overflows.
     """
     L = as_algebra(L)
     L, form, iso = scalars.common_mode(L, as_form(k, L.dim), as_iso(u, L.dim))
     C, U = L.array, iso.array
-    # t[i][j][k]: component k of [e_i, u e_j]
-    t = scalars.contract("ajk,bj->abk", C, U.transpose())
-    twice = C + scalars.contract("mk,ijk->ijm", iso.inverse, t + t.transpose(1, 0, 2))
-    metric = validate_form(scalars.contract("ij,jk->ik", form.array, U))
-    return ProductTensor(L, twice.half(), metric)
-
-
-def _quiet(exact):
-    """np.errstate under which a binary64 entry beyond binary64 becomes inf,
-    and inf - inf nan, with no numpy warning, for _finite to refuse; exact
-    arithmetic skips it, and an errstate per sum or kernel slows the
-    certificates."""
-    return contextlib.nullcontext() if exact else np.errstate(invalid="ignore", over="ignore")
-
-
-def _finite(x, what):
-    """x, a ScaledArray; InvalidValue when a binary64 entry of it is not finite."""
-    if not math.isfinite(x.scale()):
-        raise InvalidValue(f"the {what} overflows binary64")
-    return x
+    with scalars._quiet(L.exact):
+        # t[i][j][k]: component k of [e_i, u e_j]
+        t = scalars.contract("ajk,bj->abk", C, U.transpose())
+        twice = C + scalars.contract("mk,ijk->ijm", iso.inverse, t + t.transpose(1, 0, 2))
+        G = scalars.contract("ij,jk->ik", form.array, U)
+    product = scalars._finite(twice, "Levi-Civita product").half()
+    return ProductTensor(L, product, validate_form(G))
 
 
 def _curvature(C, G):
@@ -173,9 +158,9 @@ def curvature(P):
     """R[i][j][k][l] under R(x,y) = L_[x,y] - L_x L_y + L_y L_x;
     InvalidValue when a binary64 entry of it overflows."""
     P = as_product(P)
-    with _quiet(P.exact):
+    with scalars._quiet(P.exact):
         R = _curvature(P.algebra.array, P.array)
-    return CurvatureTensor(_finite(R, "curvature"))
+    return CurvatureTensor(scalars._finite(R, "curvature"))
 
 
 def curvature_tolerance(P):
@@ -198,7 +183,7 @@ def product_report(P):
     cmax, gmax = C.scale(), G.scale()
 
     K = P.metric.array if P.metric is not None else None
-    with _quiet(exact):
+    with scalars._quiet(exact):
         torsion = G - G.transpose(1, 0, 2) - C
         skew = None
         if K is not None:  # <e_i e_j, e_l> + <e_j, e_i e_l>
@@ -209,11 +194,11 @@ def product_report(P):
         # vanishes, as on every exact Levi-Civita product
         tpeak = torsion.peak()
         ls = R + scalars.contract("ijm,mkl->ijkl", torsion, G) if tpeak else R
-    _finite(torsion, "torsion")
+    scalars._finite(torsion, "torsion")
     if skew is not None:
-        _finite(skew, "metric skewness")
-    rmax = _finite(R, "curvature").peak()
-    ls_res = _finite(ls, "left-symmetry residual").peak()
+        scalars._finite(skew, "metric skewness")
+    rmax = scalars._finite(R, "curvature").peak()
+    ls_res = scalars._finite(ls, "left-symmetry residual").peak()
 
     torsion_ok = tpeak <= scalars.tolerance(exact, max(1.0, cmax + 2 * gmax))
     skew_ok = None

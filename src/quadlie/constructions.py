@@ -101,16 +101,19 @@ def build_double_extension(w_dim, k0, theta):
 
     Basis order: the rotation generator first, the new central direction
     second, then W.  The invariant form pairs the two new directions
-    hyperbolically and restricts to k0 on W.
+    hyperbolically and restricts to k0 on W.  InvalidValue when a binary64
+    entry of k0 theta overflows.
     """
     k0f = as_form(k0, _size(w_dim, "w_dim"))
     TH = scalars.read(theta, 2, w_dim)
     k0f, TH = scalars.common_mode(k0f, TH)
     exact, K0 = TH.exact, k0f.array
 
-    k0th = scalars.contract("ij,jk->ik", K0, TH)
+    with scalars._quiet(exact):
+        k0th = scalars.contract("ij,jk->ik", K0, TH)
+        skew = k0th + k0th.transpose()
     tol = scalars.tolerance(exact, max(1.0, K0.scale() * TH.scale()))
-    bad = np.argwhere((k0th + k0th.transpose()).beyond(tol))
+    bad = np.argwhere(scalars._finite(skew, "k0-skewness residual").beyond(tol))
     if len(bad):
         i, j = bad[0].tolist()
         raise NotAntisymmetric(f"theta is not k0-skew at entries ({i}, {j})")
@@ -508,12 +511,13 @@ def build_f_derivation(L, k=None, a0=Fraction(4, 9)):
     Fm = op_matrix(fa)
     # rows D e_i and F e_i
     DT, FT = D.transpose(), Fm.transpose()
-    tolv = scalars.tolerance(exact, 1.0)
 
-    # the derivation identity on all basis pairs
+    # the derivation identity on all basis pairs, its slack from the sizes
+    # of its terms
     fd = brackets(L, FT, DT)
     defect = scalars.contract("mk,ijk->ijm", D, C) - brackets(L, DT, FT) - fd
-    if defect.beyond(tolv).any():
+    sizes = D.scale() * C.scale() * (1 + 2 * Fm.scale())
+    if defect.beyond(scalars.tolerance(exact, max(1.0, sizes))).any():
         raise NoSolution("derivation identity fails after solving")
 
     # f must be a homomorphism up to the center: every F[e_i, e_j] -

@@ -25,15 +25,16 @@ det Y / t^n is constant up to the solve's error, is one read of its grid.
 One _solve serves a single run and a block of runs alike and returns one
 record per row, a _Run: how the row stopped, its step counts and, when
 kept, its mesh and continuous extension.  Given a (B, n) block with one
-end per row, it runs every row in one step loop: each row keeps its own
-time, step size, accept/reject decision and status and leaves the block
-when it stops, while the stages, the field calls and the error norms are
-each one array operation across the rows.  So a field callable maps
-(..., n) states to (..., n), and the variation systems do too, each row
-as its 1-D call; a read of the continuous extension calls the field on
-the block of the steps it reads.  The only block run is
-completeness_probe's, all its seeds both ways; every other entry point
-is a single run with a 1-D state, and polynomial_geodesic_check none.
+end per row, it runs every row in one step loop: each row's running
+state (its time, end, step size, retry flag and status) lives on its
+_Run, and the row leaves the block when it stops, while the stages, the
+field calls and the error norms are each one array operation across the
+rows.  So a field callable maps (..., n) states to (..., n), and the
+variation systems do too, each row as its 1-D call; a read of the
+continuous extension calls the field on the block of the steps it reads.
+The only block run is completeness_probe's, all its seeds both ways;
+every other entry point is a single run with a 1-D state, and
+polynomial_geodesic_check none.
 
 Each integrator field is one bilinear table, contracted once when the
 field is built: the geodesic field, its invariant-form route, the
@@ -422,9 +423,9 @@ def _count(value, least, what):
     return int(value)
 
 
-def _initial_step(f, y0, f0, directions, tol, spans):
+def _initial_step(f, y0, f0, runs, tol):
     """Hairer's starting step for each row of y0, with one field call for
-    all of them; a list of step sizes."""
+    all of them, set as the h of that row's run."""
     scale = tol + tol * np.abs(y0)
 
     def rms(a):
@@ -435,27 +436,26 @@ def _initial_step(f, y0, f0, directions, tol, spans):
     d0s, d1s = rms(y0), rms(f0)
     h0s = [1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1 for d0, d1 in zip(d0s, d1s)]
     if not any(h0s):  # every d1 overflowed
-        return h0s
-    moves = [h0 * d for h0, d in zip(h0s, directions)]
+        return
+    moves = [h0 * run.direction for h0, run in zip(h0s, runs)]
     y1 = y0 + (moves[0] if y0.ndim == 1 else np.array(moves)[:, None]) * f0
-    steps = []
-    for h0, d1, d2, span in zip(h0s, d1s, rms(f(y1) - f0), spans):
+    for h0, d1, d2, run in zip(h0s, d1s, rms(f(y1) - f0), runs):
         if h0 == 0.0:  # d1 overflowed; _solve reports the step collapse
-            steps.append(0.0)
             continue
         d = max(d1, d2 / h0)
         h1 = max(1e-6, h0 * 1e-3) if d <= 1e-15 else (0.01 / d) ** (1 / 8)
-        steps.append(min(100 * h0, h1, span))
-    return steps
+        run.h = min(100 * h0, h1, abs(run.end - run.t))
 
 
 class _Run:
-    """One row of a _solve call: how it stopped (status, None while it
-    runs), its accepted and rejected step counts and, when the call keeps
-    its runs, its mesh (times in step order and the state at each, never
-    written in place) and its continuous extension, to seventh order in
-    the step.  _solve records each accepted step with its stages; reads
-    come after the run.
+    """One row of a _solve call and its running state: its time t, end,
+    direction (+1.0 or -1.0), step size h, whether its last attempt was
+    rejected (retry), how it stopped (status, None while it runs), its
+    accepted and rejected step counts and, when the call keeps its runs,
+    its mesh (times in step order and the state at each, never written in
+    place) and its continuous extension, to seventh order in the step.
+    _solve records each accepted step with its stages; reads come after
+    the run.
 
     A read takes one time t, giving the (N,) state, or a 1-D array of m
     times, giving (m, N) rows, and each row is bit for bit the read of its
@@ -467,43 +467,41 @@ class _Run:
     powers against its step's coefficients gives the rows.
     """
 
-    def __init__(self, field, t0, y0, keep):
+    def __init__(self, field, t0, y0, end, keep):
         self.field = field
         self.status = None
         self.accepted = self.rejected = 0
+        self.t, self.end = t0, end
+        self.direction = 1.0 if end > t0 else -1.0
+        self.h, self.retry = 0.0, False
         self.times, self.states = ([t0], [y0]) if keep else ([], [])
-        self.keys = []  # start of each accepted step, times the direction
-        # (start, signed step, start state, end state, stage array) per step
+        # (start, signed step, start state, end state, stage array) per
+        # accepted step; the stage array holds stages 0-12, zero rows for
+        # the three extra stages and the start state as row 16
         self.steps = []
         # per step, from the first read on: whether it was read, and once
         # it is, its start, signed step, start state and (7, N)
-        # coefficients (the arrays starts, h, y and C)
+        # coefficients (the arrays starts, steps_h, y and C)
         self.read = None
 
-    def record(self, t, h, y, y_new, K):
-        """K is the step's stage array: stages 0-12, zero rows for the three
-        extra stages and the start state as row 16."""
-        self.keys.append(t if h > 0 else -t)
-        self.steps.append((t, h, y, y_new, K))
-
     def __call__(self, t):
-        if self.read is None or self.read.size != len(self.steps):
+        if self.read is None:
             m, size = len(self.steps), self.steps[0][2].size
             self.read = np.zeros(m, dtype=bool)
-            self.starts, self.h = np.empty(m), np.empty(m)
+            self.starts, self.steps_h = np.empty(m), np.empty(m)
             self.y, self.C = np.empty((m, size)), np.empty((m, 7, size))
             # the step of a time is the number of later step starts at or
-            # before it, which clamps a time before the run onto step 0
-            self.later_keys = np.array(self.keys[1:])
+            # before it, in the direction of the run, which clamps a time
+            # before the run onto step 0
+            self.later_keys = np.array([step[0] for step in self.steps[1:]]) * self.direction
         t = np.asarray(t, dtype=float)
-        key = t if self.steps[0][1] > 0 else -t
-        i = np.searchsorted(self.later_keys, key, side="right")
+        i = np.searchsorted(self.later_keys, t * self.direction, side="right")
         touched = np.ravel(i)
         fresh = touched[~self.read[touched]]
         if fresh.size:
             # sorted(set()) and not np.unique, whose first call imports numpy.ma
             self._coefficients(sorted(set(fresh.tolist())))
-        x = (t - self.starts[i]) / self.h[i]
+        x = (t - self.starts[i]) / self.steps_h[i]
         return self.y[i] + np.vecmat(x[..., None] ** _POWERS, self.C[i])
 
     def _coefficients(self, fresh):
@@ -521,7 +519,7 @@ class _Run:
         F[:, 2] = 2 * dy - hs * (K[:, 0] + K[:, 12])
         F[:, 3:] = hs[..., None] * (_D @ K[:, :16])
         self.C[fresh] = _POWER_BASIS @ F
-        self.starts[fresh], self.h[fresh], self.y[fresh] = t0, h, y
+        self.starts[fresh], self.steps_h[fresh], self.y[fresh] = t0, h, y
         self.read[fresh] = True
 
 
@@ -532,15 +530,16 @@ def _solve(f, y0, t0, t1, tol, keep=False):
 
     The controller sizes every step, and only the last is clamped, onto
     the end; a run stops early when it blows up (a state not finite or
-    past ESCAPE_RADIUS) or when its step falls below MIN_STEP.  Each row
-    keeps its own time, step size, accept/reject decision, step budget and
-    status, and leaves the block when it stops; across the rows the
-    stages, field calls, finiteness test and error norms are each one
-    array operation, so f maps (..., n) states to (..., n).  Every other
-    operation acts on each row as it would on that row alone; with a field
-    that does too, as _quadratic's does, a row ends exactly as its own 1-D
-    run would, with the same mesh and the same continuous extension.  A
-    1-D y0 runs without a row axis, which would cost every numpy call.
+    past ESCAPE_RADIUS) or when its step falls below MIN_STEP.  Each row's
+    _Run keeps its time, step size, accept/reject decision, step budget
+    and status, and the row leaves the block when it stops; across the
+    rows the stages, field calls, finiteness test and error norms are each
+    one array operation, so f maps (..., n) states to (..., n).  Every
+    other operation acts on each row as it would on that row alone; with a
+    field that does too, as _quadratic's does, a row ends exactly as its
+    own 1-D run would, with the same mesh and the same continuous
+    extension.  A 1-D y0 runs without a row axis, which would cost every
+    numpy call.
 
     With keep, each run records its mesh and every accepted step, so that
     states between mesh points can be read off it afterwards.  Raises
@@ -553,7 +552,6 @@ def _solve(f, y0, t0, t1, tol, keep=False):
     if not np.all(np.isfinite(y)):
         raise InvalidValue("initial state must be finite")
     single = y.ndim == 1
-    ends = [t1] if single else list(t1)
     n = y.shape[-1]
 
     def by_row(a):
@@ -561,63 +559,52 @@ def _solve(f, y0, t0, t1, tol, keep=False):
         by_row(a.tolist()) gives one Python value per row"""
         return [a] if single else a
 
-    runs = [_Run(f, t0, row, keep) for row in by_row(y)]
-    # per row: time, step size and whether its last attempt was rejected
-    t = [t0] * len(ends)
-    directions = [1.0 if end > t0 else -1.0 for end in ends]
-    retry = [False] * len(ends)
+    runs = [_Run(f, t0, row, end, keep) for row, end in zip(by_row(y), by_row(t1))]
 
     # a start state or a stage past a blow-up may overflow; the start's
     # finiteness test and the one test per attempt catch it
     with np.errstate(over="ignore", invalid="ignore"):
         f0 = f(y)
-        live = []  # the rows still running, in block order
-        for i, ok in enumerate(by_row(np.isfinite(f0).all(axis=-1).tolist())):
-            if ok:
-                live.append(i)
-            else:
-                runs[i].status = TerminationStatus("blowup", t0)
-        if len(live) < len(ends) and not single:
-            y, f0 = y[live], f0[live]
-        h = [0.0] * len(ends)
+        for run, ok in zip(runs, by_row(np.isfinite(f0).all(axis=-1).tolist())):
+            if not ok:
+                run.status = TerminationStatus("blowup", t0)
+        live = [run for run in runs if run.status is None]  # in block order
+        if len(live) < len(runs) and not single:
+            rows = [j for j, run in enumerate(runs) if run.status is None]
+            y, f0 = y[rows], f0[rows]
         if live:
-            spans = [abs(ends[i] - t0) for i in live]
-            steps = _initial_step(f, y, f0, [directions[i] for i in live], tol, spans)
-            for i, step in zip(live, steps):
-                h[i] = step
+            _initial_step(f, y, f0, live, tol)
 
         k1 = f0
         while True:
             # stops before an attempt, then each moving row's signed step;
             # rows that stopped stay in the block until here
             moving, h_use, last = [], [], []
-            for j, i in enumerate(live):
-                run = runs[i]
+            for j, run in enumerate(live):
                 if run.status is not None:
                     continue
-                ti, end = t[i], ends[i]
+                t, end = run.t, run.end
                 if run.accepted + run.rejected >= STEP_BUDGET:
-                    raise StepBudgetExhausted(f"no end after {STEP_BUDGET} steps, at t={ti}")
-                hmin = max(MIN_STEP, 10 * _EPS * max(1.0, abs(ti)))
-                if h[i] < hmin:
-                    run.status = TerminationStatus("step-collapse", ti)
-                elif abs(end - ti) <= hmin:
+                    raise StepBudgetExhausted(f"no end after {STEP_BUDGET} steps, at t={t}")
+                hmin = max(MIN_STEP, 10 * _EPS * max(1.0, abs(t)))
+                if run.h < hmin:
+                    run.status = TerminationStatus("step-collapse", t)
+                elif abs(end - t) <= hmin:
                     # close enough that a step would underflow; snap to the end
                     run.status = TerminationStatus("completed", end)
                     if keep:
                         run.times.append(end)
                         run.states.append(by_row(y)[j])
                 else:
-                    d = directions[i]
-                    lst = (ti + d * h[i] - end) * d >= 0
-                    moving.append(i)
-                    h_use.append((end - ti) if lst else d * h[i])
+                    d = run.direction
+                    lst = (t + d * run.h - end) * d >= 0
+                    moving.append(j)
+                    h_use.append((end - t) if lst else d * run.h)
                     last.append(lst)
             if not moving:
                 break
             if len(moving) < len(live):
-                rows = [j for j, i in enumerate(live) if runs[i].status is None]
-                y, k1, live = y[rows], k1[rows], moving
+                y, k1, live = y[moving], k1[moving], [live[j] for j in moving]
 
             # the stages, then the start state; rows not yet evaluated stay
             # zero, so each stage state is one product with the whole of K
@@ -638,7 +625,7 @@ def _solve(f, y0, t0, t1, tol, keep=False):
             norms = np.square((_ERR @ stages) / sc[..., None, :]).sum(axis=-1)
             taken = []
             for j, ((e5, e3), ok) in enumerate(zip(by_row(norms.tolist()), finite)):
-                i, hu = live[j], h_use[j]
+                run, hu = live[j], h_use[j]
                 err = math.nan
                 if ok:
                     denom = e5 + 0.01 * e3
@@ -648,9 +635,9 @@ def _solve(f, y0, t0, t1, tol, keep=False):
                     continue
                 # a non-finite estimate shrinks the step tenfold
                 fac = max(0.2, 0.9 * err ** (-1 / 8)) if math.isfinite(err) else 0.1
-                h[i] = abs(hu) * fac
-                retry[i] = True
-                runs[i].rejected += 1
+                run.h = abs(hu) * fac
+                run.retry = True
+                run.rejected += 1
             if not taken:
                 continue
 
@@ -658,27 +645,26 @@ def _solve(f, y0, t0, t1, tol, keep=False):
             if keep:
                 ys, ys_new, Ks = by_row(y), by_row(y_new), by_row(K)
             for j, err in taken:
-                i, hu = live[j], h_use[j]
-                run = runs[i]
-                t_prev = t[i]
-                t[i] = ends[i] if last[j] else t_prev + hu
+                run, hu = live[j], h_use[j]
+                t_prev = run.t
+                run.t = run.end if last[j] else t_prev + hu
                 run.accepted += 1
                 if not math.isfinite(peaks[j]):
                     run.status = TerminationStatus("blowup", t_prev)
                     continue
                 if keep:
                     state = ys_new[j]
-                    run.record(t_prev, hu, ys[j], state, Ks[j])
-                    run.times.append(t[i])
+                    run.steps.append((t_prev, hu, ys[j], state, Ks[j]))
+                    run.times.append(run.t)
                     run.states.append(state)
                 if peaks[j] > ESCAPE_RADIUS:
-                    run.status = TerminationStatus("blowup", t[i])
+                    run.status = TerminationStatus("blowup", run.t)
                 elif last[j]:
-                    run.status = TerminationStatus("completed", ends[i])
+                    run.status = TerminationStatus("completed", run.end)
                 else:
                     fac = 0.9 * err ** (-1 / 8) if err > 0 else 10.0
-                    h[i] = abs(hu) * min(1.0 if retry[i] else 10.0, max(0.2, fac))
-                    retry[i] = False
+                    run.h = abs(hu) * min(1.0 if run.retry else 10.0, max(0.2, fac))
+                    run.retry = False
             if len(taken) == len(live):
                 y, k1 = y_new, K[..., 12, :]  # FSAL: stage 12 is f at the new state
             else:
@@ -701,11 +687,10 @@ def _quadratic(table):
     """
     n, _, p = table.shape
     flat = np.ascontiguousarray(table.reshape(n, n * p))
-    one, block = (n, p), (-1, n, p)
 
     def field(x):
         rows = np.vecmat(x, flat)
-        return np.vecmat(x, rows.reshape(one if rows.ndim == 1 else block))
+        return np.vecmat(x, rows.reshape(rows.shape[:-1] + (n, p)))
 
     return field
 

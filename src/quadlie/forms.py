@@ -130,18 +130,19 @@ def validate_form(g):
 
     Takes a nested n x n matrix, read by scalars.read, so its entries
     decide its mode, or a ScaledArray that library code has assembled; an
-    empty matrix is a DimensionMismatch.  Exact mode demands literal symmetry;
-    binary64 mode allows symmetry slack 1e-9 relative to the largest
-    entry.  The form is degenerate when linalg.inverse finds it singular,
-    its rank below its size, and otherwise keeps that inverse; the
-    Degenerate report carries a kernel basis, exact or, in binary64, with
-    the singular values cut at 1e-9 of the largest.
+    empty matrix is a DimensionMismatch, and a binary64 matrix with an
+    entry beyond binary64 an InvalidValue.  Exact mode demands literal
+    symmetry; binary64 mode allows symmetry slack 1e-9 relative to the
+    largest entry.  The form is degenerate when linalg.inverse finds it
+    singular, its rank below its size, and otherwise keeps that inverse;
+    the Degenerate report carries a kernel basis, exact or, in binary64,
+    with the singular values cut at 1e-9 of the largest.
     """
     M = g if isinstance(g, scalars.ScaledArray) else scalars.read(g, 2)
     n, exact = M.num.shape[0], M.exact
     if n == 0:
         raise DimensionMismatch("empty form matrix")
-    tol = scalars.tolerance(exact, max(1.0, M.scale()))
+    tol = scalars.tolerance(exact, max(1.0, scalars._finite(M, "form").scale()))
     # M - M^T is antisymmetric with a zero diagonal, so the first violation
     # in index order has i < j
     bad = np.argwhere((M - M.transpose()).beyond(tol))
@@ -164,15 +165,17 @@ def check_ad_invariance(L, k):
     """Whether k(ad_x y, z) + k(y, ad_x z) vanishes for all basis x.
 
     Matrix form per basis direction: K ad + ad^T K = 0.  The report keeps
-    the worst residual entry so near-misses are visible in float mode.
+    the worst residual entry so near-misses are visible in float mode;
+    InvalidValue when a binary64 entry of the residual overflows.
     """
     L = as_algebra(L)
     L, form = scalars.common_mode(L, as_form(k, L.dim))
     exact = form.exact
     C, K = L.array, form.array
     # res[i, r, s]: entry (r, s) of K ad_i + ad_i^T K, ad_i[t][s] = c[i][s][t]
-    res = scalars.contract("rt,ist->irs", K, C) + scalars.contract("irt,ts->irs", C, K)
-    worst = res.peak() or scalars.coerce(0, exact)
+    with scalars._quiet(exact):
+        res = scalars.contract("rt,ist->irs", K, C) + scalars.contract("irt,ts->irs", C, K)
+    worst = scalars._finite(res, "ad-invariance residual").peak() or scalars.coerce(0, exact)
     tol = scalars.tolerance(exact, max(1.0, C.scale() * K.scale()))
     return AdInvarianceReport(invariant=worst <= tol, max_residual=worst)
 
@@ -182,13 +185,16 @@ def metric_from_iso(k, u):
 
     Raises NotKSymmetric when U^T K differs from K U, i.e. when u fails
     self-adjointness, and then Singular when u has no inverse; the
-    operator returned keeps its inverse.
+    operator returned keeps its inverse.  InvalidValue when a binary64
+    entry of K U or U^T K overflows.
     """
     form = as_form(k)
     form, iso = scalars.common_mode(form, as_iso(u, form.dim))
     K, U = form.array, iso.array
-    ku = scalars.contract("ij,jk->ik", K, U)
-    worst = (ku - scalars.contract("ji,jk->ik", U, K)).peak()
+    with scalars._quiet(iso.exact):
+        ku = scalars.contract("ij,jk->ik", K, U)
+        res = ku - scalars.contract("ji,jk->ik", U, K)
+    worst = scalars._finite(res, "metric K U").peak()
     tol = scalars.tolerance(iso.exact, max(1.0, K.scale() * U.scale()))
     if worst > tol:
         raise NotKSymmetric(f"operator is not self-adjoint, residual {worst}")

@@ -66,6 +66,7 @@ entries.  to_array stays the reader of rows that library code has built
 in a known mode.
 """
 
+import contextlib
 import dataclasses
 import math
 import operator
@@ -190,6 +191,21 @@ FLOAT_RTOL = 1e-9
 def tolerance(exact, scale):
     """Slack of a verdict: none in exact mode, FLOAT_RTOL * scale in binary64."""
     return 0 if exact else FLOAT_RTOL * scale
+
+
+def _quiet(exact):
+    """np.errstate under which a binary64 entry beyond binary64 becomes inf,
+    and inf - inf nan, with no numpy warning, for _finite to refuse; exact
+    arithmetic skips it, and an errstate per sum or kernel slows the
+    certificates."""
+    return contextlib.nullcontext() if exact else np.errstate(invalid="ignore", over="ignore")
+
+
+def _finite(x, what):
+    """x, a ScaledArray; InvalidValue when a binary64 entry of it is not finite."""
+    if not math.isfinite(x.scale()):
+        raise InvalidValue(f"the {what} overflows binary64")
+    return x
 
 
 def common_mode(*tensors):

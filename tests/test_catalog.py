@@ -21,7 +21,7 @@ def test_name_resolution():
 
 
 @pytest.mark.parametrize(
-    "bad", ["nope", "oscillator(x)", "a-d(1,2)", "e2-motion(3)", "oscillator(1"]
+    "bad", ["nope", "oscillator(x)", "a-d(1,2)", "e2-motion(3)", "oscillator(1", "a-d(x)", "foo(1)"]
 )
 def test_unknown_names_rejected(bad):
     with pytest.raises(UnknownName):

@@ -272,6 +272,16 @@ def test_f_derivation_in_binary64_gives_the_exact_diagonals():
     assert rep.flat and rep.left_symmetric and rep.torsion_ok and rep.skew_ok
 
 
+@pytest.mark.parametrize("scale", [1e-3, 0.37, 1, 1.7e7, 1e9, 1e12, 1e50])
+def test_f_derivation_in_binary64_builds_a_flat_product_at_every_scale(scale):
+    # the derivation identity's slack follows the sizes of its terms, as
+    # the Jacobi check's does, so a large table is no failed identity
+    c = (catalog("dim5-nilpotent").algebra.array.to_float().num * scale).tolist()
+    _, P, _ = build_f_derivation(validate_algebra(c))
+    rep = connection.product_report(P)
+    assert rep.flat and rep.left_symmetric and rep.torsion_ok
+
+
 @pytest.mark.parametrize("a0", [math.nan, math.inf, -math.inf])
 def test_f_derivation_rejects_a_non_finite_a0(a0):
     L5, K5 = _three_step_with_invariant_form()

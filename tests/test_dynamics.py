@@ -79,6 +79,8 @@ def test_state_at_interpolates_accepted_steps():
     state = traj.state_at(3.75)
     closed = entry.oracles["geodesic"](x0)
     assert max(abs(a - b) for a, b in zip(state, closed(3.75))) <= 1e-8
+    with pytest.raises(KeyError, match="no recorded state at t=3.7"):
+        traj.state_at(3.7)
 
 
 @pytest.mark.parametrize("t1", [10.0, -10.0])
@@ -127,6 +129,15 @@ def test_times_and_stops_are_python_floats():
     report = completeness_probe(field, [seed], t_max=(-1.5, 5.0), tol=1e-10)
     res = report.results[0]
     assert type(res.forward.t) is float and type(res.backward.t) is float
+
+
+def test_euler_field_of_a_field_callable_is_a_tuple_of_floats():
+    entry = catalog("dim5-nilpotent")
+    field, _evaluate = quadratic_euler_field(entry.algebra, entry.iso)
+    x = (0.3, -0.2, 0.5, 0.1, -0.4)
+    value = euler_field(field, x)
+    assert all(type(v) is float for v in value)
+    assert value == tuple(field(np.array(x)).tolist()) and any(value)
 
 
 def test_euler_field_routes_agree():

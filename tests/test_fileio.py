@@ -1,6 +1,9 @@
 """File I/O tests: algebra documents, construct blocks, artifacts."""
 
+import io
 import json
+import re
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from quadlie import fileio
+from quadlie.cli import main
 from quadlie.catalog import catalog
 from quadlie.connection import flatness_report, levi_civita
 from quadlie.constructions import (
@@ -16,6 +20,7 @@ from quadlie.constructions import (
     build_oscillator,
     build_two_step,
     two_step_metric,
+    volume_theta,
 )
 from quadlie.dynamics import integrate_geodesic
 from quadlie.errors import JacobiViolation, ParseError, RankDeficientTheta, Singular
@@ -190,6 +195,85 @@ def _e2_trajectory():
 def test_every_writer_turns_an_unwritable_path_into_a_parse_error(write, path):
     with pytest.raises(ParseError):
         write(path)
+
+
+def _bracket(**item):
+    """A document of dimension 2 with the one bracket item given, by
+    default [e0, e1] = e1."""
+    return {"dim": 2, "brackets": [{"i": 0, "j": 1, "terms": [{"k": 1, "coef": 1}], **item}]}
+
+
+_OSCILLATOR = {"construct": "oscillator", "lambda": [1]}
+MALFORMED = [
+    ([], "top level must be a JSON object"),
+    ({"dim": 0}, "dim must be a positive integer"),
+    ({"dim": 2, "color": 1}, "unknown key(s) ['color']"),
+    ({"dim": 2, "basis": ["a"]}, "basis must be a list of 2 labels"),
+    ({"dim": 2, "basis": ["a", "a"]}, "basis labels must be distinct"),
+    ({"dim": 2, "brackets": {}}, "brackets must be an array"),
+    ({"dim": 2, "brackets": [5]}, "brackets[0]: expected an object"),
+    ({"dim": 2, "brackets": [{"i": 0, "j": 1}]}, "brackets[0]: missing key(s) ['terms']"),
+    (_bracket(x=1), "brackets[0]: unknown key(s) ['x']"),
+    (_bracket(j=0), "brackets[0]: pair (0, 0) is zero by antisymmetry"),
+    (_bracket(i=True), "brackets[0]: boolean is not a basis reference"),
+    (_bracket(i=0.5), "brackets[0]: unsupported basis reference 0.5"),
+    (_bracket(terms={}), "brackets[0]: terms must be an array"),
+    (_bracket(terms=[{"k": 1, "coef": 1}, {"k": 1, "coef": 2}]),
+     "brackets[0].terms[1]: duplicate component 1"),
+    ({"dim": 3, "form": [["1"], ["0", "1"]]}, "form must have 3 lower-triangular rows"),
+    ({"dim": 2, "iso": [[1, 0]]}, "iso: expected an array of 2 entries"),
+    ({**_OSCILLATOR, "brackets": []}, "construct and brackets are mutually exclusive"),
+    ({**_OSCILLATOR, "dim": 4}, "construct documents may not set 'dim'"),
+    ({**_OSCILLATOR, "phi": 1}, "oscillator construct: unknown key(s) ['phi']"),
+    ({"construct": "oscillator", "lambda": []}, "oscillator construct needs a nonempty lambda list"),
+    ({"construct": "two-step", "dimv": 3, "lambda": [1]},
+     "two-step construct: unknown key(s) ['lambda']"),
+    ({"construct": "two-step", "dimv": 0}, "two-step construct needs a positive integer dimv"),
+    ({"construct": "klein"}, "unknown construct 'klein'"),
+]
+
+
+@pytest.mark.parametrize("doc, fragment", MALFORMED, ids=[m for _, m in MALFORMED])
+def test_each_malformed_document_is_a_parse_error_naming_its_fault(doc, fragment):
+    with pytest.raises(ParseError, match=re.escape(fragment)):
+        fileio.parse_algebra_doc(doc)
+
+
+def test_cli_on_a_malformed_document_reports_json_and_one_error_line(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_bracket(j=0)))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["validate", "--input", str(path)])
+    assert code == 1
+    assert json.loads(out.getvalue())["error"]["type"] == "ParseError"
+    assert err.getvalue() == "error: brackets[0]: pair (0, 0) is zero by antisymmetry\n"
+
+
+def test_to_jsonable_refuses_an_object_it_cannot_serialize():
+    with pytest.raises(TypeError, match="cannot serialize object"):
+        fileio.to_jsonable({"a": [object()]})
+
+
+_OSC_L, _OSC_K = build_oscillator((1,))
+_TWO_L, _TWO_K = build_two_step(TwoStepSpec(3, "volume"))
+_DOUBLED = [[[2 * v for v in row] for row in plane] for plane in volume_theta()]
+
+
+@pytest.mark.parametrize("doc, algebra, form, iso", [
+    ({**_OSCILLATOR, "form": [[str(2 * v) for v in row[: r + 1]] for r, row in enumerate(_OSC_K.matrix)]},
+     _OSC_L.c, tuple(tuple(2 * v for v in row) for row in _OSC_K.matrix), None),
+    ({**_OSCILLATOR, "iso": [[2 * (i == j) for j in range(4)] for i in range(4)]},
+     _OSC_L.c, _OSC_K.matrix, tuple(tuple(Fraction(2 * (i == j)) for j in range(4)) for i in range(4))),
+    ({"construct": "two-step", "dimv": 3, "theta": [[[str(v) for v in row] for row in plane] for plane in _DOUBLED]},
+     build_two_step(TwoStepSpec(3, _DOUBLED))[0].c, _TWO_K.matrix, None),
+    ({"construct": "two-step", "dimv": 3}, _TWO_L.c, _TWO_K.matrix, None),
+], ids=["own-form", "own-iso", "explicit-theta", "two-step-without-phi"])
+def test_each_construct_document_reads_and_round_trips(doc, algebra, form, iso):
+    parsed = fileio.parse_algebra_doc(doc)
+    assert [parsed[0].c, parsed[1].matrix, parsed[2] and parsed[2].matrix] == [algebra, form, iso]
+    again = fileio.parse_algebra_doc(json.loads(json.dumps(fileio.serialize_algebra(*parsed))))
+    assert again == parsed
 
 
 settings.register_profile(

@@ -26,7 +26,8 @@ from quadlie import catalog, dynamics, fileio, levi_civita, metric_from_iso, val
 from quadlie import LieAlgebra, ProductTensor, SymBilinearForm, scalars, validate_form
 from quadlie.cli import MAX_SAMPLES, main
 from quadlie.errors import EngineError, InvalidSpan, InvalidValue, StepBudgetExhausted
-from quadlie.errors import DimensionMismatch, MixedModeError
+from quadlie.errors import DimensionMismatch, MixedModeError, NoSolution, NotNilpotent, Singular
+from quadlie.errors import WrongClass
 
 
 def _strict_json(text):
@@ -1157,3 +1158,95 @@ def test_cli_on_a_curvature_beyond_binary64_reports_json_and_no_warning(tmp_path
     assert proc.returncode == 1
     assert _strict_json(proc.stdout)["error"]["type"] == "InvalidValue"
     assert proc.stderr == "error: the curvature overflows binary64\n"
+
+
+# e2-motion's table under a form and an operator of entries 1e200: K U and
+# its self-adjointness residual overflow
+HUGE_ISO = {
+    "dim": 3,
+    "brackets": [{"i": 2, "j": 0, "terms": [{"k": 1, "coef": 1.0}]},
+                 {"i": 2, "j": 1, "terms": [{"k": 0, "coef": -1.0}]}],
+    "form": [[1e200], [0, 1e200], [0, 0, -1e200]],
+    "iso": [[1e200, 0, 0], [0, 1e200, 0], [0, 0, 1e200]],
+}
+# the same table scaled by 1e150 under that form and the identity: K ad_x
+# overflows
+HUGE_AD = {
+    "dim": 3,
+    "brackets": [{"i": 2, "j": 0, "terms": [{"k": 1, "coef": 1e150}]},
+                 {"i": 2, "j": 1, "terms": [{"k": 0, "coef": -1e150}]}],
+    "form": HUGE_ISO["form"],
+    "iso": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+}
+
+
+def _oscillator_times_1e200():
+    """oscillator(1) in binary64, its form times 1e200 and u = 1e200 I:
+    the metric K U overflows."""
+    e = catalog("oscillator(1)")
+    return (e.algebra.to_float(), (e.quad_form.array.to_float().num * 1e200).tolist(),
+            (np.eye(e.algebra.dim) * 1e200).tolist())
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call, what", [
+    (lambda: metric_from_iso(*fileio.parse_algebra_doc(HUGE_ISO)[1:]), "metric K U"),
+    (lambda: quadlie.check_ad_invariance(*fileio.parse_algebra_doc(HUGE_AD)[:2]),
+     "ad-invariance residual"),
+    (lambda: quadlie.product_from_iso(*_oscillator_times_1e200()), "form"),
+    (lambda: quadlie.build_double_extension(2, [[1e200, 0], [0, 1e200]], [[0, -1e200], [1e200, 0]]),
+     "k0-skewness residual"),
+    (lambda: validate_form(scalars.ScaledArray(np.array([[np.inf, 0.0], [0.0, 1.0]]))), "form"),
+], ids=["metric_from_iso", "check_ad_invariance", "product_from_iso", "double_extension",
+        "validate_form"])
+def test_a_binary64_form_or_operator_whose_products_overflow_is_an_invalid_value(call, what):
+    with pytest.raises(InvalidValue, match=f"^the {what} overflows binary64$"):
+        call()
+
+
+@pytest.mark.parametrize("doc, cmd, what", [
+    (HUGE_ISO, "validate", "metric K U"),
+    (HUGE_AD, "analyze", "ad-invariance residual"),
+], ids=["validate", "analyze"])
+def test_cli_on_a_form_whose_products_overflow_reports_json_and_no_warning(tmp_path, doc, cmd, what):
+    path = tmp_path / "huge-form.json"
+    path.write_text(json.dumps(doc))
+    src = str(Path(fileio.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "quadlie.cli", cmd, "--input", str(path)],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert _strict_json(proc.stdout)["error"]["type"] == "InvalidValue"
+    assert proc.stderr == f"error: the {what} overflows binary64\n"
+
+
+def _unit(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _drift_without_a_metric():
+    """energy_drift of an oscillator(1) geodesic under the half-bracket
+    product, which carries no metric."""
+    P = quadlie.biinvariant_connection(catalog("oscillator(1)").algebra)
+    return quadlie.energy_drift(P, quadlie.integrate_geodesic(P, SEED + (0.1,), (0.0, 1.0)))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: quadlie.polynomial_geodesic_check(catalog("e2-motion").algebra, _unit(3)),
+     NotNilpotent, "lower central series does not reach zero"),
+    (lambda: quadlie.build_f_derivation(catalog("e2-motion").algebra),
+     WrongClass, "algebra is not nilpotent"),
+    (lambda: quadlie.build_f_derivation(catalog("dim5-nilpotent").algebra, _unit(5)),
+     NoSolution, "supplied form is not ad-invariant"),
+    (lambda: quadlie.two_step_metric(quadlie.TwoStepSpec(3, "volume", ((1, 0, 0), (0, 1, 0), (0, 0, 0)))),
+     Singular, "phi is not invertible"),
+    (_drift_without_a_metric, DimensionMismatch, "product has no metric to conserve"),
+    (lambda: validate_algebra(catalog("e2-motion").algebra.c, labels=("a",)),
+     DimensionMismatch, "1 labels for dimension 3"),
+], ids=["polynomial_check", "f_derivation_class", "f_derivation_form", "two_step_phi", "energy_drift",
+        "labels"])
+def test_each_unfit_argument_raises_its_typed_error(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
