@@ -491,8 +491,7 @@ class _Run:
             self.starts, self.steps_h = np.empty(m), np.empty(m)
             self.y, self.C = np.empty((m, size)), np.empty((m, 7, size))
             # the step of a time is the number of later step starts at or
-            # before it, in the direction of the run, which clamps a time
-            # before the run onto step 0
+            # before it in the run's direction, so a time before the run is step 0
             self.later_keys = np.array([step[0] for step in self.steps[1:]]) * self.direction
         t = np.asarray(t, dtype=float)
         i = np.searchsorted(self.later_keys, t * self.direction, side="right")
@@ -687,10 +686,11 @@ def _quadratic(table):
     """
     n, _, p = table.shape
     flat = np.ascontiguousarray(table.reshape(n, n * p))
+    one, block = (n, p), (-1, n, p)
 
     def field(x):
         rows = np.vecmat(x, flat)
-        return np.vecmat(x, rows.reshape(rows.shape[:-1] + (n, p)))
+        return np.vecmat(x, rows.reshape(one if rows.ndim == 1 else block))
 
     return field
 
