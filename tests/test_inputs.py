@@ -1081,16 +1081,22 @@ def test_a_binary64_product_beyond_binary64_is_an_invalid_value(name, c_scale, g
             call(L, g)
 
 
+def _fresh_cli(*argv):
+    """quadlie's command line in a fresh interpreter on this checkout's
+    sources, so that any numpy or LAPACK output reaches its stderr."""
+    src = str(Path(fileio.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "quadlie.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))),
+        capture_output=True, text=True, timeout=120,
+    )
+
+
 @pytest.mark.parametrize("argv", [["connection"], ["flat"], ["geodesic"]])
 def test_cli_on_a_product_beyond_binary64_reports_json_and_no_warning(tmp_path, argv):
     path = tmp_path / "huge.json"
     fileio.write_algebra_file(path, *_scaled("e2-motion", 1e100, 1e250))
-    src = str(Path(fileio.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-m", "quadlie.cli", *argv, "--input", str(path)],
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))),
-        capture_output=True, text=True, timeout=120,
-    )
+    proc = _fresh_cli(*argv, "--input", str(path))
     assert proc.returncode == 1
     assert _strict_json(proc.stdout)["error"]["type"] == "InvalidValue"
     # only the command's own one-line error, which every rejected input prints
@@ -1149,12 +1155,7 @@ def test_each_binary64_residual_beyond_binary64_is_an_invalid_value(what, gamma,
 def test_cli_on_a_curvature_beyond_binary64_reports_json_and_no_warning(tmp_path, cmd):
     path = tmp_path / "big-curvature.json"
     path.write_text(json.dumps(BIG_CURVATURE))
-    src = str(Path(fileio.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-m", "quadlie.cli", cmd, "--input", str(path)],
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))),
-        capture_output=True, text=True, timeout=120,
-    )
+    proc = _fresh_cli(cmd, "--input", str(path))
     assert proc.returncode == 1
     assert _strict_json(proc.stdout)["error"]["type"] == "InvalidValue"
     assert proc.stderr == "error: the curvature overflows binary64\n"
@@ -1211,19 +1212,10 @@ def test_a_binary64_form_or_operator_whose_products_overflow_is_an_invalid_value
 def test_cli_on_a_form_whose_products_overflow_reports_json_and_no_warning(tmp_path, doc, cmd, what):
     path = tmp_path / "huge-form.json"
     path.write_text(json.dumps(doc))
-    src = str(Path(fileio.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-m", "quadlie.cli", cmd, "--input", str(path)],
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))),
-        capture_output=True, text=True, timeout=120,
-    )
+    proc = _fresh_cli(cmd, "--input", str(path))
     assert proc.returncode == 1
     assert _strict_json(proc.stdout)["error"]["type"] == "InvalidValue"
     assert proc.stderr == f"error: the {what} overflows binary64\n"
-
-
-def _unit(n):
-    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def _drift_without_a_metric():
@@ -1234,11 +1226,11 @@ def _drift_without_a_metric():
 
 
 @pytest.mark.parametrize("call, error, message", [
-    (lambda: quadlie.polynomial_geodesic_check(catalog("e2-motion").algebra, _unit(3)),
+    (lambda: quadlie.polynomial_geodesic_check(catalog("e2-motion").algebra, np.eye(3).tolist()),
      NotNilpotent, "lower central series does not reach zero"),
     (lambda: quadlie.build_f_derivation(catalog("e2-motion").algebra),
      WrongClass, "algebra is not nilpotent"),
-    (lambda: quadlie.build_f_derivation(catalog("dim5-nilpotent").algebra, _unit(5)),
+    (lambda: quadlie.build_f_derivation(catalog("dim5-nilpotent").algebra, np.eye(5).tolist()),
      NoSolution, "supplied form is not ad-invariant"),
     (lambda: quadlie.two_step_metric(quadlie.TwoStepSpec(3, "volume", ((1, 0, 0), (0, 1, 0), (0, 0, 0)))),
      Singular, "phi is not invertible"),
